@@ -31,12 +31,13 @@ bench:
 	$(GO) test -run XXX -bench 'LocalizeBatch' -benchtime 3x .
 
 # Search-strategy and warm-start benchmark pairs (see DESIGN.md §13): the
-# flat-vs-coarse-fine grid search ratio and the cold-vs-warm / dense-vs-
-# Kronecker solver ratios. The committed-baseline regression assertion
-# itself lives in cmd/roabench (TestCommittedBatchBaseline, part of `make
-# test`); this target is for eyeballing the ratios.
+# flat-vs-branch-and-bound grid search ratio, the windowed search, and the
+# cold-vs-warm / dense-vs-Kronecker solver ratios. The committed-baseline
+# regression assertion itself lives in cmd/roabench
+# (TestCommittedBatchBaseline, part of `make test`); this target is for
+# eyeballing the ratios.
 bench-search:
-	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$' -benchtime 5x .
+	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
 	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMWarm$$|BenchmarkADMMKron' -benchtime 3x ./internal/sparse/
 
 # CPU and memory profiles of the parallel batch engine, written to
@@ -65,17 +66,19 @@ quality-gate:
 	$(GO) run ./cmd/roabench -fig all $(QUALITY_FLAGS) -artifact quality_current.json > /dev/null
 	$(GO) run ./cmd/roabench -compare BENCH_quality.json -artifact quality_current.json
 
-# Short fuzzing pass over the attacker-facing decoders: the serve wire
+# Short fuzzing pass over the attacker-facing decoders — the serve wire
 # formats (stateless and tracking), the CSI admission sanitizer, the quality
 # artifact loader, the event log, the venue manifest, and the trajectory
-# plan. ~10 s per target; the committed corpora under testdata/fuzz/ also
-# run as plain unit tests in `make test`. Go allows one -fuzz pattern per
-# invocation, hence one line each.
+# plan — plus the Eq. 19 search against its flat-scan reference. ~10 s per
+# target; the committed corpora under testdata/fuzz/ also run as plain unit
+# tests in `make test`. Go allows one -fuzz pattern per invocation, hence one
+# line each.
 FUZZ_TIME := 10s
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzRequestDecode$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzTrackRequestDecode$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run XXX -fuzz '^FuzzSanitizeBurst$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run XXX -fuzz '^FuzzSearchExact$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/quality/ -run XXX -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/obs/ -run XXX -fuzz '^FuzzEventDecode$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/venue/ -run XXX -fuzz '^FuzzVenueManifestDecode$$' -fuzztime $(FUZZ_TIME)

@@ -545,9 +545,8 @@ func gridSearchObs() ([]roarray.APObservation, roarray.Rect) {
 	return obs, dep.Room
 }
 
-func benchLocalizeSearch(b *testing.B, mode roarray.SearchMode) {
+func benchLocalizeSearch(b *testing.B, cfg roarray.SearchConfig) {
 	obs, room := gridSearchObs()
-	cfg := roarray.SearchConfig{Mode: mode}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := roarray.LocalizeSearch(obs, room, 0.1, 1, cfg); err != nil {
@@ -558,8 +557,15 @@ func benchLocalizeSearch(b *testing.B, mode roarray.SearchMode) {
 
 // BenchmarkLocalizeFlat measures the exhaustive legacy scan of the full
 // 181x121 grid; BenchmarkLocalizeCoarseFine is the same problem under the
-// multi-resolution search, which returns the bit-identical position while
-// evaluating an order of magnitude fewer cells. The ratio of the two is the
-// coarse-to-fine speedup.
-func BenchmarkLocalizeFlat(b *testing.B)       { benchLocalizeSearch(b, roarray.SearchFlat) }
-func BenchmarkLocalizeCoarseFine(b *testing.B) { benchLocalizeSearch(b, roarray.SearchCoarse) }
+// branch-and-bound search, which returns the bit-identical position while
+// evaluating a small fraction of the cells. The ratio of the two is the
+// search speedup. BenchmarkLocalizeWindow is the tracking fast path: the
+// same search restricted to a 4 m x 4 m window (1,681 grid points) around
+// the source.
+func BenchmarkLocalizeFlat(b *testing.B) {
+	benchLocalizeSearch(b, roarray.SearchConfig{Mode: roarray.SearchFlat})
+}
+func BenchmarkLocalizeCoarseFine(b *testing.B) { benchLocalizeSearch(b, roarray.SearchConfig{}) }
+func BenchmarkLocalizeWindow(b *testing.B) {
+	benchLocalizeSearch(b, roarray.SearchConfig{Window: &roarray.Rect{MinX: 5, MinY: 3, MaxX: 9, MaxY: 7}})
+}

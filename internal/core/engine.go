@@ -509,8 +509,8 @@ func (m *engineMetrics) recordTrack(res *TrackResult) {
 }
 
 // recordSearch notes what the Eq. 19 grid search evaluated, so an operator
-// can see the coarse-to-fine pruning working (refine+coarse cells should sit
-// far below flat cells on production grids).
+// can see the branch-and-bound pruning working (bounded blocks plus refined
+// cells should sit far below flat cells on production grids).
 func (m *engineMetrics) recordSearch(stats SearchStats) {
 	if m == nil {
 		return
@@ -520,7 +520,7 @@ func (m *engineMetrics) recordSearch(stats SearchStats) {
 		m.reg.Counter("core.search.coarse_cells").Add(int64(stats.CoarseCells))
 		m.reg.Counter("core.search.refine_cells").Add(int64(stats.RefineCells))
 	case "window":
-		m.reg.Counter("core.search.window_cells").Add(int64(stats.WindowCells))
+		m.reg.Counter("core.search.window_cells").Add(int64(stats.Evaluated()))
 	default:
 		m.reg.Counter("core.search.flat_cells").Add(int64(stats.FlatCells))
 	}

@@ -57,7 +57,7 @@ type Config struct {
 	// evaluation pipeline leaves this off; the serving path turns it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (see SearchConfig).
-	// The zero value selects the coarse-to-fine strategy, which is
+	// The zero value selects the branch-and-bound strategy, which is
 	// bit-identical to the flat scan by construction.
 	Search SearchConfig
 	// Fallback enables the solver fallback chain: when the primary solve

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -146,5 +147,80 @@ func FuzzSanitizeBurst(f *testing.F) {
 				t.Fatalf("kept packet %d fails CheckCSI: %v", i, err)
 			}
 		}
+	})
+}
+
+// FuzzSearchExact drives the Eq. 19 search over fuzzed AP geometry, AoAs,
+// RSSI, bounds, step, decimation and an optional window, and checks the
+// branch-and-bound search against the flat scan: SearchExact never reports
+// ErrSearchMismatch, and a windowed search returns the point a flat scan of
+// the same index range returns. aps holds five bytes per AP (at most
+// eight): x and y on a w/128 (h/128) lattice from -w/2 to 1.5w, so APs land
+// on grid points and block corners whenever w/128 is a multiple of the
+// step; the axis in 360/256-degree steps (0, 90, 180 and 270 included); the
+// AoA in 180/255-degree steps (0 and 180 included); and the RSSI, an odd
+// RSSI byte also setting a confidence. Inputs are kept to a physical domain
+// — finite coordinates within 1e6 m and at most ~130x130 grid points — so
+// every execution takes milliseconds.
+func FuzzSearchExact(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x40\x20\x80\x00\x40\x70\x21\xc0\xc0\x80\x30\x22"), 0.0, 0.0, 12.8, 12.8, 0.1, uint8(8), false, 0.0, 0.0, 0.0, 0.0)
+	f.Add([]byte("\x48\x48\x00\x00\x10\x4f\x47\x40\xff\x11"), -1.5, 2.0, 6.4, 3.2, 0.05, uint8(4), true, 0.0, 3.0, 2.0, 1.5)
+
+	f.Fuzz(func(t *testing.T, aps []byte, minX, minY, w, h, step float64, dec uint8, windowed bool, wx, wy, ww, wh float64) {
+		if !finite(minX, minY, w, h, step, wx, wy, ww, wh) || max(math.Abs(minX), math.Abs(minY), math.Abs(wx), math.Abs(wy)) > 1e6 {
+			return
+		}
+		if s := step; s > 0 && (w/s > 130 || h/s > 130) || s <= 0 && (w > 13 || h > 13) {
+			return
+		}
+		if len(aps) > 40 {
+			aps = aps[:40]
+		}
+		obs := make([]APObservation, len(aps)/5)
+		for i := range obs {
+			b := aps[5*i : 5*i+5]
+			obs[i] = APObservation{
+				Pos:     Point{X: minX + float64(int(b[0])-64)*w/128, Y: minY + float64(int(b[1])-64)*h/128},
+				AxisDeg: float64(b[2]) * 360 / 256,
+				AoADeg:  float64(b[3]) * 180 / 255,
+				RSSIdBm: -30 - float64(b[4])/4,
+			}
+			if b[4]&1 == 1 {
+				obs[i].Confidence = float64(b[4]) / 255
+			}
+		}
+		bounds := Rect{MinX: minX, MinY: minY, MaxX: minX + w, MaxY: minY + h}
+		cfg := SearchConfig{Mode: SearchExact, Decimation: int(dec % 20)}
+
+		g, gerr := newGridSearch(context.Background(), obs, bounds, step)
+		_, _, err := LocalizeSearch(obs, bounds, step, 2, cfg)
+		if errors.Is(err, ErrSearchMismatch) {
+			t.Fatal(err)
+		}
+		if (err == nil) != (gerr == nil) {
+			t.Fatalf("search error %v, input validation error %v", err, gerr)
+		}
+		if gerr != nil || !windowed {
+			return
+		}
+
+		win := Rect{MinX: wx, MinY: wy, MaxX: wx + ww, MaxY: wy + wh}
+		cfg.Mode, cfg.Window = SearchCoarse, &win
+		p, stats, err := LocalizeSearch(obs, bounds, step, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := g.windowIndexRange(win)
+		if !ok {
+			if stats.Mode == "window" {
+				t.Fatalf("window %+v holds no grid point but ran in window mode", win)
+			}
+			return
+		}
+		want, err := g.flatRange(r.xLo, r.xHi, r.yLo, r.yHi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, "window", p, g.pointAt(want.ix, want.iy))
 	})
 }

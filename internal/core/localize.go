@@ -49,8 +49,20 @@ type APObservation struct {
 // with the given axis orientation would see a source at target. This is
 // phi_i(x) in the paper's Eq. 19.
 func ExpectedAoA(pos Point, axisDeg float64, target Point) float64 {
+	ux, uy := axisUnit(axisDeg)
+	return aoaFromAxis(ux, uy, pos, target)
+}
+
+// axisUnit returns the unit vector of an array axis at axisDeg.
+func axisUnit(axisDeg float64) (ux, uy float64) {
 	ax := axisDeg * math.Pi / 180
-	ux, uy := math.Cos(ax), math.Sin(ax)
+	return math.Cos(ax), math.Sin(ax)
+}
+
+// aoaFromAxis is ExpectedAoA with the axis unit vector already computed, so
+// the grid search can hoist it out of its per-cell loop without changing a
+// bit of the result.
+func aoaFromAxis(ux, uy float64, pos, target Point) float64 {
 	dx, dy := target.X-pos.X, target.Y-pos.Y
 	d := math.Hypot(dx, dy)
 	if d == 0 {

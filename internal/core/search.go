@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"roarray/internal/wireless"
@@ -15,13 +16,13 @@ import (
 type SearchMode int
 
 const (
-	// SearchCoarse (the zero value, and the default) runs the multi-
-	// resolution coarse-to-fine search: a decimated pass over the grid picks
-	// candidate cells, a Lipschitz safety margin keeps every cell that could
-	// still contain the optimum, and only those cells are refined at full
-	// resolution. The result is bit-identical to the flat scan by
-	// construction (see DESIGN.md §13); the strategy degrades to the flat
-	// scan whenever decimation cannot pay for itself.
+	// SearchCoarse (the zero value, and the default) runs a branch-and-
+	// bound search: every Decimation x Decimation block of the grid gets a
+	// lower bound on the objective from per-AP angle intervals, and blocks
+	// are refined at full resolution in ascending bound order until the next
+	// bound exceeds the best cost found. The result is bit-identical to the
+	// flat scan by construction (see DESIGN.md §13); grids under two blocks
+	// a side degrade to the flat scan.
 	SearchCoarse SearchMode = iota
 	// SearchFlat forces the legacy exhaustive scan of every grid cell.
 	SearchFlat
@@ -61,29 +62,24 @@ func ParseSearchMode(s string) (SearchMode, error) {
 	}
 }
 
-// ErrSearchMismatch is returned by SearchExact when the coarse-to-fine result
-// differs from the flat scan in any bit — which would falsify the equivalence
-// argument the coarse strategy rests on.
-var ErrSearchMismatch = errors.New("core: coarse-to-fine search mismatched flat scan")
+// ErrSearchMismatch is returned by SearchExact when the branch-and-bound
+// result differs from the flat scan in any bit — which would falsify the
+// equivalence argument the coarse strategy rests on.
+var ErrSearchMismatch = errors.New("core: branch-and-bound search mismatched flat scan")
 
 // SearchConfig tunes the Eq. 19 grid search. The zero value selects the
-// coarse-to-fine strategy with default decimation; use Mode SearchFlat to
+// branch-and-bound strategy with default decimation; use Mode SearchFlat to
 // recover the legacy scan exactly.
 type SearchConfig struct {
 	// Mode selects the strategy (default SearchCoarse).
 	Mode SearchMode
-	// Decimation is the coarse-pass cell edge in full-resolution steps
-	// (default 8: one coarse sample per 8x8 block of 10 cm cells).
+	// Decimation is the block edge in full-resolution steps (default 8:
+	// one lower bound per 8x8 block of 10 cm cells).
 	Decimation int
-	// TopK is the minimum number of best coarse cells always refined,
-	// regardless of the safety margin (default 4).
-	TopK int
-	// MarginScale multiplies the Lipschitz safety margin; 1 (the default) is
-	// already provably safe, larger values only widen the refined set.
-	MarginScale float64
 	// Window, when non-nil, restricts the scan to the grid points inside the
 	// window rectangle intersected with the request bounds — on the same
-	// index lattice as the full scan, so equal indices give equal bits. This
+	// index lattice as the full scan, so equal indices give equal bits, and
+	// with the same branch-and-bound search as the full grid. This
 	// is the tracking fast path: the caller (Engine tracked localization)
 	// shrinks the Eq. 19 search to the predicted gate region and falls back
 	// to the full-grid strategy whenever the windowed argmin lands on a
@@ -98,12 +94,6 @@ func (c SearchConfig) withDefaults() SearchConfig {
 	if c.Decimation <= 1 {
 		c.Decimation = 8
 	}
-	if c.TopK <= 0 {
-		c.TopK = 4
-	}
-	if c.MarginScale < 1 {
-		c.MarginScale = 1
-	}
 	return c
 }
 
@@ -115,14 +105,15 @@ type SearchStats struct {
 	// FlatCells is the full-resolution grid size nx*ny — what a flat scan
 	// would evaluate.
 	FlatCells int
-	// CoarseCells is the number of decimated-pass samples evaluated.
+	// CoarseCells is the number of blocks whose lower bound was evaluated.
 	CoarseCells int
-	// RefineCells is the number of full-resolution cells evaluated during
-	// refinement.
+	// RefineCells is the number of full-resolution cells whose cost was
+	// evaluated.
 	RefineCells int
-	// Candidates is the number of coarse cells selected for refinement.
+	// Candidates is the number of blocks refined.
 	Candidates int
-	// WindowCells is the number of cells evaluated in window mode.
+	// WindowCells is the number of grid points inside the search window in
+	// window mode.
 	WindowCells int
 	// WindowEdge reports that the windowed argmin landed on a window
 	// boundary that is interior to the full grid — the signal that the true
@@ -131,13 +122,11 @@ type SearchStats struct {
 	WindowEdge bool
 }
 
-// Evaluated returns the total number of cost evaluations performed.
+// Evaluated returns the number of cost evaluations performed: every cell in
+// flat mode, bounded blocks plus refined cells otherwise.
 func (s SearchStats) Evaluated() int {
-	switch s.Mode {
-	case "flat":
+	if s.Mode == "flat" {
 		return s.FlatCells
-	case "window":
-		return s.WindowCells
 	}
 	return s.CoarseCells + s.RefineCells
 }
@@ -147,17 +136,24 @@ func (s SearchStats) Evaluated() int {
 // the same float expressions, which is what makes their results comparable
 // bit for bit.
 type gridSearch struct {
-	ctx     context.Context
-	obs     []APObservation
-	weights []float64
-	bounds  Rect
-	step    float64
-	nx, ny  int
+	ctx    context.Context
+	obs    []APObservation
+	aps    []apTerm
+	bounds Rect
+	step   float64
+	nx, ny int
 }
+
+// apTerm holds one AP's per-search constants: its Eq. 19 weight and the unit
+// vector of its array axis.
+type apTerm struct{ w, ux, uy float64 }
 
 func newGridSearch(ctx context.Context, obs []APObservation, bounds Rect, step float64) (*gridSearch, error) {
 	if len(obs) < 2 {
 		return nil, fmt.Errorf("core: localization needs >= 2 AP observations, got %d", len(obs))
+	}
+	if !finite(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, step) {
+		return nil, fmt.Errorf("core: non-finite localization bounds %+v or step %v", bounds, step)
 	}
 	if bounds.MaxX <= bounds.MinX || bounds.MaxY <= bounds.MinY {
 		return nil, fmt.Errorf("core: empty localization bounds %+v", bounds)
@@ -165,22 +161,40 @@ func newGridSearch(ctx context.Context, obs []APObservation, bounds Rect, step f
 	if step <= 0 {
 		step = 0.1
 	}
-	weights := make([]float64, len(obs))
+	aps := make([]apTerm, len(obs))
 	for i, o := range obs {
-		weights[i] = wireless.DBmToMilliwatt(o.RSSIdBm)
-		if o.Confidence > 0 {
-			weights[i] *= o.Confidence
+		if !finite(o.Pos.X, o.Pos.Y, o.AxisDeg, o.AoADeg, o.RSSIdBm, o.Confidence) {
+			return nil, fmt.Errorf("core: AP observation %d has a non-finite field: %+v", i, o)
 		}
+		w := wireless.DBmToMilliwatt(o.RSSIdBm)
+		if o.Confidence > 0 {
+			w *= o.Confidence
+		}
+		if math.IsInf(w, 0) {
+			return nil, fmt.Errorf("core: AP observation %d weight overflows (RSSI %v dBm, confidence %v)", i, o.RSSIdBm, o.Confidence)
+		}
+		aps[i].w = w
+		aps[i].ux, aps[i].uy = axisUnit(o.AxisDeg)
 	}
 	return &gridSearch{
-		ctx:     ctx,
-		obs:     obs,
-		weights: weights,
-		bounds:  bounds,
-		step:    step,
-		nx:      gridCount(bounds.MinX, bounds.MaxX, step),
-		ny:      gridCount(bounds.MinY, bounds.MaxY, step),
+		ctx:    ctx,
+		obs:    obs,
+		aps:    aps,
+		bounds: bounds,
+		step:   step,
+		nx:     gridCount(bounds.MinX, bounds.MaxX, step),
+		ny:     gridCount(bounds.MinY, bounds.MaxY, step),
 	}, nil
+}
+
+// finite reports whether every v is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // pointAt reconstructs the grid point at (ix, iy) with the exact float
@@ -195,8 +209,9 @@ func (g *gridSearch) costAt(ix, iy int) float64 {
 	p := g.pointAt(ix, iy)
 	var cost float64
 	for i, o := range g.obs {
-		d := ExpectedAoA(o.Pos, o.AxisDeg, p) - o.AoADeg
-		cost += g.weights[i] * d * d
+		a := g.aps[i]
+		d := aoaFromAxis(a.ux, a.uy, o.Pos, p) - o.AoADeg
+		cost += a.w * d * d
 	}
 	return cost
 }
@@ -232,10 +247,11 @@ func (g *gridSearch) flatRange(xLo, xHi, yLo, yHi int) (idxBest, error) {
 			return best, fmt.Errorf("core: grid search aborted: %w", err)
 		}
 		for iy := yLo; iy < yHi; iy++ {
-			// Within the ascending scan, strict < keeps the earliest index
-			// pair among equal costs — the lexicographic minimum.
-			if cost := g.costAt(ix, iy); cost < best.cost {
-				best = idxBest{cost: cost, ix: ix, iy: iy}
+			// Within the ascending scan, less keeps the earliest index pair
+			// among equal costs — the lexicographic minimum — even when every
+			// cost overflows to +Inf.
+			if c := (idxBest{cost: g.costAt(ix, iy), ix: ix, iy: iy}); c.less(best) {
+				best = c
 			}
 		}
 	}
@@ -336,228 +352,131 @@ func (g *gridSearch) flat(workers int) (idxBest, error) {
 	return out, nil
 }
 
-// cellEval is the coarse pass output for one decimated cell: the objective
-// sampled at the cell's low corner (an actual grid point, hence an upper
-// bound on the global minimum) and a safety slack such that every grid point
-// in the cell has cost >= cost - slack.
-type cellEval struct {
-	cost  float64
-	slack float64
+// phiMargin (degrees) widens every per-AP angle interval. costAt's phi is
+// acos of a rounded dot product; near dot = ±1 acos turns a rounding of a
+// few ulps into up to ~2e-6 degrees, and the corner bearings below are good
+// to ~1e-13 degrees, so 1e-4 degrees covers both with a wide berth. Both
+// error figures assume the AP-to-point offsets are normal floats; an AP
+// within phiNear meters of a rectangle is treated as inside it, which keeps
+// subnormal offsets out of the argument.
+const (
+	phiMargin = 1e-4
+	phiNear   = 1e-280
+)
+
+// phiRange returns [lo, hi] (degrees) holding the expected AoA of AP i, as
+// costAt computes it, at every point of the rectangle [x0,x1] x [y0,y1].
+// Seen from an AP outside the rectangle, the bearings to its points fill an
+// arc narrower than 180 degrees whose ends are corner bearings; phi is the
+// bearing's unsigned angle from the array axis, so it is monotone along the
+// arc unless the arc crosses the axis (phi reaches 0) or the axis' backward
+// extension (phi reaches 180). An AP in or on the rectangle sees every
+// angle.
+func (g *gridSearch) phiRange(i int, x0, y0, x1, y1 float64) (lo, hi float64) {
+	p, a := g.obs[i].Pos, g.aps[i]
+	if p.X >= x0-phiNear && p.X <= x1+phiNear && p.Y >= y0-phiNear && p.Y <= y1+phiNear {
+		return -phiMargin, 180 + phiMargin
+	}
+	bmin, bmax := math.Inf(1), math.Inf(-1)
+	lo, hi = 180, 0
+	for _, c := range [4]Point{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x0, Y: y1}, {X: x1, Y: y1}} {
+		dx, dy := c.X-p.X, c.Y-p.Y
+		// Signed bearing from the axis, in [-180, 180].
+		b := math.Atan2(a.ux*dy-a.uy*dx, a.ux*dx+a.uy*dy) * (180 / math.Pi)
+		bmin, bmax = min(bmin, b), max(bmax, b)
+		lo, hi = min(lo, math.Abs(b)), max(hi, math.Abs(b))
+	}
+	// An arc narrower than 180 degrees spans bmax-bmin < 180 when it stays
+	// clear of the +-180 seam, and 360 minus its width (> 180) when it
+	// crosses it. A span within rounding of 180 is an AP grazing the
+	// rectangle's edge line, where the two cases cannot be told apart.
+	switch span := bmax - bmin; {
+	case math.Abs(span-180) < 1e-6:
+		lo, hi = 0, 180
+	case span > 180:
+		hi = 180
+	case bmin <= 0 && bmax >= 0:
+		lo = 0
+	}
+	return lo - phiMargin, hi + phiMargin
 }
 
-// coarseCell evaluates the decimated cell covering full-resolution indices
-// [ix0, ixHi) x [iy0, iyHi). The slack comes from a Lipschitz bound on the
-// objective over the cell: phi_i moves at most (180/pi)/d_i degrees per
-// meter when the AP is d_i meters away, so across the cell diameter rho the
-// per-AP term w_i*(phi_i-phihat_i)^2 moves at most
-// 2*w_i*gmax_i*(180/pi)/d_i*rho, with gmax_i bounding |phi_i - phihat_i|
-// over the cell. An AP closer than one grid step to the cell makes the bound
-// useless (and phi_i is discontinuous at the AP itself), so such cells get
-// infinite slack and are never pruned.
-func (g *gridSearch) coarseCell(ix0, ixHi, iy0, iyHi int) cellEval {
-	sx := g.bounds.MinX + float64(ix0)*g.step
-	sy := g.bounds.MinY + float64(iy0)*g.step
-	fx := g.bounds.MinX + float64(ixHi-1)*g.step
-	fy := g.bounds.MinY + float64(iyHi-1)*g.step
-	rho := math.Hypot(fx-sx, fy-sy)
-	p := Point{X: sx, Y: sy}
-	var ev cellEval
+// blockBound returns a lower bound on costAt over the index block
+// [ix0, ixHi) x [iy0, iyHi): each AP's term is at least its weight times the
+// squared distance from phihat_i to the block's phi interval. Rounding is
+// monotone and the terms are summed in costAt's order, so the bound holds as
+// computed; the (1 - 1e-12) factor is a safety margin on top.
+func (g *gridSearch) blockBound(ix0, ixHi, iy0, iyHi int) float64 {
+	lo, hi := g.pointAt(ix0, iy0), g.pointAt(ixHi-1, iyHi-1)
+	var sum float64
 	for i, o := range g.obs {
-		phi := ExpectedAoA(o.Pos, o.AxisDeg, p)
-		dev := phi - o.AoADeg
-		ev.cost += g.weights[i] * dev * dev
-		if math.IsInf(ev.slack, 1) {
-			continue
-		}
-		d := rectDist(o.Pos, sx, sy, fx, fy)
-		if d < g.step {
-			ev.slack = math.Inf(1)
-			continue
-		}
-		lphi := (180 / math.Pi) / d
-		// Two valid bounds on |phi(x) - phihat| over the cell: the Lipschitz
-		// growth from the sampled corner, and the global range of phi in
-		// [0, 180] against the fixed phihat.
-		gmax := math.Abs(dev) + lphi*rho
-		if cap := math.Max(math.Abs(o.AoADeg), math.Abs(180-o.AoADeg)); cap < gmax {
-			gmax = cap
-		}
-		ev.slack += 2 * g.weights[i] * gmax * lphi * rho
+		plo, phi := g.phiRange(i, lo.X, lo.Y, hi.X, hi.Y)
+		d := max(plo-o.AoADeg, o.AoADeg-phi, 0)
+		sum += g.aps[i].w * d * d
 	}
-	return ev
+	return sum * (1 - 1e-12)
 }
 
-// rectDist returns the distance from p to the axis-aligned rectangle
-// [x0,x1] x [y0,y1] (zero when p is inside).
-func rectDist(p Point, x0, y0, x1, y1 float64) float64 {
-	dx := math.Max(0, math.Max(x0-p.X, p.X-x1))
-	dy := math.Max(0, math.Max(y0-p.Y, p.Y-y1))
-	return math.Hypot(dx, dy)
+// block is one Decimation x Decimation block of a search range: its lower
+// bound and its index in the range's column-major block order.
+type block struct {
+	bound float64
+	id    int
 }
 
-// cellRange returns the full-resolution index range a coarse cell covers.
-func cellRange(c, dec, n int) (lo, hi int) {
-	lo = c * dec
-	hi = lo + dec
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+// blockRange returns the index rectangle of block id in range r.
+func (r idxRange) blockRange(id, ncy, dec int) (ix0, ixHi, iy0, iyHi int) {
+	ix0 = r.xLo + id/ncy*dec
+	iy0 = r.yLo + id%ncy*dec
+	return ix0, min(ix0+dec, r.xHi), iy0, min(iy0+dec, r.yHi)
 }
 
-// coarseFine runs the multi-resolution search. It returns ok=false when the
-// strategy degraded to a flat scan (grid too small, or refinement would not
-// beat exhaustive search) — the caller falls back and reports Mode "flat".
-func (g *gridSearch) coarseFine(workers int, cfg SearchConfig, stats *SearchStats) (idxBest, bool, error) {
-	dec := cfg.Decimation
-	if g.nx < 2*dec || g.ny < 2*dec {
-		return noBest(), false, nil
-	}
-	ncx := (g.nx + dec - 1) / dec
-	ncy := (g.ny + dec - 1) / dec
-
-	// Coarse pass: evaluate every decimated cell, parallel over coarse-column
-	// strips with the same per-column ctx cadence as the flat scan.
-	cells := make([]cellEval, ncx*ncy)
-	cworkers := workers
-	if cworkers > ncx {
-		cworkers = ncx
-	}
-	if cworkers <= 1 {
-		cworkers = 1
-	}
-	errs := make([]error, cworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < cworkers; w++ {
-		lo := w * ncx / cworkers
-		hi := (w + 1) * ncx / cworkers
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			for cx := lo; cx < hi; cx++ {
-				if err := g.ctx.Err(); err != nil {
-					errs[slot] = fmt.Errorf("core: coarse grid search aborted: %w", err)
-					return
-				}
-				ix0, ixHi := cellRange(cx, dec, g.nx)
-				for cy := 0; cy < ncy; cy++ {
-					iy0, iyHi := cellRange(cy, dec, g.ny)
-					cells[cx*ncy+cy] = g.coarseCell(ix0, ixHi, iy0, iyHi)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return noBest(), true, err
+// branchAndBound returns the lexicographic-best grid point of range r. It
+// bounds every dec x dec block, then refines blocks in ascending bound
+// order until the next bound exceeds the best refined cost. Every skipped
+// block's cells cost strictly more than that best, so neither the argmin
+// nor a tied earlier index can hide there; a block whose bound ties the
+// best is still refined. ctx is polled once per block column while
+// bounding and once per block while refining.
+func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (idxBest, error) {
+	ncx := (r.xHi - r.xLo + dec - 1) / dec
+	ncy := (r.yHi - r.yLo + dec - 1) / dec
+	blocks := make([]block, ncx*ncy)
+	for cx := 0; cx < ncx; cx++ {
+		if err := g.ctx.Err(); err != nil {
+			return noBest(), fmt.Errorf("core: coarse grid search aborted: %w", err)
+		}
+		for id := cx * ncy; id < (cx+1)*ncy; id++ {
+			blocks[id] = block{bound: g.blockBound(r.blockRange(id, ncy, dec)), id: id}
 		}
 	}
-	stats.CoarseCells = len(cells)
-
-	// The best sampled cost bounds the global minimum from above (samples are
-	// grid points). A cell whose cost minus slack exceeds it cannot contain
-	// any grid point at or below the global minimum, so pruning it can drop
-	// neither the argmin nor any tied earlier index.
-	bound := math.Inf(1)
-	for _, c := range cells {
-		if c.cost < bound {
-			bound = c.cost
+	stats.CoarseCells = len(blocks)
+	slices.SortFunc(blocks, func(a, b block) int {
+		if c := cmp.Compare(a.bound, b.bound); c != 0 {
+			return c
 		}
-	}
-	keep := make([]bool, len(cells))
-	for i, c := range cells {
-		keep[i] = c.cost-cfg.MarginScale*c.slack <= bound
-	}
-	// Belt and braces: always refine the TopK lowest-cost cells too. The
-	// margin rule already keeps them (their cost is near the bound), but this
-	// keeps the refined set non-degenerate under any future margin tuning.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if cells[order[a]].cost != cells[order[b]].cost {
-			return cells[order[a]].cost < cells[order[b]].cost
-		}
-		return order[a] < order[b]
+		return cmp.Compare(a.id, b.id)
 	})
-	for i := 0; i < cfg.TopK && i < len(order); i++ {
-		keep[order[i]] = true
-	}
-
-	var cand []int
-	refineCells := 0
-	for id, k := range keep {
-		if !k {
-			continue
+	best := noBest()
+	for _, b := range blocks {
+		if err := g.ctx.Err(); err != nil {
+			return best, fmt.Errorf("core: refine search aborted: %w", err)
 		}
-		cand = append(cand, id)
-		ix0, ixHi := cellRange(id/ncy, dec, g.nx)
-		iy0, iyHi := cellRange(id%ncy, dec, g.ny)
-		refineCells += (ixHi - ix0) * (iyHi - iy0)
-	}
-	stats.Candidates = len(cand)
-	if stats.CoarseCells+refineCells >= stats.FlatCells {
-		// Refinement would not beat the exhaustive scan — degrade.
-		stats.CoarseCells, stats.Candidates = 0, 0
-		return noBest(), false, nil
-	}
-	stats.RefineCells = refineCells
-
-	// Refinement: evaluate every full-resolution point of every kept cell,
-	// parallel over candidate chunks, polling ctx once per cell column. Cells
-	// tile the grid disjointly, so the lexicographic reduce over all refined
-	// points reproduces the flat scan's tie-breaking exactly.
-	rworkers := workers
-	if rworkers > len(cand) {
-		rworkers = len(cand)
-	}
-	if rworkers <= 1 {
-		rworkers = 1
-	}
-	type chunkBest struct {
-		best idxBest
-		err  error
-	}
-	chunks := make([]chunkBest, rworkers)
-	var rwg sync.WaitGroup
-	for w := 0; w < rworkers; w++ {
-		lo := w * len(cand) / rworkers
-		hi := (w + 1) * len(cand) / rworkers
-		rwg.Add(1)
-		go func(slot, lo, hi int) {
-			defer rwg.Done()
-			best := noBest()
-			for _, id := range cand[lo:hi] {
-				ix0, ixHi := cellRange(id/ncy, dec, g.nx)
-				iy0, iyHi := cellRange(id%ncy, dec, g.ny)
-				for ix := ix0; ix < ixHi; ix++ {
-					if err := g.ctx.Err(); err != nil {
-						chunks[slot] = chunkBest{best: best, err: fmt.Errorf("core: refine search aborted: %w", err)}
-						return
-					}
-					for iy := iy0; iy < iyHi; iy++ {
-						if b := (idxBest{cost: g.costAt(ix, iy), ix: ix, iy: iy}); b.less(best) {
-							best = b
-						}
-					}
+		if b.bound > best.cost {
+			break
+		}
+		ix0, ixHi, iy0, iyHi := r.blockRange(b.id, ncy, dec)
+		for ix := ix0; ix < ixHi; ix++ {
+			for iy := iy0; iy < iyHi; iy++ {
+				if c := (idxBest{cost: g.costAt(ix, iy), ix: ix, iy: iy}); c.less(best) {
+					best = c
 				}
 			}
-			chunks[slot] = chunkBest{best: best}
-		}(w, lo, hi)
-	}
-	rwg.Wait()
-	out := noBest()
-	for _, c := range chunks {
-		if c.err != nil {
-			return out, true, c.err
 		}
-		if c.best.less(out) {
-			out = c.best
-		}
+		stats.Candidates++
+		stats.RefineCells += (ixHi - ix0) * (iyHi - iy0)
 	}
-	return out, true, nil
+	return best, nil
 }
 
 // LocalizeSearch is LocalizeSearchCtx with a background context.
@@ -577,17 +496,17 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 		return Point{}, SearchStats{}, err
 	}
 	cfg = cfg.withDefaults()
+	dec := cfg.Decimation
 	stats := SearchStats{FlatCells: g.nx * g.ny}
 
 	if cfg.Window != nil {
 		if r, ok := g.windowIndexRange(*cfg.Window); ok {
-			// Window mode: serial scan of the index sub-rectangle (windows
-			// are orders of magnitude smaller than the grid; fan-out would
-			// cost more than it saves). Same lattice, same tie-breaking —
-			// equal indices give bits equal to the full scan's.
+			// Window mode: the same search over the index sub-rectangle.
+			// Same lattice, same tie-breaking — equal indices give bits
+			// equal to the full scan's.
 			stats.Mode = "window"
 			stats.WindowCells = (r.xHi - r.xLo) * (r.yHi - r.yLo)
-			best, err := g.flatRange(r.xLo, r.xHi, r.yLo, r.yHi)
+			best, err := g.branchAndBound(r, dec, &stats)
 			if err != nil {
 				return Point{}, stats, err
 			}
@@ -598,7 +517,8 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 		// strategy instead of failing the request.
 	}
 
-	runFlat := func() (Point, SearchStats, error) {
+	if cfg.Mode == SearchFlat || g.nx < 2*dec || g.ny < 2*dec {
+		// Forced, or a grid too small for blocks to pay for themselves.
 		stats.Mode = "flat"
 		best, err := g.flat(workers)
 		if err != nil {
@@ -606,37 +526,24 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 		}
 		return g.pointAt(best.ix, best.iy), stats, nil
 	}
-
-	switch cfg.Mode {
-	case SearchFlat:
-		return runFlat()
-	case SearchExact:
+	stats.Mode = "coarse"
+	if cfg.Mode == SearchExact {
 		stats.Mode = "exact"
-		cf, ran, err := g.coarseFine(workers, cfg, &stats)
-		if err != nil {
-			return Point{}, stats, err
-		}
+	}
+	best, err := g.branchAndBound(idxRange{xHi: g.nx, yHi: g.ny}, dec, &stats)
+	if err != nil {
+		return Point{}, stats, err
+	}
+	if cfg.Mode == SearchExact {
 		fl, err := g.flat(workers)
 		if err != nil {
 			return Point{}, stats, err
 		}
-		if ran {
-			pc, pf := g.pointAt(cf.ix, cf.iy), g.pointAt(fl.ix, fl.iy)
-			if pc.X != pf.X || pc.Y != pf.Y || cf.cost != fl.cost {
-				return Point{}, stats, fmt.Errorf("%w: coarse-fine (%.17g, %.17g) cost %.17g vs flat (%.17g, %.17g) cost %.17g",
-					ErrSearchMismatch, pc.X, pc.Y, cf.cost, pf.X, pf.Y, fl.cost)
-			}
+		if best != fl {
+			pc, pf := g.pointAt(best.ix, best.iy), g.pointAt(fl.ix, fl.iy)
+			return Point{}, stats, fmt.Errorf("%w: branch-and-bound (%.17g, %.17g) cost %.17g vs flat (%.17g, %.17g) cost %.17g",
+				ErrSearchMismatch, pc.X, pc.Y, best.cost, pf.X, pf.Y, fl.cost)
 		}
-		return g.pointAt(fl.ix, fl.iy), stats, nil
-	default: // SearchCoarse
-		best, ran, err := g.coarseFine(workers, cfg, &stats)
-		if err != nil {
-			return Point{}, stats, err
-		}
-		if !ran {
-			return runFlat()
-		}
-		stats.Mode = "coarse"
-		return g.pointAt(best.ix, best.iy), stats, nil
 	}
+	return g.pointAt(best.ix, best.iy), stats, nil
 }

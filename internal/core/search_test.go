@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -120,7 +121,7 @@ func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 				RSSIdBm: -40 - rng.Float64()*25,
 			}
 		}
-		cfg := SearchConfig{Decimation: 4 + rng.Intn(10), TopK: 1 + rng.Intn(6)}
+		cfg := SearchConfig{Decimation: 4 + rng.Intn(10)}
 		flat, _, err := LocalizeSearch(obs, room, step, 1+rng.Intn(4), SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
@@ -190,9 +191,10 @@ func TestGridCountTable(t *testing.T) {
 	}
 }
 
-// TestSearchEdgeCases: degenerate bounds, tiny grids, clipped windows, and
-// top-k clamping — every coarse run must evaluate strictly fewer cells than
-// the flat scan, and every degenerate input must degrade or error cleanly.
+// TestSearchEdgeCases: degenerate bounds, tiny grids, clipped blocks, and
+// refined-cell accounting — every coarse run must evaluate strictly fewer
+// cells than the flat scan, and every degenerate input must degrade or error
+// cleanly.
 func TestSearchEdgeCases(t *testing.T) {
 	obs := testbedObservations(Point{X: 5, Y: 5}, nil)
 
@@ -255,29 +257,10 @@ func TestSearchEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("topk exceeding cell count clamps", func(t *testing.T) {
-		// A grid of ~3x2 coarse cells with TopK far larger: every cell is a
-		// candidate, which must degrade (refining everything cannot beat
-		// flat) and still match bitwise.
-		room := Rect{MinX: 0, MaxX: 2.4, MinY: 0, MaxY: 1.7}
-		flat, _, err := LocalizeSearch(obs, room, 0.1, 1, SearchConfig{Mode: SearchFlat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coarse, stats, err := LocalizeSearch(obs, room, 0.1, 1, SearchConfig{Decimation: 8, TopK: 10_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameBits(t, "topk clamp", coarse, flat)
-		if stats.Mode != "flat" {
-			t.Fatalf("refine-everything should degrade to flat, got %q", stats.Mode)
-		}
-	})
-
 	t.Run("overlapping topk and margin candidates dedupe", func(t *testing.T) {
-		// TopK cells are a subset of the margin survivors; the union must not
-		// double count refined cells past the flat total.
-		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, SearchConfig{TopK: 64})
+		// Each block is refined at most once, so refined cells can never
+		// count past the flat total.
+		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +292,10 @@ func (c *countdownCtx) Err() error {
 // aborts during refinement with a wrapped context error, well inside 3 s.
 func TestSearchCtxAbortMidRefine(t *testing.T) {
 	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
-	// Serial coarse pass over a 181x121 grid with decimation 8 polls ctx
-	// once per coarse column (23 polls); refinement polls once per cell
-	// column. Budget past the coarse pass but below its own completion.
+	// Bounding a 181x121 grid with decimation 8 polls ctx once per block
+	// column (23 polls); refinement polls once per block before deciding
+	// whether to refine it. Budget past the bounding pass but below the
+	// refinement's second poll.
 	ctx := &countdownCtx{Context: context.Background(), remaining: 24}
 	start := time.Now()
 	_, _, err := LocalizeSearchCtx(ctx, obs, testbedRoom, 0.1, 1, SearchConfig{})
@@ -343,7 +327,7 @@ func TestSearchCtxAbortCoarse(t *testing.T) {
 }
 
 // TestSearchCtxTimedAbortLargeGrid mirrors the legacy flat-scan abort test
-// on the coarse-fine path: cancelling mid-flight on an ~8M-point grid
+// on the branch-and-bound path: cancelling mid-flight on an ~8M-point grid
 // returns a wrapped context error in far less than a full sweep would take.
 func TestSearchCtxTimedAbortLargeGrid(t *testing.T) {
 	room := Rect{MinX: -70, MinY: -70, MaxX: 70, MaxY: 70}
@@ -354,7 +338,7 @@ func TestSearchCtxTimedAbortLargeGrid(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := LocalizeSearchCtx(ctx, obs, room, 0.05, 2, SearchConfig{MarginScale: 1e9})
+	_, _, err := LocalizeSearchCtx(ctx, obs, room, 0.05, 2, SearchConfig{})
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("want nil or wrapped context.Canceled, got %v", err)
@@ -380,5 +364,211 @@ func TestParseSearchMode(t *testing.T) {
 	}
 	if _, err := ParseSearchMode("bogus"); err == nil {
 		t.Error("ParseSearchMode(bogus) should fail")
+	}
+}
+
+// TestSearchRejectsNonFinite: a NaN or infinite value in any search input —
+// an AP field, the bounds, or the step — or a weight that overflows must
+// fail every search entry point with an error instead of returning a
+// garbage position.
+func TestSearchRejectsNonFinite(t *testing.T) {
+	base := testbedObservations(Point{X: 5, Y: 5}, nil)
+	fields := map[string]func(o *APObservation, v float64){
+		"Pos.X":      func(o *APObservation, v float64) { o.Pos.X = v },
+		"Pos.Y":      func(o *APObservation, v float64) { o.Pos.Y = v },
+		"AxisDeg":    func(o *APObservation, v float64) { o.AxisDeg = v },
+		"AoADeg":     func(o *APObservation, v float64) { o.AoADeg = v },
+		"RSSIdBm":    func(o *APObservation, v float64) { o.RSSIdBm = v },
+		"Confidence": func(o *APObservation, v float64) { o.Confidence = v },
+	}
+	type input struct {
+		name   string
+		obs    []APObservation
+		bounds Rect
+		step   float64
+	}
+	var inputs []input
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range fields {
+			obs := append([]APObservation(nil), base...)
+			set(&obs[2], v)
+			inputs = append(inputs, input{fmt.Sprintf("%s=%v", name, v), obs, testbedRoom, 0.1})
+		}
+		for i := 0; i < 4; i++ {
+			b := testbedRoom
+			*[]*float64{&b.MinX, &b.MinY, &b.MaxX, &b.MaxY}[i] = v
+			inputs = append(inputs, input{fmt.Sprintf("bounds[%d]=%v", i, v), base, b, 0.1})
+		}
+		inputs = append(inputs, input{fmt.Sprintf("step=%v", v), base, testbedRoom, v})
+	}
+	overflow := append([]APObservation(nil), base...)
+	overflow[1].RSSIdBm = 4000 // 10^400 mW
+	inputs = append(inputs, input{"RSSIdBm overflows the weight", overflow, testbedRoom, 0.1})
+
+	for _, in := range inputs {
+		for _, mode := range []SearchMode{SearchCoarse, SearchFlat, SearchExact} {
+			p, _, err := LocalizeSearch(in.obs, in.bounds, in.step, 1, SearchConfig{Mode: mode})
+			if err == nil {
+				t.Errorf("%s, %v search: got (%v, %v), want an error", in.name, mode, p.X, p.Y)
+			}
+		}
+		if p, err := Localize(in.obs, in.bounds, in.step); err == nil {
+			t.Errorf("%s, Localize: got (%v, %v), want an error", in.name, p.X, p.Y)
+		}
+	}
+}
+
+// TestBlockBoundSound: for random blocks and adversarial APs — on block
+// corners and edges, on an edge's extension line, inside the block, a
+// subnormal distance outside it (which phiNear covers), with axes parallel
+// to the block edges or aimed exactly at a corner, and with AoAs of exactly
+// 0 and 180 degrees — every grid point's phi, computed as costAt computes
+// it, lies in the block's widened interval, and the block bound never
+// exceeds the block's minimum cost.
+//
+// Why phiMargin is enough: the interval ends come from atan2 of exact
+// corner offsets (error ~1e-13 degrees), and costAt's phi is acos of a dot
+// product rounded by a few ulps, which acos amplifies near ±1 to at most
+// ~2e-6 degrees. The test measures how far phi ever strays outside the
+// unwidened interval and requires a tenfold headroom below phiMargin.
+func TestBlockBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var worst float64 // largest excursion of phi beyond the unwidened interval
+	for trial := 0; trial < 3000; trial++ {
+		step := 0.03 + 0.3*rng.Float64()
+		bounds := Rect{MinX: 20 * (rng.Float64() - 0.5), MinY: 20 * (rng.Float64() - 0.5)}
+		ix0, iy0 := 5+rng.Intn(20), 5+rng.Intn(20)
+		if rng.Intn(8) == 0 { // a block corner at the origin, for subnormal offsets
+			bounds.MinX, bounds.MinY, ix0, iy0 = 0, 0, 0, 0
+		}
+		bounds.MaxX, bounds.MaxY = bounds.MinX+40*step, bounds.MinY+40*step
+		ixHi, iyHi := ix0+1+rng.Intn(10), iy0+1+rng.Intn(10)
+		at := func(ix, iy int) Point {
+			return Point{X: bounds.MinX + float64(ix)*step, Y: bounds.MinY + float64(iy)*step}
+		}
+		lo, hi := at(ix0, iy0), at(ixHi-1, iyHi-1)
+		corners := []Point{lo, hi, {X: lo.X, Y: hi.Y}, {X: hi.X, Y: lo.Y}}
+
+		obs := make([]APObservation, 3)
+		for i := range obs {
+			var pos Point
+			switch rng.Intn(7) {
+			case 0: // a block corner
+				pos = corners[rng.Intn(4)]
+			case 1: // on a block edge, at a grid point or between two
+				pos = at(ix0+rng.Intn(ixHi-ix0), iyHi-1)
+				pos.X += step * 0.5 * float64(rng.Intn(2))
+			case 2: // on the extension of an edge line, outside the block
+				pos = Point{X: lo.X, Y: hi.Y + step*float64(1+rng.Intn(30))}
+			case 6: // a subnormal distance left of the block's low edge
+				pos = Point{X: lo.X - 1e-320*float64(1+rng.Intn(4)), Y: lo.Y + step*float64(rng.Intn(iyHi-iy0))}
+			case 3: // inside the block's hull
+				pos = Point{X: lo.X + (hi.X-lo.X)*rng.Float64(), Y: lo.Y + (hi.Y-lo.Y)*rng.Float64()}
+			default: // anywhere nearby
+				pos = at(rng.Intn(50)-5, rng.Intn(50)-5)
+				pos.X += step * rng.Float64()
+			}
+			var axis float64
+			switch rng.Intn(3) {
+			case 0:
+				axis = 90 * float64(rng.Intn(4))
+			case 1: // aimed exactly at a corner: the ray grazes the block
+				c := corners[rng.Intn(4)]
+				axis = math.Atan2(c.Y-pos.Y, c.X-pos.X) * 180 / math.Pi
+				if rng.Intn(2) == 0 {
+					axis += 180
+				}
+			default:
+				axis = 360 * rng.Float64()
+			}
+			aoa := []float64{0, 180, 180 * rng.Float64()}[rng.Intn(3)]
+			obs[i] = APObservation{Pos: pos, AxisDeg: axis, AoADeg: aoa, RSSIdBm: -40 - 20*rng.Float64()}
+		}
+		g, err := newGridSearch(context.Background(), obs, bounds, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minCost := math.Inf(1)
+		for ix := ix0; ix < ixHi; ix++ {
+			for iy := iy0; iy < iyHi; iy++ {
+				minCost = min(minCost, g.costAt(ix, iy))
+			}
+		}
+		if b := g.blockBound(ix0, ixHi, iy0, iyHi); b > minCost {
+			t.Fatalf("trial %d: block bound %.17g exceeds the block's minimum cost %.17g (obs %+v)", trial, b, minCost, obs)
+		}
+		for i, o := range obs {
+			plo, phi := g.phiRange(i, lo.X, lo.Y, hi.X, hi.Y)
+			for ix := ix0; ix < ixHi; ix++ {
+				for iy := iy0; iy < iyHi; iy++ {
+					a := g.aps[i]
+					phiAt := aoaFromAxis(a.ux, a.uy, o.Pos, g.pointAt(ix, iy))
+					if phiAt < plo || phiAt > phi {
+						t.Fatalf("trial %d AP %+v: phi %.17g at (%d, %d) outside [%.17g, %.17g]", trial, o, phiAt, ix, iy, plo, phi)
+					}
+					worst = max(worst, plo+phiMargin-phiAt, phiAt-(phi-phiMargin))
+				}
+			}
+		}
+	}
+	if worst > phiMargin/10 {
+		t.Fatalf("phi strayed %.3g degrees outside an unwidened interval; phiMargin %g leaves under tenfold headroom", worst, phiMargin)
+	}
+	t.Logf("largest excursion beyond the unwidened interval: %.3g degrees", worst)
+}
+
+// TestSearchTiesAcrossBlocks: the best-first refinement must still return
+// the flat scan's lexicographically first minimum when equal costs sit in
+// different blocks. On a 1/8 m grid every offset is exact, and grid points
+// at offsets s, 2s and 4s (and, as rounding falls, others) along one ray
+// from an AP see bit-identical AoAs, so with a single weighted AP they tie at
+// cost zero. The ray is steep, so
+// the tied points share a block column and the block holding the
+// lexicographically first of them — the farthest — comes last in block
+// order. A second case makes every cost overflow to +Inf, a tie over the
+// whole grid.
+func TestSearchTiesAcrossBlocks(t *testing.T) {
+	const step = 0.125
+	room := Rect{MaxX: 8, MaxY: 8}
+	ap := Point{X: 7 * step}
+	silent := APObservation{Pos: Point{X: 8, Y: 8}, RSSIdBm: -5000} // weight underflows to 0
+	axis := 100.0
+	offset := func(k float64) Point { return Point{X: ap.X - k*step, Y: 8 * k * step} }
+	aoa := ExpectedAoA(ap, axis, offset(1))
+	for _, k := range []float64{2, 4} {
+		if got := ExpectedAoA(ap, axis, offset(k)); got != aoa {
+			t.Fatalf("offset %vs: AoA %.17g does not tie %.17g", k, got, aoa)
+		}
+	}
+	cases := map[string][]APObservation{
+		"zero-cost ray": {{Pos: ap, AxisDeg: axis, AoADeg: aoa, RSSIdBm: -40}, silent},
+		"all costs +Inf": {
+			{Pos: ap, AxisDeg: axis, AoADeg: 1e200, RSSIdBm: -40},
+			{Pos: Point{X: 8}, AoADeg: 1e200, RSSIdBm: -40},
+		},
+	}
+	for name, obs := range cases {
+		flat, _, err := LocalizeSearch(obs, room, step, 1, SearchConfig{Mode: SearchFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The flat argmin must be a tie farther up the ray than offset(1),
+		// in a later block; with every cost +Inf it is the first grid point.
+		if name == "all costs +Inf" {
+			requireSameBits(t, name+" flat", flat, Point{})
+		} else if flat.X >= offset(2).X || flat.Y < 2 {
+			t.Fatalf("%s: flat argmin (%v, %v) is not a tie beyond offset(2)", name, flat.X, flat.Y)
+		}
+		coarse, stats, err := LocalizeSearch(obs, room, step, 1, SearchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != "coarse" {
+			t.Fatalf("%s: want coarse mode, got %q", name, stats.Mode)
+		}
+		requireSameBits(t, name, coarse, flat)
+		if _, _, err := LocalizeSearch(obs, room, step, 1, SearchConfig{Mode: SearchExact}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

@@ -48,8 +48,8 @@ type Options struct {
 	// serving path turn it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
-	// the zero value selects the coarse-to-fine strategy, bit-identical to
-	// the flat scan.
+	// the zero value selects the branch-and-bound strategy, bit-identical
+	// to the flat scan.
 	Search core.SearchConfig
 	// Workers bounds the goroutines used for per-link estimation fan-out
 	// (default 1 = serial; negative selects runtime.GOMAXPROCS). Results are

@@ -319,7 +319,7 @@ func LocalizeParallelCtx(ctx context.Context, obs []APObservation, bounds Rect, 
 // Grid-search strategy types. All strategies return bit-identical positions;
 // they differ only in how many grid cells they evaluate (see SearchStats).
 type (
-	// SearchConfig tunes the Eq. 19 grid search (zero value = coarse-to-fine).
+	// SearchConfig tunes the Eq. 19 grid search (zero value = branch and bound).
 	SearchConfig = core.SearchConfig
 	// SearchMode selects the search strategy.
 	SearchMode = core.SearchMode
@@ -327,16 +327,16 @@ type (
 	SearchStats = core.SearchStats
 )
 
-// Search modes: the default multi-resolution coarse-to-fine search, the
-// legacy flat scan, and the cross-checking equivalence-proof mode.
+// Search modes: the default branch-and-bound ("coarse") search, the legacy
+// flat scan, and the cross-checking equivalence-proof mode.
 const (
 	SearchCoarse = core.SearchCoarse
 	SearchFlat   = core.SearchFlat
 	SearchExact  = core.SearchExact
 )
 
-// ErrSearchMismatch is returned by SearchExact if the coarse-to-fine result
-// ever diverges from the flat scan.
+// ErrSearchMismatch is returned by SearchExact if the branch-and-bound
+// result ever diverges from the flat scan.
 var ErrSearchMismatch = core.ErrSearchMismatch
 
 // ParseSearchMode parses a -search flag value: "coarse" (or "coarse-fine"),
