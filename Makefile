@@ -32,7 +32,10 @@ bench:
 
 # Search-strategy and warm-start benchmark pairs (see DESIGN.md §13): the
 # flat-vs-branch-and-bound grid search ratio, the windowed search, and the
-# cold-vs-warm / dense-vs-Kronecker solver ratios. The committed-baseline
+# cold-vs-warm / dense-vs-Kronecker solver ratios. The BenchmarkADMMKron
+# pattern also matches BenchmarkADMMKronSmoke, the serving-shape solve (the
+# smoke preset's 8x8 delay and 3x19 AoA factors, k=1, 60-iteration cap,
+# spectrum stop) that the perfbench workloads run. The committed-baseline
 # regression assertion itself lives in cmd/roabench
 # (TestCommittedBatchBaseline, part of `make test`); this target is for
 # eyeballing the ratios.

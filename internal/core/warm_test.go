@@ -173,3 +173,29 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestFootprintBytesFormula pins what FootprintBytes counts as resident for
+// the 3-antenna, 30-subcarrier, 31 x 8 grid of warmTestConfig: both
+// dictionaries and the AoA Cholesky factor always; then either the joint
+// dictionary's dense 90 x 90 Cholesky factor (cold) or, in warm mode, the
+// Kronecker factor pair plus the factored ridge step (three 8 x 8 H_m blocks
+// and the rotated 3 x 31 AoA factor).
+func TestFootprintBytesFormula(t *testing.T) {
+	const c = 16
+	base := int64(3*31*c + 90*31*8*c + 3*3*c)
+	for _, tc := range []struct {
+		warm bool
+		want int64
+	}{
+		{false, base + 90*90*c},
+		{true, base + (30*8+3*31)*c + (3*8*8+3*31)*c},
+	} {
+		e, err := NewEstimator(warmTestConfig(tc.warm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.FootprintBytes(); got != tc.want {
+			t.Errorf("warm=%v: FootprintBytes = %d, want %d", tc.warm, got, tc.want)
+		}
+	}
+}

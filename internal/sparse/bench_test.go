@@ -75,49 +75,43 @@ func BenchmarkADMMWarm(b *testing.B) {
 	}
 }
 
-// benchKronProblem builds the same joint-dictionary shape from explicit
-// Kronecker factors (30 x 20 delay factor, 3 x 46 AoA factor — the paper's
-// dimensions), so the factored solver path can be measured against the dense
-// one on identical data.
-func benchKronProblem(k int) (g, s, dense, y *cmat.Matrix) {
-	g = cmat.New(30, 20)
-	for l := 0; l < 30; l++ {
-		for t := 0; t < 20; t++ {
+// benchKronProblem builds a joint-dictionary-shaped problem from explicit
+// Kronecker factors — an ll x tt delay factor and an mm x cc AoA factor of
+// unit-modulus phase ramps — plus the dense product they tile and a k-column
+// observation of a 2-sparse truth, so the factored solver path can be
+// measured against the dense one on identical data. The support sits at
+// atoms 300 and 610 of the paper's 920, scaled to the dictionary width.
+func benchKronProblem(ll, tt, mm, cc, k int) (g, s, dense, y *cmat.Matrix) {
+	g = cmat.New(ll, tt)
+	for l := 0; l < ll; l++ {
+		for t := 0; t < tt; t++ {
 			ph := 2 * math.Pi * math.Mod(float64(l*(t+1))*0.083, 1)
 			g.Set(l, t, complex(math.Cos(ph), math.Sin(ph)))
 		}
 	}
-	s = cmat.New(3, 46)
-	for m := 0; m < 3; m++ {
-		for i := 0; i < 46; i++ {
+	s = cmat.New(mm, cc)
+	for m := 0; m < mm; m++ {
+		for i := 0; i < cc; i++ {
 			ph := 2 * math.Pi * math.Mod(float64(m*(i+2))*0.199, 1)
 			s.Set(m, i, complex(math.Cos(ph), math.Sin(ph)))
 		}
 	}
-	dense = cmat.New(90, 920)
-	for l := 0; l < 30; l++ {
-		for m := 0; m < 3; m++ {
-			for t := 0; t < 20; t++ {
-				for i := 0; i < 46; i++ {
-					dense.Set(l*3+m, t*46+i, g.At(l, t)*s.At(m, i))
-				}
-			}
-		}
-	}
-	x := cmat.New(920, k)
+	dense = cmat.Kron(g, s)
+	n := tt * cc
+	x := cmat.New(n, k)
 	for j := 0; j < k; j++ {
-		x.Set((300+17*j)%920, j, complex(1, 0.2))
-		x.Set((610+11*j)%920, j, complex(0.6, -0.1))
+		x.Set((300*n/920+17*j)%n, j, complex(1, 0.2))
+		x.Set((610*n/920+11*j)%n, j, complex(0.6, -0.1))
 	}
 	y = cmat.Mul(dense, x)
 	return g, s, dense, y
 }
 
 // BenchmarkADMMKron is BenchmarkADMMCold with the dictionary's Kronecker
-// structure declared — the per-iteration configuration of the warm serving
-// path.
+// structure declared (30 x 20 delay factor, 3 x 46 AoA factor — the paper's
+// dimensions) — the per-iteration configuration of the warm serving path.
 func BenchmarkADMMKron(b *testing.B) {
-	g, s, dense, y := benchKronProblem(2)
+	g, s, dense, y := benchKronProblem(30, 20, 3, 46, 2)
 	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,11 +124,28 @@ func BenchmarkADMMKron(b *testing.B) {
 // BenchmarkADMMKronK1 measures the single-snapshot case (k=1), the shape of
 // the median solve in the batch benchmark.
 func BenchmarkADMMKronK1(b *testing.B) {
-	g, s, dense, y := benchKronProblem(1)
+	g, s, dense, y := benchKronProblem(30, 20, 3, 46, 1)
 	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sv.SolveMulti(y, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkADMMKronSmoke measures the solve the serving workloads run: the
+// "smoke" preset's joint dictionary (8 subcarriers x 8 delays, 3 antennas x
+// 19 angles), one fused snapshot, a 60-iteration cap and the warm path's
+// spectrum stop, with kappa at the estimator's default 0.25 of
+// max_i ||(AᴴY)_i||.
+func BenchmarkADMMKronSmoke(b *testing.B) {
+	g, s, dense, y := benchKronProblem(8, 8, 3, 19, 1)
+	sv := benchSolver(b, dense, WithMaxIters(60), WithSpectrumStop(1e-4, 3), WithKronecker(g, s))
+	kappa := 0.25 * kappaScale(dense, y)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sv.SolveMulti(y, kappa); err != nil {
 			b.Fatal(err)
 		}
 	}

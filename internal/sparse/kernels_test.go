@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"roarray/internal/cmat"
@@ -240,6 +241,91 @@ func TestKronSolverMatchesDense(t *testing.T) {
 		}
 		if worst > 1e-6 {
 			t.Fatalf("%v: spectra deviate by %v", method, worst)
+		}
+	}
+}
+
+// randKronFactors returns Gaussian complex factors of the given shapes,
+// deterministic in seed.
+func randKronFactors(seed int64, ll, tt, mm, cc int) (g, s *cmat.Matrix) {
+	rng := rand.New(rand.NewSource(seed))
+	g, s = cmat.New(ll, tt), cmat.New(mm, cc)
+	for _, f := range []*cmat.Matrix{g, s} {
+		d := f.Data()
+		for i := range d {
+			d[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+	}
+	return g, s
+}
+
+// TestKronWoodburyMatchesDense checks the block-diagonal ridge operator
+// Aᴴ(rho I + AAᴴ)⁻¹A v of woodburyInto against the dense route (matvec,
+// Cholesky solve of rho I + AAᴴ, adjoint matvec) on random factor pairs —
+// including a single antenna, repeated AoA columns, and column factors
+// whose Gram S Sᴴ is rank deficient, so its zero eigenvalues (which the
+// eigensolver may return a rounding error below zero) must be clamped.
+func TestKronWoodburyMatchesDense(t *testing.T) {
+	repeated := func(seed int64) (*cmat.Matrix, *cmat.Matrix) {
+		g, s := randKronFactors(seed, 6, 5, 3, 7)
+		for m := 0; m < 3; m++ {
+			s.Set(m, 4, s.At(m, 1))
+			s.Set(m, 6, s.At(m, 1))
+		}
+		return g, s
+	}
+	rankOne := func(seed int64) (*cmat.Matrix, *cmat.Matrix) {
+		// Every antenna row is a multiple of the first: S Sᴴ has rank 1.
+		g, s := randKronFactors(seed, 5, 6, 4, 6)
+		for m := 1; m < 4; m++ {
+			c := complex(float64(m), -0.5*float64(m))
+			for i := 0; i < 6; i++ {
+				s.Set(m, i, c*s.At(0, i))
+			}
+		}
+		return g, s
+	}
+	cases := []struct {
+		name    string
+		factors func(seed int64) (*cmat.Matrix, *cmat.Matrix)
+	}{
+		{"random", func(seed int64) (*cmat.Matrix, *cmat.Matrix) { return randKronFactors(seed, 6, 5, 3, 7) }},
+		{"tall_delay", func(seed int64) (*cmat.Matrix, *cmat.Matrix) { return randKronFactors(seed, 9, 4, 2, 5) }},
+		{"single_antenna", func(seed int64) (*cmat.Matrix, *cmat.Matrix) { return randKronFactors(seed, 7, 6, 1, 8) }},
+		{"repeated_aoa_columns", repeated},
+		{"rank_one_gram", rankOne},
+		{"more_antennas_than_angles", func(seed int64) (*cmat.Matrix, *cmat.Matrix) { return randKronFactors(seed, 4, 5, 5, 3) }},
+	}
+	for ci, tc := range cases {
+		g, s := tc.factors(int64(100 + ci))
+		dense := cmat.Kron(g, s)
+		m, n := dense.Rows(), dense.Cols()
+		for _, rho := range []float64{1e-2, 1, 37.5} {
+			sv, err := NewSolver(dense, WithRho(rho), WithKronecker(g, s))
+			if err != nil {
+				t.Fatalf("%s rho=%v: %v", tc.name, rho, err)
+			}
+			gram := cmat.Mul(dense, dense.H())
+			for i := 0; i < m; i++ {
+				gram.Set(i, i, gram.At(i, i)+complex(rho, 0))
+			}
+			chol, err := cmat.CholeskyDecompose(gram)
+			if err != nil {
+				t.Fatalf("%s rho=%v: dense factor: %v", tc.name, rho, err)
+			}
+			for k := 1; k <= 3; k++ {
+				v := kernelMat(n, k, ci+k)
+				av, w, want := cmat.New(m, k), cmat.New(m, k), cmat.New(n, k)
+				mulBatchInto(dense, v, av)
+				chol.SolveBatchInto(av, w, make([]complex128, m), make([]complex128, m))
+				mulHBatchInto(dense, w, want)
+
+				got := cmat.New(n, k)
+				sv.kron.woodburyInto(v, got, make([]complex128, sv.kron.scratchLen()))
+				if rel := cmat.Sub(got, want).FrobNorm() / want.FrobNorm(); rel > 1e-10 {
+					t.Errorf("%s rho=%v k=%d: factored ridge operator off by relative %.3g", tc.name, rho, k, rel)
+				}
+			}
 		}
 	}
 }

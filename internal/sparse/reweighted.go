@@ -19,8 +19,10 @@ func (s *Solver) SolveWeighted(y []complex128, kappa float64, weights []float64)
 	if len(y) != s.a.Rows() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, len(y), s.a.Rows())
 	}
-	if kappa < 0 {
-		return nil, fmt.Errorf("sparse: kappa must be nonnegative, got %v", kappa)
+	ym := cmat.New(len(y), 1)
+	ym.SetCol(0, y)
+	if err := s.checkProblem(ym, kappa); err != nil {
+		return nil, err
 	}
 	if weights != nil {
 		if len(weights) != s.a.Cols() {
@@ -32,8 +34,6 @@ func (s *Solver) SolveWeighted(y []complex128, kappa float64, weights []float64)
 			}
 		}
 	}
-	ym := cmat.New(len(y), 1)
-	ym.SetCol(0, y)
 	return s.solveADMMWeighted(ym, kappa, weights, nil)
 }
 
@@ -91,6 +91,16 @@ func (s *Solver) SolveReweighted(y []complex128, kappa float64, rounds int, eps 
 
 // solveADMMWeighted is solveADMM with per-atom soft-threshold scaling and
 // optional warm starting from (and back into) ws.
+//
+// Each iteration is one ridge step x = (v - Aᴴ(rho I + AAᴴ)⁻¹A v)/rho (the
+// Woodbury identity; dense, or block-diagonal over the Kronecker factors)
+// followed by a single row-major sweep that forms x, shrinks x+u into z,
+// updates u, prepares the next v = Aᴴy + rho(z-u), and accumulates every
+// norm the stopping rules need plus z's row magnitudes. Per element the
+// sweep performs the same floating-point operations, in the same order, as
+// separate passes for each of those steps would, and each norm sums its
+// terms in the same row-major order, so fusing them changes no bits
+// (TestADMMSweepMatchesMultiPass pins this against a multi-pass copy).
 func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []float64, ws *WarmState) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
@@ -102,22 +112,23 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 	// batched kernels traverse the dictionary once per iteration for all k
 	// snapshot columns while reproducing the legacy per-column operation order
 	// bit for bit; the Kronecker path (when the factors were declared) swaps
-	// in the factored contractions instead.
-	x := cmat.New(n, k)
+	// in the factored ridge step instead.
 	z := cmat.New(n, k)
 	u := cmat.New(n, k)
-	zOld := cmat.New(n, k)
 	v := cmat.New(n, k)
 	av := cmat.New(m, k)
-	w := cmat.New(m, k)
 	atw := cmat.New(n, k)
-	fwd := make([]complex128, m)
-	bwd := make([]complex128, m)
+	xrow := make([]complex128, k)
 	rowBuf := make([]complex128, k)
 	mags := make([]float64, n)
-	var kscratch []complex128
+	var w *cmat.Matrix
+	var fwd, bwd, kscratch []complex128
 	if s.kron != nil {
 		kscratch = make([]complex128, s.kron.scratchLen())
+	} else {
+		w = cmat.New(m, k)
+		fwd = make([]complex128, m)
+		bwd = make([]complex128, m)
 	}
 
 	aty := cmat.New(n, k)
@@ -159,51 +170,63 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 
 	rhoC := complex(rho, 0)
 	inv := complex(1/rho, 0)
-	vd, atyD, zd, ud, xd, atwD, zOldD := v.Data(), aty.Data(), z.Data(), u.Data(), x.Data(), atw.Data(), zOld.Data()
+	vd, atyD, zd, ud, atwD := v.Data(), aty.Data(), z.Data(), u.Data(), atw.Data()
+	for idx := range vd {
+		vd[idx] = atyD[idx] + rhoC*(zd[idx]-ud[idx])
+	}
+	dim := math.Sqrt(float64(n * k))
 	iters := 0
 	converged := false
 	early := false
 	for it := 1; it <= s.opts.maxIters; it++ {
 		iters = it
-		for idx := range vd {
-			vd[idx] = atyD[idx] + rhoC*(zd[idx]-ud[idx])
-		}
-		// x-update by the Woodbury identity: x = (v - Aᴴ(rho I + AAᴴ)⁻¹ A v)/rho.
 		if s.kron != nil {
-			s.kron.mulInto(v, av, kscratch)
+			s.kron.woodburyInto(v, atw, kscratch)
 		} else {
 			mulBatchInto(s.a, v, av)
-		}
-		s.chol.SolveBatchInto(av, w, fwd, bwd)
-		if s.kron != nil {
-			s.kron.mulHInto(w, atw, kscratch)
-		} else {
+			s.chol.SolveBatchInto(av, w, fwd, bwd)
 			mulHBatchInto(s.a, w, atw)
 		}
-		for idx := range xd {
-			xd[idx] = (vd[idx] - atwD[idx]) * inv
-		}
 
-		copy(zOldD, zd)
+		// xz2 = ||x-z||², dz2 = ||z-z_prev||², and the squared norms of x,
+		// z and u, each summed in row-major order.
+		var xz2, dz2, x2, z2, u2 float64
 		for i := 0; i < n; i++ {
-			xrow, urow := xd[i*k:(i+1)*k], ud[i*k:(i+1)*k]
-			for j := range rowBuf {
-				rowBuf[j] = xrow[j] + urow[j]
+			lo := i * k
+			for j := range xrow {
+				xrow[j] = (vd[lo+j] - atwD[lo+j]) * inv
+				rowBuf[j] = xrow[j] + ud[lo+j]
 			}
-			GroupSoftThreshold(zd[i*k:(i+1)*k], rowBuf, kappa*weightAt(i)/rho)
+			GroupSoftThreshold(rowBuf, rowBuf, kappa*weightAt(i)/rho)
+			var mag2 float64
+			for j, zn := range rowBuf {
+				x := xrow[j]
+				d := zn - zd[lo+j]
+				dz2 += real(d)*real(d) + imag(d)*imag(d)
+				un := ud[lo+j] + x - zn
+				d = x - zn
+				xz2 += real(d)*real(d) + imag(d)*imag(d)
+				x2 += real(x)*real(x) + imag(x)*imag(x)
+				z2 += real(zn)*real(zn) + imag(zn)*imag(zn)
+				u2 += real(un)*real(un) + imag(un)*imag(un)
+				mag2 += real(zn)*real(zn) + imag(zn)*imag(zn)
+				zd[lo+j], ud[lo+j] = zn, un
+				vd[lo+j] = atyD[lo+j] + rhoC*(zn-un)
+			}
+			mags[i] = math.Sqrt(mag2)
 		}
 
-		for idx := range ud {
-			ud[idx] = ud[idx] + xd[idx] - zd[idx]
+		// The spectrum stop folds in this iterate's magnitudes before the
+		// hook sees the shared buffer.
+		stable := stop.stable(mags)
+		if s.opts.hook != nil {
+			s.opts.hook(it, mags)
 		}
 
-		s.matHook(it, z, mags)
-
-		priRes := subFrobNorm(x, z)
-		dualRes := rho * subFrobNorm(z, zOld)
-		dim := math.Sqrt(float64(n * k))
-		priEps := s.opts.absTol*dim + s.opts.relTol*math.Max(x.FrobNorm(), z.FrobNorm())
-		dualEps := s.opts.absTol*dim + s.opts.relTol*rho*u.FrobNorm()
+		priRes := math.Sqrt(xz2)
+		dualRes := rho * math.Sqrt(dz2)
+		priEps := s.opts.absTol*dim + s.opts.relTol*math.Max(math.Sqrt(x2), math.Sqrt(z2))
+		dualEps := s.opts.absTol*dim + s.opts.relTol*rho*math.Sqrt(u2)
 		if priRes <= priEps && dualRes <= dualEps {
 			converged = true
 			break
@@ -213,7 +236,7 @@ func (s *Solver) solveADMMWeighted(y *cmat.Matrix, kappa float64, weights []floa
 		// wrong) spectrum for hundreds of iterations before a support jump,
 		// and those plateau iterates carry residuals far above tolerance (see
 		// specResidualSlack).
-		if stop.stable(z) && priRes <= specResidualSlack*priEps && dualRes <= specResidualSlack*dualEps {
+		if stable && priRes <= specResidualSlack*priEps && dualRes <= specResidualSlack*dualEps {
 			converged, early = true, true
 			break
 		}

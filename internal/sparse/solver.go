@@ -9,8 +9,9 @@ import (
 )
 
 // Solver solves (group-)LASSO problems against a fixed dictionary A. The
-// expensive per-dictionary work (the Woodbury factorization for ADMM, the
-// Lipschitz constant for FISTA/ISTA) is done once at construction and reused
+// expensive per-dictionary work (the Woodbury factorization for ADMM — dense,
+// or block-diagonal over the Kronecker factors — and the Lipschitz constant
+// for FISTA/ISTA) is done once at construction and reused
 // across measurement vectors, which is how ROArray amortizes cost across
 // packets that share a steering dictionary.
 type Solver struct {
@@ -18,7 +19,7 @@ type Solver struct {
 	opts options
 	tele *solverTelemetry // nil when no metrics registry is configured
 
-	chol *cmat.Cholesky // ADMM: factor of (rho I + A Aᴴ), size m x m
+	chol *cmat.Cholesky // dense ADMM: factor of (rho I + A Aᴴ), size m x m
 	lip  float64        // FISTA/ISTA: ||A||_2^2
 	kron *kronOps       // non-nil when WithKronecker declared factor structure
 }
@@ -79,6 +80,16 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 	if o.maxIters <= 0 {
 		return nil, fmt.Errorf("sparse: max iterations must be positive, got %d", o.maxIters)
 	}
+	// A non-finite setting does not fail loudly downstream: every iterate
+	// turns NaN and the loop runs to its cap, returning a NaN spectrum.
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"ADMM rho", o.rho}, {"absolute tolerance", o.absTol}, {"relative tolerance", o.relTol}, {"spectrum-stop tolerance", o.specTol}} {
+		if !isFinite(p.v) {
+			return nil, fmt.Errorf("sparse: %s must be finite, got %v", p.name, p.v)
+		}
+	}
 	s := &Solver{a: a, opts: o, tele: newSolverTelemetry(o.metrics)}
 	if (o.kronRow == nil) != (o.kronCol == nil) {
 		return nil, fmt.Errorf("sparse: Kronecker structure needs both a row and a column factor")
@@ -104,6 +115,12 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 				return nil, fmt.Errorf("sparse: dictionary has zero norm")
 			}
 			s.opts.rho = o.rho
+		}
+		if s.kron != nil {
+			if err := s.kron.factorWoodbury(o.kronRow, o.kronCol, o.rho); err != nil {
+				return nil, err
+			}
+			break
 		}
 		m := a.Rows()
 		// rho I + A Aᴴ is Hermitian positive definite for rho > 0.
@@ -159,16 +176,35 @@ func (s *Solver) Solve(y []complex128, kappa float64) (*Result, error) {
 	return s.SolveMulti(ym, kappa)
 }
 
+// checkProblem rejects a measurement block or regularization weight the
+// solvers cannot iterate on. A NaN or infinite entry does not fail loudly
+// downstream: it turns every iterate NaN, the loop runs to its cap, and the
+// result is a NaN spectrum (or, for kappa = +Inf, an all-zero one reported
+// as converged).
+func (s *Solver) checkProblem(y *cmat.Matrix, kappa float64) error {
+	if y.Rows() != s.a.Rows() {
+		return fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.a.Rows())
+	}
+	if kappa < 0 || !isFinite(kappa) {
+		return fmt.Errorf("sparse: kappa must be nonnegative and finite, got %v", kappa)
+	}
+	for i, v := range y.Data() {
+		if !isFinite(real(v)) || !isFinite(imag(v)) {
+			return fmt.Errorf("sparse: measurement entry (%d,%d) = %v is not finite", i/y.Cols(), i%y.Cols(), v)
+		}
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // SolveMulti recovers jointly sparse coefficients for multiple snapshots
 // (columns of y), minimizing 1/2||AX-Y||_F^2 + kappa * sum_i ||X_i,:||_2 —
 // the l2,1 group-sparse program of l1-SVD fusion. With a single column it
 // reduces exactly to Solve.
 func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
-	if y.Rows() != s.a.Rows() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.a.Rows())
-	}
-	if kappa < 0 {
-		return nil, fmt.Errorf("sparse: kappa must be nonnegative, got %v", kappa)
+	if err := s.checkProblem(y, kappa); err != nil {
+		return nil, err
 	}
 	switch s.opts.method {
 	case MethodADMM:
@@ -176,15 +212,6 @@ func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
 	default:
 		return s.solveProximal(y, kappa, nil)
 	}
-}
-
-// matHook invokes the iteration hook with the row magnitudes of z.
-func (s *Solver) matHook(iter int, z *cmat.Matrix, buf []float64) {
-	if s.opts.hook == nil {
-		return
-	}
-	rowMagsInto(z, buf)
-	s.opts.hook(iter, buf)
 }
 
 func rowMagsInto(x *cmat.Matrix, dst []float64) {
@@ -296,7 +323,13 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 			copyInto(w, x)
 		}
 
-		s.matHook(it, x, mags)
+		// The spectrum stop folds in this iterate's magnitudes before the
+		// hook sees the shared buffer.
+		rowMagsInto(x, mags)
+		stable := stop.stable(mags)
+		if s.opts.hook != nil {
+			s.opts.hook(it, mags)
+		}
 
 		diff := subFrobNorm(x, xPrev)
 		ref := math.Max(x.FrobNorm(), 1e-12)
@@ -309,7 +342,7 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 		// plateau with a frozen spectrum far from the optimum and jump later
 		// (see specResidualSlack). Require the step size to be within a slack
 		// factor of the full criterion before trusting it.
-		if stop.stable(x) && diff <= specResidualSlack*tol {
+		if stable && diff <= specResidualSlack*tol {
 			converged, early = true, true
 			break
 		}

@@ -420,3 +420,79 @@ func TestOMPValidation(t *testing.T) {
 		t.Fatal("zero measurement should select nothing")
 	}
 }
+
+// TestSolverRejectsNonFinite: non-finite settings and inputs are errors, not
+// NaN spectra. Before these checks each case below ran the loop to its cap
+// and returned NaN magnitudes (or, for kappa = +Inf, an all-zero spectrum
+// flagged converged) with a nil error.
+func TestSolverRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(110))
+	a, _, y, _ := makeSparseProblem(rng, 10, 20, 2, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		for _, tc := range []struct {
+			name string
+			opt  Option
+		}{
+			{"rho NaN", WithRho(nan)},
+			{"rho +Inf", WithRho(inf)},
+			{"rho -Inf", WithRho(-inf)},
+			{"tolerance NaN", WithTolerance(nan, nan)},
+			{"abs tolerance +Inf", WithTolerance(inf, 1e-5)},
+			{"rel tolerance NaN", WithTolerance(1e-6, nan)},
+			{"spectrum-stop tolerance NaN", WithSpectrumStop(nan, 3)},
+			{"spectrum-stop tolerance +Inf", WithSpectrumStop(inf, 3)},
+		} {
+			if _, err := NewSolver(a, WithMethod(method), tc.opt); err == nil {
+				t.Errorf("%v: NewSolver accepted %s", method, tc.name)
+			}
+		}
+	}
+
+	badY := func(v complex128) []complex128 {
+		out := append([]complex128(nil), y...)
+		out[3] = v
+		return out
+	}
+	inputs := []struct {
+		name  string
+		y     []complex128
+		kappa float64
+	}{
+		{"kappa NaN", y, nan},
+		{"kappa +Inf", y, inf},
+		{"kappa -Inf", y, -inf},
+		{"y real NaN", badY(complex(nan, 0)), 0.1},
+		{"y imag +Inf", badY(complex(0, inf)), 0.1},
+	}
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		s, err := NewSolver(a, WithMethod(method), WithMaxIters(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inputs {
+			ym := cmat.New(len(in.y), 1)
+			ym.SetCol(0, in.y)
+			if _, err := s.Solve(in.y, in.kappa); err == nil {
+				t.Errorf("%v: Solve accepted %s", method, in.name)
+			}
+			if _, err := s.SolveMulti(ym, in.kappa); err == nil {
+				t.Errorf("%v: SolveMulti accepted %s", method, in.name)
+			}
+			ws := &WarmState{}
+			if _, err := s.SolveMultiWarm(ym, in.kappa, ws); err == nil {
+				t.Errorf("%v: SolveMultiWarm accepted %s", method, in.name)
+			}
+			if ws.Valid() {
+				t.Errorf("%v: rejected %s still stored a warm state", method, in.name)
+			}
+			if method != MethodADMM {
+				continue
+			}
+			if _, err := s.SolveWeighted(in.y, in.kappa, nil); err == nil {
+				t.Errorf("%v: SolveWeighted accepted %s", method, in.name)
+			}
+		}
+	}
+}

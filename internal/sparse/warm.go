@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"fmt"
 	"math"
 
 	"roarray/internal/cmat"
@@ -80,11 +79,8 @@ func (w *WarmState) store(m Method, n, k int, primary, dual *cmat.Matrix) {
 // Result.Warm. In either case, when ws is non-nil it holds the final solver
 // state on return, ready to seed the next solve in a sequence.
 func (s *Solver) SolveMultiWarm(y *cmat.Matrix, kappa float64, ws *WarmState) (*Result, error) {
-	if y.Rows() != s.a.Rows() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.a.Rows())
-	}
-	if kappa < 0 {
-		return nil, fmt.Errorf("sparse: kappa must be nonnegative, got %v", kappa)
+	if err := s.checkProblem(y, kappa); err != nil {
+		return nil, err
 	}
 	switch s.opts.method {
 	case MethodADMM:
@@ -119,7 +115,6 @@ type specStop struct {
 	tol      float64
 	patience int
 	prev     []float64
-	cur      []float64
 	streak   int
 	primed   bool
 }
@@ -132,29 +127,28 @@ func newSpecStop(o options, n int) *specStop {
 		tol:      o.specTol,
 		patience: o.specPatience,
 		prev:     make([]float64, n),
-		cur:      make([]float64, n),
 	}
 }
 
-// stable folds in the current iterate and reports whether the spectrum has
-// now been stationary for patience consecutive iterations.
-func (s *specStop) stable(x *cmat.Matrix) bool {
+// stable folds in the current iterate's row magnitudes (mags, which the
+// caller computed and keeps owning) and reports whether the spectrum has now
+// been stationary for patience consecutive iterations.
+func (s *specStop) stable(mags []float64) bool {
 	if s == nil {
 		return false
 	}
-	rowMagsInto(x, s.cur)
 	if !s.primed {
 		s.primed = true
-		s.prev, s.cur = s.cur, s.prev
+		copy(s.prev, mags)
 		return false
 	}
 	var dn, n2 float64
-	for i, c := range s.cur {
+	for i, c := range mags {
 		d := c - s.prev[i]
 		dn += d * d
 		n2 += c * c
 	}
-	s.prev, s.cur = s.cur, s.prev
+	copy(s.prev, mags)
 	if dn <= s.tol*s.tol*math.Max(n2, 1e-24) {
 		s.streak++
 	} else {
