@@ -35,13 +35,16 @@ bench:
 # cold-vs-warm / dense-vs-Kronecker solver ratios. The BenchmarkADMMKron
 # pattern also matches BenchmarkADMMKronSmoke, the serving-shape solve (the
 # smoke preset's 8x8 delay and 3x19 AoA factors, k=1, 60-iteration cap,
-# spectrum stop) that the perfbench workloads run. The committed-baseline
+# spectrum stop) that the perfbench workloads run. BenchmarkKronWoodbury
+# isolates one Kronecker x-update (the block-diagonal Woodbury kernel) at
+# that shape, separating the ridge step from the rest of the ADMM
+# iteration. The committed-baseline
 # regression assertion itself lives in cmd/roabench
 # (TestCommittedBatchBaseline, part of `make test`); this target is for
 # eyeballing the ratios.
 bench-search:
 	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
-	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMWarm$$|BenchmarkADMMKron' -benchtime 3x ./internal/sparse/
+	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMWarm$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.

@@ -274,12 +274,14 @@ func (e *Estimator) Warmup() error {
 // joint space-delay dictionary (M*L x Ntheta*Ntau), and the joint solver's
 // ridge-step factorization. That factorization is the dense (M*L)² Cholesky
 // of rho I + A Aᴴ, except in warm mode, where the joint solver iterates on
-// the Kronecker factor pair (L x Ntau delay, M x Ntheta AoA) and holds the
+// the Kronecker factor pair (L x Ntau delay, M x Ntheta AoA), keeps the
+// conjugate of each factor for its adjoint matvec, and holds the
 // block-diagonal form instead: M Ntau x Ntau blocks H_m and the rotated
-// M x Ntheta AoA factor S'. Complex128 entries are 16 bytes. The joint
-// dictionary term dominates at paper dimensions (90 x 3 x 30 x 50 columns
-// ~ 580 MB would be absurd; real venues run reduced grids), which is exactly
-// why a venue cache must budget on these bytes rather than venue count.
+// M x Ntheta AoA factor S' with its conjugate. Complex128 entries are 16
+// bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
+// 30 x 50 columns ~ 580 MB would be absurd; real venues run reduced grids),
+// which is exactly why a venue cache must budget on these bytes rather than
+// venue count.
 func (e *Estimator) FootprintBytes() int64 {
 	const c = 16 // bytes per complex128
 	m := int64(e.cfg.Array.NumAntennas)
@@ -290,8 +292,8 @@ func (e *Estimator) FootprintBytes() int64 {
 	b := m*nth*c + ml*nth*ntu*c // AoA + joint dictionaries
 	b += m * m * c              // AoA ADMM Cholesky factor
 	if e.cfg.Warm {
-		b += l*ntu*c + m*nth*c     // Kronecker delay/AoA factor pair
-		b += m*ntu*ntu*c + m*nth*c // H_m blocks + rotated AoA factor S'
+		b += 2 * (l*ntu*c + m*nth*c) // Kronecker delay/AoA factor pair + conjugates
+		b += m*ntu*ntu*c + 2*m*nth*c // H_m blocks + rotated AoA factor S' + conjugate
 	} else {
 		b += ml * ml * c // joint ADMM Cholesky factor
 	}

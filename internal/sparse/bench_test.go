@@ -151,6 +151,22 @@ func BenchmarkADMMKronSmoke(b *testing.B) {
 	}
 }
 
+// BenchmarkKronWoodbury isolates the Kronecker x-update kernel
+// (woodburyInto) at the serving shape of BenchmarkADMMKronSmoke: one
+// Aᴴ(rho I + AAᴴ)⁻¹A v step on the 8x8 delay and 3x19 AoA factors for a
+// single snapshot column.
+func BenchmarkKronWoodbury(b *testing.B) {
+	g, s, dense, y := benchKronProblem(8, 8, 3, 19, 1)
+	sv := benchSolver(b, dense, WithKronecker(g, s))
+	v := sv.DictMulH(y)
+	out := cmat.New(v.Rows(), 1)
+	scratch := make([]complex128, sv.kron.scratchLen(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sv.kron.woodburyInto(v, out, scratch)
+	}
+}
+
 // BenchmarkFISTACold / BenchmarkFISTAWarm mirror the ADMM pair for the
 // proximal-gradient path used by the solver ablation.
 func BenchmarkFISTACold(b *testing.B) {

@@ -154,7 +154,7 @@ func kronFactors(ll, tt, mm, cc int) (g, s, dense *cmat.Matrix) {
 func TestKronOpsMatchDense(t *testing.T) {
 	g, s, dense := kronFactors(6, 5, 3, 7)
 	ops := newKronOps(g, s)
-	scratch := make([]complex128, ops.scratchLen())
+	scratch := make([]complex128, ops.scratchLen(1))
 	m, n, k := dense.Rows(), dense.Cols(), 2
 
 	v := kernelMat(n, k, 6)
@@ -321,7 +321,7 @@ func TestKronWoodburyMatchesDense(t *testing.T) {
 				mulHBatchInto(dense, w, want)
 
 				got := cmat.New(n, k)
-				sv.kron.woodburyInto(v, got, make([]complex128, sv.kron.scratchLen()))
+				sv.kron.woodburyInto(v, got, make([]complex128, sv.kron.scratchLen(k)))
 				if rel := cmat.Sub(got, want).FrobNorm() / want.FrobNorm(); rel > 1e-10 {
 					t.Errorf("%s rho=%v k=%d: factored ridge operator off by relative %.3g", tc.name, rho, k, rel)
 				}

@@ -17,7 +17,12 @@ import (
 // For the paper's dimensions (90 x 920 from factors 30 x 20 and 3 x 46) a
 // matvec costs 4,560 complex multiply-adds per snapshot column instead of
 // 82,800, and a whole x-update 6,720 instead of the dense path's 173,700
-// (two matvecs plus a 90 x 90 Cholesky solve). The factored results are
+// (two matvecs plus a 90 x 90 Cholesky solve); at the serving shape (8 x 8
+// and 3 x 19) an x-update is 1,104. The x-update kernel runs its two
+// contractions with S' four outputs at a time, so one load of a factor entry
+// feeds four independent accumulators; on a 2-CPU Intel Xeon (Go 1.24) that
+// took BenchmarkKronWoodbury from a median 3.7 to 3.0 µs per column at the
+// serving shape. The factored results are
 // numerically equivalent but not bit-identical to the dense kernels (the
 // products associate differently), which is why the structure is opt-in
 // (WithKronecker) and engaged only on the warm serving path, never under the
@@ -31,11 +36,12 @@ type kronOps struct {
 	gConj, sConj []complex128
 
 	// Factored ADMM ridge step (factorWoodbury), built only for ADMM:
-	// sp = Vᴴ S (M x C) for the eigenvectors V of S Sᴴ, spH its conjugate
-	// transpose (C x M), and h the M row-major T x T blocks
-	// H_m = Gᴴ (rho I_L + sigma_m G Gᴴ)⁻¹ G.
-	sp, spH []complex128
-	h       []complex128
+	// sp = Vᴴ S (M x C) for the eigenvectors V of S Sᴴ, spConj its
+	// elementwise conjugate (also M x C row-major, so the S'ᴴ contraction
+	// reads adjacent angles contiguously), and h the M row-major T x T
+	// blocks H_m = Gᴴ (rho I_L + sigma_m G Gᴴ)⁻¹ G.
+	sp, spConj []complex128
+	h          []complex128
 }
 
 func newKronOps(g, s *cmat.Matrix) *kronOps {
@@ -56,9 +62,16 @@ func newKronOps(g, s *cmat.Matrix) *kronOps {
 	return k
 }
 
-// scratchLen is the intermediate buffer length mulInto, mulHInto and
-// woodburyInto need.
-func (k *kronOps) scratchLen() int { return 2 * k.mm * k.tt }
+// scratchLen is the scratch length the kernels need for operands with nc
+// columns: mulInto and mulHInto use M·T entries, woodburyInto 2·M·T plus,
+// when nc > 1, T·C to gather one column contiguously.
+func (k *kronOps) scratchLen(nc int) int {
+	n := 2 * k.mm * k.tt
+	if nc > 1 {
+		n += k.tt * k.cc
+	}
+	return n
+}
 
 // factorWoodbury precomputes the block-diagonal form of the ADMM ridge
 // operator Aᴴ(rho I + A Aᴴ)⁻¹A for the factors g and s this kronOps was
@@ -78,9 +91,11 @@ func (k *kronOps) factorWoodbury(g, s *cmat.Matrix, rho float64) error {
 	if err != nil {
 		return fmt.Errorf("sparse: eigendecompose Kronecker column Gram: %w", err)
 	}
-	sp := cmat.MulH(eig.Vectors, s)
-	k.sp = sp.Data()
-	k.spH = sp.H().Data()
+	k.sp = cmat.MulH(eig.Vectors, s).Data()
+	k.spConj = make([]complex128, len(k.sp))
+	for i, v := range k.sp {
+		k.spConj[i] = cmplx.Conj(v)
+	}
 	ggh := cmat.Mul(g, g.H())
 	kb := cmat.New(k.ll, k.ll)
 	x := cmat.New(k.ll, k.tt)
@@ -111,47 +126,97 @@ func (k *kronOps) factorWoodbury(g, s *cmat.Matrix, rho float64) error {
 // Q[m][t] = sum_i S'[m][i] v[(t*C+i)],  R[m] = H_m Q[m],  and
 // out[(t*C+i)] = sum_m conj(S'[m][i]) R[m][t]:
 // 2·M·T·C + M·T² complex multiply-adds, where the Kronecker matvec pair plus
-// a dense Cholesky solve costs 2·(M·T·C + L·M·T) + (L·M)².
+// a dense Cholesky solve costs 2·(M·T·C + L·M·T) + (L·M)². A single column
+// runs the kernel in place on the matrices' storage; wider operands gather
+// each column into contiguous scratch and scatter the result back, so every
+// column count runs the same kernel and sums the same products in the same
+// order.
 func (k *kronOps) woodburyInto(v, out *cmat.Matrix, scratch []complex128) {
 	nc := v.Cols()
 	vd, od := v.Data(), out.Data()
-	mm, tt, cc := k.mm, k.tt, k.cc
-	sp, spH, h := k.sp, k.spH, k.h
-	q, r := scratch[:mm*tt], scratch[mm*tt:2*mm*tt] // Q is m-major, R t-major
+	if nc == 1 {
+		k.woodburyCol(vd, od, scratch)
+		return
+	}
+	col := scratch[2*k.mm*k.tt : 2*k.mm*k.tt+k.tt*k.cc]
 	for c := 0; c < nc; c++ {
-		for t := 0; t < tt; t++ {
-			base := t*cc*nc + c
-			for m := 0; m < mm; m++ {
-				var acc complex128
-				idx := base
-				for _, sv := range sp[m*cc : (m+1)*cc] {
-					acc += sv * vd[idx]
-					idx += nc
-				}
-				q[m*tt+t] = acc
-			}
+		for j := range col {
+			col[j] = vd[j*nc+c]
 		}
-		for m := 0; m < mm; m++ {
-			qrow := q[m*tt : (m+1)*tt]
-			for t := 0; t < tt; t++ {
-				hrow := h[(m*tt+t)*tt : (m*tt+t+1)*tt]
-				var acc complex128
-				for tp, qv := range qrow {
-					acc += hrow[tp] * qv
-				}
-				r[t*mm+m] = acc
-			}
+		k.woodburyCol(col, col, scratch)
+		for j, x := range col {
+			od[j*nc+c] = x
 		}
-		for t := 0; t < tt; t++ {
-			rrow := r[t*mm : (t+1)*mm]
-			obase := t*cc*nc + c
-			for i := 0; i < cc; i++ {
-				var acc complex128
-				for m, sv := range spH[i*mm : (i+1)*mm] {
-					acc += sv * rrow[m]
-				}
-				od[obase+i*nc] = acc
+	}
+}
+
+// woodburyCol is woodburyInto's kernel for one contiguous T·C column. out
+// may alias v: every read of v precedes the first write to out. The two
+// contractions with S' are register-blocked — four delays share each load of
+// S'[m][i] in the first, four angles share each load of R[m][t] in the last —
+// with one accumulator per output summing over i (or m) in ascending order,
+// exactly as an unblocked dot product would.
+func (k *kronOps) woodburyCol(v, out, scratch []complex128) {
+	mm, tt, cc := k.mm, k.tt, k.cc
+	q, r := scratch[:mm*tt], scratch[mm*tt:2*mm*tt] // Q is m-major, R t-major
+	for m := 0; m < mm; m++ {
+		srow := k.sp[m*cc:][:cc]
+		qrow := q[m*tt:][:tt]
+		t := 0
+		for ; t+4 <= tt; t += 4 {
+			v0, v1 := v[t*cc:][:cc], v[(t+1)*cc:][:cc]
+			v2, v3 := v[(t+2)*cc:][:cc], v[(t+3)*cc:][:cc]
+			var a0, a1, a2, a3 complex128
+			for i, sv := range srow {
+				a0 += sv * v0[i]
+				a1 += sv * v1[i]
+				a2 += sv * v2[i]
+				a3 += sv * v3[i]
 			}
+			qrow[t], qrow[t+1], qrow[t+2], qrow[t+3] = a0, a1, a2, a3
+		}
+		for ; t < tt; t++ {
+			vt := v[t*cc:][:cc]
+			var acc complex128
+			for i, sv := range srow {
+				acc += sv * vt[i]
+			}
+			qrow[t] = acc
+		}
+	}
+	for m := 0; m < mm; m++ {
+		qrow := q[m*tt : (m+1)*tt]
+		for t := 0; t < tt; t++ {
+			hrow := k.h[(m*tt+t)*tt : (m*tt+t+1)*tt]
+			var acc complex128
+			for tp, qv := range qrow {
+				acc += hrow[tp] * qv
+			}
+			r[t*mm+m] = acc
+		}
+	}
+	spc := k.spConj[:mm*cc]
+	for t := 0; t < tt; t++ {
+		rrow := r[t*mm:][:mm]
+		orow := out[t*cc:][:cc]
+		i := 0
+		for ; i+4 <= cc; i += 4 {
+			var a0, a1, a2, a3 complex128
+			for m, rv := range rrow {
+				sc := spc[m*cc+i:][:4]
+				a0 += sc[0] * rv
+				a1 += sc[1] * rv
+				a2 += sc[2] * rv
+				a3 += sc[3] * rv
+			}
+			orow[i], orow[i+1], orow[i+2], orow[i+3] = a0, a1, a2, a3
+		}
+		for ; i < cc; i++ {
+			var acc complex128
+			for m, rv := range rrow {
+				acc += spc[m*cc+i] * rv
+			}
+			orow[i] = acc
 		}
 	}
 }

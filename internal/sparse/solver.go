@@ -142,6 +142,9 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 	default:
 		return nil, fmt.Errorf("sparse: unknown method %v", o.method)
 	}
+	// kronOps holds its own copies of the Kronecker factors; dropping the
+	// caller's keeps them from staying resident twice.
+	s.opts.kronRow, s.opts.kronCol = nil, nil
 	return s, nil
 }
 
@@ -155,7 +158,7 @@ func (s *Solver) Dict() *cmat.Matrix { return s.a }
 func (s *Solver) DictMulH(y *cmat.Matrix) *cmat.Matrix {
 	if s.kron != nil {
 		out := cmat.New(s.a.Cols(), y.Cols())
-		s.kron.mulHInto(y, out, make([]complex128, s.kron.scratchLen()))
+		s.kron.mulHInto(y, out, make([]complex128, s.kron.scratchLen(1)))
 		return out
 	}
 	return cmat.MulH(s.a, y)
@@ -180,10 +183,14 @@ func (s *Solver) Solve(y []complex128, kappa float64) (*Result, error) {
 // solvers cannot iterate on. A NaN or infinite entry does not fail loudly
 // downstream: it turns every iterate NaN, the loop runs to its cap, and the
 // result is a NaN spectrum (or, for kappa = +Inf, an all-zero one reported
-// as converged).
+// as converged). A block with no columns has all-zero norms, so it would
+// "converge" after one iteration to an empty solution.
 func (s *Solver) checkProblem(y *cmat.Matrix, kappa float64) error {
 	if y.Rows() != s.a.Rows() {
 		return fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.a.Rows())
+	}
+	if y.Cols() == 0 {
+		return fmt.Errorf("%w: measurement block has no columns", ErrDimensionMismatch)
 	}
 	if kappa < 0 || !isFinite(kappa) {
 		return fmt.Errorf("sparse: kappa must be nonnegative and finite, got %v", kappa)
@@ -263,7 +270,7 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 	theta := 1.0
 	var kscratch []complex128
 	if s.kron != nil {
-		kscratch = make([]complex128, s.kron.scratchLen())
+		kscratch = make([]complex128, s.kron.scratchLen(1)) // matvecs only
 	}
 
 	// Warm start: resume from the previous primal iterate with the momentum

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -492,6 +493,50 @@ func TestSolverRejectsNonFinite(t *testing.T) {
 			}
 			if _, err := s.SolveWeighted(in.y, in.kappa, nil); err == nil {
 				t.Errorf("%v: SolveWeighted accepted %s", method, in.name)
+			}
+		}
+	}
+}
+
+// TestSolverRejectsBadShape: a measurement block whose row count differs from
+// the dictionary's, or that has no columns, is ErrDimensionMismatch on the
+// dense and Kronecker paths of both iterative methods. Before the column
+// check an m x 0 block returned after one iteration with Converged = true,
+// Objective = 0 and a nil error.
+func TestSolverRejectsBadShape(t *testing.T) {
+	g, s := randKronFactors(112, 4, 3, 2, 5)
+	dense := cmat.Kron(g, s)
+	m := dense.Rows()
+	shapes := []struct {
+		name string
+		y    *cmat.Matrix
+	}{
+		{"too_few_rows", kernelMat(m-1, 1, 1)},
+		{"too_many_rows", kernelMat(m+1, 2, 2)},
+		{"zero_columns", cmat.New(m, 0)},
+		{"zero_rows_and_columns", cmat.New(0, 0)},
+	}
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		for _, kron := range []bool{false, true} {
+			opts := []Option{WithMethod(method), WithMaxIters(20)}
+			if kron {
+				opts = append(opts, WithKronecker(g, s))
+			}
+			sv, err := NewSolver(dense, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range shapes {
+				if _, err := sv.SolveMulti(tc.y, 0.1); !errors.Is(err, ErrDimensionMismatch) {
+					t.Errorf("%v kron=%v %s: SolveMulti error %v, want ErrDimensionMismatch", method, kron, tc.name, err)
+				}
+				ws := &WarmState{}
+				if _, err := sv.SolveMultiWarm(tc.y, 0.1, ws); !errors.Is(err, ErrDimensionMismatch) {
+					t.Errorf("%v kron=%v %s: SolveMultiWarm error %v, want ErrDimensionMismatch", method, kron, tc.name, err)
+				}
+				if ws.Valid() {
+					t.Errorf("%v kron=%v %s: rejected block stored a warm state", method, kron, tc.name)
+				}
 			}
 		}
 	}
