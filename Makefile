@@ -30,9 +30,9 @@ race:
 bench:
 	$(GO) test -run XXX -bench 'LocalizeBatch' -benchtime 3x .
 
-# Search-strategy and warm-start benchmark pairs (see DESIGN.md §13): the
+# Search-strategy and solver benchmark pairs (see DESIGN.md §13): the
 # flat-vs-branch-and-bound grid search ratio, the windowed search, and the
-# cold-vs-warm / dense-vs-Kronecker solver ratios. The BenchmarkADMMKron
+# dense-vs-Kronecker solver ratio. The BenchmarkADMMKron
 # pattern also matches BenchmarkADMMKronSmoke, the serving-shape solve (the
 # smoke preset's 8x8 delay and 3x19 AoA factors, k=1, 60-iteration cap,
 # spectrum stop) that the perfbench workloads run. BenchmarkKronWoodbury
@@ -44,7 +44,7 @@ bench:
 # eyeballing the ratios.
 bench-search:
 	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
-	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMWarm$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
+	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.

@@ -181,8 +181,8 @@ type LinkResult struct {
 	// burst; nil when the burst was clean.
 	Sanitize *BurstReport
 	// Solve summarizes the sparse solve that produced this link's spectrum:
-	// which algorithm, how many iterations, whether warm start or the
-	// fallback chain engaged. Zero value when the link failed before solving.
+	// which algorithm, how many iterations, whether the fallback chain
+	// engaged. Zero value when the link failed before solving.
 	Solve SolveInfo
 }
 

@@ -47,13 +47,14 @@ type Config struct {
 	// SolverOptions are passed to the underlying sparse solvers (method,
 	// iteration caps, hooks, ...).
 	SolverOptions []sparse.Option
-	// Warm enables warm-started solving: per-dictionary caches seed each
-	// solve from the most recent solution of the same shape (the previous
-	// packet of a burst, or a micro-batch neighbor on the serving path), and
-	// a spectrum-stability early stop (sparse.WithSpectrumStop, prepended to
-	// SolverOptions so explicit options still win) converts the good seed
-	// into saved iterations. Warm solves can end at different iterates than
-	// cold ones (within solver tolerance), so the bit-reproducible
+	// Warm selects the serving solve profile: the joint solver iterates on
+	// the Kronecker factors of the space-delay dictionary
+	// (sparse.WithKronecker), and every solve ends early once its spectrum
+	// is stable (sparse.WithSpectrumStop, prepended to SolverOptions so
+	// explicit options still win). Every solve starts cold, so a request's
+	// answer does not depend on which requests came before it.
+	// The profile's solves end at different iterates than the default
+	// profile's (within solver tolerance), so the bit-reproducible
 	// evaluation pipeline leaves this off; the serving path turns it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (see SearchConfig).
@@ -141,40 +142,6 @@ type Estimator struct {
 	jointFBOnce sync.Once
 	jointFB     *sparse.Solver
 	jointFBErr  error
-
-	// Per-dictionary warm-start caches (Config.Warm), keyed by snapshot
-	// count: solves of the same shape against the same dictionary seed each
-	// other. Each lives alongside the solver cache it accelerates.
-	aoaWarm   warmSlot
-	jointWarm warmSlot
-}
-
-// warmSlot is a concurrency-safe cache of the most recent solver state per
-// measurement shape (snapshot count). take hands out an independent clone so
-// the solver can mutate it lock-free; put installs the updated state with
-// last-writer-wins semantics — under concurrency any recent state is an
-// equally good seed, correctness never depends on which one survives.
-type warmSlot struct {
-	mu  sync.Mutex
-	byK map[int]*sparse.WarmState
-}
-
-func (s *warmSlot) take(k int) *sparse.WarmState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ws := s.byK[k]; ws != nil {
-		return ws.Clone()
-	}
-	return &sparse.WarmState{}
-}
-
-func (s *warmSlot) put(k int, ws *sparse.WarmState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.byK == nil {
-		s.byK = make(map[int]*sparse.WarmState)
-	}
-	s.byK[k] = ws
 }
 
 // estimatorMetrics caches the estimator's metric handles, resolved once at
@@ -189,10 +156,6 @@ type estimatorMetrics struct {
 	fallbackEngaged *obs.Counter // primary solve failed/non-converged, chain entered
 	fallbackFISTA   *obs.Counter // FISTA retry converged and was used
 	fallbackOMP     *obs.Counter // greedy OMP terminal fallback was used
-
-	warmEngaged   *obs.Counter // solves seeded from a cached warm state
-	warmIterSaved *obs.Counter // iterations saved vs the solver's cap
-	warmRejected  *obs.Counter // seeds that lost to the cold start's objective
 }
 
 func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
@@ -206,9 +169,6 @@ func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
 		fallbackEngaged: reg.Counter("core.solve.fallback_engaged_total"),
 		fallbackFISTA:   reg.Counter("core.solve.fallback_fista_total"),
 		fallbackOMP:     reg.Counter("core.solve.fallback_omp_total"),
-		warmEngaged:     reg.Counter("core.warmstart.engaged_total"),
-		warmIterSaved:   reg.Counter("core.warmstart.iter_saved"),
-		warmRejected:    reg.Counter("core.warmstart.rejected_total"),
 	}
 }
 
@@ -224,9 +184,7 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	}
 	if full.Warm {
 		// Prepend the spectrum-stability stop so explicit caller options can
-		// still override it. Without an early stop a warm seed changes which
-		// iterate a capped solve ends at but not how long it runs; with it,
-		// a seed near the solution ends the solve within a few iterations.
+		// still override it.
 		opts := make([]sparse.Option, 0, len(full.SolverOptions)+1)
 		opts = append(opts, sparse.WithSpectrumStop(warmSpecTol, warmSpecPatience))
 		full.SolverOptions = append(opts, full.SolverOptions...)
@@ -241,11 +199,10 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	return &Estimator{cfg: full, met: newEstimatorMetrics(full.Metrics)}, nil
 }
 
-// Warm-mode spectrum-stop defaults: the solve ends once the magnitude
+// Serving-profile spectrum-stop defaults: the solve ends once the magnitude
 // spectrum has moved by less than 0.01% (relative l2) for 3 consecutive
 // iterations — far tighter than the grid quantization downstream peak
-// detection imposes, and loose enough to convert warm seeds into large
-// iteration savings.
+// detection imposes.
 const (
 	warmSpecTol      = 1e-4
 	warmSpecPatience = 3
@@ -273,12 +230,12 @@ func (e *Estimator) Warmup() error {
 // the AoA dictionary (M x Ntheta) and its ADMM Cholesky factor (M x M), the
 // joint space-delay dictionary (M*L x Ntheta*Ntau), and the joint solver's
 // ridge-step factorization. That factorization is the dense (M*L)² Cholesky
-// of rho I + A Aᴴ, except in warm mode, where the joint solver iterates on
-// the Kronecker factor pair (L x Ntau delay, M x Ntheta AoA), keeps the
-// conjugate of each factor for its adjoint matvec, and holds the
-// block-diagonal form instead: M Ntau x Ntau blocks H_m and the rotated
-// M x Ntheta AoA factor S' with its conjugate. Complex128 entries are 16
-// bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
+// of rho I + A Aᴴ, except under the serving profile (Config.Warm), where the
+// joint solver iterates on the Kronecker factor pair (L x Ntau delay,
+// M x Ntheta AoA), keeps the conjugate of each factor for its adjoint
+// matvec, and holds the block-diagonal form instead: M Ntau x Ntau blocks
+// H_m and the rotated M x Ntheta AoA factor S' with its conjugate.
+// Complex128 entries are 16 bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
 // 30 x 50 columns ~ 580 MB would be absurd; real venues run reduced grids),
 // which is exactly why a venue cache must budget on these bytes rather than
 // venue count.
@@ -330,7 +287,8 @@ func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tau
 // L x Ntau. Together with BuildAoADictionary it forms the Kronecker
 // factorization of BuildJointDictionary — entry ((l*M+m), (t*Ntheta+i)) of
 // the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which the sparse
-// solver exploits via sparse.WithKronecker on the warm serving path.
+// solver exploits via sparse.WithKronecker under the serving profile
+// (Config.Warm).
 func BuildDelayDictionary(ofdm wireless.OFDM, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(ofdm.NumSubcarriers, len(tauGrid))
 	col := make([]complex128, ofdm.NumSubcarriers)
@@ -364,10 +322,10 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
 		opts := e.cfg.SolverOptions
 		if e.cfg.Warm {
-			// Warm mode declares the joint dictionary's Kronecker structure so
-			// the solver iterates on the small delay and AoA factors (6,720
-			// instead of 173,700 complex multiply-adds per x-update and
-			// snapshot at the paper's dimensions). Appended
+			// The serving profile declares the joint dictionary's Kronecker
+			// structure so the solver iterates on the small delay and AoA
+			// factors (6,720 instead of 173,700 complex multiply-adds per
+			// x-update and snapshot at the paper's dimensions). Appended
 			// locally — never into cfg.SolverOptions, which the AoA solver
 			// shares and whose dictionary has no such factorization.
 			opts = append(opts[:len(opts):len(opts)],
@@ -405,7 +363,7 @@ func (e *Estimator) recordDictAccess(built bool) {
 // bit-identical legacy behavior. The returned stage names the fallback stage
 // the accepted result came from ("" = primary); together with the result it
 // feeds the SolveInfo that rides each LinkResult.
-func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb func() (*sparse.Solver, error), slot *warmSlot, y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
+func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb func() (*sparse.Solver, error), y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
 	// Stage-boundary cancellation: a dead context skips the solve entirely.
 	// (The solver's iteration loop itself is not interruptible; the worst
 	// post-cancel overrun is one solve.)
@@ -417,35 +375,11 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb fu
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	var res *sparse.Result
-	var err error
-	if e.cfg.Warm && slot != nil {
-		// Seed from (a clone of) the cached state for this shape and publish
-		// the updated state back for the next solve on this dictionary.
-		k := y.Cols()
-		ws := slot.take(k)
-		res, err = solver.SolveMultiWarm(y, kappa, ws)
-		if err == nil {
-			slot.put(k, ws)
-		}
-	} else {
-		res, err = solver.SolveMulti(y, kappa)
-	}
+	res, err := solver.SolveMulti(y, kappa)
 	if e.met != nil {
 		// The latency exemplar ties this solve's bucket to the request that
 		// exercised it — an empty id (untagged caller) records plainly.
 		e.met.solveSeconds.ObserveExemplar(time.Since(t0).Seconds(), obs.RequestIDFrom(ctx))
-		if err == nil {
-			if res.Warm {
-				e.met.warmEngaged.Inc()
-				if saved := solver.MaxIters() - res.Iterations; saved > 0 {
-					e.met.warmIterSaved.Add(int64(saved))
-				}
-			}
-			if res.WarmRejected {
-				e.met.warmRejected.Inc()
-			}
-		}
 	}
 	sp.End()
 	if !e.cfg.Fallback || (err == nil && res.Converged) {
@@ -601,7 +535,7 @@ func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spe
 		}
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), &e.aoaWarm, y, kappa)
+	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
 	if err != nil {
 		return nil, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -689,7 +623,7 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 		spf.End()
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), &e.jointWarm, y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), y, kappa)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}

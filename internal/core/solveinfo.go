@@ -9,17 +9,12 @@ import "roarray/internal/sparse"
 // consumer having to re-derive it from counters.
 type SolveInfo struct {
 	// Solver names the algorithm that produced the accepted result
-	// ("admm", "fista", "ista", "omp").
+	// ("admm", "fista", "omp").
 	Solver string
 	// Iterations the accepted solve performed; Converged whether it met its
 	// stopping criterion before the iteration cap.
 	Iterations int
 	Converged  bool
-	// Warm reports the accepted solve was seeded from cached warm state;
-	// WarmRejected that a seed existed but lost to the cold start's
-	// objective (a stale-cache signal distinct from a plain cache miss).
-	Warm         bool
-	WarmRejected bool
 	// Fallback is the degradation stage the accepted result came from:
 	// "" (primary solve), "fista" (converged retry), or "omp" (greedy last
 	// resort).
@@ -33,19 +28,17 @@ func solveInfoFor(res *sparse.Result, stage string) SolveInfo {
 		return SolveInfo{Fallback: stage}
 	}
 	return SolveInfo{
-		Solver:       res.Solver,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		Warm:         res.Warm,
-		WarmRejected: res.WarmRejected,
-		Fallback:     stage,
+		Solver:     res.Solver,
+		Iterations: res.Iterations,
+		Converged:  res.Converged,
+		Fallback:   stage,
 	}
 }
 
 // Merge folds another link's solve summary into this one, producing the
 // request-level roll-up the serving layer logs: Solver collapses to "mixed"
-// when links disagree, Fallback keeps the deepest stage engaged, the warm
-// flags OR together, and Iterations accumulates.
+// when links disagree, Fallback keeps the deepest stage engaged, Converged
+// ANDs together, and Iterations accumulates.
 func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
 	out := si
 	if out.Solver == "" {
@@ -55,8 +48,6 @@ func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
 	}
 	out.Iterations += other.Iterations
 	out.Converged = out.Converged && other.Converged
-	out.Warm = out.Warm || other.Warm
-	out.WarmRejected = out.WarmRejected || other.WarmRejected
 	if fallbackDepth(other.Fallback) > fallbackDepth(out.Fallback) {
 		out.Fallback = other.Fallback
 	}

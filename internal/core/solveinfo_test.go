@@ -8,10 +8,10 @@ import (
 )
 
 func TestSolveInfoMerge(t *testing.T) {
-	a := SolveInfo{Solver: "admm", Iterations: 40, Converged: true, Warm: true}
+	a := SolveInfo{Solver: "admm", Iterations: 40, Converged: true}
 	b := SolveInfo{Solver: "admm", Iterations: 60, Converged: true}
 	m := a.Merge(b)
-	if m.Solver != "admm" || m.Iterations != 100 || !m.Converged || !m.Warm {
+	if m.Solver != "admm" || m.Iterations != 100 || !m.Converged {
 		t.Fatalf("same-solver merge: %+v", m)
 	}
 
@@ -24,13 +24,13 @@ func TestSolveInfoMerge(t *testing.T) {
 		t.Fatalf("deepest fallback stage should win, got %q", m.Fallback)
 	}
 
-	d := SolveInfo{Solver: "mixed", Fallback: "fista", WarmRejected: true, Converged: true}
+	d := SolveInfo{Solver: "mixed", Fallback: "fista", Converged: false}
 	m = m.Merge(d)
 	if m.Fallback != "omp" {
 		t.Fatalf("shallower stage must not replace omp, got %q", m.Fallback)
 	}
-	if !m.WarmRejected {
-		t.Fatal("warm rejection should OR through merges")
+	if m.Converged {
+		t.Fatal("a non-converged link should AND through merges")
 	}
 
 	// Merging into a zero value adopts the other side's solver.

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
-	"roarray/internal/obs"
 	"roarray/internal/sparse"
 	"roarray/internal/spectra"
 	"roarray/internal/wireless"
@@ -25,8 +25,8 @@ func warmTestConfig(warm bool) Config {
 	}
 }
 
-// warmBurst generates a burst of packets from one channel — the consecutive
-// measurements whose solves a warm estimator chains.
+// warmBurst generates a burst of packets from one channel: consecutive
+// measurements with neighbouring solutions.
 func warmBurst(t *testing.T, seed int64, packets int) []*wireless.CSI {
 	t.Helper()
 	gen, err := wireless.NewGenerator(&wireless.ChannelConfig{
@@ -65,19 +65,16 @@ func specPeakDelta(a, b *spectra.Spectrum1D) float64 {
 	return math.Abs(argmax(a) - argmax(b))
 }
 
-// TestEstimatorWarmMatchesColdPerPacket: across a 64-packet burst, the warm
-// estimator's per-packet AoA spectra stay within solver tolerance of the
-// cold estimator's — same dominant peak, near-identical spectrum — while its
-// chained solves engage warm seeds and save iterations.
+// TestEstimatorWarmMatchesColdPerPacket: across a 64-packet burst, the
+// serving profile's per-packet AoA spectra stay within solver tolerance of
+// the default profile's — same dominant peak, near-identical spectrum —
+// although its solves end early on a stable spectrum.
 func TestEstimatorWarmMatchesColdPerPacket(t *testing.T) {
 	cold, err := NewEstimator(warmTestConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	wcfg := warmTestConfig(true)
-	wcfg.Metrics = reg
-	warm, err := NewEstimator(wcfg)
+	warm, err := NewEstimator(warmTestConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,44 +102,132 @@ func TestEstimatorWarmMatchesColdPerPacket(t *testing.T) {
 			t.Fatalf("packet %d: warm spectrum diverged %.3g relative l2 from cold", pkt, rel)
 		}
 	}
-	if got := reg.Counter("core.warmstart.engaged_total").Value(); got < 60 {
-		t.Fatalf("warm seeds engaged on %d of 63 eligible solves", got)
-	}
-	if got := reg.Counter("core.warmstart.iter_saved").Value(); got <= 0 {
-		t.Fatalf("warm chain saved %d iterations, want > 0", got)
-	}
-	t.Logf("engaged=%d iter_saved=%d earlystop=%d",
-		reg.Counter("core.warmstart.engaged_total").Value(),
-		reg.Counter("core.warmstart.iter_saved").Value(),
-		reg.Counter("sparse.solve.earlystop_total").Value())
 }
 
-// TestEstimatorWarmConcurrentHammer hammers one shared Warm estimator from
-// 16 goroutines solving distinct bursts. Run under `go test -race`: the
-// per-dictionary warm caches are the shared mutable state this gate covers —
-// take/put must stay safe while every solve still returns a usable spectrum
-// (warm results are seed-dependent, so the assertion here is peak agreement
-// with a cold reference, not bitwise equality).
+// requireSpectrum2DBits fails unless the two spectra are bitwise equal.
+func requireSpectrum2DBits(t *testing.T, what string, got, want *spectra.Spectrum2D) {
+	t.Helper()
+	if len(got.Power) != len(want.Power) {
+		t.Fatalf("%s: %d spectrum rows, want %d", what, len(got.Power), len(want.Power))
+	}
+	diff := 0
+	for i := range want.Power {
+		for j := range want.Power[i] {
+			if math.Float64bits(got.Power[i][j]) != math.Float64bits(want.Power[i][j]) {
+				diff++
+			}
+		}
+	}
+	if diff > 0 {
+		t.Fatalf("%s: %d spectrum cells differ bitwise", what, diff)
+	}
+}
+
+// requireLocalizeBits fails unless the two results carry bitwise-equal
+// positions, per-link AoAs and peaks, and the same solve and search reports.
+func requireLocalizeBits(t *testing.T, what string, got, want *LocalizeResult) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Position.X, want.Position.X) || !same(got.Position.Y, want.Position.Y) {
+		t.Fatalf("%s: position %+v, want %+v", what, got.Position, want.Position)
+	}
+	if len(got.Links) != len(want.Links) || got.Search != want.Search {
+		t.Fatalf("%s: %d links and search %+v, want %d and %+v", what, len(got.Links), got.Search, len(want.Links), want.Search)
+	}
+	for i, w := range want.Links {
+		g := got.Links[i]
+		if !same(g.AoADeg, w.AoADeg) || !same(g.Peak.ThetaDeg, w.Peak.ThetaDeg) ||
+			!same(g.Peak.Tau, w.Peak.Tau) || !same(g.Peak.Power, w.Peak.Power) || g.Solve != w.Solve {
+			t.Fatalf("%s: link %d = (%v %+v %+v), want (%v %+v %+v)", what, i, g.AoADeg, g.Peak, g.Solve, w.AoADeg, w.Peak, w.Solve)
+		}
+	}
+}
+
+// TestWarmAnswersIndependentOfHistory: under the serving profile a solve's
+// answer depends only on its own input. The same fused burst solved first,
+// again, and after unrelated bursts gives a bitwise-identical spectrum, and a
+// request's LocalizeBatch result is bitwise the same alone and at every
+// position of a batch.
+func TestWarmAnswersIndependentOfHistory(t *testing.T) {
+	cfg := engineTestEstimator(t).Config()
+	cfg.Warm = true
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := engineTestRequests(t, 4, 4, 777)
+	burst := reqs[0].Links[0].Packets
+	first, err := est.EstimateJointFused(burst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := est.EstimateJointFused(burst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSpectrum2DBits(t, "re-solve", again, first)
+	for r, req := range reqs[1:] {
+		for l, link := range req.Links {
+			if _, err := est.EstimateJointFused(link.Packets); err != nil {
+				t.Fatal(err)
+			}
+			after, err := est.EstimateJointFused(burst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSpectrum2DBits(t, fmt.Sprintf("after request %d link %d", r+1, l), after, first)
+		}
+	}
+
+	eng, err := NewEngine(est, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := eng.Localize(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := range reqs {
+		batch := append([]*LocalizeRequest(nil), reqs[1:]...)
+		batch = append(batch[:pos], append([]*LocalizeRequest{reqs[0]}, batch[pos:]...)...)
+		results, errs := eng.LocalizeBatch(batch)
+		if errs[pos] != nil {
+			t.Fatal(errs[pos])
+		}
+		requireLocalizeBits(t, fmt.Sprintf("batch position %d", pos), results[pos], solo)
+	}
+}
+
+// TestEstimatorWarmConcurrentHammer hammers one shared serving-profile
+// estimator from 16 goroutines solving distinct bursts, per packet (AoA) and
+// fused (joint, on the lazily built Kronecker solver every goroutine
+// shares). Every answer must be bitwise equal to a serial reference from a
+// separate estimator. Run under `go test -race`: the lazily built solvers are
+// the shared state this gate covers.
 func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 	const goroutines = 16
 	warm, err := NewEstimator(warmTestConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEstimator(warmTestConfig(false))
+	serial, err := NewEstimator(warmTestConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	bursts := make([][]*wireless.CSI, goroutines)
 	refs := make([][]*spectra.Spectrum1D, goroutines)
+	fusedRefs := make([]*spectra.Spectrum2D, goroutines)
 	for g := range bursts {
 		bursts[g] = warmBurst(t, int64(3000+g), 4)
 		refs[g] = make([]*spectra.Spectrum1D, len(bursts[g]))
 		for i, csi := range bursts[g] {
-			if refs[g][i], err = cold.EstimateAoA(csi); err != nil {
+			if refs[g][i], err = serial.EstimateAoA(csi); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if fusedRefs[g], err = serial.EstimateJointFused(bursts[g]); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -159,9 +244,24 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 						failures <- err.Error()
 						return
 					}
-					if d := specPeakDelta(spec, refs[g][i]); d > 6+1e-9 {
-						failures <- "concurrent warm spectrum peak drifted off the cold reference"
-						return
+					for j, p := range spec.Power {
+						if math.Float64bits(p) != math.Float64bits(refs[g][i].Power[j]) {
+							failures <- fmt.Sprintf("goroutine %d round %d packet %d: AoA spectrum differs from the serial reference", g, round, i)
+							return
+						}
+					}
+				}
+				fused, err := warm.EstimateJointFused(bursts[g])
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				for i, row := range fused.Power {
+					for j, p := range row {
+						if math.Float64bits(p) != math.Float64bits(fusedRefs[g].Power[i][j]) {
+							failures <- fmt.Sprintf("goroutine %d round %d: fused spectrum differs from the serial reference", g, round)
+							return
+						}
 					}
 				}
 			}
@@ -177,8 +277,8 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 // TestFootprintBytesFormula pins what FootprintBytes counts as resident for
 // the 3-antenna, 30-subcarrier, 31 x 8 grid of warmTestConfig: both
 // dictionaries and the AoA Cholesky factor always; then either the joint
-// dictionary's dense 90 x 90 Cholesky factor (cold) or, in warm mode, the
-// Kronecker factor pair and its conjugates (30 x 8 and 3 x 31 each) plus the
+// dictionary's dense 90 x 90 Cholesky factor (default profile) or, under the
+// serving profile, the Kronecker factor pair and its conjugates (30 x 8 and 3 x 31 each) plus the
 // factored ridge step (three 8 x 8 H_m blocks and the rotated 3 x 31 AoA
 // factor with its conjugate).
 func TestFootprintBytesFormula(t *testing.T) {

@@ -29,8 +29,8 @@ type BatchBenchResult struct {
 	Speedup         float64 `json:"speedup"`
 	MedianErrM      float64 `json:"medianErrM"`
 	Identical       bool    `json:"identical"`
-	// Warm-leg fields, present when Options.Warm added the warm-started
-	// serving leg: its per-request latency, its speedup over the cold
+	// Warm-leg fields, present when Options.Warm added the serving-profile
+	// leg: its per-request latency, its speedup over the cold
 	// parallel leg, and the cold parallel median error for comparison
 	// against MedianErrM (which then reports the warm leg).
 	Warm           bool    `json:"warm,omitempty"`
@@ -76,9 +76,10 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		}
 	}
 	// The cold legs carry the serial-vs-parallel bitwise-identity contract,
-	// so they always run cold. With the warm leg enabled, the cold legs
-	// record into nothing and opt.Metrics captures the warm serving path —
-	// the committed BENCH snapshot then reflects what a warm server does.
+	// so they always run the default profile. With the warm leg enabled, the
+	// cold legs record into nothing and opt.Metrics captures the serving
+	// profile — the committed BENCH snapshot then reflects what a server
+	// running it does.
 	coldOpt := opt
 	coldOpt.Warm = false
 	coldCfg := coldOpt.estimatorConfig()
@@ -128,8 +129,8 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		return err
 	}
 
-	// Warm leg: a fresh estimator with warm-started solvers, measuring the
-	// serving path the roadmap cares about. Its positions are recorded as
+	// Warm leg: a fresh estimator with the serving solve profile, measuring
+	// the serving path. Its positions are recorded as
 	// the run's trials (so the -compare gate checks the warm medians against
 	// the committed baseline), while the cold legs keep the bitwise
 	// serial==parallel contract below.
@@ -210,7 +211,7 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		res.WarmNsPerOp = warmT.Nanoseconds() / int64(len(reqs))
 		res.WarmSpeedup = float64(parallelT) / math.Max(float64(warmT), 1)
 		res.ColdMedianErrM = coldCDF.Median()
-		// Warm solves may end at slightly different iterates, but the
+		// Serving-profile solves end at slightly different iterates, but the
 		// localization medians must stay put; a drift past the gate's own
 		// tolerance is a correctness bug, not a tuning matter.
 		if d := math.Abs(res.MedianErrM - res.ColdMedianErrM); d > math.Max(0.1, 0.25*res.ColdMedianErrM) {

@@ -40,12 +40,11 @@ type Options struct {
 	// SolverIters caps the ADMM iterations per solve (default 150 — the
 	// support stabilizes long before full convergence).
 	SolverIters int
-	// Warm enables warm-started solvers (core.Config.Warm): chained solves
-	// seed from the previous solution of the same shape and early-stop once
-	// the spectrum stabilizes. Off by default — warm solves end at slightly
-	// different iterates, so the bit-reproducible figure pipeline and the
-	// cold bench legs leave it cold; RunBatchBench's warm leg and the
-	// serving path turn it on.
+	// Warm selects the serving solve profile (core.Config.Warm): Kronecker
+	// joint solves that end early once the spectrum stabilizes. Off by
+	// default — those solves end at slightly different iterates, so the
+	// bit-reproducible figure pipeline and the cold bench legs leave it off;
+	// RunBatchBench's warm leg and the serving path turn it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
 	// the zero value selects the branch-and-bound strategy, bit-identical

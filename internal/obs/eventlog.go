@@ -62,13 +62,9 @@ type RequestEvent struct {
 	// Solver is the algorithm that produced the final accepted solve of the
 	// request's links ("admm", "fista", "omp"; "mixed" when links differ).
 	// FallbackStage is the deepest degradation stage any link engaged
-	// ("" = primary, "fista", "omp"). Warm* report warm-start behavior:
-	// engaged (a cached seed was used) or rejected (a seed existed but lost
-	// to the cold start's objective).
+	// ("" = primary, "fista", "omp").
 	Solver        string `json:"solver,omitempty"`
 	FallbackStage string `json:"fallback,omitempty"`
-	WarmEngaged   bool   `json:"warm,omitempty"`
-	WarmRejected  bool   `json:"warmRejected,omitempty"`
 
 	// SanitizeConfidence is the lowest per-link admission confidence
 	// (1 = every burst clean; the sanitizer's floor is 0.05).

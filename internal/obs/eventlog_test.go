@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -86,7 +87,7 @@ func TestEventLogRoundTrip(t *testing.T) {
 		ID: "abc", Outcome: "ok", Status: 200,
 		TotalMillis: 12.5, BatchID: 3, BatchSize: 2,
 		SearchMode: "coarse", CellsEvaluated: 512,
-		Solver: "admm", WarmEngaged: true,
+		Solver: "admm", FallbackStage: "fista",
 		SanitizeConfidence: 0.6,
 		Est:                []float64{1.25, -3.5},
 	}
@@ -109,9 +110,31 @@ func TestEventLogRoundTrip(t *testing.T) {
 	g := got[0]
 	if g.Schema != RequestEventSchema || g.ID != "abc" || g.Outcome != "ok" ||
 		g.SearchMode != "coarse" || g.CellsEvaluated != 512 || g.Solver != "admm" ||
-		!g.WarmEngaged || g.SanitizeConfidence != 0.6 ||
+		g.FallbackStage != "fista" || g.SanitizeConfidence != 0.6 ||
 		len(g.Est) != 2 || g.Est[0] != 1.25 || g.Est[1] != -3.5 {
 		t.Fatalf("round trip mangled the event:\n got %+v\nwant %+v", g, ev)
+	}
+}
+
+// TestDecodeRequestEventWarmFields: event lines written before the warm-start
+// fields were dropped from RequestEvent still carry "warm" and
+// "warmRejected". They must keep decoding, with every other field intact.
+func TestDecodeRequestEventWarmFields(t *testing.T) {
+	line := `{"schema":1,"id":"old-1","tNs":1700000000000000000,"outcome":"ok","status":200,` +
+		`"queueMs":1.5,"totalMs":9.25,"batchId":7,"batchSize":3,"searchMode":"bnb","cells":96,` +
+		`"solver":"admm","fallback":"fista","warm":true,"warmRejected":true,"sanitizeConf":0.4,"est":[7.5,4.5]}`
+	ev, err := DecodeRequestEvent([]byte(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RequestEvent{
+		Schema: 1, ID: "old-1", TimeUnixNs: 1700000000000000000, Outcome: "ok", Status: 200,
+		QueueMillis: 1.5, TotalMillis: 9.25, BatchID: 7, BatchSize: 3,
+		SearchMode: "bnb", CellsEvaluated: 96, Solver: "admm", FallbackStage: "fista",
+		SanitizeConfidence: 0.4, Est: []float64{7.5, 4.5},
+	}
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("old-format line decoded as\n %+v\nwant\n %+v", ev, want)
 	}
 }
 

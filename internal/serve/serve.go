@@ -721,8 +721,6 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	}
 	ev.Solver = solve.Solver
 	ev.FallbackStage = solve.Fallback
-	ev.WarmEngaged = solve.Warm
-	ev.WarmRejected = solve.WarmRejected
 	s.event(ev)
 }
 

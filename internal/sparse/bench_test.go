@@ -57,24 +57,6 @@ func BenchmarkADMMCold(b *testing.B) {
 	}
 }
 
-// BenchmarkADMMWarm measures the same solve warm-started from its own
-// previous solution with the spectrum-stability stop armed — the steady
-// state of a chained serving workload.
-func BenchmarkADMMWarm(b *testing.B) {
-	a, y := benchProblem(90, 920, 2)
-	s := benchSolver(b, a, WithMaxIters(150), WithSpectrumStop(1e-4, 3))
-	ws := &WarmState{}
-	if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
-		b.Fatal(err) // prime the warm state outside the timed region
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchKronProblem builds a joint-dictionary-shaped problem from explicit
 // Kronecker factors — an ll x tt delay factor and an mm x cc AoA factor of
 // unit-modulus phase ramps — plus the dense product they tile and a k-column
@@ -109,7 +91,7 @@ func benchKronProblem(ll, tt, mm, cc, k int) (g, s, dense, y *cmat.Matrix) {
 
 // BenchmarkADMMKron is BenchmarkADMMCold with the dictionary's Kronecker
 // structure declared (30 x 20 delay factor, 3 x 46 AoA factor — the paper's
-// dimensions) — the per-iteration configuration of the warm serving path.
+// dimensions) — the per-iteration configuration of the serving profile.
 func BenchmarkADMMKron(b *testing.B) {
 	g, s, dense, y := benchKronProblem(30, 20, 3, 46, 2)
 	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
@@ -136,7 +118,7 @@ func BenchmarkADMMKronK1(b *testing.B) {
 
 // BenchmarkADMMKronSmoke measures the solve the serving workloads run: the
 // "smoke" preset's joint dictionary (8 subcarriers x 8 delays, 3 antennas x
-// 19 angles), one fused snapshot, a 60-iteration cap and the warm path's
+// 19 angles), one fused snapshot, a 60-iteration cap and the serving profile's
 // spectrum stop, with kappa at the estimator's default 0.25 of
 // max_i ||(AᴴY)_i||.
 func BenchmarkADMMKronSmoke(b *testing.B) {
@@ -167,29 +149,14 @@ func BenchmarkKronWoodbury(b *testing.B) {
 	}
 }
 
-// BenchmarkFISTACold / BenchmarkFISTAWarm mirror the ADMM pair for the
-// proximal-gradient path used by the solver ablation.
+// BenchmarkFISTACold mirrors BenchmarkADMMCold for the proximal-gradient
+// path used by the solver ablation.
 func BenchmarkFISTACold(b *testing.B) {
 	a, y := benchProblem(90, 920, 2)
 	s := benchSolver(b, a, WithMethod(MethodFISTA), WithMaxIters(150))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SolveMulti(y, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFISTAWarm(b *testing.B) {
-	a, y := benchProblem(90, 920, 2)
-	s := benchSolver(b, a, WithMethod(MethodFISTA), WithMaxIters(150), WithSpectrumStop(1e-4, 3))
-	ws := &WarmState{}
-	if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveMultiWarm(y, 0.1, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

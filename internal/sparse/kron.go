@@ -22,10 +22,10 @@ import (
 // contractions with S' four outputs at a time, so one load of a factor entry
 // feeds four independent accumulators; on a 2-CPU Intel Xeon (Go 1.24) that
 // took BenchmarkKronWoodbury from a median 3.7 to 3.0 µs per column at the
-// serving shape. The factored results are
-// numerically equivalent but not bit-identical to the dense kernels (the
-// products associate differently), which is why the structure is opt-in
-// (WithKronecker) and engaged only on the warm serving path, never under the
+// serving shape. The factored results are numerically equivalent but not
+// bit-identical to the dense kernels (the products associate differently),
+// which is why the structure is opt-in (WithKronecker) and engaged only by
+// core's serving solve profile (core.Config.Warm), never under the
 // bit-reproducible figure pipeline.
 type kronOps struct {
 	ll, tt int // row factor shape (L x T)

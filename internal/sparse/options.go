@@ -1,7 +1,7 @@
 // Package sparse implements the sparse-recovery machinery that ROArray uses
 // in place of a generic SOCP solver: complex-valued LASSO solved by ADMM
-// (with the m << n Woodbury factorization trick), FISTA/ISTA proximal
-// gradient methods, orthogonal matching pursuit, and the group-sparse
+// (with the m << n Woodbury factorization trick), the FISTA proximal
+// gradient method, orthogonal matching pursuit, and the group-sparse
 // (l2,1-norm) variants required by l1-SVD multi-snapshot fusion.
 //
 // All solvers minimize the paper's Eq. 11/18 objective
@@ -29,7 +29,6 @@ type Method int
 const (
 	MethodADMM Method = iota + 1
 	MethodFISTA
-	MethodISTA
 )
 
 // String implements fmt.Stringer.
@@ -39,8 +38,6 @@ func (m Method) String() string {
 		return "admm"
 	case MethodFISTA:
 		return "fista"
-	case MethodISTA:
-		return "ista"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -106,11 +103,11 @@ func WithIterationHook(h IterationHook) Option { return func(o *options) { o.hoo
 // WithSpectrumStop enables spectrum-stability early stopping: iteration ends
 // as soon as the per-atom magnitude spectrum (the row l2 norms downstream
 // peak detection consumes) changes by at most a relative l2 factor of tol
-// for patience consecutive iterations. The full primal/dual residual
+// for patience consecutive iterations, provided the residuals are within a
+// fixed slack factor of the full criterion. The full primal/dual residual
 // criterion keeps far iterating after the support and peak structure have
 // frozen, so on spectrum-driven pipelines this ends solves in a fraction of
-// the cap — and it is what lets a warm-started solve (SolveMultiWarm) finish
-// almost immediately when its seed is already near the solution. Disabled by
+// the cap; core's serving profile (core.Config.Warm) turns it on. Disabled by
 // default (tol or patience <= 0), which preserves the legacy bit-exact
 // iteration path. A stop through this rule reports Converged with
 // Result.EarlyStopped set.
@@ -129,9 +126,11 @@ func WithSpectrumStop(tol float64, patience int) Option {
 // without ever forming the dense (L*M)² factorization (6,720 instead of
 // 173,700 complex multiply-adds per x-update and snapshot at the paper's
 // 90 x 920). NewSolver verifies the factorization against the dense
-// dictionary and fails construction on mismatch. The factored products are numerically equivalent but not
-// bit-identical to the dense kernels (sums associate differently), so this is
-// opt-in and the figure/golden pipeline never enables it.
+// dictionary and fails construction on mismatch. The factored products are
+// numerically equivalent but not bit-identical to the dense kernels (sums
+// associate differently), so this is opt-in: core's serving solve profile
+// (core.Config.Warm) declares it for the joint dictionary, and the
+// figure/golden pipeline never enables it.
 func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
 	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
 }
@@ -146,8 +145,8 @@ func WithMetrics(reg *obs.Registry) Option { return func(o *options) { o.metrics
 
 // Result reports the outcome of a sparse solve.
 type Result struct {
-	// Solver names the algorithm that produced this result ("admm",
-	// "fista", "ista"), so telemetry consumers don't have to thread the
+	// Solver names the algorithm that produced this result ("admm" or
+	// "fista"), so telemetry consumers don't have to thread the
 	// configured Method alongside every result.
 	Solver string
 	// X holds the recovered coefficients, one column per snapshot
@@ -165,13 +164,6 @@ type Result struct {
 	// spectrum-stability rule of WithSpectrumStop rather than the full
 	// residual criterion (Converged is also set in that case).
 	EarlyStopped bool
-	// Warm reports that the solve was seeded from a compatible WarmState.
-	Warm bool
-	// WarmRejected reports that a compatible seed existed but scored worse
-	// than the cold start at zero, so the solve ran cold. Distinguishing
-	// "no seed" from "seed rejected" matters when diagnosing warm-start hit
-	// rates: the former is a cache miss, the latter a stale cache entry.
-	WarmRejected bool
 	// Objective is the final value of 1/2||AX-Y||_F^2 + kappa*sum row norms.
 	Objective float64
 }

@@ -11,16 +11,16 @@ import (
 // Solver solves (group-)LASSO problems against a fixed dictionary A. The
 // expensive per-dictionary work (the Woodbury factorization for ADMM — dense,
 // or block-diagonal over the Kronecker factors — and the Lipschitz constant
-// for FISTA/ISTA) is done once at construction and reused
-// across measurement vectors, which is how ROArray amortizes cost across
-// packets that share a steering dictionary.
+// for FISTA) is done once at construction and reused across measurement
+// vectors, which is how ROArray amortizes cost across packets that share a
+// steering dictionary.
 type Solver struct {
 	a    *cmat.Matrix
 	opts options
 	tele *solverTelemetry // nil when no metrics registry is configured
 
 	chol *cmat.Cholesky // dense ADMM: factor of (rho I + A Aᴴ), size m x m
-	lip  float64        // FISTA/ISTA: ||A||_2^2
+	lip  float64        // FISTA: ||A||_2^2
 	kron *kronOps       // non-nil when WithKronecker declared factor structure
 }
 
@@ -30,8 +30,6 @@ type solverTelemetry struct {
 	solves       *obs.Counter
 	nonconverged *obs.Counter
 	earlyStops   *obs.Counter
-	warmSolves   *obs.Counter
-	warmRejected *obs.Counter
 	iterations   *obs.Histogram
 }
 
@@ -43,8 +41,6 @@ func newSolverTelemetry(reg *obs.Registry) *solverTelemetry {
 		solves:       reg.Counter("sparse.solve.total"),
 		nonconverged: reg.Counter("sparse.solve.nonconverged_total"),
 		earlyStops:   reg.Counter("sparse.solve.earlystop_total"),
-		warmSolves:   reg.Counter("sparse.solve.warm_total"),
-		warmRejected: reg.Counter("sparse.solve.warm_rejected_total"),
 		iterations:   reg.Histogram("sparse.solve.iterations", 5, 10, 25, 50, 100, 200, 400, 800),
 	}
 }
@@ -62,12 +58,6 @@ func (t *solverTelemetry) record(res *Result) {
 	}
 	if res.EarlyStopped {
 		t.earlyStops.Inc()
-	}
-	if res.Warm {
-		t.warmSolves.Inc()
-	}
-	if res.WarmRejected {
-		t.warmRejected.Inc()
 	}
 }
 
@@ -133,7 +123,7 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 			return nil, fmt.Errorf("sparse: factor ADMM system: %w", err)
 		}
 		s.chol = chol
-	case MethodFISTA, MethodISTA:
+	case MethodFISTA:
 		sigma := cmat.PowerIterationLargestSingular(a, 60)
 		if sigma == 0 {
 			return nil, fmt.Errorf("sparse: dictionary has zero norm")
@@ -163,10 +153,6 @@ func (s *Solver) DictMulH(y *cmat.Matrix) *cmat.Matrix {
 	}
 	return cmat.MulH(s.a, y)
 }
-
-// MaxIters returns the configured iteration cap, the reference point for
-// iterations-saved accounting on warm-started solves.
-func (s *Solver) MaxIters() int { return s.opts.maxIters }
 
 // Solve recovers a sparse coefficient vector for a single measurement y,
 // minimizing 1/2||Ax-y||^2 + kappa||x||_1.
@@ -213,12 +199,10 @@ func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
 	if err := s.checkProblem(y, kappa); err != nil {
 		return nil, err
 	}
-	switch s.opts.method {
-	case MethodADMM:
+	if s.opts.method == MethodADMM {
 		return s.solveADMM(y, kappa)
-	default:
-		return s.solveProximal(y, kappa, nil)
 	}
+	return s.solveFISTA(y, kappa)
 }
 
 func rowMagsInto(x *cmat.Matrix, dst []float64) {
@@ -233,30 +217,30 @@ func rowMagsInto(x *cmat.Matrix, dst []float64) {
 	}
 }
 
-// objective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i ||X_i||_2.
-func (s *Solver) objective(x, y *cmat.Matrix, kappa float64) float64 {
-	r := cmat.Sub(cmat.Mul(s.a, x), y)
-	fit := r.FrobNorm()
+// objective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i ||X_i||_2, forming AX in
+// the caller's m x k scratch ax through the Kronecker factors when the solver
+// has them.
+func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, ax *cmat.Matrix, kscratch []complex128) float64 {
+	var fit float64
+	if s.kron != nil {
+		s.kron.mulInto(x, ax, kscratch)
+		fit = subFrobNorm(ax, y)
+	} else {
+		fit = cmat.Sub(cmat.Mul(s.a, x), y).FrobNorm()
+	}
 	var l1 float64
 	for i := 0; i < x.Rows(); i++ {
-		l1 += rowNorm(x.Row(i))
+		l1 += rowNorm(x.RowView(i))
 	}
 	return 0.5*fit*fit + kappa*l1
 }
 
-func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
-	// Plain LASSO is the weighted problem with uniform unit weights; the
-	// full ADMM loop lives in solveADMMWeighted (reweighted.go).
-	return s.solveADMMWeighted(y, kappa, nil, nil)
-}
-
-func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*Result, error) {
+func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
 	k := y.Cols()
 	step := 1 / s.lip
 	t := kappa * step
-	accelerated := s.opts.method == MethodFISTA
 
 	// All iteration scratch is allocated here, never inside the loop, and
 	// never stored on the Solver (Solvers are shared across goroutines).
@@ -271,25 +255,6 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 	var kscratch []complex128
 	if s.kron != nil {
 		kscratch = make([]complex128, s.kron.scratchLen(1)) // matvecs only
-	}
-
-	// Warm start: resume from the previous primal iterate with the momentum
-	// reset (restarting theta keeps FISTA's extrapolation stable from an
-	// arbitrary seed). The seed is accepted only if it scores a lower
-	// objective than the cold start at zero — a seed from an unrelated
-	// measurement (a different location, a reshuffled batch) fails that test
-	// and the solve runs cold rather than spending iterations escaping it.
-	warm := ws.seedable(s.opts.method, n, k)
-	warmRejected := false
-	if warm {
-		copyInto(x, ws.primary)
-		yn := y.FrobNorm()
-		if s.seedObjective(x, y, kappa, nil, aw, kscratch) >= 0.5*yn*yn {
-			zeroMat(x)
-			warm = false
-			warmRejected = true
-		}
-		copyInto(w, x)
 	}
 	stop := newSpecStop(s.opts, n)
 
@@ -319,16 +284,12 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 			GroupSoftThreshold(xd[i*k:(i+1)*k], rowBuf, t)
 		}
 
-		if accelerated {
-			thetaNext := (1 + math.Sqrt(1+4*theta*theta)) / 2
-			beta := complex((theta-1)/thetaNext, 0)
-			for idx := range wd {
-				wd[idx] = xd[idx] + beta*(xd[idx]-pd[idx])
-			}
-			theta = thetaNext
-		} else {
-			copyInto(w, x)
+		thetaNext := (1 + math.Sqrt(1+4*theta*theta)) / 2
+		beta := complex((theta-1)/thetaNext, 0)
+		for idx := range wd {
+			wd[idx] = xd[idx] + beta*(xd[idx]-pd[idx])
 		}
+		theta = thetaNext
 
 		// The spectrum stop folds in this iterate's magnitudes before the
 		// hook sees the shared buffer.
@@ -355,14 +316,7 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 		}
 	}
 
-	ws.store(s.opts.method, n, k, x, nil)
 	rowMagsInto(x, mags)
-	obj := 0.0
-	if s.kron != nil {
-		obj = s.seedObjective(x, y, kappa, nil, aw, kscratch)
-	} else {
-		obj = s.objective(x, y, kappa)
-	}
 	res := &Result{
 		Solver:       s.opts.method.String(),
 		X:            matToColumns(x),
@@ -370,45 +324,10 @@ func (s *Solver) solveProximal(y *cmat.Matrix, kappa float64, ws *WarmState) (*R
 		Iterations:   iters,
 		Converged:    converged,
 		EarlyStopped: early,
-		Warm:         warm,
-		WarmRejected: warmRejected,
-		Objective:    obj,
+		Objective:    s.objective(x, y, kappa, aw, kscratch),
 	}
 	s.tele.record(res)
 	return res, nil
-}
-
-// seedObjective evaluates 1/2||AX-Y||_F^2 + kappa*sum_i w_i||X_i||_2 using
-// the caller's m x k scratch (and the Kronecker factors when available). It
-// backs the warm-seed acceptance test: a seed is only worth keeping if it
-// beats the zero cold start's objective 1/2||Y||_F^2.
-func (s *Solver) seedObjective(x, y *cmat.Matrix, kappa float64, weights []float64, ax *cmat.Matrix, kscratch []complex128) float64 {
-	if s.kron != nil {
-		s.kron.mulInto(x, ax, kscratch)
-	} else {
-		mulBatchInto(s.a, x, ax)
-	}
-	fit := subFrobNorm(ax, y)
-	var l1 float64
-	for i := 0; i < x.Rows(); i++ {
-		wt := 1.0
-		if weights != nil {
-			wt = weights[i]
-		}
-		l1 += wt * rowNorm(x.RowView(i))
-	}
-	return 0.5*fit*fit + kappa*l1
-}
-
-func copyInto(dst, src *cmat.Matrix) {
-	copy(dst.Data(), src.Data())
-}
-
-func zeroMat(m *cmat.Matrix) {
-	d := m.Data()
-	for i := range d {
-		d[i] = 0
-	}
 }
 
 func matToColumns(x *cmat.Matrix) [][]complex128 {

@@ -153,22 +153,6 @@ func TestFISTARecoversSupport(t *testing.T) {
 	}
 }
 
-func TestISTARecoversSupport(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	a, _, y, support := makeSparseProblem(rng, 30, 90, 3, 0.005)
-	s, err := NewSolver(a, WithMethod(MethodISTA), WithMaxIters(8000), WithTolerance(1e-10, 1e-9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve(y, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := topIndices(res.RowMags, 3); !sameInts(got, support) {
-		t.Fatalf("ISTA support %v, want %v", got, support)
-	}
-}
-
 // ADMM and FISTA minimize the same convex objective, so their optima must
 // agree closely.
 func TestADMMAndFISTAAgree(t *testing.T) {
@@ -370,7 +354,7 @@ func TestSolverValidation(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if MethodADMM.String() != "admm" || MethodFISTA.String() != "fista" || MethodISTA.String() != "ista" {
+	if MethodADMM.String() != "admm" || MethodFISTA.String() != "fista" {
 		t.Fatal("method names wrong")
 	}
 	if Method(42).String() == "" {
@@ -481,19 +465,6 @@ func TestSolverRejectsNonFinite(t *testing.T) {
 			if _, err := s.SolveMulti(ym, in.kappa); err == nil {
 				t.Errorf("%v: SolveMulti accepted %s", method, in.name)
 			}
-			ws := &WarmState{}
-			if _, err := s.SolveMultiWarm(ym, in.kappa, ws); err == nil {
-				t.Errorf("%v: SolveMultiWarm accepted %s", method, in.name)
-			}
-			if ws.Valid() {
-				t.Errorf("%v: rejected %s still stored a warm state", method, in.name)
-			}
-			if method != MethodADMM {
-				continue
-			}
-			if _, err := s.SolveWeighted(in.y, in.kappa, nil); err == nil {
-				t.Errorf("%v: SolveWeighted accepted %s", method, in.name)
-			}
 		}
 	}
 }
@@ -529,13 +500,6 @@ func TestSolverRejectsBadShape(t *testing.T) {
 			for _, tc := range shapes {
 				if _, err := sv.SolveMulti(tc.y, 0.1); !errors.Is(err, ErrDimensionMismatch) {
 					t.Errorf("%v kron=%v %s: SolveMulti error %v, want ErrDimensionMismatch", method, kron, tc.name, err)
-				}
-				ws := &WarmState{}
-				if _, err := sv.SolveMultiWarm(tc.y, 0.1, ws); !errors.Is(err, ErrDimensionMismatch) {
-					t.Errorf("%v kron=%v %s: SolveMultiWarm error %v, want ErrDimensionMismatch", method, kron, tc.name, err)
-				}
-				if ws.Valid() {
-					t.Errorf("%v kron=%v %s: rejected block stored a warm state", method, kron, tc.name)
 				}
 			}
 		}

@@ -1,0 +1,132 @@
+package sparse
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"roarray/internal/cmat"
+)
+
+// burstMeasurements builds a burst of slowly varying measurements:
+// the k-sparse ground truth drifts a little per packet (phases rotate,
+// magnitudes wobble) the way consecutive packets of one transmission do, so
+// neighboring solves have neighboring solutions.
+func burstMeasurements(rng *rand.Rand, a *cmat.Matrix, xTrue []complex128, packets int, noise float64) []*cmat.Matrix {
+	m := a.Rows()
+	x := append([]complex128(nil), xTrue...)
+	out := make([]*cmat.Matrix, packets)
+	for t := 0; t < packets; t++ {
+		for j := range x {
+			if x[j] == 0 {
+				continue
+			}
+			dm := 1 + 0.01*rng.NormFloat64()
+			dp := 0.02 * rng.NormFloat64()
+			rot := complex(math.Cos(dp), math.Sin(dp))
+			x[j] *= complex(dm, 0) * rot
+		}
+		y := a.MulVec(x)
+		for i := 0; i < m; i++ {
+			y[i] += complex(rng.NormFloat64(), rng.NormFloat64()) * complex(noise, 0)
+		}
+		ym := cmat.New(m, 1)
+		ym.SetCol(0, y)
+		out[t] = ym
+	}
+	return out
+}
+
+// specDist returns the relative l2 distance between two magnitude spectra.
+func specDist(a, b []float64) float64 {
+	var dn, n2 float64
+	for i := range a {
+		d := a[i] - b[i]
+		dn += d * d
+		n2 += b[i] * b[i]
+	}
+	return math.Sqrt(dn / math.Max(n2, 1e-24))
+}
+
+// TestSpectrumStopMatchesFullSolveBurst: across a 64-packet burst, ADMM and
+// FISTA with the spectrum stop enabled end each solve at a spectrum within
+// solver tolerance of the full residual criterion's, and spend strictly
+// fewer total iterations doing so.
+func TestSpectrumStopMatchesFullSolveBurst(t *testing.T) {
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		t.Run(method.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			a, xTrue, _, _ := makeSparseProblem(rng, 24, 96, 3, 0)
+			burst := burstMeasurements(rng, a, xTrue, 64, 0.005)
+
+			full, err := NewSolver(a, WithMethod(method), WithMaxIters(400))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopped, err := NewSolver(a, WithMethod(method), WithMaxIters(400), WithSpectrumStop(1e-4, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			kappa := 0.05
+			fullIters, stopIters := 0, 0
+			for pkt, y := range burst {
+				fr, err := full.SolveMulti(y, kappa)
+				if err != nil {
+					t.Fatalf("packet %d full: %v", pkt, err)
+				}
+				sr, err := stopped.SolveMulti(y, kappa)
+				if err != nil {
+					t.Fatalf("packet %d stopped: %v", pkt, err)
+				}
+				if d := specDist(sr.RowMags, fr.RowMags); d > 5e-3 {
+					t.Fatalf("packet %d: spectrum-stop spectrum diverged from the full solve by %.3g relative l2", pkt, d)
+				}
+				fullIters += fr.Iterations
+				stopIters += sr.Iterations
+			}
+			if stopIters >= fullIters {
+				t.Fatalf("spectrum stop spent %d iterations, full solve %d — the stop saved nothing", stopIters, fullIters)
+			}
+			t.Logf("%s: full %d iters, spectrum stop %d iters (%.1fx)", method, fullIters, stopIters, float64(fullIters)/float64(stopIters))
+		})
+	}
+}
+
+// TestSpectrumStopDisabledBitIdentical: a spectrum stop disabled through a
+// non-positive tolerance or patience is bit-identical to the default solver,
+// preserving the legacy numerics golden tests pin, and never early-stops.
+func TestSpectrumStopDisabledBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
+		a, _, y, _ := makeSparseProblem(rng, 16, 48, 2, 0.01)
+		ym := cmat.New(len(y), 1)
+		ym.SetCol(0, y)
+		var ref *Result
+		for _, stop := range [][]Option{nil, {WithSpectrumStop(0, 3)}, {WithSpectrumStop(1e-4, 0)}} {
+			s, err := NewSolver(a, append([]Option{WithMethod(method), WithMaxIters(150)}, stop...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.SolveMulti(ym, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.EarlyStopped {
+				t.Fatalf("%v: early stop engaged while disabled", method)
+			}
+			if ref == nil {
+				ref = r
+				continue
+			}
+			if r.Iterations != ref.Iterations || r.Objective != ref.Objective {
+				t.Fatalf("%v: disabled spectrum stop diverged from the default solver", method)
+			}
+			for i := range ref.X[0] {
+				if r.X[0][i] != ref.X[0][i] {
+					t.Fatalf("%v: coefficient %d differs", method, i)
+				}
+			}
+		}
+	}
+}

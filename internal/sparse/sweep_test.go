@@ -13,11 +13,11 @@ import (
 // admmMultiPass is the ADMM loop written as one pass per step: form v, ridge
 // step, x, copy z, shrink, dual update, then separate passes for the hook's
 // magnitudes, each residual norm and the spectrum stop. It is the reference
-// the fused sweep of solveADMMWeighted must reproduce bit for bit. ridge
-// computes atw = Aᴴ(rho I + AAᴴ)⁻¹A v: the dense Cholesky route, or the
-// per-column Kronecker kernel (see referenceRidge); the matvecs outside the
-// loop follow the solver's path.
-func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, weights []float64, ws *WarmState, ridge func(v, atw *cmat.Matrix)) *Result {
+// the fused sweep of solveADMM must reproduce bit for bit. ridge computes
+// atw = Aᴴ(rho I + AAᴴ)⁻¹A v: the dense Cholesky route, or the per-column
+// Kronecker kernel (see referenceRidge); the matvecs outside the loop follow
+// the solver's path.
+func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *cmat.Matrix)) *Result {
 	n, m, k := s.a.Cols(), s.a.Rows(), y.Cols()
 	rho := s.opts.rho
 	x, z, u, zOld, v := cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k)
@@ -31,24 +31,6 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, weights []float64, 
 		s.kron.mulHInto(y, aty, kscratch)
 	} else {
 		mulHInto(s.a, y, aty)
-	}
-	weightAt := func(i int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
-	warm := ws.seedable(MethodADMM, n, k)
-	warmRejected := false
-	if warm {
-		copyInto(z, ws.primary)
-		copyInto(u, ws.dual)
-		yn := y.FrobNorm()
-		if s.seedObjective(z, y, kappa, weights, av, kscratch) >= 0.5*yn*yn {
-			zeroMat(z)
-			zeroMat(u)
-			warm, warmRejected = false, true
-		}
 	}
 	stop := newMultiPassSpecStop(s.opts, n)
 
@@ -71,7 +53,7 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, weights []float64, 
 			for j := range rowBuf {
 				rowBuf[j] = xrow[j] + urow[j]
 			}
-			GroupSoftThreshold(zd[i*k:(i+1)*k], rowBuf, kappa*weightAt(i)/rho)
+			GroupSoftThreshold(zd[i*k:(i+1)*k], rowBuf, kappa/rho)
 		}
 		for idx := range ud {
 			ud[idx] = ud[idx] + xd[idx] - zd[idx]
@@ -94,11 +76,10 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, weights []float64, 
 			break
 		}
 	}
-	ws.store(MethodADMM, n, k, z, u)
 	rowMagsInto(z, mags)
 	var l1 float64
 	for i := 0; i < n; i++ {
-		l1 += weightAt(i) * rowNorm(z.RowView(i))
+		l1 += rowNorm(z.RowView(i))
 	}
 	var fit float64
 	if s.kron != nil {
@@ -110,7 +91,7 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, weights []float64, 
 	return &Result{
 		Solver: s.opts.method.String(), X: matToColumns(z), RowMags: mags,
 		Iterations: iters, Converged: converged, EarlyStopped: early,
-		Warm: warm, WarmRejected: warmRejected, Objective: 0.5*fit*fit + kappa*l1,
+		Objective: 0.5*fit*fit + kappa*l1,
 	}
 }
 
@@ -243,10 +224,10 @@ func requireComplexBits(t *testing.T, what string, got, want complex128) {
 func requireResultBits(t *testing.T, got, want *Result) {
 	t.Helper()
 	if got.Iterations != want.Iterations || got.Converged != want.Converged || got.EarlyStopped != want.EarlyStopped ||
-		got.Warm != want.Warm || got.WarmRejected != want.WarmRejected || got.Solver != want.Solver {
-		t.Fatalf("status (iters %d conv %v early %v warm %v rejected %v %s), want (%d %v %v %v %v %s)",
-			got.Iterations, got.Converged, got.EarlyStopped, got.Warm, got.WarmRejected, got.Solver,
-			want.Iterations, want.Converged, want.EarlyStopped, want.Warm, want.WarmRejected, want.Solver)
+		got.Solver != want.Solver {
+		t.Fatalf("status (iters %d conv %v early %v %s), want (%d %v %v %s)",
+			got.Iterations, got.Converged, got.EarlyStopped, got.Solver,
+			want.Iterations, want.Converged, want.EarlyStopped, want.Solver)
 	}
 	requireFloatBits(t, "Objective", got.Objective, want.Objective)
 	for i := range want.RowMags {
@@ -260,20 +241,27 @@ func requireResultBits(t *testing.T, got, want *Result) {
 }
 
 // TestADMMSweepMatchesMultiPass pins the fused ADMM sweep to the multi-pass
-// loop bit for bit on the dense path: k = 1..3 snapshots, uniform and
-// per-atom weights, spectrum stop on and off, a tolerance tight enough to
-// converge, warm chains with accepted and rejected seeds, and an iteration
-// hook that must see identical magnitudes on every iteration.
+// loop bit for bit on the dense path: k = 1..3 snapshots, the plain and a
+// weighted problem, spectrum stop on and off, a tolerance tight enough to
+// converge, and an iteration hook that must see identical magnitudes on
+// every iteration.
 func TestADMMSweepMatchesMultiPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	a, xTrue, _, _ := makeSparseProblem(rng, 12, 40, 3, 0)
-	requireSweepMatchesMultiPass(t, rng, a, xTrue)
+	weights := make([]float64, a.Cols())
+	for i := range weights {
+		weights[i] = 0.5 + rng.Float64()
+	}
+	requireSweepMatchesMultiPass(t, rng, a, xTrue,
+		sweepArm{a: a}, sweepArm{a: scaleCols(a, weights)})
 }
 
 // TestADMMSweepMatchesMultiPassKron is the same check on the Kronecker path,
 // where the solver's ridge step is the register-blocked kernel and the
 // reference's is woodburyPerColumn. The 3 x 9 AoA factor and 4 x 5 delay
-// factor leave remainders after the kernel's four-wide blocks.
+// factor leave remainders after the kernel's four-wide blocks. The weighted
+// problem takes separable weights, so its dictionary keeps Kronecker
+// structure with rescaled factors.
 func TestADMMSweepMatchesMultiPassKron(t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
 	g, s := randKronFactors(405, 4, 5, 3, 9)
@@ -281,19 +269,48 @@ func TestADMMSweepMatchesMultiPassKron(t *testing.T) {
 	for _, j := range []int{4, 21, 38} {
 		xTrue[j] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	requireSweepMatchesMultiPass(t, rng, cmat.Kron(g, s), xTrue, WithKronecker(g, s))
+	wg, ws := make([]float64, g.Cols()), make([]float64, s.Cols())
+	for _, w := range [][]float64{wg, ws} {
+		for i := range w {
+			w[i] = 0.7 + 0.6*rng.Float64()
+		}
+	}
+	gw, sw := scaleCols(g, wg), scaleCols(s, ws)
+	a := cmat.Kron(g, s)
+	requireSweepMatchesMultiPass(t, rng, a, xTrue,
+		sweepArm{a: a, opts: []Option{WithKronecker(g, s)}},
+		sweepArm{a: cmat.Kron(gw, sw), opts: []Option{WithKronecker(gw, sw)}})
 }
 
-// requireSweepMatchesMultiPass runs solveADMMWeighted and admmMultiPass side
-// by side on bursts drawn around the sparse truth xTrue, with pathOpts
-// selecting the solver path, and requires every result, warm state and hook
-// call to match bitwise, and every stopping regime to be exercised.
-func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, xTrue []complex128, pathOpts ...Option) {
-	t.Helper()
-	weights := make([]float64, a.Cols())
-	for i := range weights {
-		weights[i] = 0.5 + rng.Float64()
+// scaleCols returns a·diag(1/w). An unweighted solve over it is the weighted
+// problem 1/2||a x - y||² + kappa Σ w_i ||x_i|| in the rescaled coefficients
+// w_i x_i.
+func scaleCols(a *cmat.Matrix, w []float64) *cmat.Matrix {
+	out := cmat.New(a.Rows(), a.Cols())
+	for j := range w {
+		col := a.Col(j)
+		for i := range col {
+			col[i] /= complex(w[j], 0)
+		}
+		out.SetCol(j, col)
 	}
+	return out
+}
+
+// sweepArm is one problem requireSweepMatchesMultiPass solves: a dictionary
+// and the options selecting its solver path (WithKronecker, or none for the
+// dense path).
+type sweepArm struct {
+	a    *cmat.Matrix
+	opts []Option
+}
+
+// requireSweepMatchesMultiPass runs solveADMM and admmMultiPass side by side
+// on bursts y = a·x drawn around the sparse truth xTrue, over the plain and
+// the weighted arm, and requires every result and hook call to match
+// bitwise, and every stopping regime to be exercised.
+func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, xTrue []complex128, plain, weighted sweepArm) {
+	t.Helper()
 	type config struct {
 		name string
 		opts []Option
@@ -303,17 +320,14 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 		{"specstop", []Option{WithMaxIters(300), WithSpectrumStop(1e-4, 3)}},
 		{"tight_tol", []Option{WithMaxIters(3000), WithTolerance(1e-9, 1e-8)}},
 	}
-	var sawConverged, sawEarly, sawWarm, sawRejected bool
+	var sawConverged, sawEarly bool
 	for _, cfg := range configs {
-		opts := append(pathOpts[:len(pathOpts):len(pathOpts)], cfg.opts...)
 		for k := 1; k <= 3; k++ {
-			for _, wts := range [][]float64{nil, weights} {
-				// A burst of related measurements, whose warm seeds are
-				// accepted, with an unrelated one at position 2 that rejects
-				// the seed it inherits.
+			for _, arm := range []sweepArm{plain, weighted} {
+				opts := append(arm.opts[:len(arm.opts):len(arm.opts)], cfg.opts...)
 				burst := burstMeasurements(rng, a, xTrue, 4, 0.05)
 				var ys []*cmat.Matrix
-				for p, b := range burst {
+				for _, b := range burst {
 					y := cmat.New(a.Rows(), k)
 					for c := 0; c < k; c++ {
 						col := b.Col(0)
@@ -322,11 +336,6 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 						}
 						y.SetCol(c, col)
 					}
-					if p == 2 {
-						for i := range y.Data() {
-							y.Data()[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-						}
-					}
 					ys = append(ys, y)
 				}
 
@@ -334,25 +343,24 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 				record := func(dst *[][]float64) IterationHook {
 					return func(_ int, mags []float64) { *dst = append(*dst, append([]float64(nil), mags...)) }
 				}
-				fused, err := NewSolver(a, append(opts, WithIterationHook(record(&hookGot)))...)
+				fused, err := NewSolver(arm.a, append(opts, WithIterationHook(record(&hookGot)))...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := NewSolver(a, append(opts, WithIterationHook(record(&hookWant)))...)
+				ref, err := NewSolver(arm.a, append(opts, WithIterationHook(record(&hookWant)))...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ridge := referenceRidge(ref, k)
-				wsGot, wsWant := &WarmState{}, &WarmState{}
 				for p, y := range ys {
 					hookGot, hookWant = hookGot[:0], hookWant[:0]
-					kappa := 0.05 * kappaScale(a, y)
-					got, err := fused.solveADMMWeighted(y, kappa, wts, wsGot)
+					kappa := 0.05 * kappaScale(arm.a, y)
+					got, err := fused.solveADMM(y, kappa)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := admmMultiPass(ref, y, kappa, wts, wsWant, ridge)
-					t.Run(fmt.Sprintf("%s/k%d/weighted=%v/packet%d", cfg.name, k, wts != nil, p), func(t *testing.T) {
+					want := admmMultiPass(ref, y, kappa, ridge)
+					t.Run(fmt.Sprintf("%s/k%d/weighted=%v/packet%d", cfg.name, k, arm.a != plain.a, p), func(t *testing.T) {
 						requireResultBits(t, got, want)
 						if len(hookGot) != len(hookWant) || len(hookWant) != want.Iterations {
 							t.Fatalf("hook calls %d, want %d", len(hookGot), len(hookWant))
@@ -362,42 +370,30 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 								requireFloatBits(t, "hook mags", hookGot[it][i], hookWant[it][i])
 							}
 						}
-						requireBitEqual(t, "warm primary", wsGot.primary, wsWant.primary)
-						requireBitEqual(t, "warm dual", wsGot.dual, wsWant.dual)
 					})
 					sawConverged = sawConverged || (want.Converged && !want.EarlyStopped)
 					sawEarly = sawEarly || want.EarlyStopped
-					sawWarm = sawWarm || want.Warm
-					sawRejected = sawRejected || want.WarmRejected
 				}
 			}
 		}
 	}
-	if !sawConverged || !sawEarly || !sawWarm || !sawRejected {
-		t.Fatalf("coverage: converged %v early-stopped %v warm %v rejected %v — every regime must be exercised",
-			sawConverged, sawEarly, sawWarm, sawRejected)
+	if !sawConverged || !sawEarly {
+		t.Fatalf("coverage: converged %v early-stopped %v — every regime must be exercised", sawConverged, sawEarly)
 	}
 }
 
 // TestADMMSweepStepMatchesPasses checks one sweep in isolation against the
 // separate passes it fuses — x, group shrink, dual update, next v, each
-// squared norm and the row magnitudes — bitwise, for k = 1..3, uniform and
-// per-atom thresholds, on iterates where rows stay zero, turn zero, stay
+// squared norm and the row magnitudes — bitwise, for k = 1..3 and two
+// thresholds, on iterates where rows stay zero, turn zero, stay
 // nonzero and turn nonzero, so every norm the stopping rules read is pinned
 // even when a difference would not change an iteration count.
 func TestADMMSweepStepMatchesPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
-	const n, rho, kappa = 64, 1.7, 0.9
+	const n, rho = 64, 1.7
 	cnum := func() complex128 { return complex(rng.NormFloat64(), rng.NormFloat64()) }
 	for k := 1; k <= 3; k++ {
-		for _, weighted := range []bool{false, true} {
-			var weights []float64
-			if weighted {
-				weights = make([]float64, n)
-				for i := range weights {
-					weights[i] = 0.2 + 2*rng.Float64()
-				}
-			}
+		for _, kappa := range []float64{0.9, 2.5} {
 			v, atw, z, u, aty := make([]complex128, n*k), make([]complex128, n*k), make([]complex128, n*k), make([]complex128, n*k), make([]complex128, n*k)
 			for i := 0; i < n; i++ {
 				scale := math.Ldexp(1, rng.Intn(5)-3) // rows on both sides of the threshold
@@ -418,14 +414,10 @@ func TestADMMSweepStepMatchesPasses(t *testing.T) {
 			}
 			rowBuf := make([]complex128, k)
 			for i := 0; i < n; i++ {
-				w := 1.0
-				if weighted {
-					w = weights[i]
-				}
 				for j := range rowBuf {
 					rowBuf[j] = x[i*k+j] + u[i*k+j]
 				}
-				GroupSoftThreshold(wz[i*k:(i+1)*k], rowBuf, kappa*w/rho)
+				GroupSoftThreshold(wz[i*k:(i+1)*k], rowBuf, kappa/rho)
 			}
 			var want sweepNorms
 			wantMags := make([]float64, n)
@@ -447,11 +439,11 @@ func TestADMMSweepStepMatchesPasses(t *testing.T) {
 				}
 			}
 			if zeroRows == 0 || zeroRows == n {
-				t.Fatalf("k=%d: %d of %d rows shrink to zero; the case needs both kinds", k, zeroRows, n)
+				t.Fatalf("k=%d kappa=%v: %d of %d rows shrink to zero; the case needs both kinds", k, kappa, zeroRows, n)
 			}
 
 			sw := admmSweep{v: v, atw: atw, z: z, u: u, aty: aty, k: k, rho: rhoC, inv: inv,
-				shrink: newRowShrink(kappa, rho, weights), mags: make([]float64, n)}
+				t: kappa / rho, bound: zeroBound(kappa / rho), mags: make([]float64, n)}
 			var got sweepNorms
 			if k == 1 {
 				got = sw.sweep1()
@@ -459,7 +451,7 @@ func TestADMMSweepStepMatchesPasses(t *testing.T) {
 				sw.xrow, sw.rowBuf = make([]complex128, k), make([]complex128, k)
 				got = sw.sweepK()
 			}
-			name := fmt.Sprintf("k=%d weighted=%v", k, weighted)
+			name := fmt.Sprintf("k=%d kappa=%v", k, kappa)
 			requireFloatBits(t, name+" xz2", got.xz2, want.xz2)
 			requireFloatBits(t, name+" dz2", got.dz2, want.dz2)
 			requireFloatBits(t, name+" x2", got.x2, want.x2)
@@ -501,8 +493,7 @@ func TestKronWoodburyBlockedMatchesPerColumn(t *testing.T) {
 		n := dense.Cols()
 		for k := 1; k <= 3; k++ {
 			v := kernelMat(n, k, 31*ci+k)
-			vCopy := cmat.New(n, k)
-			copyInto(vCopy, v)
+			vCopy := v.Clone()
 			got, want := cmat.New(n, k), cmat.New(n, k)
 			sv.kron.woodburyInto(v, got, make([]complex128, sv.kron.scratchLen(k)))
 			woodburyPerColumn(sv.kron, v, want)

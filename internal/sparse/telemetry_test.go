@@ -30,7 +30,7 @@ func telemetryProblem(t *testing.T) (*cmat.Matrix, []complex128) {
 // the result, so telemetry consumers don't have to track Method separately.
 func TestResultSolverName(t *testing.T) {
 	a, y := telemetryProblem(t)
-	for _, method := range []Method{MethodADMM, MethodFISTA, MethodISTA} {
+	for _, method := range []Method{MethodADMM, MethodFISTA} {
 		s, err := NewSolver(a, WithMethod(method), WithMaxIters(50))
 		if err != nil {
 			t.Fatal(err)
@@ -42,18 +42,6 @@ func TestResultSolverName(t *testing.T) {
 		if res.Solver != method.String() {
 			t.Fatalf("Result.Solver = %q, want %q", res.Solver, method.String())
 		}
-	}
-	// The weighted/reweighted ADMM path must stamp the name too.
-	s, err := NewSolver(a, WithMethod(MethodADMM), WithMaxIters(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := s.SolveReweighted(y, 0.5, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw.Solver != "admm" {
-		t.Fatalf("reweighted Result.Solver = %q, want admm", rw.Solver)
 	}
 }
 

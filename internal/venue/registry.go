@@ -26,7 +26,7 @@ type RegistryConfig struct {
 	// venue would be strictly worse than briefly exceeding the budget.
 	// <= 0 selects 256 MiB.
 	BudgetBytes int64
-	// Build parameterizes venue loads (worker pool, warm mode, metrics).
+	// Build parameterizes venue loads (worker pool, solve profile, metrics).
 	Build BuildConfig
 	// Metrics, when non-nil, receives the venue.cache.* counters and gauges.
 	Metrics *obs.Registry

@@ -246,8 +246,8 @@ type Venue struct {
 type BuildConfig struct {
 	// Workers sizes each venue engine's worker pool (<= 0 selects 1).
 	Workers int
-	// Warm enables warm-started solving on the venue's estimator (the
-	// serving configuration).
+	// Warm selects the serving solve profile on the venue's estimator
+	// (core.Config.Warm).
 	Warm bool
 	// Fallback enables the solver degradation chain.
 	Fallback bool

@@ -8,7 +8,7 @@
 // The package is a facade over the implementation packages:
 //
 //   - internal/cmat     — complex linear algebra (QR, Hermitian eig, SVD)
-//   - internal/sparse   — complex LASSO via ADMM/FISTA/ISTA/OMP
+//   - internal/sparse   — complex LASSO via ADMM/FISTA/OMP
 //   - internal/wireless — array manifold, OFDM CSI channel simulation, RSSI
 //   - internal/music    — MUSIC, SpotFi, and ArrayTrack baselines
 //   - internal/core     — the ROArray estimators, fusion, calibration,
