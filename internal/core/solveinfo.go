@@ -1,6 +1,10 @@
 package core
 
-import "roarray/internal/sparse"
+import (
+	"math"
+
+	"roarray/internal/sparse"
+)
 
 // SolveInfo is the per-solve diagnostic summary threaded from the sparse
 // solver up through the estimator into each LinkResult, so a served request
@@ -12,9 +16,14 @@ type SolveInfo struct {
 	// ("admm", "fista", "omp").
 	Solver string
 	// Iterations the accepted solve performed; Converged whether it met its
-	// stopping criterion before the iteration cap.
+	// residual criterion or its duality-gap certificate before the
+	// iteration cap.
 	Iterations int
 	Converged  bool
+	// Gap is the accepted solve's relative duality gap (sparse.Result.Gap):
+	// its objective is within Gap of the optimum, relative to itself. OMP
+	// results carry no certificate and report 0.
+	Gap float64
 	// Fallback is the degradation stage the accepted result came from:
 	// "" (primary solve), "fista" (converged retry), or "omp" (greedy last
 	// resort).
@@ -31,6 +40,7 @@ func solveInfoFor(res *sparse.Result, stage string) SolveInfo {
 		Solver:     res.Solver,
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
+		Gap:        res.Gap,
 		Fallback:   stage,
 	}
 }
@@ -38,7 +48,8 @@ func solveInfoFor(res *sparse.Result, stage string) SolveInfo {
 // Merge folds another link's solve summary into this one, producing the
 // request-level roll-up the serving layer logs: Solver collapses to "mixed"
 // when links disagree, Fallback keeps the deepest stage engaged, Converged
-// ANDs together, and Iterations accumulates.
+// ANDs together, Gap keeps the largest (the weakest certificate), and
+// Iterations accumulates.
 func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
 	out := si
 	if out.Solver == "" {
@@ -48,6 +59,7 @@ func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
 	}
 	out.Iterations += other.Iterations
 	out.Converged = out.Converged && other.Converged
+	out.Gap = math.Max(out.Gap, other.Gap)
 	if fallbackDepth(other.Fallback) > fallbackDepth(out.Fallback) {
 		out.Fallback = other.Fallback
 	}

@@ -8,11 +8,14 @@ import (
 )
 
 func TestSolveInfoMerge(t *testing.T) {
-	a := SolveInfo{Solver: "admm", Iterations: 40, Converged: true}
-	b := SolveInfo{Solver: "admm", Iterations: 60, Converged: true}
+	a := SolveInfo{Solver: "admm", Iterations: 40, Converged: true, Gap: 0.004}
+	b := SolveInfo{Solver: "admm", Iterations: 60, Converged: true, Gap: 0.019}
 	m := a.Merge(b)
-	if m.Solver != "admm" || m.Iterations != 100 || !m.Converged {
+	if m.Solver != "admm" || m.Iterations != 100 || !m.Converged || m.Gap != 0.019 {
 		t.Fatalf("same-solver merge: %+v", m)
+	}
+	if m = m.Merge(a); m.Gap != 0.019 {
+		t.Fatalf("a smaller gap must not replace the largest, got %v", m.Gap)
 	}
 
 	c := SolveInfo{Solver: "omp", Iterations: 3, Converged: true, Fallback: "omp"}
@@ -68,6 +71,51 @@ func TestLinkResultCarriesSolveInfo(t *testing.T) {
 	}
 	if res.Search.Mode == "" || res.Search.Evaluated() <= 0 {
 		t.Fatalf("result-level search stats not populated: %+v", res.Search)
+	}
+}
+
+// TestWarmEngineCertifiesEveryLink: under the serving profile every joint
+// solve of a localization run stops on its duality-gap certificate or the
+// residual criterion well inside the 60-iteration cap, so every link reports
+// Converged with a gap of at most 0.02, and the solver metrics agree: no
+// non-converged solve, and every recorded gap within the 0.02 bucket.
+func TestWarmEngineCertifiesEveryLink(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := engineTestEstimator(t).Config()
+	cfg.Warm, cfg.Metrics = true, reg
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(est, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := 0
+	for r, req := range engineTestRequests(t, 4, 3, 5150) {
+		res, err := eng.LocalizeCtx(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, lr := range res.Links {
+			if lr.Solve.Solver == "" {
+				t.Fatalf("request %d link %d never solved: %v", r, i, lr.Err)
+			}
+			if !lr.Solve.Converged || lr.Solve.Gap > 0.02 || lr.Solve.Iterations >= 60 {
+				t.Fatalf("request %d link %d: %+v, want a certified solve inside the cap", r, i, lr.Solve)
+			}
+			links++
+		}
+	}
+	if n := reg.Counter("sparse.solve.nonconverged_total").Value(); n != 0 {
+		t.Fatalf("sparse.solve.nonconverged_total = %d, want 0", n)
+	}
+	gap := reg.Histogram("sparse.solve.gap").Snapshot()
+	if gap.Count != int64(links) {
+		t.Fatalf("sparse.solve.gap has %d observations, want %d", gap.Count, links)
+	}
+	if gap.Sum > 0.02*float64(links) {
+		t.Fatalf("sparse.solve.gap sums to %v over %d solves", gap.Sum, links)
 	}
 }
 

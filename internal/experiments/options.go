@@ -41,10 +41,11 @@ type Options struct {
 	// support stabilizes long before full convergence).
 	SolverIters int
 	// Warm selects the serving solve profile (core.Config.Warm): Kronecker
-	// joint solves that end early once the spectrum stabilizes. Off by
-	// default — those solves end at slightly different iterates, so the
-	// bit-reproducible figure pipeline and the cold bench legs leave it off;
-	// RunBatchBench's warm leg and the serving path turn it on.
+	// joint solves that stop once a duality-gap certificate shows them
+	// within 2% of optimal. Off by default — those solves end at different
+	// iterates, so the bit-reproducible figure pipeline and the cold bench
+	// legs leave it off; RunBatchBench's warm leg and the serving path turn
+	// it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
 	// the zero value selects the branch-and-bound strategy, bit-identical

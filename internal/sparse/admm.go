@@ -17,6 +17,16 @@ import (
 // same order, as separate passes for each of those steps would, and each
 // norm sums its terms in the same row-major order, so fusing them changes no
 // bits (TestADMMSweepMatchesMultiPass pins this against a multi-pass copy).
+//
+// The sweep also yields a dual point for the duality-gap certificate
+// (gapCert) at no extra matvec. The ridge iterate x solves
+// (rho I + AᴴA) x = v with v = Aᴴy + rho(z_prev - u_prev), so
+// Aᴴ(y - Ax) = rho(x + u_prev - z_prev) and
+// ||Ax - y||² = ||y||² - 2Re<x, Aᴴy> + Re<x, v> - rho||x||²: the residual
+// y - Ax is scaled to dual feasibility from sums the sweep accumulates.
+// Under WithGapStop the objective of z is evaluated each iteration from a
+// product with z's nonzero rows, and the solve stops once the relative gap is
+// at most eps.
 func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
@@ -51,7 +61,9 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 	} else {
 		mulHInto(s.a, y, aty)
 	}
-	stop := newSpecStop(s.opts, n)
+	cert := newGapCert(kappa)
+	yn := y.FrobNorm()
+	y2 := yn * yn
 
 	t := kappa / rho
 	sw := admmSweep{
@@ -84,10 +96,8 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 		} else {
 			nm = sw.sweepK()
 		}
-
-		// The spectrum stop folds in this iterate's magnitudes before the
-		// hook sees the shared buffer.
-		stable := stop.stable(mags)
+		cert.observe(y2-nm.xy, y2-2*nm.xy+nm.xv-rho*nm.x2, rho*math.Sqrt(nm.g2))
+		certified := s.certified(cert, it, z, y, mags, kscratch)
 		if s.opts.hook != nil {
 			s.opts.hook(it, mags)
 		}
@@ -100,12 +110,7 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 			converged = true
 			break
 		}
-		// A stationary spectrum is only trusted when the residuals are within
-		// a slack factor of the full criterion — ADMM can hold a frozen (and
-		// wrong) spectrum for hundreds of iterations before a support jump,
-		// and those plateau iterates carry residuals far above tolerance (see
-		// specResidualSlack).
-		if stable && priRes <= specResidualSlack*priEps && dualRes <= specResidualSlack*dualEps {
+		if certified {
 			converged, early = true, true
 			break
 		}
@@ -121,74 +126,9 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 		EarlyStopped: early,
 		Objective:    s.objective(z, y, kappa, av, kscratch),
 	}
+	res.Gap = cert.gap(res.Objective)
 	s.tele.record(res)
 	return res, nil
-}
-
-// specResidualSlack gates the spectrum-stability stop on the solver's real
-// convergence measure. Spectrum stationarity alone is unsound: on joint
-// AoA/ToA dictionaries ADMM can sit on a plateau with a frozen — and wrong —
-// argmax for hundreds of iterations (per-iteration spectrum change decaying
-// below any practical tol) before the support jumps to the true atom. Plateau
-// iterates still carry primal/dual residuals orders of magnitude above the
-// stopping tolerance, while a genuinely near-converged solve sits within a
-// small factor of it. Requiring residuals <= slack * eps therefore separates
-// the two regimes: large enough to end a solve whose spectrum has settled
-// well before full residual convergence, small enough that plateau iterates
-// never pass.
-const specResidualSlack = 50.0
-
-// specStop implements the spectrum-stability early stop enabled by
-// WithSpectrumStop: iteration ends once the per-atom magnitude spectrum —
-// the only part of the iterate downstream peak detection consumes — has been
-// stationary (relative l2 change <= tol) for patience consecutive
-// iterations, on problems whose full primal/dual residuals converge far more
-// slowly than the support does. A nil *specStop (the default) records
-// nothing and never stops, leaving the legacy iteration path bit-identical.
-type specStop struct {
-	tol      float64
-	patience int
-	prev     []float64
-	streak   int
-	primed   bool
-}
-
-func newSpecStop(o options, n int) *specStop {
-	if o.specTol <= 0 || o.specPatience <= 0 {
-		return nil
-	}
-	return &specStop{
-		tol:      o.specTol,
-		patience: o.specPatience,
-		prev:     make([]float64, n),
-	}
-}
-
-// stable folds in the current iterate's row magnitudes (mags, which the
-// caller computed and keeps owning) and reports whether the spectrum has now
-// been stationary for patience consecutive iterations.
-func (s *specStop) stable(mags []float64) bool {
-	if s == nil {
-		return false
-	}
-	if !s.primed {
-		s.primed = true
-		copy(s.prev, mags)
-		return false
-	}
-	var dn, n2 float64
-	for i, c := range mags {
-		d := c - s.prev[i]
-		dn += d * d
-		n2 += c * c
-	}
-	copy(s.prev, mags)
-	if dn <= s.tol*s.tol*math.Max(n2, 1e-24) {
-		s.streak++
-	} else {
-		s.streak = 0
-	}
-	return s.streak >= s.patience
 }
 
 // zeroBound returns a bound b such that a row whose squared norm n2 is below
@@ -238,9 +178,14 @@ type admmSweep struct {
 	xrow, rowBuf      []complex128 // k-long row scratch, k > 1 only
 }
 
-// sweepNorms are the squared norms one sweep accumulates: ‖x-z‖²,
-// ‖z-z_prev‖², ‖x‖², ‖z‖² and ‖u‖².
-type sweepNorms struct{ xz2, dz2, x2, z2, u2 float64 }
+// sweepNorms are the sums one sweep accumulates: the squared norms ‖x-z‖²,
+// ‖z-z_prev‖², ‖x‖², ‖z‖² and ‖u‖² of the residual criterion, and for the
+// duality-gap certificate Re<x, v> and Re<x, Aᴴy> (v as the ridge step read
+// it) and the largest squared row norm of x + u_prev - z_prev.
+type sweepNorms struct {
+	xz2, dz2, x2, z2, u2 float64
+	xv, xy, g2           float64
+}
 
 // sweep1 is the sweep for a single snapshot column, with one coefficient per
 // row and no row scratch.
@@ -248,11 +193,17 @@ func (s *admmSweep) sweep1() (nm sweepNorms) {
 	vd := s.v
 	atw, zd, ud, aty, mags := s.atw[:len(vd)], s.z[:len(vd)], s.u[:len(vd)], s.aty[:len(vd)], s.mags[:len(vd)]
 	rho, inv, t, bound := s.rho, s.inv, s.t, s.bound
-	for i := range vd {
-		x := (vd[i] - atw[i]) * inv
+	for i, vi := range vd {
+		x := (vi - atw[i]) * inv
 		r := x + ud[i]
 		n2 := real(r)*real(r) + imag(r)*imag(r)
 		zo := zd[i]
+		nm.xv += real(x)*real(vi) + imag(x)*imag(vi)
+		nm.xy += real(x)*real(aty[i]) + imag(x)*imag(aty[i])
+		g := r - zo
+		if gg := real(g)*real(g) + imag(g)*imag(g); gg > nm.g2 {
+			nm.g2 = gg
+		}
 		n, zero := zeroRow(n2, t, bound)
 		if zero {
 			xx := real(x)*real(x) + imag(x)*imag(x)
@@ -292,12 +243,20 @@ func (s *admmSweep) sweepK() (nm sweepNorms) {
 	rho, inv, t, bound := s.rho, s.inv, s.t, s.bound
 	for i := range s.mags {
 		lo := i * k
-		var n2 float64
+		var n2, g2 float64
 		for j := range xrow {
-			x := (vd[lo+j] - atw[lo+j]) * inv
+			vv := vd[lo+j]
+			x := (vv - atw[lo+j]) * inv
 			r := x + ud[lo+j]
 			xrow[j], rowBuf[j] = x, r
 			n2 += real(r)*real(r) + imag(r)*imag(r)
+			nm.xv += real(x)*real(vv) + imag(x)*imag(vv)
+			nm.xy += real(x)*real(aty[lo+j]) + imag(x)*imag(aty[lo+j])
+			g := r - zd[lo+j]
+			g2 += real(g)*real(g) + imag(g)*imag(g)
+		}
+		if g2 > nm.g2 {
+			nm.g2 = g2
 		}
 		n, zero := zeroRow(n2, t, bound)
 		if zero {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"roarray/internal/cmat"
@@ -119,11 +120,10 @@ func BenchmarkADMMKronK1(b *testing.B) {
 // BenchmarkADMMKronSmoke measures the solve the serving workloads run: the
 // "smoke" preset's joint dictionary (8 subcarriers x 8 delays, 3 antennas x
 // 19 angles), one fused snapshot, a 60-iteration cap and the serving profile's
-// spectrum stop, with kappa at the estimator's default 0.25 of
-// max_i ||(AᴴY)_i||.
+// gap stop, with kappa at the estimator's default 0.25 of max_i ||(AᴴY)_i||.
 func BenchmarkADMMKronSmoke(b *testing.B) {
 	g, s, dense, y := benchKronProblem(8, 8, 3, 19, 1)
-	sv := benchSolver(b, dense, WithMaxIters(60), WithSpectrumStop(1e-4, 3), WithKronecker(g, s))
+	sv := benchSolver(b, dense, WithMaxIters(60), WithGapStop(0.02), WithKronecker(g, s))
 	kappa := 0.25 * kappaScale(dense, y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,6 +131,48 @@ func BenchmarkADMMKronSmoke(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkADMMKronGapStop measures a fused serving burst: 24 noisy
+// measurement blocks at the serving shape with one to three fused snapshots,
+// solved under the serving profile (60-iteration cap, gap stop at 0.02,
+// kappa at 0.25 of max_i ||(AᴴY)_i||). One op is the whole burst; the
+// iterations per solve are reported alongside.
+func BenchmarkADMMKronGapStop(b *testing.B) {
+	g, s, dense, _ := benchKronProblem(8, 8, 3, 19, 1)
+	sv := benchSolver(b, dense, WithMaxIters(60), WithGapStop(0.02), WithKronecker(g, s))
+	rng := rand.New(rand.NewSource(17))
+	n := dense.Cols()
+	var ys []*cmat.Matrix
+	var kappas []float64
+	for p := 0; p < 24; p++ {
+		k := 1 + p%3
+		x := cmat.New(n, k)
+		for _, j := range rng.Perm(n)[:2] {
+			for c := 0; c < k; c++ {
+				x.Set(j, c, complex(rng.NormFloat64(), rng.NormFloat64()))
+			}
+		}
+		y := cmat.Mul(dense, x)
+		yd := y.Data()
+		for i := range yd {
+			yd[i] += complex(0.3*rng.NormFloat64(), 0.3*rng.NormFloat64())
+		}
+		ys = append(ys, y)
+		kappas = append(kappas, 0.25*kappaScale(dense, y))
+	}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p, y := range ys {
+			r, err := sv.SolveMulti(y, kappas[p])
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters += r.Iterations
+		}
+	}
+	b.ReportMetric(float64(iters)/float64(b.N*len(ys)), "iters/solve")
 }
 
 // BenchmarkKronWoodbury isolates the Kronecker x-update kernel

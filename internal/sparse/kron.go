@@ -255,6 +255,41 @@ func (k *kronOps) mulInto(v, out *cmat.Matrix, scratch []complex128) {
 	}
 }
 
+// residual2 returns ||A z - y||_F² for z with nc columns whose nonzero rows
+// are listed in nz. Per column the S-contraction runs over those atoms only,
+// P[m][t] = sum over (t*C+i) in nz of S[m][i] z[(t*C+i)], and G then maps
+// P to (A z)[(l*M+m)] = sum_t G[l][t] P[m][t]: M·|nz| + L·M·T complex
+// multiply-adds per column, against M·T·C + L·M·T for mulInto.
+func (k *kronOps) residual2(z, y *cmat.Matrix, nz []int, scratch []complex128) float64 {
+	nc := z.Cols()
+	zd, yd := z.Data(), y.Data()
+	p := scratch[:k.mm*k.tt]
+	var r2 float64
+	for c := 0; c < nc; c++ {
+		clear(p)
+		for _, j := range nz {
+			t, i := j/k.cc, j%k.cc
+			zv := zd[j*nc+c]
+			for m := 0; m < k.mm; m++ {
+				p[m*k.tt+t] += k.s[m*k.cc+i] * zv
+			}
+		}
+		for l := 0; l < k.ll; l++ {
+			grow := k.g[l*k.tt : (l+1)*k.tt]
+			for m := 0; m < k.mm; m++ {
+				prow := p[m*k.tt : (m+1)*k.tt]
+				var acc complex128
+				for t, gv := range grow {
+					acc += gv * prow[t]
+				}
+				d := acc - yd[(l*k.mm+m)*nc+c]
+				r2 += real(d)*real(d) + imag(d)*imag(d)
+			}
+		}
+	}
+	return r2
+}
+
 // mulHInto computes out = Aᴴ w for w with nc columns:
 // Q[m][t] = sum_l conj(G[l][t]) w[(l*M+m)]  then
 // out[(t*C+i)] = sum_m conj(S[m][i]) Q[m][t].

@@ -31,6 +31,7 @@ type solverTelemetry struct {
 	nonconverged *obs.Counter
 	earlyStops   *obs.Counter
 	iterations   *obs.Histogram
+	gap          *obs.Histogram
 }
 
 func newSolverTelemetry(reg *obs.Registry) *solverTelemetry {
@@ -42,6 +43,7 @@ func newSolverTelemetry(reg *obs.Registry) *solverTelemetry {
 		nonconverged: reg.Counter("sparse.solve.nonconverged_total"),
 		earlyStops:   reg.Counter("sparse.solve.earlystop_total"),
 		iterations:   reg.Histogram("sparse.solve.iterations", 5, 10, 25, 50, 100, 200, 400, 800),
+		gap:          reg.Histogram("sparse.solve.gap", 1e-4, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1),
 	}
 }
 
@@ -53,6 +55,7 @@ func (t *solverTelemetry) record(res *Result) {
 	}
 	t.solves.Inc()
 	t.iterations.Observe(float64(res.Iterations))
+	t.gap.Observe(res.Gap)
 	if !res.Converged {
 		t.nonconverged.Inc()
 	}
@@ -75,7 +78,7 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"ADMM rho", o.rho}, {"absolute tolerance", o.absTol}, {"relative tolerance", o.relTol}, {"spectrum-stop tolerance", o.specTol}} {
+	}{{"ADMM rho", o.rho}, {"absolute tolerance", o.absTol}, {"relative tolerance", o.relTol}, {"gap-stop tolerance", o.gapEps}} {
 		if !isFinite(p.v) {
 			return nil, fmt.Errorf("sparse: %s must be finite, got %v", p.name, p.v)
 		}
@@ -235,6 +238,13 @@ func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, ax *cmat.Matrix, ks
 	return 0.5*fit*fit + kappa*l1
 }
 
+// solveFISTA runs accelerated proximal gradient from a zero start. Its
+// duality-gap certificate (gapCert) takes the dual point from the gradient
+// step it already computes: the residual Aw - Y at the extrapolation point w
+// and its correlation Aᴴ(Aw - Y), whose largest row norm scales the residual
+// to dual feasibility. Under WithGapStop the objective of the new iterate is
+// evaluated each iteration from a product with its nonzero rows, and the
+// solve stops once the relative gap is at most eps.
 func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 	n := s.a.Cols()
 	m := s.a.Rows()
@@ -256,9 +266,10 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 	if s.kron != nil {
 		kscratch = make([]complex128, s.kron.scratchLen(1)) // matvecs only
 	}
-	stop := newSpecStop(s.opts, n)
+	cert := newGapCert(kappa)
 
 	xd, pd, wd, gd := x.Data(), xPrev.Data(), w.Data(), grad.Data()
+	awd, yd := aw.Data(), y.Data()
 	stepC := complex(step, 0)
 	iters := 0
 	converged := false
@@ -275,14 +286,23 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 			subInto(aw, y, aw)
 			mulHInto(s.a, aw, grad)
 		}
+		var ry, r2, g2 float64 // Re<Y - Aw, Y>, ||Aw - Y||², max_i ||grad_i||²
+		for idx, r := range awd {
+			ry -= real(r)*real(yd[idx]) + imag(r)*imag(yd[idx])
+			r2 += real(r)*real(r) + imag(r)*imag(r)
+		}
 		copy(pd, xd)
 		for i := 0; i < n; i++ {
 			wrow, grow := wd[i*k:(i+1)*k], gd[i*k:(i+1)*k]
-			for j := range rowBuf {
-				rowBuf[j] = wrow[j] - stepC*grow[j]
+			var gg float64
+			for j, gv := range grow {
+				rowBuf[j] = wrow[j] - stepC*gv
+				gg += real(gv)*real(gv) + imag(gv)*imag(gv)
 			}
+			g2 = math.Max(g2, gg)
 			GroupSoftThreshold(xd[i*k:(i+1)*k], rowBuf, t)
 		}
+		cert.observe(ry, r2, math.Sqrt(g2))
 
 		thetaNext := (1 + math.Sqrt(1+4*theta*theta)) / 2
 		beta := complex((theta-1)/thetaNext, 0)
@@ -291,10 +311,8 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 		}
 		theta = thetaNext
 
-		// The spectrum stop folds in this iterate's magnitudes before the
-		// hook sees the shared buffer.
 		rowMagsInto(x, mags)
-		stable := stop.stable(mags)
+		certified := s.certified(cert, it, x, y, mags, kscratch)
 		if s.opts.hook != nil {
 			s.opts.hook(it, mags)
 		}
@@ -306,11 +324,7 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 			converged = true
 			break
 		}
-		// Spectrum stability alone is not a sound stop: the iterate can
-		// plateau with a frozen spectrum far from the optimum and jump later
-		// (see specResidualSlack). Require the step size to be within a slack
-		// factor of the full criterion before trusting it.
-		if stable && diff <= specResidualSlack*tol {
+		if certified {
 			converged, early = true, true
 			break
 		}
@@ -326,6 +340,7 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 		EarlyStopped: early,
 		Objective:    s.objective(x, y, kappa, aw, kscratch),
 	}
+	res.Gap = cert.gap(res.Objective)
 	s.tele.record(res)
 	return res, nil
 }

@@ -426,8 +426,8 @@ func TestSolverRejectsNonFinite(t *testing.T) {
 			{"tolerance NaN", WithTolerance(nan, nan)},
 			{"abs tolerance +Inf", WithTolerance(inf, 1e-5)},
 			{"rel tolerance NaN", WithTolerance(1e-6, nan)},
-			{"spectrum-stop tolerance NaN", WithSpectrumStop(nan, 3)},
-			{"spectrum-stop tolerance +Inf", WithSpectrumStop(inf, 3)},
+			{"gap-stop tolerance NaN", WithGapStop(nan)},
+			{"gap-stop tolerance +Inf", WithGapStop(inf)},
 		} {
 			if _, err := NewSolver(a, WithMethod(method), tc.opt); err == nil {
 				t.Errorf("%v: NewSolver accepted %s", method, tc.name)

@@ -11,8 +11,9 @@ import (
 )
 
 // admmMultiPass is the ADMM loop written as one pass per step: form v, ridge
-// step, x, copy z, shrink, dual update, then separate passes for the hook's
-// magnitudes, each residual norm and the spectrum stop. It is the reference
+// step, x, the certificate's sums, copy z, shrink, dual update, then
+// separate passes for the hook's magnitudes, each residual norm and the gap
+// stop's objective. It is the reference
 // the fused sweep of solveADMM must reproduce bit for bit. ridge computes
 // atw = Aᴴ(rho I + AAᴴ)⁻¹A v: the dense Cholesky route, or the per-column
 // Kronecker kernel (see referenceRidge); the matvecs outside the loop follow
@@ -32,7 +33,9 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 	} else {
 		mulHInto(s.a, y, aty)
 	}
-	stop := newMultiPassSpecStop(s.opts, n)
+	cert := newGapCert(kappa)
+	yn := y.FrobNorm()
+	y2 := yn * yn
 
 	rhoC, inv := complex(rho, 0), complex(1/rho, 0)
 	vd, atyD, zd, ud, xd, atwD, zOldD := v.Data(), aty.Data(), z.Data(), u.Data(), x.Data(), atw.Data(), zOld.Data()
@@ -47,6 +50,23 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 		for idx := range xd {
 			xd[idx] = (vd[idx] - atwD[idx]) * inv
 		}
+		// The certificate's dual point: Re<x, v>, Re<x, Aᴴy>, ||x||² and
+		// the largest row norm of x + u_prev - z_prev.
+		var xv, xy, x2, g2 float64
+		for idx, xe := range xd {
+			xv += real(xe)*real(vd[idx]) + imag(xe)*imag(vd[idx])
+			xy += real(xe)*real(atyD[idx]) + imag(xe)*imag(atyD[idx])
+			x2 += real(xe)*real(xe) + imag(xe)*imag(xe)
+		}
+		for i := 0; i < n; i++ {
+			var gg float64
+			for j := 0; j < k; j++ {
+				g := xd[i*k+j] + ud[i*k+j] - zd[i*k+j]
+				gg += real(g)*real(g) + imag(g)*imag(g)
+			}
+			g2 = math.Max(g2, gg)
+		}
+		cert.observe(y2-xy, y2-2*xy+xv-rho*x2, rho*math.Sqrt(g2))
 		copy(zOldD, zd)
 		for i := 0; i < n; i++ {
 			xrow, urow := xd[i*k:(i+1)*k], ud[i*k:(i+1)*k]
@@ -58,8 +78,20 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 		for idx := range ud {
 			ud[idx] = ud[idx] + xd[idx] - zd[idx]
 		}
+		rowMagsInto(z, mags)
+		certified := false
+		if s.opts.gapEps > 0 {
+			var l1 float64
+			var nz []int
+			for i := 0; i < n; i++ {
+				if nrm := rowNorm(z.RowView(i)); nrm != 0 {
+					l1 += nrm
+					nz = append(nz, i)
+				}
+			}
+			certified = cert.gap(0.5*s.residual2(z, y, nz, kscratch)+kappa*l1) <= s.opts.gapEps
+		}
 		if s.opts.hook != nil {
-			rowMagsInto(z, mags)
 			s.opts.hook(it, mags)
 		}
 		priRes := subFrobNorm(x, z)
@@ -71,7 +103,7 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 			converged = true
 			break
 		}
-		if stop.stable(z) && priRes <= specResidualSlack*priEps && dualRes <= specResidualSlack*dualEps {
+		if certified {
 			converged, early = true, true
 			break
 		}
@@ -88,10 +120,11 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 	} else {
 		fit = cmat.Sub(cmat.Mul(s.a, z), y).FrobNorm()
 	}
+	obj := 0.5*fit*fit + kappa*l1
 	return &Result{
 		Solver: s.opts.method.String(), X: matToColumns(z), RowMags: mags,
 		Iterations: iters, Converged: converged, EarlyStopped: early,
-		Objective: 0.5*fit*fit + kappa*l1,
+		Objective: obj, Gap: cert.gap(obj),
 	}
 }
 
@@ -165,48 +198,6 @@ func woodburyPerColumn(k *kronOps, v, out *cmat.Matrix) {
 	}
 }
 
-// multiPassSpecStop is the spectrum stop computing its own magnitudes from
-// the iterate, as the multi-pass loop did.
-type multiPassSpecStop struct {
-	tol       float64
-	patience  int
-	prev, cur []float64
-	streak    int
-	primed    bool
-}
-
-func newMultiPassSpecStop(o options, n int) *multiPassSpecStop {
-	if o.specTol <= 0 || o.specPatience <= 0 {
-		return nil
-	}
-	return &multiPassSpecStop{tol: o.specTol, patience: o.specPatience, prev: make([]float64, n), cur: make([]float64, n)}
-}
-
-func (s *multiPassSpecStop) stable(x *cmat.Matrix) bool {
-	if s == nil {
-		return false
-	}
-	rowMagsInto(x, s.cur)
-	if !s.primed {
-		s.primed = true
-		s.prev, s.cur = s.cur, s.prev
-		return false
-	}
-	var dn, n2 float64
-	for i, c := range s.cur {
-		d := c - s.prev[i]
-		dn += d * d
-		n2 += c * c
-	}
-	s.prev, s.cur = s.cur, s.prev
-	if dn <= s.tol*s.tol*math.Max(n2, 1e-24) {
-		s.streak++
-	} else {
-		s.streak = 0
-	}
-	return s.streak >= s.patience
-}
-
 func requireFloatBits(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if math.Float64bits(got) != math.Float64bits(want) {
@@ -230,6 +221,7 @@ func requireResultBits(t *testing.T, got, want *Result) {
 			want.Iterations, want.Converged, want.EarlyStopped, want.Solver)
 	}
 	requireFloatBits(t, "Objective", got.Objective, want.Objective)
+	requireFloatBits(t, "Gap", got.Gap, want.Gap)
 	for i := range want.RowMags {
 		requireFloatBits(t, "RowMags", got.RowMags[i], want.RowMags[i])
 	}
@@ -242,7 +234,7 @@ func requireResultBits(t *testing.T, got, want *Result) {
 
 // TestADMMSweepMatchesMultiPass pins the fused ADMM sweep to the multi-pass
 // loop bit for bit on the dense path: k = 1..3 snapshots, the plain and a
-// weighted problem, spectrum stop on and off, a tolerance tight enough to
+// weighted problem, gap stop on and off, a tolerance tight enough to
 // converge, and an iteration hook that must see identical magnitudes on
 // every iteration.
 func TestADMMSweepMatchesMultiPass(t *testing.T) {
@@ -317,7 +309,11 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 	}
 	configs := []config{
 		{"capped", []Option{WithMaxIters(60)}},
-		{"specstop", []Option{WithMaxIters(300), WithSpectrumStop(1e-4, 3)}},
+		// The serving profile's gap stop. The arm keeps the name it had when
+		// it ran the spectrum-stability stop the gap stop replaced, so its
+		// subtest names stay comparable across that change.
+		{"specstop", []Option{WithMaxIters(300), WithGapStop(0.02)}},
+		{"gapstop_tight", []Option{WithMaxIters(300), WithGapStop(1e-4)}},
 		{"tight_tol", []Option{WithMaxIters(3000), WithTolerance(1e-9, 1e-8)}},
 	}
 	var sawConverged, sawEarly bool
@@ -384,7 +380,7 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 
 // TestADMMSweepStepMatchesPasses checks one sweep in isolation against the
 // separate passes it fuses — x, group shrink, dual update, next v, each
-// squared norm and the row magnitudes — bitwise, for k = 1..3 and two
+// squared norm, the certificate's sums and the row magnitudes — bitwise, for k = 1..3 and two
 // thresholds, on iterates where rows stay zero, turn zero, stay
 // nonzero and turn nonzero, so every norm the stopping rules read is pinned
 // even when a difference would not change an iteration count.
@@ -422,6 +418,18 @@ func TestADMMSweepStepMatchesPasses(t *testing.T) {
 			var want sweepNorms
 			wantMags := make([]float64, n)
 			zeroRows := 0
+			for idx, xe := range x {
+				want.xv += real(xe)*real(v[idx]) + imag(xe)*imag(v[idx])
+				want.xy += real(xe)*real(aty[idx]) + imag(xe)*imag(aty[idx])
+			}
+			for i := 0; i < n; i++ {
+				var gg float64
+				for j := 0; j < k; j++ {
+					g := x[i*k+j] + u[i*k+j] - z[i*k+j]
+					gg += real(g)*real(g) + imag(g)*imag(g)
+				}
+				want.g2 = math.Max(want.g2, gg)
+			}
 			for idx := range wz {
 				wu[idx] = u[idx] + x[idx] - wz[idx]
 				wv[idx] = aty[idx] + rhoC*(wz[idx]-wu[idx])
@@ -457,6 +465,9 @@ func TestADMMSweepStepMatchesPasses(t *testing.T) {
 			requireFloatBits(t, name+" x2", got.x2, want.x2)
 			requireFloatBits(t, name+" z2", got.z2, want.z2)
 			requireFloatBits(t, name+" u2", got.u2, want.u2)
+			requireFloatBits(t, name+" xv", got.xv, want.xv)
+			requireFloatBits(t, name+" xy", got.xy, want.xy)
+			requireFloatBits(t, name+" g2", got.g2, want.g2)
 			for i := range wantMags {
 				requireFloatBits(t, name+" mags", sw.mags[i], wantMags[i])
 			}

@@ -105,6 +105,30 @@ func TestSolverMetrics(t *testing.T) {
 	if got := reg.Counter("sparse.solve.total").Value(); got != 3 {
 		t.Fatalf("solve total = %d, want 3", got)
 	}
+
+	// A gap-stopped solve counts as converged and early-stopped, and every
+	// solve's final gap lands in the gap histogram.
+	nonconv := reg.Counter("sparse.solve.nonconverged_total").Value()
+	gapped, err := NewSolver(a, WithMetrics(reg), WithMaxIters(2000), WithTolerance(0, 0), WithGapStop(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = gapped.Solve(y, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !res.EarlyStopped || res.Gap > 0.02 {
+		t.Fatalf("gap-stopped solve: converged %v early %v gap %v", res.Converged, res.EarlyStopped, res.Gap)
+	}
+	if got := reg.Counter("sparse.solve.earlystop_total").Value(); got != 1 {
+		t.Fatalf("early stops = %d, want 1", got)
+	}
+	if got := reg.Counter("sparse.solve.nonconverged_total").Value(); got != nonconv {
+		t.Fatalf("nonconverged = %d, want %d", got, nonconv)
+	}
+	if gap := reg.Histogram("sparse.solve.gap").Snapshot(); gap.Count != 4 {
+		t.Fatalf("gap histogram count = %d, want 4", gap.Count)
+	}
 }
 
 // TestSolverNilMetrics: solvers without a registry must behave identically
@@ -128,7 +152,7 @@ func TestSolverNilMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Iterations != r2.Iterations || r1.Objective != r2.Objective {
+	if r1.Iterations != r2.Iterations || r1.Objective != r2.Objective || r1.Gap != r2.Gap {
 		t.Fatalf("metrics changed the solve: %+v vs %+v", r1.Iterations, r2.Iterations)
 	}
 	for i := range r1.RowMags {

@@ -247,7 +247,8 @@ type BuildConfig struct {
 	// Workers sizes each venue engine's worker pool (<= 0 selects 1).
 	Workers int
 	// Warm selects the serving solve profile on the venue's estimator
-	// (core.Config.Warm).
+	// (core.Config.Warm): Kronecker-factored joint solves that stop on a
+	// duality-gap certificate of 2%.
 	Warm bool
 	// Fallback enables the solver degradation chain.
 	Fallback bool
