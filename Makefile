@@ -32,10 +32,14 @@ bench:
 
 # Search-strategy and solver benchmark pairs (see DESIGN.md §13): the
 # flat-vs-branch-and-bound grid search ratio, the windowed search, and the
-# dense-vs-Kronecker solver ratio. The BenchmarkADMMKron
+# dense-vs-Kronecker solver ratio. The search benchmarks report the cost
+# evaluations per search as cells/op beside ns/op. The BenchmarkADMMKron
 # pattern also matches BenchmarkADMMKronSmoke, the serving-shape solve (the
-# smoke preset's 8x8 delay and 3x19 AoA factors, k=1, 60-iteration cap,
-# spectrum stop) that the perfbench workloads run. BenchmarkKronWoodbury
+# smoke preset's 8x8 delay and 3x19 AoA factors, k=1) that the perfbench
+# workloads run: it stops on the duality-gap certificate
+# (sparse.WithGapStop(0.02)), with the 60-iteration cap as a backstop, and
+# BenchmarkADMMKronGapStop reports that profile's iterations per solve over a
+# fused burst. BenchmarkKronWoodbury
 # isolates one Kronecker x-update (the block-diagonal Woodbury kernel) at
 # that shape, separating the ridge step from the rest of the ADMM
 # iteration. The committed-baseline

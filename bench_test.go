@@ -545,14 +545,19 @@ func gridSearchObs() ([]roarray.APObservation, roarray.Rect) {
 	return obs, dep.Room
 }
 
+// benchLocalizeSearch times one search and reports its cost evaluations
+// (SearchStats.Evaluated) as cells/op beside ns/op.
 func benchLocalizeSearch(b *testing.B, cfg roarray.SearchConfig) {
 	obs, room := gridSearchObs()
+	var stats roarray.SearchStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := roarray.LocalizeSearch(obs, room, 0.1, 1, cfg); err != nil {
+		var err error
+		if _, stats, err = roarray.LocalizeSearch(obs, room, 0.1, 1, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(stats.Evaluated()), "cells/op")
 }
 
 // BenchmarkLocalizeFlat measures the exhaustive legacy scan of the full

@@ -344,8 +344,9 @@ func (e *Engine) searchConfig(req *LocalizeRequest) SearchConfig {
 // localize runs one request with the given degree of internal parallelism.
 // Cancellation contract: when ctx dies the call returns promptly with an
 // error wrapping ctx.Err() — before scheduling work if already dead, at the
-// next stage boundary during estimation, and within one grid column during
-// the Eq. 19 search. A timed-out request never yields a position.
+// next stage boundary during estimation, and within one branch-and-bound
+// node (one grid column in a flat scan) during the Eq. 19 search. A
+// timed-out request never yields a position.
 func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, workers int) (*LocalizeResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "localize")
 	defer sp.End()
@@ -509,8 +510,10 @@ func (m *engineMetrics) recordTrack(res *TrackResult) {
 }
 
 // recordSearch notes what the Eq. 19 grid search evaluated, so an operator
-// can see the branch-and-bound pruning working (bounded blocks plus refined
-// cells should sit far below flat cells on production grids).
+// can see the branch-and-bound pruning working: core.search.coarse_cells
+// counts bounded rectangles (inner nodes included) and refine_cells the
+// refined cells, and together they should sit far below flat cells on
+// production grids.
 func (m *engineMetrics) recordSearch(stats SearchStats) {
 	if m == nil {
 		return

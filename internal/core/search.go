@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"roarray/internal/wireless"
@@ -16,13 +14,14 @@ import (
 type SearchMode int
 
 const (
-	// SearchCoarse (the zero value, and the default) runs a branch-and-
-	// bound search: every Decimation x Decimation block of the grid gets a
-	// lower bound on the objective from per-AP angle intervals, and blocks
-	// are refined at full resolution in ascending bound order until the next
-	// bound exceeds the best cost found. The result is bit-identical to the
-	// flat scan by construction (see DESIGN.md §13); grids under two blocks
-	// a side degrade to the flat scan.
+	// SearchCoarse (the zero value, and the default) runs a best-first
+	// branch-and-bound search: block-aligned rectangles of the grid get a
+	// lower bound on the objective from per-AP angle intervals, the
+	// rectangle with the smallest bound is split (or, at one Decimation x
+	// Decimation block, refined at full resolution) until the smallest bound
+	// exceeds the best cost found. The result is bit-identical to the flat
+	// scan by construction (see DESIGN.md §13); grids under two blocks a
+	// side degrade to the flat scan.
 	SearchCoarse SearchMode = iota
 	// SearchFlat forces the legacy exhaustive scan of every grid cell.
 	SearchFlat
@@ -74,7 +73,7 @@ type SearchConfig struct {
 	// Mode selects the strategy (default SearchCoarse).
 	Mode SearchMode
 	// Decimation is the block edge in full-resolution steps (default 8:
-	// one lower bound per 8x8 block of 10 cm cells).
+	// the search refines 8x8 blocks of 10 cm cells).
 	Decimation int
 	// Window, when non-nil, restricts the scan to the grid points inside the
 	// window rectangle intersected with the request bounds — on the same
@@ -105,12 +104,14 @@ type SearchStats struct {
 	// FlatCells is the full-resolution grid size nx*ny — what a flat scan
 	// would evaluate.
 	FlatCells int
-	// CoarseCells is the number of blocks whose lower bound was evaluated.
+	// CoarseCells is the number of rectangles whose lower bound was
+	// evaluated: every node of the branch-and-bound, inner nodes included.
 	CoarseCells int
 	// RefineCells is the number of full-resolution cells whose cost was
 	// evaluated.
 	RefineCells int
-	// Candidates is the number of blocks refined.
+	// Candidates is the number of blocks refined (leaves of the
+	// branch-and-bound).
 	Candidates int
 	// WindowCells is the number of grid points inside the search window in
 	// window mode.
@@ -123,7 +124,7 @@ type SearchStats struct {
 }
 
 // Evaluated returns the number of cost evaluations performed: every cell in
-// flat mode, bounded blocks plus refined cells otherwise.
+// flat mode, bounded rectangles plus refined cells otherwise.
 func (s SearchStats) Evaluated() int {
 	if s.Mode == "flat" {
 		return s.FlatCells
@@ -270,34 +271,28 @@ type idxRange struct{ xLo, xHi, yLo, yHi int }
 // windowIndexRange maps a window rectangle onto the grid's index lattice:
 // the smallest/largest indices whose points fall inside the window,
 // clamped to the grid. ok is false when the intersection holds no grid
-// point.
+// point, or when a window coordinate is NaN.
 func (g *gridSearch) windowIndexRange(w Rect) (idxRange, bool) {
-	if w.MaxX < w.MinX || w.MaxY < w.MinY {
+	if !(w.MinX <= w.MaxX && w.MinY <= w.MaxY) {
 		return idxRange{}, false
 	}
-	const eps = 1e-9
-	r := idxRange{
-		xLo: int(math.Ceil((w.MinX-g.bounds.MinX)/g.step - eps)),
-		xHi: int(math.Floor((w.MaxX-g.bounds.MinX)/g.step+eps)) + 1,
-		yLo: int(math.Ceil((w.MinY-g.bounds.MinY)/g.step - eps)),
-		yHi: int(math.Floor((w.MaxY-g.bounds.MinY)/g.step+eps)) + 1,
-	}
-	if r.xLo < 0 {
-		r.xLo = 0
-	}
-	if r.yLo < 0 {
-		r.yLo = 0
-	}
-	if r.xHi > g.nx {
-		r.xHi = g.nx
-	}
-	if r.yHi > g.ny {
-		r.yHi = g.ny
-	}
+	var r idxRange
+	r.xLo, r.xHi = latticeSpan(w.MinX, w.MaxX, g.bounds.MinX, g.step, g.nx)
+	r.yLo, r.yHi = latticeSpan(w.MinY, w.MaxY, g.bounds.MinY, g.step, g.ny)
 	if r.xLo >= r.xHi || r.yLo >= r.yHi {
 		return idxRange{}, false
 	}
 	return r, true
+}
+
+// latticeSpan returns the index range [lo, hi) of the points origin+i*step,
+// 0 <= i < n, that lie in [wlo, whi]. The float indices are clamped to
+// [0, n] before conversion, so a window reaching far or infinitely past the
+// grid cannot overflow the int conversion.
+func latticeSpan(wlo, whi, origin, step float64, n int) (lo, hi int) {
+	const eps = 1e-9
+	clamp := func(v float64) int { return int(min(max(v, 0), float64(n))) }
+	return clamp(math.Ceil((wlo-origin)/step - eps)), clamp(math.Floor((whi-origin)/step+eps) + 1)
 }
 
 // onWindowEdge reports whether best sits on a boundary of the index range
@@ -417,64 +412,138 @@ func (g *gridSearch) blockBound(ix0, ixHi, iy0, iyHi int) float64 {
 	return sum * (1 - 1e-12)
 }
 
-// block is one Decimation x Decimation block of a search range: its lower
-// bound and its index in the range's column-major block order.
-type block struct {
-	bound float64
-	id    int
+// node is a block-aligned index rectangle [ix0, ixHi) x [iy0, iyHi) of a
+// search range, with its lower bound.
+type node struct {
+	bound                float64
+	ix0, ixHi, iy0, iyHi int
 }
 
-// blockRange returns the index rectangle of block id in range r.
-func (r idxRange) blockRange(id, ncy, dec int) (ix0, ixHi, iy0, iyHi int) {
-	ix0 = r.xLo + id/ncy*dec
-	iy0 = r.yLo + id%ncy*dec
-	return ix0, min(ix0+dec, r.xHi), iy0, min(iy0+dec, r.yHi)
-}
-
-// branchAndBound returns the lexicographic-best grid point of range r. It
-// bounds every dec x dec block, then refines blocks in ascending bound
-// order until the next bound exceeds the best refined cost. Every skipped
-// block's cells cost strictly more than that best, so neither the argmin
-// nor a tied earlier index can hide there; a block whose bound ties the
-// best is still refined. ctx is polled once per block column while
-// bounding and once per block while refining.
-func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (idxBest, error) {
-	ncx := (r.xHi - r.xLo + dec - 1) / dec
-	ncy := (r.yHi - r.yLo + dec - 1) / dec
-	blocks := make([]block, ncx*ncy)
-	for cx := 0; cx < ncx; cx++ {
-		if err := g.ctx.Err(); err != nil {
-			return noBest(), fmt.Errorf("core: coarse grid search aborted: %w", err)
-		}
-		for id := cx * ncy; id < (cx+1)*ncy; id++ {
-			blocks[id] = block{bound: g.blockBound(r.blockRange(id, ncy, dec)), id: id}
-		}
+// before orders nodes by ascending bound, then by low corner. Live nodes
+// are disjoint, so the order is total and the pop sequence — hence the work
+// counts — is deterministic.
+func (n node) before(o node) bool {
+	if n.bound != o.bound {
+		return n.bound < o.bound
 	}
-	stats.CoarseCells = len(blocks)
-	slices.SortFunc(blocks, func(a, b block) int {
-		if c := cmp.Compare(a.bound, b.bound); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	best := noBest()
-	for _, b := range blocks {
-		if err := g.ctx.Err(); err != nil {
-			return best, fmt.Errorf("core: refine search aborted: %w", err)
-		}
-		if b.bound > best.cost {
+	if n.ix0 != o.ix0 {
+		return n.ix0 < o.ix0
+	}
+	return n.iy0 < o.iy0
+}
+
+// nodeHeap is a binary min-heap of nodes under before.
+type nodeHeap []node
+
+// push adds n to the heap.
+func (h *nodeHeap) push(n node) {
+	s := append(*h, n)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
 			break
 		}
-		ix0, ixHi, iy0, iyHi := r.blockRange(b.id, ncy, dec)
-		for ix := ix0; ix < ixHi; ix++ {
-			for iy := iy0; iy < iyHi; iy++ {
-				if c := (idxBest{cost: g.costAt(ix, iy), ix: ix, iy: iy}); c.less(best) {
-					best = c
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+// pop removes and returns the heap's first node under before.
+func (h *nodeHeap) pop() node {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
+// branchAndBound returns the lexicographic-best grid point of range r by a
+// best-first search over block-aligned rectangles. It starts from the whole
+// range and repeatedly pops the rectangle with the smallest lower bound: a
+// single dec x dec block (clipped at the range edge) is refined cell by
+// cell, a larger one is halved at block boundaries along each axis that
+// spans more than one block and its children are bounded and pushed. The
+// search stops when the popped bound exceeds the best refined cost; every
+// unrefined cell then lies under a bound at least that large, so neither the
+// argmin nor a tied earlier index can hide there, and a rectangle whose
+// bound ties the best is still refined. ctx is polled once per popped
+// rectangle.
+func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (idxBest, error) {
+	best := noBest()
+	h := make(nodeHeap, 0, 32)
+	push := func(ix0, ixHi, iy0, iyHi int) {
+		b := g.blockBound(ix0, ixHi, iy0, iyHi)
+		stats.CoarseCells++
+		if b > best.cost {
+			return // would pop only after the search stops
+		}
+		if math.IsNaN(b) {
+			// A 0·Inf term. Costs are sums of non-negative terms, so 0 is
+			// still a lower bound, and it keeps the heap order total.
+			b = 0
+		}
+		h.push(node{bound: b, ix0: ix0, ixHi: ixHi, iy0: iy0, iyHi: iyHi})
+	}
+	push(r.xLo, r.xHi, r.yLo, r.yHi)
+	for len(h) > 0 {
+		if err := g.ctx.Err(); err != nil {
+			if stats.Candidates == 0 {
+				return best, fmt.Errorf("core: coarse grid search aborted: %w", err)
+			}
+			return best, fmt.Errorf("core: refine search aborted: %w", err)
+		}
+		n := h.pop()
+		if n.bound > best.cost {
+			break
+		}
+		bw := (n.ixHi - n.ix0 + dec - 1) / dec
+		bh := (n.iyHi - n.iy0 + dec - 1) / dec
+		if bw == 1 && bh == 1 {
+			for ix := n.ix0; ix < n.ixHi; ix++ {
+				for iy := n.iy0; iy < n.iyHi; iy++ {
+					if c := (idxBest{cost: g.costAt(ix, iy), ix: ix, iy: iy}); c.less(best) {
+						best = c
+					}
 				}
 			}
+			stats.Candidates++
+			stats.RefineCells += (n.ixHi - n.ix0) * (n.iyHi - n.iy0)
+			continue
 		}
-		stats.Candidates++
-		stats.RefineCells += (ixHi - ix0) * (iyHi - iy0)
+		xm, ym := n.ixHi, n.iyHi
+		if bw > 1 {
+			xm = n.ix0 + (bw+1)/2*dec
+		}
+		if bh > 1 {
+			ym = n.iy0 + (bh+1)/2*dec
+		}
+		push(n.ix0, xm, n.iy0, ym)
+		if xm < n.ixHi {
+			push(xm, n.ixHi, n.iy0, ym)
+		}
+		if ym < n.iyHi {
+			push(n.ix0, xm, ym, n.iyHi)
+			if xm < n.ixHi {
+				push(xm, n.ixHi, ym, n.iyHi)
+			}
+		}
 	}
 	return best, nil
 }

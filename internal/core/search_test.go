@@ -273,6 +273,76 @@ func TestSearchEdgeCases(t *testing.T) {
 	})
 }
 
+// TestSearchWorkCounts pins the branch-and-bound's work on the noise-free
+// testbed: the rectangles it bounds, the cells it refines and the blocks it
+// refines. The 181x121 grid has 23x16 = 368 blocks of 8x8 cells; the search
+// bounds about twenty rectangles and refines the one block holding the
+// source. A later change that alters this work shows up here as a count,
+// not as timing noise.
+func TestSearchWorkCounts(t *testing.T) {
+	for _, c := range []struct {
+		target                    Point
+		coarse, refine, candidate int
+	}{
+		{Point{X: 9, Y: 6}, 17, 64, 1},
+		{Point{X: 7, Y: 5}, 21, 64, 1},
+		{Point{X: 2, Y: 10}, 17, 64, 1},
+	} {
+		_, stats, err := LocalizeSearch(testbedObservations(c.target, nil), testbedRoom, 0.1, 1, SearchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != "coarse" || stats.CoarseCells != c.coarse || stats.RefineCells != c.refine || stats.Candidates != c.candidate {
+			t.Errorf("target %+v: mode %q bounded %d rectangles, refined %d cells in %d blocks; want coarse %d/%d/%d",
+				c.target, stats.Mode, stats.CoarseCells, stats.RefineCells, stats.Candidates, c.coarse, c.refine, c.candidate)
+		}
+	}
+}
+
+// TestSearchBoundsFewerThanBlocks: on the 3-AP serving geometry (the first
+// three APs of the testbed deployment) with noisy AoAs and random steps and
+// decimations, every coarse-mode search bounds fewer rectangles than the
+// grid has blocks, and returns the flat scan's bits.
+func TestSearchBoundsFewerThanBlocks(t *testing.T) {
+	aps := []struct {
+		pos  Point
+		axis float64
+	}{{Point{X: 0.1, Y: 6}, 90}, {Point{X: 17.9, Y: 6}, 90}, {Point{X: 4.5, Y: 0.1}, 0}}
+	rng := rand.New(rand.NewSource(18))
+	coarse := 0
+	for draw := 0; draw < 40; draw++ {
+		target := Point{X: 0.5 + 17*rng.Float64(), Y: 0.5 + 11*rng.Float64()}
+		obs := make([]APObservation, len(aps))
+		for i, ap := range aps {
+			aoa := ExpectedAoA(ap.pos, ap.axis, target) + 3*rng.NormFloat64()
+			obs[i] = APObservation{Pos: ap.pos, AxisDeg: ap.axis, AoADeg: math.Max(0, math.Min(180, aoa)), RSSIdBm: -40 - 20*rng.Float64()}
+		}
+		step := 0.05 + 0.15*rng.Float64()
+		dec := 4 + rng.Intn(9)
+		p, stats, err := LocalizeSearch(obs, testbedRoom, step, 1, SearchConfig{Decimation: dec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, _, err := LocalizeSearch(obs, testbedRoom, step, 1, SearchConfig{Mode: SearchFlat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, "3-AP draw", p, flat)
+		if stats.Mode != "coarse" {
+			continue
+		}
+		coarse++
+		nx, ny := gridCount(testbedRoom.MinX, testbedRoom.MaxX, step), gridCount(testbedRoom.MinY, testbedRoom.MaxY, step)
+		if blocks := ((nx + dec - 1) / dec) * ((ny + dec - 1) / dec); stats.CoarseCells >= blocks {
+			t.Fatalf("draw %d (step %v, decimation %d): bounded %d rectangles, not below the %d blocks",
+				draw, step, dec, stats.CoarseCells, blocks)
+		}
+	}
+	if coarse < 30 {
+		t.Fatalf("only %d of 40 draws ran in coarse mode", coarse)
+	}
+}
+
 // countdownCtx reports healthy for the first n Err polls, then cancels —
 // a deterministic way to land a cancellation inside a chosen search phase.
 type countdownCtx struct {
@@ -288,23 +358,28 @@ func (c *countdownCtx) Err() error {
 	return context.Canceled
 }
 
-// TestSearchCtxAbortMidRefine: a context that dies after the coarse pass
-// aborts during refinement with a wrapped context error, well inside 3 s.
+// TestSearchCtxAbortMidRefine: a context that dies after the first block
+// is refined aborts the refine phase with a wrapped context error, well
+// inside 3 s.
 func TestSearchCtxAbortMidRefine(t *testing.T) {
 	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
-	// Bounding a 181x121 grid with decimation 8 polls ctx once per block
-	// column (23 polls); refinement polls once per block before deciding
-	// whether to refine it. Budget past the bounding pass but below the
-	// refinement's second poll.
-	ctx := &countdownCtx{Context: context.Background(), remaining: 24}
+	// The search polls ctx once per popped rectangle. On the 181x121 grid
+	// with decimation 8 it pops the whole range and three inner rectangles,
+	// each split in four (the 17 bounded rectangles TestSearchWorkCounts
+	// pins), then the leaf block it refines. Budget those five polls, so
+	// the sixth — the first after a refinement — sees the cancellation.
+	ctx := &countdownCtx{Context: context.Background(), remaining: 5}
 	start := time.Now()
-	_, _, err := LocalizeSearchCtx(ctx, obs, testbedRoom, 0.1, 1, SearchConfig{})
+	_, stats, err := LocalizeSearchCtx(ctx, obs, testbedRoom, 0.1, 1, SearchConfig{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "refine") {
 		t.Fatalf("cancellation should land in the refine pass, got %v", err)
+	}
+	if stats.Candidates != 1 {
+		t.Fatalf("cancellation should land after exactly one refined block, got %d", stats.Candidates)
 	}
 	if elapsed >= 3*time.Second {
 		t.Fatalf("mid-refine abort took %v, want < 3s", elapsed)
@@ -317,12 +392,15 @@ func TestSearchCtxAbortCoarse(t *testing.T) {
 	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := LocalizeSearchCtx(ctx, obs, testbedRoom, 0.1, 4, SearchConfig{})
+	_, stats, err := LocalizeSearchCtx(ctx, obs, testbedRoom, 0.1, 4, SearchConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "coarse") {
 		t.Fatalf("dead ctx should abort the coarse pass, got %v", err)
+	}
+	if stats.RefineCells != 0 {
+		t.Fatalf("dead ctx refined %d cells, want 0", stats.RefineCells)
 	}
 }
 

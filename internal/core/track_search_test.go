@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,6 +103,63 @@ func TestWindowSearchDegeneratesToFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "degenerate window", pos, flatPos)
+}
+
+// A window reaching far or infinitely past the grid clamps to it and still
+// runs in window mode, with the flat scan's bits over the clamped index
+// range; a window with a NaN coordinate holds no grid point and runs the
+// full-grid search.
+func TestWindowSearchOversized(t *testing.T) {
+	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
+	g, err := newGridSearch(context.Background(), obs, testbedRoom, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		win  Rect
+		want idxRange
+	}{
+		{Rect{MinX: 5, MinY: 3, MaxX: 1e300, MaxY: 7}, idxRange{xLo: 50, xHi: 181, yLo: 30, yHi: 71}},
+		{Rect{MinX: 5, MinY: 3, MaxX: inf, MaxY: 7}, idxRange{xLo: 50, xHi: 181, yLo: 30, yHi: 71}},
+		{Rect{MinX: -1e300, MinY: 3, MaxX: 7, MaxY: 7}, idxRange{xLo: 0, xHi: 71, yLo: 30, yHi: 71}},
+		{Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}, idxRange{xLo: 0, xHi: 181, yLo: 0, yHi: 121}},
+	} {
+		r, ok := g.windowIndexRange(c.win)
+		if !ok || r != c.want {
+			t.Fatalf("window %+v: index range %+v (ok %v), want %+v", c.win, r, ok, c.want)
+		}
+		win := c.win
+		pos, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != "window" || stats.WindowCells != (r.xHi-r.xLo)*(r.yHi-r.yLo) {
+			t.Fatalf("window %+v ran %q over %d cells, want window mode over %+v", c.win, stats.Mode, stats.WindowCells, r)
+		}
+		want, err := g.flatRange(r.xLo, r.xHi, r.yLo, r.yHi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, "oversized window", pos, g.pointAt(want.ix, want.iy))
+	}
+
+	for _, win := range []Rect{
+		{MinX: math.NaN(), MinY: 3, MaxX: 9, MaxY: 7},
+		{MinX: 5, MinY: 3, MaxX: 9, MaxY: math.NaN()},
+		{MinX: inf, MinY: 3, MaxX: inf, MaxY: 7},
+	} {
+		if r, ok := g.windowIndexRange(win); ok {
+			t.Fatalf("window %+v: index range %+v, want no intersection", win, r)
+		}
+		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Mode != "coarse" {
+			t.Fatalf("window %+v ran %q, want the full-grid coarse search", win, stats.Mode)
+		}
+	}
 }
 
 // Tracked localization with a fresh tracker (no prediction window yet) must
