@@ -104,12 +104,12 @@ func benchChannel(b *testing.B) (*roarray.Estimator, []*roarray.CSI) {
 // unit of work behind every ROArray spectrum.
 func BenchmarkJointSolveSinglePacket(b *testing.B) {
 	est, burst := benchChannel(b)
-	if _, err := est.EstimateJoint(burst[0]); err != nil { // warm the cache
+	if _, _, err := est.EstimateJoint(context.Background(), burst[0]); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateJoint(burst[0]); err != nil {
+		if _, _, err := est.EstimateJoint(context.Background(), burst[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,12 +119,12 @@ func BenchmarkJointSolveSinglePacket(b *testing.B) {
 // burst (the paper's per-link working point for Figs. 6-7).
 func BenchmarkJointSolveFused15(b *testing.B) {
 	est, burst := benchChannel(b)
-	if _, err := est.EstimateJointFused(burst); err != nil {
+	if _, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateJointFused(burst); err != nil {
+		if _, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,19 +236,28 @@ func benchLocalizeBatch(b *testing.B, workers int, reg *roarray.Metrics) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	items := batchItems(reqs)
 	// Warm the dictionary/factorization caches outside the timer.
-	if _, errs := eng.LocalizeBatch(reqs[:1]); errs[0] != nil {
-		b.Fatal(errs[0])
+	if err := eng.LocalizeBatchItems(context.Background(), items[:1])[0].Err; err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, errs := eng.LocalizeBatch(reqs)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
+		for _, out := range eng.LocalizeBatchItems(context.Background(), items) {
+			if out.Err != nil {
+				b.Fatal(out.Err)
 			}
 		}
 	}
+}
+
+// batchItems wraps stateless requests as batch slots.
+func batchItems(reqs []*core.LocalizeRequest) []core.BatchItem {
+	items := make([]core.BatchItem, len(reqs))
+	for i, req := range reqs {
+		items[i].Req = req
+	}
+	return items
 }
 
 // BenchmarkLocalizeBatchSerial measures the 8-request testbed batch on one
@@ -272,14 +281,13 @@ func BenchmarkLocalizeBatchSerialMetrics(b *testing.B) {
 // --- Observability overhead ---------------------------------------------
 
 // obsBatchBench runs the serial testbed batch the way the serving layer
-// does — per-request contexts through LocalizeBatchEachCtx — either with
+// does — per-slot contexts through LocalizeBatchItems — either with
 // metrics only, or with the full request-observability path on top: request
 // ids on every context (tagging spans and histogram exemplars), one wide
 // event logged per request, and SLO window observation.
 type obsBatchBench struct {
 	eng    *roarray.Engine
-	reqs   []*core.LocalizeRequest
-	ctxs   []context.Context
+	items  []core.BatchItem
 	ids    []string
 	reg    *roarray.Metrics
 	events *roarray.EventLog
@@ -332,44 +340,40 @@ func newObsBatchBench(tb testing.TB, full, light bool) *obsBatchBench {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bb := &obsBatchBench{eng: eng, reqs: reqs, reg: reg,
-		ctxs: make([]context.Context, len(reqs)),
-		ids:  make([]string, len(reqs))}
-	for i := range reqs {
-		bb.ctxs[i] = context.Background()
-	}
+	bb := &obsBatchBench{eng: eng, items: batchItems(reqs), reg: reg,
+		ids: make([]string, len(reqs))}
 	if full {
-		for i := range reqs {
+		for i := range bb.items {
 			bb.ids[i] = roarray.NewRequestID()
-			bb.ctxs[i] = roarray.WithRequestID(context.Background(), bb.ids[i])
+			bb.items[i].Ctx = roarray.WithRequestID(context.Background(), bb.ids[i])
 		}
 		bb.events = roarray.NewEventLog(io.Discard, 4096)
 		bb.slo = roarray.NewSLO(roarray.SLOConfig{})
 		bb.slo.Bind(reg)
 	}
 	// Warm the dictionary/factorization caches outside any timer.
-	if _, errs := eng.LocalizeBatch(reqs[:1]); errs[0] != nil {
-		tb.Fatal(errs[0])
+	if err := eng.LocalizeBatchItems(context.Background(), bb.items[:1])[0].Err; err != nil {
+		tb.Fatal(err)
 	}
 	return bb
 }
 
 func (bb *obsBatchBench) run(tb testing.TB) {
 	t0 := time.Now()
-	results, errs := bb.eng.LocalizeBatchEachCtx(context.Background(), bb.reqs, bb.ctxs)
+	outs := bb.eng.LocalizeBatchItems(context.Background(), bb.items)
 	elapsed := time.Since(t0)
-	for i, err := range errs {
-		if err != nil {
-			tb.Fatal(err)
+	for i, out := range outs {
+		if out.Err != nil {
+			tb.Fatal(out.Err)
 		}
 		if bb.events == nil {
 			continue
 		}
-		res := results[i]
+		res := out.Res
 		ev := roarray.RequestEvent{
 			ID: bb.ids[i], Outcome: "ok", Status: 200,
 			TotalMillis:    elapsed.Seconds() * 1e3,
-			BatchSize:      len(bb.reqs),
+			BatchSize:      len(bb.items),
 			SearchMode:     res.Search.Mode,
 			CellsEvaluated: res.Search.Evaluated(),
 			Solver:         res.Links[0].Solve.Solver,
@@ -522,7 +526,7 @@ func BenchmarkLocalizeGridSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := roarray.Localize(obs, dep.Room, 0.1); err != nil {
+		if _, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, 1, roarray.SearchConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,7 +557,7 @@ func benchLocalizeSearch(b *testing.B, cfg roarray.SearchConfig) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, stats, err = roarray.LocalizeSearch(obs, room, 0.1, 1, cfg); err != nil {
+		if _, stats, err = roarray.Localize(context.Background(), obs, room, 0.1, 1, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,12 +17,12 @@
 // (off-grid sensitivity), ab (solver comparison), and fs (fusion-size
 // sweep); "all" runs every experiment in that order.
 //
-// -batch N skips the figures and instead times Engine.LocalizeBatch over N
-// testbed requests serially and with -parallel workers (0 = GOMAXPROCS),
-// verifying the results are identical; with -json it emits exactly one
-// machine-readable line on stdout (ns/op, speedup, workers, and the metrics
-// registry snapshot) for BENCH_*.json trajectory tracking — progress goes to
-// stderr, so the output pipes cleanly into jq.
+// -batch N skips the figures and instead times Engine.LocalizeBatchItems
+// over N testbed requests serially and with -parallel workers (0 =
+// GOMAXPROCS), verifying the results are identical; with -json it emits
+// exactly one machine-readable line on stdout (ns/op, speedup, workers, and
+// the metrics registry snapshot) for BENCH_*.json trajectory tracking —
+// progress goes to stderr, so the output pipes cleanly into jq.
 //
 // -artifact FILE writes the run's structured evaluation telemetry (per-trial
 // records, aggregates with tolerance bands, per-stage wall-clock, solver

@@ -158,7 +158,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	spanCtx, sp := roarray.StartSpan(ctx, "localize.grid")
 	start := time.Now()
-	pos, stats, err := roarray.LocalizeSearchCtx(spanCtx, observations, roarray.Rect{
+	pos, stats, err := roarray.Localize(spanCtx, observations, roarray.Rect{
 		MinX: req.Room.MinX, MinY: req.Room.MinY,
 		MaxX: req.Room.MaxX, MaxY: req.Room.MaxY,
 	}, gridStep, workers, roarray.SearchConfig{Mode: mode})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func TestRoasimRoundTripThroughEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := est.EstimateDirectAoA(burst)
+	direct, _, err := est.EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}

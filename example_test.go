@@ -1,6 +1,7 @@
 package roarray_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -36,7 +37,7 @@ func ExampleEstimator_EstimateJoint() {
 		fmt.Println(err)
 		return
 	}
-	spec, err := est.EstimateJoint(csi)
+	spec, _, err := est.EstimateJoint(context.Background(), csi)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -72,7 +73,7 @@ func ExampleLocalize() {
 			RSSIdBm: -50,
 		}
 	}
-	pos, err := roarray.Localize(obs, room, 0.1)
+	pos, _, err := roarray.Localize(context.Background(), obs, room, 0.1, 1, roarray.SearchConfig{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -60,7 +61,7 @@ func run() error {
 	fmt.Println("Direct-path AoA error vs number of fused packets (truth 130 deg, 2 dB SNR):")
 	fmt.Printf("%10s %12s %12s\n", "packets", "AoA err", "sharpness")
 	for _, n := range []int{1, 2, 5, 10, 20, 30} {
-		spec, err := est.EstimateJointFused(burst[:n])
+		spec, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst[:n])
 		if err != nil {
 			return err
 		}

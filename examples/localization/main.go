@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -29,6 +30,7 @@ func main() {
 }
 
 func run(seed int64, clients int) error {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	dep := roarray.DefaultDeployment()
 
@@ -60,7 +62,7 @@ func run(seed int64, clients int) error {
 			if err != nil {
 				return err
 			}
-			direct, err := est.EstimateDirectAoA(burst)
+			direct, _, err := est.EstimateDirectAoA(ctx, burst)
 			if err != nil {
 				return fmt.Errorf("AP %d: %w", link.APIndex, err)
 			}
@@ -70,7 +72,7 @@ func run(seed int64, clients int) error {
 			obs = append(obs, link.Observation(direct.ThetaDeg))
 		}
 
-		pos, err := roarray.Localize(obs, dep.Room, 0.1)
+		pos, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,6 +29,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	arr := roarray.Intel5300Array()
 	ofdm := roarray.Intel5300OFDM()
@@ -63,7 +65,7 @@ func run() error {
 				return err
 			}
 
-			direct, err := est.EstimateDirectAoA(burst)
+			direct, _, err := est.EstimateDirectAoA(ctx, burst)
 			if err != nil {
 				roaErr += 90
 			} else {
@@ -94,7 +96,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sparseSpec, err := est.EstimateAoA(csi)
+	sparseSpec, _, err := est.EstimateAoA(ctx, csi)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -57,7 +58,7 @@ func run() error {
 	}
 
 	// 4. Joint AoA/ToA sparse recovery from this single packet.
-	spec, err := est.EstimateJoint(csi)
+	spec, _, err := est.EstimateJoint(context.Background(), csi)
 	if err != nil {
 		return err
 	}

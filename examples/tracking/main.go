@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -24,6 +25,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	dep := roarray.DefaultDeployment()
 	ofdm := roarray.Intel5300OFDM()
@@ -68,13 +70,13 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			direct, err := est.EstimateDirectAoA(burst)
+			direct, _, err := est.EstimateDirectAoA(ctx, burst)
 			if err != nil {
 				continue // drop the AP for this epoch
 			}
 			obs = append(obs, link.Observation(direct.ThetaDeg))
 		}
-		fix, err := roarray.Localize(obs, dep.Room, 0.1)
+		fix, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
 		if err != nil {
 			return err
 		}

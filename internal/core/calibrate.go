@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -138,7 +139,7 @@ func CalibratePhases(packets []*wireless.CSI, sharpness SharpnessFunc, coarseSte
 // offsets are common to all packets.
 func ROArraySharpness(est *Estimator) SharpnessFunc {
 	return func(packets []*wireless.CSI) (float64, error) {
-		spec, err := est.EstimateAoA(packets[0])
+		spec, _, err := est.EstimateAoA(context.Background(), packets[0])
 		if err != nil {
 			return 0, err
 		}
@@ -177,7 +178,7 @@ func MUSICSharpness(arr wireless.Array, thetaGrid []float64, numPaths int) Sharp
 // known AoA, scored on the estimator's sparse spectrum.
 func ROArrayReferenceScore(est *Estimator, refAoADeg float64) SharpnessFunc {
 	return func(packets []*wireless.CSI) (float64, error) {
-		spec, err := est.EstimateAoA(packets[0])
+		spec, _, err := est.EstimateAoA(context.Background(), packets[0])
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -60,7 +61,7 @@ func TestCalibratePhasesRecoversAoA(t *testing.T) {
 	}
 
 	// Without calibration the AoA estimate should typically be off.
-	specRaw, err := est.EstimateAoA(pkts[0])
+	specRaw, _, err := est.EstimateAoA(context.Background(), pkts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCalibratePhasesRecoversAoA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specFixed, err := est.EstimateAoA(fixed)
+	specFixed, _, err := est.EstimateAoA(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}

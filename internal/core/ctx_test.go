@@ -24,8 +24,11 @@ func ctxTestObservations(room Rect) []APObservation {
 	return obs
 }
 
+// flatScan selects the reference flat-scan search.
+var flatScan = SearchConfig{Mode: SearchFlat}
+
 // TestLocalizeParallelCtxDeadCtxFailsFast: an already-dead context aborts the
-// search before any sweep, for serial and parallel strips alike, and the
+// flat search before any sweep, for serial and parallel strips alike, and the
 // error unwraps to the context's cause.
 func TestLocalizeParallelCtxDeadCtxFailsFast(t *testing.T) {
 	room := Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}
@@ -45,7 +48,7 @@ func TestLocalizeParallelCtxDeadCtxFailsFast(t *testing.T) {
 		{"expired", expired, context.DeadlineExceeded},
 	} {
 		for _, workers := range []int{1, 4} {
-			_, err := LocalizeParallelCtx(tc.ctx, obs, room, 0.1, workers)
+			_, _, err := LocalizeSearchCtx(tc.ctx, obs, room, 0.1, workers, flatScan)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("%s workers=%d: err = %v, want wrapped %v", tc.name, workers, err, tc.want)
 			}
@@ -53,8 +56,8 @@ func TestLocalizeParallelCtxDeadCtxFailsFast(t *testing.T) {
 	}
 }
 
-// TestLocalizeParallelCtxAbortsMidSearch cancels a deliberately huge sweep
-// shortly after it starts and requires a prompt, wrapped return — the search
+// TestLocalizeParallelCtxAbortsMidSearch cancels a deliberately huge flat
+// sweep shortly after it starts and requires a prompt, wrapped return — the search
 // must stop within its strip, not finish it.
 func TestLocalizeParallelCtxAbortsMidSearch(t *testing.T) {
 	// ~8M grid points: several seconds of sweeping if cancellation fails.
@@ -66,7 +69,7 @@ func TestLocalizeParallelCtxAbortsMidSearch(t *testing.T) {
 		done := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			_, err := LocalizeParallelCtx(ctx, obs, room, 0.05, workers)
+			_, _, err := LocalizeSearchCtx(ctx, obs, room, 0.05, workers, flatScan)
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -85,16 +88,18 @@ func TestLocalizeParallelCtxAbortsMidSearch(t *testing.T) {
 	}
 }
 
-// TestLocalizeParallelCtxLiveCtxMatchesPlain: threading a live context must
-// not perturb a single bit of the search result.
+// TestLocalizeParallelCtxLiveCtxMatchesPlain: polling a live, cancellable
+// context must not perturb a single bit of the flat search result.
 func TestLocalizeParallelCtxLiveCtxMatchesPlain(t *testing.T) {
 	room := Rect{MinX: 0, MinY: 0, MaxX: 9.7, MaxY: 6.4}
 	obs := ctxTestObservations(room)
-	want, err := LocalizeParallel(obs, room, 0.1, 3)
+	want, _, err := LocalizeSearchCtx(context.Background(), obs, room, 0.1, 3, flatScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LocalizeParallelCtx(context.Background(), obs, room, 0.1, 3)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, _, err := LocalizeSearchCtx(live, obs, room, 0.1, 3, flatScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func TestEngineLocalizeCtxDeadline(t *testing.T) {
 	reqs := engineTestRequests(t, 1, 2, 930)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	res, err := eng.LocalizeCtx(ctx, reqs[0])
+	res, err := eng.Localize(ctx, reqs[0])
 	if res != nil {
 		t.Fatalf("expired request returned a result: %+v", res)
 	}
@@ -125,9 +130,9 @@ func TestEngineLocalizeCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestLocalizeBatchEachCtxPerRequestCancel: one poisoned context in a batch
-// aborts only its own slot; the surviving slots are bit-identical to direct
-// Localize calls.
+// TestLocalizeBatchEachCtxPerRequestCancel: one poisoned BatchItem.Ctx in a
+// batch aborts only its own slot; the surviving slots are bit-identical to an
+// unpoisoned batch.
 func TestLocalizeBatchEachCtxPerRequestCancel(t *testing.T) {
 	est := engineTestEstimator(t)
 	eng, err := NewEngine(est, 2)
@@ -136,7 +141,7 @@ func TestLocalizeBatchEachCtxPerRequestCancel(t *testing.T) {
 	}
 	reqs := engineTestRequests(t, 3, 2, 940)
 
-	want, werrs := eng.LocalizeBatch(reqs)
+	want, werrs := localizeBatch(context.Background(), eng, reqs)
 	for i := range reqs {
 		if werrs[i] != nil {
 			t.Fatal(werrs[i])
@@ -145,29 +150,22 @@ func TestLocalizeBatchEachCtxPerRequestCancel(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctxs := []context.Context{nil, canceled, nil}
-	results, errs := eng.LocalizeBatchEachCtx(context.Background(), reqs, ctxs)
-	if !errors.Is(errs[1], context.Canceled) {
-		t.Fatalf("slot 1 err = %v, want wrapped context.Canceled", errs[1])
+	items := []BatchItem{{Req: reqs[0]}, {Req: reqs[1], Ctx: canceled}, {Req: reqs[2]}}
+	outs := eng.LocalizeBatchItems(context.Background(), items)
+	if !errors.Is(outs[1].Err, context.Canceled) {
+		t.Fatalf("slot 1 err = %v, want wrapped context.Canceled", outs[1].Err)
 	}
-	if results[1] != nil {
-		t.Fatalf("canceled slot returned a result: %+v", results[1])
+	if outs[1].Res != nil {
+		t.Fatalf("canceled slot returned a result: %+v", outs[1].Res)
 	}
 	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("slot %d: %v", i, errs[i])
+		if outs[i].Err != nil {
+			t.Fatalf("slot %d: %v", i, outs[i].Err)
 		}
-		if math.Float64bits(results[i].Position.X) != math.Float64bits(want[i].Position.X) ||
-			math.Float64bits(results[i].Position.Y) != math.Float64bits(want[i].Position.Y) {
-			t.Fatalf("slot %d position %+v != reference %+v (bitwise)", i, results[i].Position, want[i].Position)
-		}
-	}
-
-	// A mismatched context slice is an error for every slot, not a panic.
-	_, errs = eng.LocalizeBatchEachCtx(context.Background(), reqs, ctxs[:2])
-	for i, e := range errs {
-		if e == nil {
-			t.Fatalf("slot %d: mismatched reqCtxs length should error", i)
+		got := outs[i].Res.Position
+		if math.Float64bits(got.X) != math.Float64bits(want[i].Position.X) ||
+			math.Float64bits(got.Y) != math.Float64bits(want[i].Position.Y) {
+			t.Fatalf("slot %d position %+v != reference %+v (bitwise)", i, got, want[i].Position)
 		}
 	}
 }
@@ -207,7 +205,7 @@ func TestLocalizeBatchPanicIsolation(t *testing.T) {
 	}
 	reqs := engineTestRequests(t, 2, 2, 950)
 
-	results, errs := eng.LocalizeBatch(reqs)
+	results, errs := localizeBatch(context.Background(), eng, reqs)
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "panicked") {
 		t.Fatalf("poisoned slot err = %v, want recovered panic", errs[0])
 	}
@@ -236,7 +234,7 @@ func TestLocalizeNilPacketDegrades(t *testing.T) {
 	req.Links[0].Packets = append([]*wireless.CSI(nil), req.Links[0].Packets...)[:1]
 	req.Links[0].Packets[0] = nil
 
-	res, err := eng.Localize(req)
+	res, err := eng.Localize(context.Background(), req)
 	if err != nil {
 		t.Fatalf("nil packet should degrade, not fail: %v", err)
 	}

@@ -22,12 +22,12 @@ import (
 //
 // Two axes of parallelism are exposed:
 //
-//   - Localize fans the per-AP EstimateJointFused + DirectPath work of one
-//     request over the pool, then runs the Eq. 19 grid search in parallel
-//     column strips.
-//   - LocalizeBatch fans whole independent requests over the pool, keeping
-//     each request's internal pipeline serial (the batch already saturates
-//     the workers; nesting would only oversubscribe).
+//   - Localize fans the per-AP fused joint spectrum + DirectPath work of one
+//     request over the pool, then runs the Eq. 19 grid search (a flat scan
+//     fans out over the pool in column strips).
+//   - LocalizeBatchItems fans whole independent requests over the pool,
+//     keeping each request's internal pipeline serial (the batch already
+//     saturates the workers; nesting would only oversubscribe).
 //
 // All results are bit-identical to a serial run for any worker count:
 // estimation is deterministic given its inputs, per-request outputs land in
@@ -243,7 +243,7 @@ func (e *Engine) estimateLink(ctx context.Context, in *LinkInput) LinkResult {
 		conf = rep.Confidence()
 		report = &rep
 	}
-	peak, info, err := e.est.EstimateDirectAoAInfoCtx(ctx, packets)
+	peak, info, err := e.est.EstimateDirectAoA(ctx, packets)
 	if err != nil {
 		e.met.recordLinkFailure()
 		if report != nil {
@@ -282,16 +282,12 @@ func (m *engineMetrics) recordSanitize(rep BurstReport) {
 }
 
 // Localize processes one request, fanning the per-AP estimation over the
-// worker pool and running the grid search in parallel strips.
-func (e *Engine) Localize(req *LocalizeRequest) (*LocalizeResult, error) {
-	return e.localize(context.Background(), req, e.workers)
-}
-
-// LocalizeCtx is Localize with observability: when ctx carries an
+// worker pool, then running the Eq. 19 grid search. When ctx carries an
 // obs.Tracer, the call emits a "localize" span with "estimate.ap<i>"
 // children (each wrapping the link's sanitize/dict/fuse/solve/peak stages)
-// and a "localize.grid" span around the Eq. 19 search.
-func (e *Engine) LocalizeCtx(ctx context.Context, req *LocalizeRequest) (*LocalizeResult, error) {
+// and a "localize.grid" span around the Eq. 19 search. See localize for the
+// cancellation contract.
+func (e *Engine) Localize(ctx context.Context, req *LocalizeRequest) (*LocalizeResult, error) {
 	return e.localize(ctx, req, e.workers)
 }
 
@@ -399,20 +395,15 @@ type TrackResult struct {
 	WindowStats SearchStats
 }
 
-// LocalizeTracked is LocalizeTrackedCtx with a background context.
-func (e *Engine) LocalizeTracked(req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
-	return e.localizeTracked(context.Background(), req, tr, t, e.workers)
-}
-
-// LocalizeTrackedCtx runs one epoch of a tracked target: per-AP estimation
-// exactly as LocalizeCtx, then the Eq. 19 search constrained to the
+// LocalizeTracked runs one epoch of a tracked target: per-AP estimation
+// exactly as Localize, then the Eq. 19 search constrained to the
 // tracker's predicted window when one is available. The windowed result is
 // accepted only when it lands strictly inside the window and passes the
 // tracker's NIS gate; otherwise the full configured search re-runs
 // (bit-identical to the stateless path by construction) before the filter
 // absorbs the fix. The tracker is mutated by the absorbed fix; on any error
 // it is left untouched.
-func (e *Engine) LocalizeTrackedCtx(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
+func (e *Engine) LocalizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
 	return e.localizeTracked(ctx, req, tr, t, e.workers)
 }
 
@@ -529,65 +520,6 @@ func (m *engineMetrics) recordSearch(stats SearchStats) {
 	}
 }
 
-// LocalizeBatch processes independent requests concurrently across the
-// worker pool. results[i] and errs[i] correspond to reqs[i]; a request that
-// fails leaves a nil result and its error in errs[i] without affecting the
-// others. Results are identical to calling Localize on each request in a
-// loop, for any worker count.
-func (e *Engine) LocalizeBatch(reqs []*LocalizeRequest) (results []*LocalizeResult, errs []error) {
-	return e.LocalizeBatchCtx(context.Background(), reqs)
-}
-
-// LocalizeBatchCtx is LocalizeBatch with observability: when ctx carries an
-// obs.Tracer, the batch emits a "localize.batch" root span with one
-// "localize.req<i>" child per request, each wrapping that request's full
-// stage tree. Span emission is mutex-serialized in the tracer, so tracing a
-// parallel batch is race-safe; results remain bit-identical to the untraced
-// run because instrumentation never touches the numeric pipeline.
-func (e *Engine) LocalizeBatchCtx(ctx context.Context, reqs []*LocalizeRequest) (results []*LocalizeResult, errs []error) {
-	return e.LocalizeBatchEachCtx(ctx, reqs, nil)
-}
-
-// LocalizeBatchEachCtx is LocalizeBatchCtx with one context per request,
-// built for an online serving layer that coalesces independently-deadlined
-// requests into one flush:
-//
-//   - ctx governs the whole flush (and carries the tracer for the batch
-//     span); cancelling it aborts every request that has not finished.
-//   - reqCtxs[i], when non-nil, replaces ctx for request i — its deadline or
-//     cancellation aborts only that slot, which reports an error wrapping
-//     context.Canceled / context.DeadlineExceeded while the rest of the
-//     batch completes normally. reqCtxs may be nil (every request uses ctx);
-//     otherwise its length must match reqs.
-//
-// Each request additionally runs panic-isolated: a panic inside one
-// request's pipeline (e.g. a malformed CSI matrix) is recovered into that
-// slot's error instead of crashing the process — a batch server must not be
-// taken down by one poisoned request. Results for non-aborted, non-panicked
-// slots remain bit-identical to serial Localize calls.
-func (e *Engine) LocalizeBatchEachCtx(ctx context.Context, reqs []*LocalizeRequest, reqCtxs []context.Context) (results []*LocalizeResult, errs []error) {
-	results = make([]*LocalizeResult, len(reqs))
-	errs = make([]error, len(reqs))
-	if reqCtxs != nil && len(reqCtxs) != len(reqs) {
-		err := fmt.Errorf("core: %d request contexts for %d requests", len(reqCtxs), len(reqs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
-	}
-	items := make([]BatchItem, len(reqs))
-	for i := range reqs {
-		items[i].Req = reqs[i]
-		if reqCtxs != nil {
-			items[i].Ctx = reqCtxs[i]
-		}
-	}
-	for i, out := range e.LocalizeBatchItems(ctx, items) {
-		results[i], errs[i] = out.Res, out.Err
-	}
-	return results, errs
-}
-
 // BatchItem is one slot of a mixed micro-batch: a localization request plus
 // an optional per-slot context and an optional tracking op. When Tracker is
 // non-nil the slot runs the tracked pipeline (prediction-shrunk search with
@@ -597,7 +529,10 @@ func (e *Engine) LocalizeBatchEachCtx(ctx context.Context, reqs []*LocalizeReque
 // epoch.
 type BatchItem struct {
 	Req *LocalizeRequest
-	// Ctx, when non-nil, replaces the batch context for this slot.
+	// Ctx, when non-nil, replaces the batch context for this slot: its
+	// deadline or cancellation aborts only this slot, which reports an error
+	// wrapping context.Canceled / context.DeadlineExceeded while the rest of
+	// the batch completes normally.
 	Ctx context.Context
 	// Tracker selects the tracked pipeline for this slot.
 	Tracker *Tracker
@@ -614,12 +549,22 @@ type BatchOutcome struct {
 	Err   error
 }
 
-// LocalizeBatchItems processes a mixed batch of stateless and tracked
-// requests concurrently across the worker pool, with the same span tree
-// ("localize.batch" root, "localize.req<i>" children), per-slot contexts,
-// and panic isolation as LocalizeBatchEachCtx. Results for non-aborted,
-// non-panicked slots are bit-identical to serial LocalizeCtx /
-// LocalizeTrackedCtx calls.
+// LocalizeBatchItems processes a batch of independent stateless and tracked
+// requests concurrently across the worker pool; outcome i belongs to item i,
+// and a failing slot leaves its error there without affecting the others.
+//
+//   - ctx governs every slot without a Ctx of its own: cancelling it aborts
+//     those that have not finished. When ctx carries an obs.Tracer the
+//     batch emits a "localize.batch" root span with a "localize.req<i>"
+//     child for each such slot, wrapping that request's full stage tree.
+//     Span emission is mutex-serialized in the tracer, so tracing a parallel
+//     batch is race-safe.
+//   - Each slot runs panic-isolated: a panic inside one request's pipeline is
+//     recovered into that slot's error instead of crashing the process — a
+//     batch server must not be taken down by one poisoned request.
+//
+// Results for non-aborted, non-panicked slots are bit-identical to serial
+// Localize / LocalizeTracked calls, for any worker count.
 func (e *Engine) LocalizeBatchItems(ctx context.Context, items []BatchItem) []BatchOutcome {
 	ctx, sp := obs.StartSpan(ctx, "localize.batch")
 	defer sp.End()

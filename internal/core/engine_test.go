@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,6 +27,21 @@ func engineTestEstimator(t testing.TB) *Estimator {
 		t.Fatal(err)
 	}
 	return est
+}
+
+// localizeBatch runs reqs as one stateless LocalizeBatchItems batch and
+// splits the outcomes into index-aligned results and errors.
+func localizeBatch(ctx context.Context, eng *Engine, reqs []*LocalizeRequest) ([]*LocalizeResult, []error) {
+	items := make([]BatchItem, len(reqs))
+	for i, req := range reqs {
+		items[i].Req = req
+	}
+	results := make([]*LocalizeResult, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, out := range eng.LocalizeBatchItems(ctx, items) {
+		results[i], errs[i] = out.Res, out.Err
+	}
+	return results, errs
 }
 
 // engineTestRequests synthesizes n small localization requests over a square
@@ -73,13 +89,13 @@ func engineTestRequests(t testing.TB, n, packets int, baseSeed int64) []*Localiz
 }
 
 // TestLocalizeBatchMatchesSerial is the equivalence table: for fixed seeds,
-// LocalizeBatch over N requests must produce results identical to the serial
+// LocalizeBatchItems over N requests must produce results identical to the serial
 // per-request loop, across worker counts 1, 2, and 8.
 func TestLocalizeBatchMatchesSerial(t *testing.T) {
 	est := engineTestEstimator(t)
 	reqs := engineTestRequests(t, 4, 3, 900)
 
-	// Serial reference: the plain Estimator + Localize pipeline, no engine.
+	// Serial reference: plain Estimator + flat Eq. 19 search, no engine.
 	want := make([]Point, len(reqs))
 	wantAoA := make([][]float64, len(reqs))
 	for r, req := range reqs {
@@ -87,13 +103,13 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 		wantAoA[r] = make([]float64, len(req.Links))
 		for i, in := range req.Links {
 			aoa := 90.0
-			if peak, err := est.EstimateDirectAoA(in.Packets); err == nil {
+			if peak, _, err := est.EstimateDirectAoA(context.Background(), in.Packets); err == nil {
 				aoa = peak.ThetaDeg
 			}
 			wantAoA[r][i] = aoa
 			obs[i] = APObservation{Pos: in.Pos, AxisDeg: in.AxisDeg, AoADeg: aoa, RSSIdBm: in.RSSIdBm}
 		}
-		pos, err := Localize(obs, req.Bounds, req.Step)
+		pos, err := localizeFlat(obs, req.Bounds, req.Step)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +121,7 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, errs := eng.LocalizeBatch(reqs)
+		results, errs := localizeBatch(context.Background(), eng, reqs)
 		for r := range reqs {
 			if errs[r] != nil {
 				t.Fatalf("workers=%d request %d: %v", workers, r, errs[r])
@@ -138,7 +154,7 @@ func TestLocalizeBatchBitReproducible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, errs := eng.LocalizeBatch(reqs)
+			results, errs := localizeBatch(context.Background(), eng, reqs)
 			got := make([]Point, len(results))
 			for r := range results {
 				if errs[r] != nil {
@@ -170,7 +186,7 @@ func TestEngineLocalizeSingleRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Localize(reqs[0])
+	res, err := eng.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +200,7 @@ func TestEngineLocalizeSingleRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := serial.Localize(reqs[0])
+	sres, err := serial.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +213,7 @@ func TestEngineLocalizeSingleRequest(t *testing.T) {
 	broken := *reqs[0]
 	broken.Links = append([]LinkInput(nil), reqs[0].Links...)
 	broken.Links[1].Packets = nil
-	bres, err := eng.Localize(&broken)
+	bres, err := eng.Localize(context.Background(), &broken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,21 +241,21 @@ func TestEngineValidation(t *testing.T) {
 	if eng.Estimator() != est {
 		t.Fatal("engine does not share the estimator")
 	}
-	if _, err := eng.Localize(nil); err == nil {
+	if _, err := eng.Localize(context.Background(), nil); err == nil {
 		t.Fatal("nil request should error")
 	}
-	if _, err := eng.Localize(&LocalizeRequest{
+	if _, err := eng.Localize(context.Background(), &LocalizeRequest{
 		Links:  []LinkInput{{}},
 		Bounds: Rect{MaxX: 1, MaxY: 1},
 	}); err == nil {
 		t.Fatal("single-link request should error")
 	}
-	if _, err := eng.Localize(&LocalizeRequest{
+	if _, err := eng.Localize(context.Background(), &LocalizeRequest{
 		Links: []LinkInput{{}, {}},
 	}); err == nil {
 		t.Fatal("empty bounds should error")
 	}
-	results, errs := eng.LocalizeBatch([]*LocalizeRequest{nil})
+	results, errs := localizeBatch(context.Background(), eng, []*LocalizeRequest{nil})
 	if errs[0] == nil || results[0] != nil {
 		t.Fatal("nil request in batch should error without a result")
 	}
@@ -256,12 +272,12 @@ func TestLocalizeParallelMatchesSerial(t *testing.T) {
 	for i, c := range corners {
 		obs[i] = APObservation{Pos: c, AxisDeg: 45, AoADeg: ExpectedAoA(c, 45, target), RSSIdBm: -48}
 	}
-	want, err := Localize(obs, room, 0.1)
+	want, err := localizeFlat(obs, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 1000} {
-		got, err := LocalizeParallel(obs, room, 0.1, workers)
+		got, _, err := LocalizeSearchCtx(context.Background(), obs, room, 0.1, workers, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -514,19 +514,28 @@ func kappaFor(solver *sparse.Solver, y *cmat.Matrix, ratio float64) float64 {
 	return ratio * math.Sqrt(mx)
 }
 
-// EstimateAoA recovers the sparse AoA spectrum of paper Eq. 11 from one CSI
-// measurement, treating the L subcarriers as snapshots that share a common
-// angular support (group sparsity across subcarriers).
-func (e *Estimator) EstimateAoA(csi *wireless.CSI) (*spectra.Spectrum1D, error) {
-	return e.EstimateAoACtx(context.Background(), csi)
+// checkPackets rejects malformed measurements before any of them is read: a
+// nil packet, ragged or short rows, an antenna count other than the
+// configured array's, and — when subcarriers > 0 — a subcarrier count other
+// than that. The error wraps ErrCSIDimension.
+func (e *Estimator) checkPackets(packets []*wireless.CSI, subcarriers int) error {
+	for p, pkt := range packets {
+		if prob := dimensionProblem(pkt, e.cfg.Array.NumAntennas, subcarriers); prob != "" {
+			return fmt.Errorf("%w: packet %d: %s", ErrCSIDimension, p, prob)
+		}
+	}
+	return nil
 }
 
-// EstimateAoACtx is EstimateAoA with stage tracing: when ctx carries an
+// EstimateAoA recovers the sparse AoA spectrum of paper Eq. 11 from one CSI
+// measurement, treating the L subcarriers as snapshots that share a common
+// angular support (group sparsity across subcarriers). When ctx carries an
 // obs.Tracer it emits "estimate.aoa" with "estimate.dict" and
-// "estimate.solve" children.
-func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spectra.Spectrum1D, error) {
-	if csi.NumAntennas != e.cfg.Array.NumAntennas {
-		return nil, fmt.Errorf("core: CSI has %d antennas, config has %d", csi.NumAntennas, e.cfg.Array.NumAntennas)
+// "estimate.solve" children. The SolveInfo names the solver and fallback
+// stage that produced the spectrum.
+func (e *Estimator) EstimateAoA(ctx context.Context, csi *wireless.CSI) (*spectra.Spectrum1D, SolveInfo, error) {
+	if err := e.checkPackets([]*wireless.CSI{csi}, 0); err != nil {
+		return nil, SolveInfo{}, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "estimate.aoa")
 	defer sp.End()
@@ -534,7 +543,7 @@ func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spe
 	solver, err := e.getAoASolver()
 	spd.End()
 	if err != nil {
-		return nil, fmt.Errorf("core: build AoA solver: %w", err)
+		return nil, SolveInfo{}, fmt.Errorf("core: build AoA solver: %w", err)
 	}
 	y := cmat.New(csi.NumAntennas, csi.NumSubcarriers)
 	for m := 0; m < csi.NumAntennas; m++ {
@@ -543,55 +552,44 @@ func (e *Estimator) EstimateAoACtx(ctx context.Context, csi *wireless.CSI) (*spe
 		}
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, _, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
 	if err != nil {
-		return nil, fmt.Errorf("core: AoA solve: %w", err)
+		return nil, SolveInfo{}, fmt.Errorf("core: AoA solve: %w", err)
 	}
 	spec, err := spectra.NewSpectrum1D(append([]float64(nil), e.cfg.ThetaGrid...), res.RowMags)
 	if err != nil {
-		return nil, err
+		return nil, SolveInfo{}, err
 	}
-	return spec.Normalize(), nil
+	return spec.Normalize(), solveInfoFor(res, stage), nil
 }
 
 // EstimateJoint recovers the joint AoA/ToA spectrum of paper Eq. 18 from a
-// single packet by solving over the stacked space-delay dictionary.
-func (e *Estimator) EstimateJoint(csi *wireless.CSI) (*spectra.Spectrum2D, error) {
-	spec, _, err := e.estimateJointBlock(context.Background(), []*wireless.CSI{csi}, 1)
-	return spec, err
+// single packet by solving over the stacked space-delay dictionary, under
+// the "estimate.dict" and "estimate.solve" spans when ctx carries a tracer.
+func (e *Estimator) EstimateJoint(ctx context.Context, csi *wireless.CSI) (*spectra.Spectrum2D, SolveInfo, error) {
+	packets := []*wireless.CSI{csi}
+	if err := e.checkPackets(packets, e.cfg.OFDM.NumSubcarriers); err != nil {
+		return nil, SolveInfo{}, err
+	}
+	return e.estimateJointBlock(ctx, packets, 1)
 }
 
-// EstimateJointCtx is EstimateJoint with stage tracing.
-func (e *Estimator) EstimateJointCtx(ctx context.Context, csi *wireless.CSI) (*spectra.Spectrum2D, error) {
-	spec, _, err := e.estimateJointBlock(ctx, []*wireless.CSI{csi}, 1)
-	return spec, err
-}
-
-// EstimateJointFused coherently fuses a burst of packets (Sec. III-D): the
-// stacked measurements form Y = [y_1 ... y_P], the SVD keeps the strongest
-// min(MaxPaths, P) left singular directions, and the l2,1 group-sparse
-// program is solved over the reduced block — the l1-SVD method of
-// Malioutov et al. that both shrinks the problem and averages noise
-// coherently.
-func (e *Estimator) EstimateJointFused(packets []*wireless.CSI) (*spectra.Spectrum2D, error) {
-	return e.EstimateJointFusedCtx(context.Background(), packets)
-}
-
-// EstimateJointFusedCtx is EstimateJointFused with stage tracing: when ctx
-// carries an obs.Tracer it emits "estimate.sanitize" (delay alignment and
-// interference screening), "estimate.dict", "estimate.fuse" (the l1-SVD
-// compression), and "estimate.solve" spans.
-func (e *Estimator) EstimateJointFusedCtx(ctx context.Context, packets []*wireless.CSI) (*spectra.Spectrum2D, error) {
-	spec, _, err := e.EstimateJointFusedInfoCtx(ctx, packets)
-	return spec, err
-}
-
-// EstimateJointFusedInfoCtx is EstimateJointFusedCtx returning, in addition,
-// the SolveInfo describing which solver (and which fallback stage, if any)
+// EstimateJointFusedInfoCtx coherently fuses a burst of packets (Sec.
+// III-D): the stacked measurements form Y = [y_1 ... y_P], the SVD keeps the
+// strongest min(MaxPaths, P) left singular directions, and the l2,1
+// group-sparse program is solved over the reduced block — the l1-SVD method
+// of Malioutov et al. that both shrinks the problem and averages noise
+// coherently. When ctx carries an obs.Tracer it emits "estimate.sanitize"
+// (delay alignment and interference screening), "estimate.dict",
+// "estimate.fuse" (the l1-SVD compression), and "estimate.solve" spans. The
+// SolveInfo describes which solver (and which fallback stage, if any)
 // produced the accepted spectrum.
 func (e *Estimator) EstimateJointFusedInfoCtx(ctx context.Context, packets []*wireless.CSI) (*spectra.Spectrum2D, SolveInfo, error) {
 	if len(packets) == 0 {
 		return nil, SolveInfo{}, fmt.Errorf("core: fusion needs at least one packet")
+	}
+	if err := e.checkPackets(packets, e.cfg.OFDM.NumSubcarriers); err != nil {
+		return nil, SolveInfo{}, err
 	}
 	// Fusion is only coherent if the packets share a delay reference; the
 	// per-packet detection delay is estimated by matched filtering and
@@ -610,14 +608,11 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: build joint solver: %w", err)
 	}
-	ml := e.cfg.Array.NumAntennas * e.cfg.OFDM.NumSubcarriers
-	y := cmat.New(ml, len(packets))
+	// Callers have checked every packet's shape, so each stacked vector has
+	// M*L entries.
+	y := cmat.New(e.cfg.Array.NumAntennas*e.cfg.OFDM.NumSubcarriers, len(packets))
 	for p, pkt := range packets {
-		v := pkt.StackedVector()
-		if len(v) != ml {
-			return nil, SolveInfo{}, fmt.Errorf("core: packet %d has %d samples, want %d", p, len(v), ml)
-		}
-		y.SetCol(p, v)
+		y.SetCol(p, pkt.StackedVector())
 	}
 	if len(packets) > 1 {
 		_, spf := obs.StartSpan(ctx, "estimate.fuse")
@@ -766,23 +761,11 @@ func tauStep(tau []float64) float64 {
 
 // EstimateDirectAoA is the end-to-end single-link pipeline: joint (fused)
 // spectrum, then smallest-ToA direct path. It accepts one or more packets.
-func (e *Estimator) EstimateDirectAoA(packets []*wireless.CSI) (spectra.Peak, error) {
-	return e.EstimateDirectAoACtx(context.Background(), packets)
-}
-
-// EstimateDirectAoACtx is EstimateDirectAoA with stage tracing: the fused
-// estimation spans plus an "estimate.peak" span around direct-path
-// selection.
-func (e *Estimator) EstimateDirectAoACtx(ctx context.Context, packets []*wireless.CSI) (spectra.Peak, error) {
-	peak, _, err := e.EstimateDirectAoAInfoCtx(ctx, packets)
-	return peak, err
-}
-
-// EstimateDirectAoAInfoCtx is EstimateDirectAoACtx returning, in addition,
-// the SolveInfo of the solve that produced the spectrum the peak was picked
-// from — the per-link diagnostic the serving layer surfaces in its request
-// log.
-func (e *Estimator) EstimateDirectAoAInfoCtx(ctx context.Context, packets []*wireless.CSI) (spectra.Peak, SolveInfo, error) {
+// When ctx carries an obs.Tracer it emits the fused estimation spans plus an
+// "estimate.peak" span around direct-path selection. The SolveInfo is that
+// of the solve that produced the spectrum the peak was picked from — the
+// per-link diagnostic the serving layer surfaces in its request log.
+func (e *Estimator) EstimateDirectAoA(ctx context.Context, packets []*wireless.CSI) (spectra.Peak, SolveInfo, error) {
 	spec, info, err := e.EstimateJointFusedInfoCtx(ctx, packets)
 	if err != nil {
 		return spectra.Peak{}, info, err

@@ -61,10 +61,10 @@ func TestEstimatorConcurrentUse(t *testing.T) {
 	refAoA := make([]*spectra.Spectrum1D, goroutines)
 	refJoint := make([]*spectra.Spectrum2D, goroutines)
 	for g, csi := range csis {
-		if refAoA[g], err = est.EstimateAoA(csi); err != nil {
+		if refAoA[g], _, err = est.EstimateAoA(context.Background(), csi); err != nil {
 			t.Fatal(err)
 		}
-		if refJoint[g], err = est.EstimateJoint(csi); err != nil {
+		if refJoint[g], _, err = est.EstimateJoint(context.Background(), csi); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,12 +77,12 @@ func TestEstimatorConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				aoa, err := est.EstimateAoA(csis[g])
+				aoa, _, err := est.EstimateAoA(context.Background(), csis[g])
 				if err != nil {
 					failures <- err.Error()
 					return
 				}
-				joint, err := est.EstimateJoint(csis[g])
+				joint, _, err := est.EstimateJoint(context.Background(), csis[g])
 				if err != nil {
 					failures <- err.Error()
 					return
@@ -160,7 +160,7 @@ func TestEstimatorConcurrentUseWithObservability(t *testing.T) {
 
 	refs := make([]*spectra.Spectrum1D, goroutines)
 	for g, csi := range csis {
-		if refs[g], err = plain.EstimateAoA(csi); err != nil {
+		if refs[g], _, err = plain.EstimateAoA(context.Background(), csi); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestEstimatorConcurrentUseWithObservability(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				aoa, err := metered.EstimateAoACtx(ctx, csis[g])
+				aoa, _, err := metered.EstimateAoA(ctx, csis[g])
 				if err != nil {
 					failures <- err.Error()
 					return

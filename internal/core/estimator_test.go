@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -98,7 +99,7 @@ func TestEstimateAoASinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.EstimateAoA(csi)
+	spec, _, err := est.EstimateAoA(context.Background(), csi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestEstimateJointRecoversAoAAndToA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.EstimateJoint(csi)
+	spec, _, err := est.EstimateJoint(context.Background(), csi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDirectPathSmallestToA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.EstimateJoint(csi)
+	spec, _, err := est.EstimateJoint(context.Background(), csi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestFusionSharpensSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := est.EstimateJoint(single)
+	s1, _, err := est.EstimateJoint(context.Background(), single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sN, err := est.EstimateJointFused(burst)
+	sN, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestFusedMatchesSingleForOnePacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := est.EstimateJoint(csi)
+	a, _, err := est.EstimateJoint(context.Background(), csi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.EstimateJointFused([]*wireless.CSI{csi})
+	b, _, err := est.EstimateJointFusedInfoCtx(context.Background(), []*wireless.CSI{csi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestEstimateDirectAoAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := est.EstimateDirectAoA(burst)
+	dp, _, err := est.EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,19 +280,66 @@ func TestEstimateDirectAoAEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEstimatorInputValidation: every estimator entry point checks its
+// packets' shape before reading them and returns an error wrapping
+// ErrCSIDimension — never an index-out-of-range or nil-dereference panic —
+// for a nil packet, a row shorter than the header's subcarrier count, or an
+// antenna count other than the configured array's. The joint operations,
+// whose dictionary fixes the subcarrier count, also reject a packet with a
+// different one. The burst operations get the bad packet after a good one,
+// and reject an empty burst.
 func TestEstimatorInputValidation(t *testing.T) {
 	est, err := NewEstimator(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.EstimateAoA(wireless.NewCSI(2, 30)); err == nil {
-		t.Fatal("antenna mismatch should error")
-	}
-	if _, err := est.EstimateJointFused(nil); err == nil {
+	ctx := context.Background()
+	if _, _, err := est.EstimateJointFusedInfoCtx(ctx, nil); err == nil {
 		t.Fatal("empty burst should error")
 	}
-	if _, err := est.EstimateJoint(wireless.NewCSI(3, 7)); err == nil {
-		t.Fatal("wrong subcarrier count should error")
+	m, l := est.Config().Array.NumAntennas, est.Config().OFDM.NumSubcarriers
+	good := wireless.NewCSI(m, l)
+	short := wireless.NewCSI(m, l)
+	short.Data[m-1] = short.Data[m-1][:l-1]
+	packets := map[string]*wireless.CSI{
+		"nil packet":           nil,
+		"short row":            short,
+		"wrong NumAntennas":    wireless.NewCSI(m+1, l),
+		"wrong NumSubcarriers": wireless.NewCSI(m, l+3),
+	}
+	ops := []struct {
+		name  string
+		joint bool
+		run   func(*wireless.CSI) error
+	}{
+		{"EstimateAoA", false, func(c *wireless.CSI) error {
+			_, _, err := est.EstimateAoA(ctx, c)
+			return err
+		}},
+		{"EstimateJoint", true, func(c *wireless.CSI) error {
+			_, _, err := est.EstimateJoint(ctx, c)
+			return err
+		}},
+		{"EstimateJointFusedInfoCtx", true, func(c *wireless.CSI) error {
+			_, _, err := est.EstimateJointFusedInfoCtx(ctx, []*wireless.CSI{good, c})
+			return err
+		}},
+		{"EstimateDirectAoA", true, func(c *wireless.CSI) error {
+			_, _, err := est.EstimateDirectAoA(ctx, []*wireless.CSI{good, c})
+			return err
+		}},
+	}
+	for _, op := range ops {
+		for name, pkt := range packets {
+			if name == "wrong NumSubcarriers" && !op.joint {
+				continue // AoA treats any number of subcarriers as snapshots
+			}
+			t.Run(op.name+"/"+name, func(t *testing.T) {
+				if err := op.run(pkt); !errors.Is(err, ErrCSIDimension) {
+					t.Fatalf("err = %v, want ErrCSIDimension", err)
+				}
+			})
+		}
 	}
 }
 
@@ -313,7 +361,7 @@ func TestSolverOptionsPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.EstimateAoA(csi); err != nil {
+	if _, _, err := est.EstimateAoA(context.Background(), csi); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 30 {

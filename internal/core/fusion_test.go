@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,7 +177,7 @@ func TestFusionImprovesLowSNRAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dp, err := est.EstimateDirectAoA(burst)
+			dp, _, err := est.EstimateDirectAoA(context.Background(), burst)
 			if err != nil {
 				sum += 90
 				continue

@@ -193,7 +193,7 @@ func FuzzSearchExact(f *testing.F) {
 		cfg := SearchConfig{Mode: SearchExact, Decimation: int(dec % 20)}
 
 		g, gerr := newGridSearch(context.Background(), obs, bounds, step)
-		_, _, err := LocalizeSearch(obs, bounds, step, 2, cfg)
+		_, _, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 2, cfg)
 		if errors.Is(err, ErrSearchMismatch) {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func FuzzSearchExact(f *testing.F) {
 
 		win := Rect{MinX: wx, MinY: wy, MaxX: wx + ww, MaxY: wy + wh}
 		cfg.Mode, cfg.Window = SearchCoarse, &win
-		p, stats, err := LocalizeSearch(obs, bounds, step, 1, cfg)
+		p, stats, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

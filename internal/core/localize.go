@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"math"
-)
+import "math"
 
 // Point is a 2-D position in meters.
 type Point struct {
@@ -71,46 +68,6 @@ func aoaFromAxis(ux, uy float64, pos, target Point) float64 {
 	dot := (ux*dx + uy*dy) / d
 	dot = math.Max(-1, math.Min(1, dot))
 	return math.Acos(dot) * 180 / math.Pi
-}
-
-// Localize finds the position minimizing the RSSI-weighted squared AoA
-// deviation of paper Eq. 19:
-//
-//	min_x sum_i R_i (phi_i(x) - phihat_i)^2
-//
-// over a uniform grid with the given step (meters) inside bounds. The paper
-// uses a 10 cm grid; step <= 0 selects 0.1 m. RSSI weights are converted to
-// linear milliwatts.
-func Localize(obs []APObservation, bounds Rect, step float64) (Point, error) {
-	return LocalizeParallelCtx(context.Background(), obs, bounds, step, 1)
-}
-
-// LocalizeParallel is Localize with the grid search fanned out over up to
-// workers goroutines (workers <= 1 runs serially). Grid points are addressed
-// by index, cost evaluation order within a point is fixed, and column strips
-// are reduced in scan order with strict-less-than comparison, so the result
-// is bit-identical to the serial search for any worker count.
-func LocalizeParallel(obs []APObservation, bounds Rect, step float64, workers int) (Point, error) {
-	return LocalizeParallelCtx(context.Background(), obs, bounds, step, workers)
-}
-
-// LocalizeParallelCtx is LocalizeParallel under a context: the sweep checks
-// ctx once per grid column and aborts with a wrapped context error
-// (errors.Is-matchable against context.Canceled / context.DeadlineExceeded)
-// instead of finishing its strip, so a server can abandon a search the
-// moment a request deadline dies. A never-cancelled context changes nothing:
-// the scan order, tie-breaking, and result bits are identical to
-// LocalizeParallel.
-func LocalizeParallelCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int) (Point, error) {
-	g, err := newGridSearch(ctx, obs, bounds, step)
-	if err != nil {
-		return Point{}, err
-	}
-	best, err := g.flat(workers)
-	if err != nil {
-		return Point{}, err
-	}
-	return g.pointAt(best.ix, best.iy), nil
 }
 
 // gridCount returns the number of samples lo, lo+step, ... not exceeding

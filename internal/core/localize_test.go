@@ -1,11 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// localizeFlat runs the Eq. 19 reference flat scan serially.
+func localizeFlat(obs []APObservation, bounds Rect, step float64) (Point, error) {
+	p, _, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, SearchConfig{Mode: SearchFlat})
+	return p, err
+}
 
 func TestExpectedAoAGeometry(t *testing.T) {
 	ap := Point{X: 0, Y: 0}
@@ -81,7 +88,7 @@ func TestLocalizeExactAoAs(t *testing.T) {
 			RSSIdBm: -50,
 		}
 	}
-	got, err := Localize(obs, room, 0.1)
+	got, err := localizeFlat(obs, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestLocalizeRSSIWeighting(t *testing.T) {
 	good2 := APObservation{Pos: Point{10, 0}, AxisDeg: 90, AoADeg: ExpectedAoA(Point{10, 0}, 90, target), RSSIdBm: -40}
 	good3 := APObservation{Pos: Point{0, 10}, AxisDeg: 0, AoADeg: ExpectedAoA(Point{0, 10}, 0, target), RSSIdBm: -40}
 	liar := APObservation{Pos: Point{10, 10}, AxisDeg: 90, AoADeg: 170, RSSIdBm: -85}
-	got, err := Localize([]APObservation{good1, good2, good3, liar}, room, 0.1)
+	got, err := localizeFlat([]APObservation{good1, good2, good3, liar}, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +117,15 @@ func TestLocalizeRSSIWeighting(t *testing.T) {
 
 func TestLocalizeValidation(t *testing.T) {
 	room := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	if _, err := Localize([]APObservation{{}}, room, 0.1); err == nil {
+	if _, err := localizeFlat([]APObservation{{}}, room, 0.1); err == nil {
 		t.Fatal("single observation should error")
 	}
 	obs := []APObservation{{}, {}}
-	if _, err := Localize(obs, Rect{MinX: 1, MaxX: 0, MinY: 0, MaxY: 1}, 0.1); err == nil {
+	if _, err := localizeFlat(obs, Rect{MinX: 1, MaxX: 0, MinY: 0, MaxY: 1}, 0.1); err == nil {
 		t.Fatal("empty bounds should error")
 	}
 	// Zero step defaults rather than hanging.
-	if _, err := Localize([]APObservation{
+	if _, err := localizeFlat([]APObservation{
 		{Pos: Point{0, 0}, AoADeg: 45, RSSIdBm: -40},
 		{Pos: Point{1, 0}, AxisDeg: 90, AoADeg: 45, RSSIdBm: -40},
 	}, room, 0); err != nil {
@@ -157,7 +164,7 @@ func TestPropLocalizeConsistency(t *testing.T) {
 				RSSIdBm: -45,
 			}
 		}
-		got, err := Localize(obs, room, 0.1)
+		got, err := localizeFlat(obs, room, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

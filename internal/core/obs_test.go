@@ -65,7 +65,7 @@ func TestEngineTraceCoversPipelineStages(t *testing.T) {
 
 	var buf traceBuffer
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(&buf))
-	results, errs := eng.LocalizeBatchCtx(ctx, reqs)
+	results, errs := localizeBatch(ctx, eng, reqs)
 	for i := range reqs {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
@@ -133,7 +133,7 @@ func TestEngineMetricsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := engineTestRequests(t, 2, 2, 4200)
-	_, errs := eng.LocalizeBatch(reqs)
+	_, errs := localizeBatch(context.Background(), eng, reqs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -204,7 +204,7 @@ func TestEngineMeteredMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantErrs := plain.LocalizeBatch(reqs)
+	want, wantErrs := localizeBatch(context.Background(), plain, reqs)
 
 	reg := obs.NewRegistry()
 	metered, err := NewEngine(meteredTestEstimator(t, reg), 2)
@@ -213,7 +213,7 @@ func TestEngineMeteredMatchesPlain(t *testing.T) {
 	}
 	var buf traceBuffer
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(&buf))
-	got, gotErrs := metered.LocalizeBatchCtx(ctx, reqs)
+	got, gotErrs := localizeBatch(ctx, metered, reqs)
 
 	for i := range reqs {
 		if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
@@ -246,7 +246,7 @@ func TestEngineLinkFailureCounter(t *testing.T) {
 	reqs := engineTestRequests(t, 1, 2, 4400)
 	reqs[0].Links[1].Packets = nil
 
-	res, err := eng.Localize(reqs[0])
+	res, err := eng.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

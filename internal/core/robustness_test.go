@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,7 +137,7 @@ func TestFusionSurvivesSporadicInterference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, err := est.EstimateDirectAoA(burst)
+		dp, _, err := est.EstimateDirectAoA(context.Background(), burst)
 		if err != nil {
 			errSum += 90
 			continue

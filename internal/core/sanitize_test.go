@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/cmplx"
@@ -198,13 +199,13 @@ func TestConfidenceWeightingMovesPosition(t *testing.T) {
 	// Poison AP 2 with a wildly wrong AoA.
 	aps[2].AoADeg = math.Mod(aps[2].AoADeg+70, 180)
 
-	full, err := Localize(aps, room, 0.1)
+	full, err := localizeFlat(aps, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	weighted := append([]APObservation(nil), aps...)
 	weighted[2].Confidence = confidenceFloor
-	down, err := Localize(weighted, room, 0.1)
+	down, err := localizeFlat(weighted, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestConfidenceWeightingMovesPosition(t *testing.T) {
 	for i := range one {
 		one[i].Confidence = 1
 	}
-	p1, err := Localize(one, room, 0.1)
+	p1, err := localizeFlat(one, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestSolverFallbackChain(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	est := build(true, reg)
-	peak, err := est.EstimateDirectAoA(burst)
+	peak, _, err := est.EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatalf("fallback pipeline failed: %v", err)
 	}
@@ -273,9 +274,16 @@ func TestSolverFallbackChain(t *testing.T) {
 		t.Fatal("fallback engaged but no chain stage was used")
 	}
 
+	// The AoA operation runs the same chain and reports the accepted stage.
+	if _, info, err := est.EstimateAoA(context.Background(), burst[0]); err != nil {
+		t.Fatalf("fallback AoA failed: %v", err)
+	} else if info.Fallback != "fista" && info.Fallback != "omp" {
+		t.Fatalf("AoA SolveInfo.Fallback = %q, want fista or omp", info.Fallback)
+	}
+
 	// Determinism: a second identical estimator reproduces the peak bitwise.
 	est2 := build(true, obs.NewRegistry())
-	peak2, err := est2.EstimateDirectAoA(sanitizeTestBurst(t, 4, 11))
+	peak2, _, err := est2.EstimateDirectAoA(context.Background(), sanitizeTestBurst(t, 4, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +295,13 @@ func TestSolverFallbackChain(t *testing.T) {
 	// is allowed to fail outright (a 2-iteration spectrum has no usable
 	// peaks), which is precisely the failure mode the chain exists to fix.
 	regOff := obs.NewRegistry()
-	if _, err := build(false, regOff).EstimateDirectAoA(sanitizeTestBurst(t, 4, 11)); err != nil && !errors.Is(err, ErrNoPeaks) {
+	if _, _, err := build(false, regOff).EstimateDirectAoA(context.Background(), sanitizeTestBurst(t, 4, 11)); err != nil && !errors.Is(err, ErrNoPeaks) {
 		t.Fatal(err)
+	}
+	if _, info, err := build(false, regOff).EstimateAoA(context.Background(), burst[0]); err != nil {
+		t.Fatal(err)
+	} else if info.Fallback != "" {
+		t.Fatalf("AoA SolveInfo.Fallback = %q with Fallback disabled, want empty", info.Fallback)
 	}
 	if n := regOff.Counter("core.solve.fallback_engaged_total").Value(); n != 0 {
 		t.Fatalf("fallback engaged %d times with Fallback disabled", n)
@@ -314,11 +327,11 @@ func TestFallbackNoopWhenConverged(t *testing.T) {
 		return est
 	}
 	burst := sanitizeTestBurst(t, 4, 13)
-	a, err := mk(false).EstimateDirectAoA(burst)
+	a, _, err := mk(false).EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mk(true).EstimateDirectAoA(burst)
+	b, _, err := mk(true).EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -548,17 +548,28 @@ func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (id
 	return best, nil
 }
 
-// LocalizeSearch is LocalizeSearchCtx with a background context.
-func LocalizeSearch(obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
-	return LocalizeSearchCtx(context.Background(), obs, bounds, step, workers, cfg)
-}
-
-// LocalizeSearchCtx runs the Eq. 19 localization with a configurable search
-// strategy. All strategies return bit-identical positions (see DESIGN.md §13
-// for the equivalence argument); they differ only in how many grid cells
-// they evaluate, reported in SearchStats. SearchExact additionally verifies
-// the equivalence at runtime and fails with ErrSearchMismatch if it does not
-// hold.
+// LocalizeSearchCtx finds the position minimizing the RSSI-weighted squared
+// AoA deviation of paper Eq. 19:
+//
+//	min_x sum_i R_i (phi_i(x) - phihat_i)^2
+//
+// over a uniform grid with the given step (meters) inside bounds. The paper
+// uses a 10 cm grid; step <= 0 selects 0.1 m. RSSI weights are converted to
+// linear milliwatts.
+//
+// cfg selects the search strategy. All strategies return bit-identical
+// positions (see DESIGN.md §13 for the equivalence argument); they differ
+// only in how many grid cells they evaluate, reported in SearchStats.
+// SearchFlat is the reference scan: it fans out over up to workers
+// goroutines in column strips (workers <= 1 runs serially), reduced in scan
+// order with strict-less-than comparison, so its result is bit-identical for
+// any worker count. SearchExact additionally verifies the equivalence at
+// runtime and fails with ErrSearchMismatch if it does not hold.
+//
+// The search polls ctx once per branch-and-bound node (once per grid column
+// in a flat scan) and aborts with an error wrapping ctx.Err(), so a server
+// can abandon a search the moment a request deadline dies. A never-cancelled
+// context changes nothing.
 func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
 	g, err := newGridSearch(ctx, obs, bounds, step)
 	if err != nil {

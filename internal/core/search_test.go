@@ -67,11 +67,11 @@ func TestSearchCoarseFineMatchesFlatTestbed(t *testing.T) {
 				r = rng
 			}
 			obs := testbedObservations(target, r)
-			flat, fstats, err := LocalizeSearch(obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchFlat})
+			flat, fstats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchFlat})
 			if err != nil {
 				t.Fatalf("flat search: %v", err)
 			}
-			coarse, cstats, err := LocalizeSearch(obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchCoarse})
+			coarse, cstats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchCoarse})
 			if err != nil {
 				t.Fatalf("coarse search: %v", err)
 			}
@@ -82,7 +82,7 @@ func TestSearchCoarseFineMatchesFlatTestbed(t *testing.T) {
 			if cstats.Evaluated() >= fstats.FlatCells {
 				t.Fatalf("coarse-fine evaluated %d cells, not below the flat %d", cstats.Evaluated(), fstats.FlatCells)
 			}
-			if _, _, err := LocalizeSearch(obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchExact}); err != nil {
+			if _, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchExact}); err != nil {
 				t.Fatalf("exact cross-check: %v", err)
 			}
 		}
@@ -122,11 +122,11 @@ func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 			}
 		}
 		cfg := SearchConfig{Decimation: 4 + rng.Intn(10)}
-		flat, _, err := LocalizeSearch(obs, room, step, 1+rng.Intn(4), SearchConfig{Mode: SearchFlat})
+		flat, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1+rng.Intn(4), SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
 		}
-		coarse, stats, err := LocalizeSearch(obs, room, step, 1+rng.Intn(4), cfg)
+		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1+rng.Intn(4), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: coarse: %v", seed, err)
 		}
@@ -143,7 +143,7 @@ func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 func TestSearchTranslationMetamorphic(t *testing.T) {
 	target := Point{X: 5.3, Y: 7.7}
 	obs := testbedObservations(target, nil)
-	base, _, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, SearchConfig{})
+	base, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSearchTranslationMetamorphic(t *testing.T) {
 			MinX: testbedRoom.MinX + d.X, MinY: testbedRoom.MinY + d.Y,
 			MaxX: testbedRoom.MaxX + d.X, MaxY: testbedRoom.MaxY + d.Y,
 		}
-		got, _, err := LocalizeSearch(moved, room, 0.1, 2, SearchConfig{})
+		got, _, err := LocalizeSearchCtx(context.Background(), moved, room, 0.1, 2, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,14 +199,14 @@ func TestSearchEdgeCases(t *testing.T) {
 	obs := testbedObservations(Point{X: 5, Y: 5}, nil)
 
 	t.Run("degenerate bounds MinX==MaxX", func(t *testing.T) {
-		_, _, err := LocalizeSearch(obs, Rect{MinX: 2, MaxX: 2, MinY: 0, MaxY: 5}, 0.1, 1, SearchConfig{})
+		_, _, err := LocalizeSearchCtx(context.Background(), obs, Rect{MinX: 2, MaxX: 2, MinY: 0, MaxY: 5}, 0.1, 1, SearchConfig{})
 		if err == nil || !strings.Contains(err.Error(), "empty localization bounds") {
 			t.Fatalf("want empty-bounds error, got %v", err)
 		}
 	})
 
 	t.Run("step larger than extent degrades to flat", func(t *testing.T) {
-		p, stats, err := LocalizeSearch(obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 5, 1, SearchConfig{})
+		p, stats, err := LocalizeSearchCtx(context.Background(), obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 5, 1, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,11 +219,11 @@ func TestSearchEdgeCases(t *testing.T) {
 	})
 
 	t.Run("grid below 2x decimation degrades to flat", func(t *testing.T) {
-		flat, fs, err := LocalizeSearch(obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1, 1, SearchConfig{Mode: SearchFlat})
+		flat, fs, err := LocalizeSearchCtx(context.Background(), obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1, 1, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, cs, err := LocalizeSearch(obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1, 1, SearchConfig{})
+		coarse, cs, err := LocalizeSearchCtx(context.Background(), obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1, 1, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +240,11 @@ func TestSearchEdgeCases(t *testing.T) {
 		// 181 x 121 grid with decimation 7: 181 = 25*7 + 6, so the last cell
 		// column and row are clipped short. Equivalence must survive clipping.
 		cfg := SearchConfig{Decimation: 7}
-		flat, _, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, SearchConfig{Mode: SearchFlat})
+		flat, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, cfg)
+		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestSearchEdgeCases(t *testing.T) {
 	t.Run("overlapping topk and margin candidates dedupe", func(t *testing.T) {
 		// Each block is refined at most once, so refined cells can never
 		// count past the flat total.
-		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 2, SearchConfig{})
+		_, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestSearchWorkCounts(t *testing.T) {
 		{Point{X: 7, Y: 5}, 21, 64, 1},
 		{Point{X: 2, Y: 10}, 17, 64, 1},
 	} {
-		_, stats, err := LocalizeSearch(testbedObservations(c.target, nil), testbedRoom, 0.1, 1, SearchConfig{})
+		_, stats, err := LocalizeSearchCtx(context.Background(), testbedObservations(c.target, nil), testbedRoom, 0.1, 1, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,11 +319,11 @@ func TestSearchBoundsFewerThanBlocks(t *testing.T) {
 		}
 		step := 0.05 + 0.15*rng.Float64()
 		dec := 4 + rng.Intn(9)
-		p, stats, err := LocalizeSearch(obs, testbedRoom, step, 1, SearchConfig{Decimation: dec})
+		p, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, step, 1, SearchConfig{Decimation: dec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, _, err := LocalizeSearch(obs, testbedRoom, step, 1, SearchConfig{Mode: SearchFlat})
+		flat, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, step, 1, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +447,7 @@ func TestParseSearchMode(t *testing.T) {
 
 // TestSearchRejectsNonFinite: a NaN or infinite value in any search input —
 // an AP field, the bounds, or the step — or a weight that overflows must
-// fail every search entry point with an error instead of returning a
+// fail every search mode with an error instead of returning a
 // garbage position.
 func TestSearchRejectsNonFinite(t *testing.T) {
 	base := testbedObservations(Point{X: 5, Y: 5}, nil)
@@ -485,13 +485,10 @@ func TestSearchRejectsNonFinite(t *testing.T) {
 
 	for _, in := range inputs {
 		for _, mode := range []SearchMode{SearchCoarse, SearchFlat, SearchExact} {
-			p, _, err := LocalizeSearch(in.obs, in.bounds, in.step, 1, SearchConfig{Mode: mode})
+			p, _, err := LocalizeSearchCtx(context.Background(), in.obs, in.bounds, in.step, 1, SearchConfig{Mode: mode})
 			if err == nil {
 				t.Errorf("%s, %v search: got (%v, %v), want an error", in.name, mode, p.X, p.Y)
 			}
-		}
-		if p, err := Localize(in.obs, in.bounds, in.step); err == nil {
-			t.Errorf("%s, Localize: got (%v, %v), want an error", in.name, p.X, p.Y)
 		}
 	}
 }
@@ -626,7 +623,7 @@ func TestSearchTiesAcrossBlocks(t *testing.T) {
 		},
 	}
 	for name, obs := range cases {
-		flat, _, err := LocalizeSearch(obs, room, step, 1, SearchConfig{Mode: SearchFlat})
+		flat, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,7 +634,7 @@ func TestSearchTiesAcrossBlocks(t *testing.T) {
 		} else if flat.X >= offset(2).X || flat.Y < 2 {
 			t.Fatalf("%s: flat argmin (%v, %v) is not a tie beyond offset(2)", name, flat.X, flat.Y)
 		}
-		coarse, stats, err := LocalizeSearch(obs, room, step, 1, SearchConfig{})
+		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +642,7 @@ func TestSearchTiesAcrossBlocks(t *testing.T) {
 			t.Fatalf("%s: want coarse mode, got %q", name, stats.Mode)
 		}
 		requireSameBits(t, name, coarse, flat)
-		if _, _, err := LocalizeSearch(obs, room, step, 1, SearchConfig{Mode: SearchExact}); err != nil {
+		if _, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{Mode: SearchExact}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

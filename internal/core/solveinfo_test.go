@@ -54,7 +54,7 @@ func TestLinkResultCarriesSolveInfo(t *testing.T) {
 	req := engineTestRequests(t, 1, 2, 4242)[0]
 
 	ctx := obs.WithRequestID(context.Background(), "solveinfo-test")
-	res, err := eng.LocalizeCtx(ctx, req)
+	res, err := eng.Localize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWarmEngineCertifiesEveryLink(t *testing.T) {
 	}
 	links := 0
 	for r, req := range engineTestRequests(t, 4, 3, 5150) {
-		res, err := eng.LocalizeCtx(context.Background(), req)
+		res, err := eng.Localize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestLocalizeExemplarsCarryRequestID(t *testing.T) {
 	req := engineTestRequests(t, 1, 2, 777)[0]
 
 	ctx := obs.WithRequestID(context.Background(), "exemplar-req")
-	if _, err := eng.LocalizeCtx(ctx, req); err != nil {
+	if _, err := eng.Localize(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"engine.localize.seconds", "core.solve.seconds"} {

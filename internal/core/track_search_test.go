@@ -16,7 +16,7 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 		target := Point{X: 1 + 16*rng.Float64(), Y: 1 + 10*rng.Float64()}
 		obs := testbedObservations(target, rng)
 
-		flatPos, flatStats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
+		flatPos, flatStats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 
 		// Whole-room window: identical scan, window bookkeeping.
 		full := testbedRoom
-		pos, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &full})
+		pos, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &full})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 
 		// Tight window around the flat argmin: same answer, far fewer cells.
 		win := Rect{MinX: flatPos.X - 1, MinY: flatPos.Y - 1, MaxX: flatPos.X + 1, MaxY: flatPos.Y + 1}
-		pos, stats, err = LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		pos, stats, err = LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestWindowSearchEdgeDetection(t *testing.T) {
 		// Window pinned to the far corner, away from the target: the
 		// restricted argmin should press against the window boundary.
 		win := Rect{MinX: 0.5, MinY: 0.5, MaxX: 4.5, MaxY: 4.5}
-		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		_, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +91,14 @@ func TestWindowSearchEdgeDetection(t *testing.T) {
 func TestWindowSearchDegeneratesToFull(t *testing.T) {
 	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
 	win := Rect{MinX: -30, MinY: -30, MaxX: -20, MaxY: -20}
-	pos, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat, Window: &win})
+	pos, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat, Window: &win})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Mode != "flat" {
 		t.Fatalf("missing window ran %q, want flat fallback", stats.Mode)
 	}
-	flatPos, _, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
+	flatPos, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWindowSearchOversized(t *testing.T) {
 			t.Fatalf("window %+v: index range %+v (ok %v), want %+v", c.win, r, ok, c.want)
 		}
 		win := c.win
-		pos, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		pos, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestWindowSearchOversized(t *testing.T) {
 		if r, ok := g.windowIndexRange(win); ok {
 			t.Fatalf("window %+v: index range %+v, want no intersection", win, r)
 		}
-		_, stats, err := LocalizeSearch(obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
+		_, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +173,12 @@ func TestLocalizeTrackedFreshMatchesStateless(t *testing.T) {
 	}
 	reqs := engineTestRequests(t, 2, 3, 4100)
 
-	stateless, err := eng.Localize(reqs[0])
+	stateless, err := eng.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, _ := NewTracker(0, 0, 0)
-	tracked, err := eng.LocalizeTracked(reqs[0], tr, 0)
+	tracked, err := eng.LocalizeTracked(context.Background(), reqs[0], tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +211,15 @@ func TestLocalizeTrackedOutOfGateFallsBackBitIdentical(t *testing.T) {
 
 	tr, _ := NewTracker(0, 0, 0)
 	for i, req := range near {
-		if _, err := eng.LocalizeTracked(req, tr, float64(i)); err != nil {
+		if _, err := eng.LocalizeTracked(context.Background(), req, tr, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stateless, err := eng.Localize(far)
+	stateless, err := eng.Localize(context.Background(), far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracked, err := eng.LocalizeTracked(far, tr, float64(len(near)))
+	tracked, err := eng.LocalizeTracked(context.Background(), far, tr, float64(len(near)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestLocalizeTrackedWindowedAcceptanceAgreesWithFull(t *testing.T) {
 	tr, _ := NewTracker(0, 0, 0)
 	windowedEpochs := 0
 	for i := range reqsA {
-		tracked, err := eng.LocalizeTracked(reqsA[i], tr, float64(i))
+		tracked, err := eng.LocalizeTracked(context.Background(), reqsA[i], tr, float64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stateless, err := eng.Localize(reqsB[i])
+		stateless, err := eng.Localize(context.Background(), reqsB[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,13 +316,13 @@ func TestLocalizeBatchItemsMixed(t *testing.T) {
 		t.Fatalf("tracker absorbed %d fixes, want 1", tr.Updates())
 	}
 	// Bit-identity with the serial paths.
-	serialA, err := eng.Localize(reqs[0])
+	serialA, err := eng.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "batch stateless slot", outs[0].Res.Position, serialA.Position)
 	tr2, _ := NewTracker(0, 0, 0)
-	serialB, err := eng.LocalizeTracked(reqs[1], tr2, 1)
+	serialB, err := eng.LocalizeTracked(context.Background(), reqs[1], tr2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -66,11 +67,11 @@ func TestEstimatorWarmMatchesColdPerPacket(t *testing.T) {
 
 	burst := warmBurst(t, 42, 64)
 	for pkt, csi := range burst {
-		cs, err := cold.EstimateAoA(csi)
+		cs, _, err := cold.EstimateAoA(context.Background(), csi)
 		if err != nil {
 			t.Fatalf("packet %d cold: %v", pkt, err)
 		}
-		wsp, err := warm.EstimateAoA(csi)
+		wsp, _, err := warm.EstimateAoA(context.Background(), csi)
 		if err != nil {
 			t.Fatalf("packet %d warm: %v", pkt, err)
 		}
@@ -128,7 +129,7 @@ func requireLocalizeBits(t *testing.T, what string, got, want *LocalizeResult) {
 // TestWarmAnswersIndependentOfHistory: under the serving profile a solve's
 // answer depends only on its own input. The same fused burst solved first,
 // again, and after unrelated bursts gives a bitwise-identical spectrum, and a
-// request's LocalizeBatch result is bitwise the same alone and at every
+// request's batch result is bitwise the same alone and at every
 // position of a batch.
 func TestWarmAnswersIndependentOfHistory(t *testing.T) {
 	cfg := engineTestEstimator(t).Config()
@@ -139,21 +140,21 @@ func TestWarmAnswersIndependentOfHistory(t *testing.T) {
 	}
 	reqs := engineTestRequests(t, 4, 4, 777)
 	burst := reqs[0].Links[0].Packets
-	first, err := est.EstimateJointFused(burst)
+	first, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := est.EstimateJointFused(burst)
+	again, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSpectrum2DBits(t, "re-solve", again, first)
 	for r, req := range reqs[1:] {
 		for l, link := range req.Links {
-			if _, err := est.EstimateJointFused(link.Packets); err != nil {
+			if _, _, err := est.EstimateJointFusedInfoCtx(context.Background(), link.Packets); err != nil {
 				t.Fatal(err)
 			}
-			after, err := est.EstimateJointFused(burst)
+			after, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,14 +166,14 @@ func TestWarmAnswersIndependentOfHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := eng.Localize(reqs[0])
+	solo, err := eng.Localize(context.Background(), reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pos := range reqs {
 		batch := append([]*LocalizeRequest(nil), reqs[1:]...)
 		batch = append(batch[:pos], append([]*LocalizeRequest{reqs[0]}, batch[pos:]...)...)
-		results, errs := eng.LocalizeBatch(batch)
+		results, errs := localizeBatch(context.Background(), eng, batch)
 		if errs[pos] != nil {
 			t.Fatal(errs[pos])
 		}
@@ -204,11 +205,11 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 		bursts[g] = warmBurst(t, int64(3000+g), 4)
 		refs[g] = make([]*spectra.Spectrum1D, len(bursts[g]))
 		for i, csi := range bursts[g] {
-			if refs[g][i], err = serial.EstimateAoA(csi); err != nil {
+			if refs[g][i], _, err = serial.EstimateAoA(context.Background(), csi); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if fusedRefs[g], err = serial.EstimateJointFused(bursts[g]); err != nil {
+		if fusedRefs[g], _, err = serial.EstimateJointFusedInfoCtx(context.Background(), bursts[g]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +222,7 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i, csi := range bursts[g] {
-					spec, err := warm.EstimateAoA(csi)
+					spec, _, err := warm.EstimateAoA(context.Background(), csi)
 					if err != nil {
 						failures <- err.Error()
 						return
@@ -233,7 +234,7 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 						}
 					}
 				}
-				fused, err := warm.EstimateJointFused(bursts[g])
+				fused, _, err := warm.EstimateJointFusedInfoCtx(context.Background(), bursts[g])
 				if err != nil {
 					failures <- err.Error()
 					return

@@ -62,7 +62,7 @@ func RunAblationOffGrid(w io.Writer, opt Options) error {
 				if err != nil {
 					return 0, err
 				}
-				spec, err := est.EstimateAoACtx(ctx, csi)
+				spec, _, err := est.EstimateAoA(ctx, csi)
 				if err != nil {
 					return 0, err
 				}
@@ -154,14 +154,14 @@ func RunAblationSolvers(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		if _, err := est.EstimateJointCtx(ctx, packets[0]); err != nil { // warm caches
+		if _, _, err := est.EstimateJoint(ctx, packets[0]); err != nil { // warm caches
 			return err
 		}
 		probe.Take() // drop the warm-up solve from the first trial's delta
 		var errs []float64
 		t0 := time.Now()
 		for _, pkt := range packets {
-			spec, err := est.EstimateJointCtx(ctx, pkt)
+			spec, _, err := est.EstimateJoint(ctx, pkt)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,12 +44,12 @@ type BatchBenchResult struct {
 	Metrics map[string]any `json:"metrics,omitempty"`
 }
 
-// RunBatchBench measures Engine.LocalizeBatch throughput on the paper's 6-AP
-// testbed workload, serial (1 worker) versus parallel (opt.Workers; <= 1
-// selects GOMAXPROCS), verifies the two runs produced bit-identical
-// positions, and reports one result. With jsonOut the JSON object is the
-// only thing written to out — human-readable progress goes to msg — so the
-// output can be piped straight into jq. Without jsonOut the human report
+// RunBatchBench measures Engine.LocalizeBatchItems throughput on the
+// paper's 6-AP testbed workload, serial (1 worker) versus parallel
+// (opt.Workers; <= 1 selects GOMAXPROCS), verifies the two runs produced
+// bit-identical positions, and reports one result. With jsonOut the JSON
+// object is the only thing written to out — human-readable progress goes to
+// msg — so the output can be piped straight into jq. Without jsonOut the human report
 // goes to out. msg may be nil to discard progress.
 func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 	if msg == nil {
@@ -104,19 +105,25 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 	// Warm the dictionary/factorization caches outside the timed region so
 	// both runs measure steady-state serving cost.
 	fmt.Fprintf(msg, "batch bench: %d requests, %d APs, %d packets, %d workers\n", len(reqs), opt.APs, opt.Packets, workers)
-	if _, errs := serial.LocalizeBatch(reqs[:1]); errs[0] != nil {
-		return fmt.Errorf("experiments: warmup: %w", errs[0])
+	items := make([]core.BatchItem, len(reqs))
+	for i, req := range reqs {
+		items[i].Req = req
+	}
+	if err := serial.LocalizeBatchItems(context.Background(), items[:1])[0].Err; err != nil {
+		return fmt.Errorf("experiments: warmup: %w", err)
 	}
 
 	run := func(eng *core.Engine, leg string) ([]*core.LocalizeResult, time.Duration, error) {
 		fmt.Fprintf(msg, "running %s leg (%d workers)...\n", leg, eng.Workers())
 		start := time.Now()
-		results, errs := eng.LocalizeBatchCtx(ctx, reqs)
+		outs := eng.LocalizeBatchItems(ctx, items)
 		elapsed := time.Since(start)
-		for i, e := range errs {
-			if e != nil {
-				return nil, 0, fmt.Errorf("experiments: request %d: %w", i, e)
+		results := make([]*core.LocalizeResult, len(outs))
+		for i, out := range outs {
+			if out.Err != nil {
+				return nil, 0, fmt.Errorf("experiments: request %d: %w", i, out.Err)
 			}
+			results[i] = out.Res
 		}
 		return results, elapsed, nil
 	}
@@ -145,8 +152,8 @@ func RunBatchBench(out, msg io.Writer, opt Options, jsonOut bool) error {
 		if err != nil {
 			return err
 		}
-		if _, errs := warmEng.LocalizeBatch(reqs[:1]); errs[0] != nil {
-			return fmt.Errorf("experiments: warm warmup: %w", errs[0])
+		if err := warmEng.LocalizeBatchItems(context.Background(), items[:1])[0].Err; err != nil {
+			return fmt.Errorf("experiments: warm warmup: %w", err)
 		}
 		warmRes, t, err := run(warmEng, "warm")
 		if err != nil {

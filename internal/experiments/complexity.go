@@ -61,13 +61,13 @@ func RunComplexity(w io.Writer, opt Options) error {
 		}
 		// Building the solver (dictionary + factorization) happens lazily on
 		// the first call; time it separately via a warm-up solve.
-		if _, err := est.EstimateJointCtx(ctx, csi); err != nil {
+		if _, _, err := est.EstimateJoint(ctx, csi); err != nil {
 			return err
 		}
 		build := time.Since(t0)
 
 		t1 := time.Now()
-		if _, err := est.EstimateJointCtx(ctx, csi); err != nil {
+		if _, _, err := est.EstimateJoint(ctx, csi); err != nil {
 			return err
 		}
 		solve := time.Since(t1)

@@ -115,7 +115,7 @@ func RunFaultSweep(w io.Writer, opt Options) error {
 				// Single-AP total fault: corrupt every packet of AP 0.
 				req.Links[0].Packets = inj.TransformBurst(req.Links[0].Packets)
 			}
-			res, err := eng.LocalizeCtx(ctx, req)
+			res, err := eng.Localize(ctx, req)
 			if err != nil {
 				return fmt.Errorf("fault sweep %s request %d: degradation contract broken: %w",
 					mode.name, r, err)

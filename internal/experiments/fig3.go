@@ -62,7 +62,7 @@ func RunFig3(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	if _, err := est.EstimateAoACtx(opt.runCtx(exp), csi); err != nil {
+	if _, _, err := est.EstimateAoA(opt.runCtx(exp), csi); err != nil {
 		return err
 	}
 

@@ -75,23 +75,24 @@ func RunFig4(w io.Writer, opt Options) error {
 		return nil
 	}
 
-	specA, err := est.EstimateJointCtx(ctx, pkts[0])
+	specA, _, err := est.EstimateJoint(ctx, pkts[0])
 	if err != nil {
 		return err
 	}
 	if err := report("(a) packet A", "packetA", 1, specA, pkts[0].DetectionDelay); err != nil {
 		return err
 	}
-	specB, err := est.EstimateJointCtx(ctx, pkts[1])
+	specB, _, err := est.EstimateJoint(ctx, pkts[1])
 	if err != nil {
 		return err
 	}
 	if err := report("(b) packet B", "packetB", 1, specB, pkts[1].DetectionDelay); err != nil {
 		return err
 	}
-	// Fusion requires a common delay reference; EstimateJointFused performs
-	// the paper's delay-estimation step internally (core.AlignToReference).
-	specC, err := est.EstimateJointFusedCtx(ctx, pkts)
+	// Fusion requires a common delay reference; EstimateJointFusedInfoCtx
+	// performs the paper's delay-estimation step internally
+	// (core.AlignToReference).
+	specC, _, err := est.EstimateJointFusedInfoCtx(ctx, pkts)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func RunFig8a(w io.Writer, opt Options) error {
 			obs[i] = links[i].Observation(est.DirectAoADeg)
 		}
 		for _, numAPs := range counts {
-			pos, err := core.Localize(obs[:numAPs], dep.Room, 0.1)
+			pos, _, err := core.LocalizeSearchCtx(ctx, obs[:numAPs], dep.Room, 0.1, 1, core.SearchConfig{})
 			if err != nil {
 				return err
 			}
@@ -205,7 +205,7 @@ func RunFig8b(w io.Writer, opt Options) error {
 				est := eng.estimateLink(ctx, SysROArray, &links[i], burst)
 				obs[i] = links[i].Observation(est.DirectAoADeg)
 			}
-			pos, err := core.Localize(obs, dep.Room, 0.1)
+			pos, _, err := core.LocalizeSearchCtx(ctx, obs, dep.Room, 0.1, 1, core.SearchConfig{})
 			if err != nil {
 				return err
 			}
@@ -292,7 +292,7 @@ func RunFig8c(w io.Writer, opt Options) error {
 				est := eng.estimateLink(ctx, SysROArray, &links[i], burst)
 				obs[i] = links[i].Observation(est.DirectAoADeg)
 			}
-			pos, err := core.Localize(obs, dep.Room, 0.1)
+			pos, _, err := core.LocalizeSearchCtx(ctx, obs, dep.Room, 0.1, 1, core.SearchConfig{})
 			if err != nil {
 				return err
 			}

@@ -64,7 +64,7 @@ func RunAblationFusion(w io.Writer, opt Options) error {
 				return err
 			}
 			aoaErr := 90.0
-			if dp, err := est.EstimateDirectAoACtx(ctx, burst); err == nil {
+			if dp, _, err := est.EstimateDirectAoA(ctx, burst); err == nil {
 				aoaErr = math.Abs(dp.ThetaDeg - trueAoA)
 			}
 			errs = append(errs, aoaErr)

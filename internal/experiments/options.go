@@ -118,7 +118,7 @@ func (o Options) estimatorConfig() core.Config {
 	}
 }
 
-// runCtx is the context runners thread through the pipeline *Ctx methods:
+// runCtx is the context runners pass to the pipeline operations:
 // the user's tracer (-trace) when set — it owns the span stream — else the
 // experiment record's span→stage bridge.
 func (o Options) runCtx(exp *quality.Exp) context.Context {

@@ -77,7 +77,7 @@ func (e *evalEngine) estimateLink(ctx context.Context, system string, link *test
 	const fallbackAoA = 90.0
 	switch system {
 	case SysROArray:
-		spec, err := e.est.EstimateJointFusedCtx(ctx, packets)
+		spec, _, err := e.est.EstimateJointFusedInfoCtx(ctx, packets)
 		if err != nil {
 			return linkEstimate{DirectAoADeg: fallbackAoA, ClosestPeakErr: 180}
 		}
@@ -194,7 +194,7 @@ func (e *evalEngine) evaluateBand(ctx context.Context, band testbed.SNRBand, sys
 				out.AoAEst[sys] = append(out.AoAEst[sys], ests[i].DirectAoADeg)
 				obs[i] = links[i].Observation(ests[i].DirectAoADeg)
 			}
-			pos, err := core.LocalizeParallel(obs, dep.Room, 0.1, e.eng.Workers())
+			pos, _, err := core.LocalizeSearchCtx(ctx, obs, dep.Room, 0.1, e.eng.Workers(), core.SearchConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: localize: %w", err)
 			}

@@ -95,7 +95,7 @@ func RunTrack(w io.Writer, opt Options) error {
 			t0 := time.Now()
 			var res *core.LocalizeResult
 			if a.tracked {
-				tres, err := eng.LocalizeTrackedCtx(ctx, req, tracker, traj.Points[e].T)
+				tres, err := eng.LocalizeTracked(ctx, req, tracker, traj.Points[e].T)
 				if err != nil {
 					return fmt.Errorf("track epoch %d: %w", e, err)
 				}
@@ -142,7 +142,7 @@ func RunTrack(w io.Writer, opt Options) error {
 					mismatches++
 				}
 			} else {
-				res, err = eng.LocalizeCtx(ctx, req)
+				res, err = eng.Localize(ctx, req)
 				if err != nil {
 					return fmt.Errorf("stateless epoch %d: %w", e, err)
 				}

@@ -94,8 +94,8 @@ func (x *Exp) Params(kv map[string]int64) {
 	}
 }
 
-// Ctx returns ctx carrying the experiment's span tracer, so pipeline *Ctx
-// methods called under it feed the per-stage wall-clock bridge. A nil Exp
+// Ctx returns ctx carrying the experiment's span tracer, so pipeline
+// operations called under it feed the per-stage wall-clock bridge. A nil Exp
 // returns ctx unchanged (no tracer, spans no-op).
 func (x *Exp) Ctx(ctx context.Context) context.Context {
 	if x == nil {

@@ -35,7 +35,7 @@ func TestServeHammer(t *testing.T) {
 	// same bytes must reproduce these exactly.
 	want := make([]*core.LocalizeResult, distinct)
 	for i, req := range reqs {
-		res, err := eng.Localize(req)
+		res, err := eng.Localize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

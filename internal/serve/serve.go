@@ -6,7 +6,7 @@
 // answers 429 immediately instead of stacking goroutines), then dynamic
 // micro-batching (a dispatcher collects queued requests until either the
 // batch size cap or the max-linger deadline is hit, then flushes them
-// through Engine.LocalizeBatchEachCtx so dictionary and factorization reuse
+// through Engine.LocalizeBatchItems so dictionary and factorization reuse
 // amortizes across the batch), then per-request response fan-back. Each
 // request carries its own context — the HTTP request context bounded by the
 // per-request deadline and wired to the server's hard-stop — so a deadline

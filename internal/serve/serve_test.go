@@ -230,7 +230,7 @@ func TestServeSingleRequestMatchesEngine(t *testing.T) {
 	defer srv.Drain(context.Background())
 
 	for i, req := range reqs {
-		want, err := eng.Localize(req)
+		want, err := eng.Localize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestShardedBitIdenticalSingleVenue(t *testing.T) {
 
 	direct := make([][2]float64, len(reqs))
 	for i, req := range reqs {
-		res, err := eng.Localize(req)
+		res, err := eng.Localize(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,7 +224,7 @@ func TestEvictReloadBitIdentical(t *testing.T) {
 		}
 		out := make([]*core.LocalizeResult, len(reqs))
 		for i, req := range reqs {
-			res, err := v.Engine.Localize(req)
+			res, err := v.Engine.Localize(context.Background(), req)
 			if err != nil {
 				t.Fatalf("request %d: %v", i, err)
 			}

@@ -250,8 +250,6 @@ type BuildConfig struct {
 	// (core.Config.Warm): Kronecker-factored joint solves that stop on a
 	// duality-gap certificate of 2%.
 	Warm bool
-	// Fallback enables the solver degradation chain.
-	Fallback bool
 	// Metrics, when non-nil, receives the estimator's telemetry.
 	Metrics *obs.Registry
 	// Disturb, when non-nil, is called at the start of every build, after
@@ -275,7 +273,6 @@ func Build(spec Spec, bcfg BuildConfig) (*Venue, error) {
 	}
 	cfg := spec.EstimatorConfig()
 	cfg.Warm = bcfg.Warm
-	cfg.Fallback = bcfg.Fallback
 	cfg.Metrics = bcfg.Metrics
 	start := time.Now()
 	est, err := core.NewEstimator(cfg)

@@ -22,11 +22,16 @@
 //		OFDM:  roarray.Intel5300OFDM(),
 //	})
 //	// csi := one CSI measurement from hardware or the simulator
-//	spec, err := est.EstimateJoint(csi)
+//	spec, _, err := est.EstimateJoint(ctx, csi)
 //	direct, err := est.DirectPath(spec)
 //
 // Multi-AP localization combines per-AP direct-path AoAs with
-// RSSI-weighted grid search (paper Eq. 19) via Localize.
+// RSSI-weighted grid search (paper Eq. 19) via Localize:
+//
+//	pos, _, err := roarray.Localize(ctx, observations, room, 0.1, 1, roarray.SearchConfig{})
+//
+// Every operation takes its context first; a Tracer or request id attached
+// to it reaches every pipeline stage.
 package roarray
 
 import (
@@ -99,9 +104,6 @@ type (
 	LocalizeResult = core.LocalizeResult
 	// LinkResult is the per-AP outcome within a LocalizeResult.
 	LinkResult = core.LinkResult
-	// Generator emits CSI packets from a private, seeded RNG so parallel
-	// workloads are reproducible regardless of scheduling.
-	Generator = wireless.Generator
 )
 
 // Simulation testbed types (the paper's deployment, for users without CSI
@@ -131,8 +133,8 @@ const (
 
 // Observability types, re-exported from internal/obs. A Metrics registry
 // threads through Config.Metrics into the estimator, engine, and sparse
-// solvers; a Tracer attached to a context (WithTracer) makes the *Ctx
-// methods emit a JSONL span tree covering every pipeline stage. Both are
+// solvers; a Tracer attached to the context an operation takes (WithTracer)
+// makes it emit a JSONL span tree covering every pipeline stage. Both are
 // nil-safe: a nil registry or absent tracer costs a pointer check on the hot
 // path.
 type (
@@ -154,8 +156,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // NewTracer returns a tracer writing JSONL span events to w.
 func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
-// WithTracer attaches a tracer to ctx; pass the result to the *Ctx methods
-// (Engine.LocalizeBatchCtx, Estimator.EstimateDirectAoACtx, ...).
+// WithTracer attaches a tracer to ctx; pass the result as the context of any
+// operation (Engine.LocalizeBatchItems, Estimator.EstimateDirectAoA, ...).
 func WithTracer(ctx context.Context, t *Tracer) context.Context { return obs.WithTracer(ctx, t) }
 
 // StartSpan opens a span named name as a child of the span in ctx (if any).
@@ -197,15 +199,9 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 	return obs.WithRequestID(ctx, id)
 }
 
-// RequestIDFrom returns the request id in ctx ("" when untagged).
-func RequestIDFrom(ctx context.Context) string { return obs.RequestIDFrom(ctx) }
-
 // NewEventLog returns an event log writing JSONL to w through a bounded
 // queue of the given depth; under pressure events are dropped, not blocked on.
 func NewEventLog(w io.Writer, depth int) *EventLog { return obs.NewEventLog(w, depth) }
-
-// ReadRequestEvents decodes a JSONL request-event stream.
-func ReadRequestEvents(r io.Reader) ([]RequestEvent, error) { return obs.ReadRequestEvents(r) }
 
 // NewSLO returns a rolling-window SLO tracker; Bind it to a Metrics registry
 // to export availability, attainment, and burn-rate gauges.
@@ -218,13 +214,9 @@ func ServeDebug(addr string, reg *Metrics) (*DebugServer, error) { return obs.Se
 // Self-diagnosis layer, re-exported from internal/obs: a RuntimeCollector
 // samples Go runtime health into runtime.* gauges, a FlightRecorder keeps a
 // bounded in-memory ring of recent requests and spans at zero allocations
-// per event, a TriggerEngine watches anomaly signals (SLO burn, saturation,
-// goroutine pileups, GC pauses), and a BundleWriter captures debounced
-// diagnostic bundles — pprof profiles, ring dumps, metrics, runtime history —
-// to a bounded on-disk directory.
+// per event, and a TriggerEngine watches anomaly signals (SLO burn,
+// saturation, goroutine pileups, GC pauses).
 type (
-	// RuntimeSample is one reading of runtime health (heap, GC, scheduler).
-	RuntimeSample = obs.RuntimeSample
 	// RuntimeCollector samples runtime/metrics into runtime.* gauges.
 	RuntimeCollector = obs.RuntimeCollector
 	// FlightRecorder is the bounded in-memory ring of recent telemetry.
@@ -237,12 +229,6 @@ type (
 	TriggerConfig = obs.TriggerConfig
 	// TriggerEngine polls signals and debounces capture callbacks.
 	TriggerEngine = obs.TriggerEngine
-	// BundleConfig parameterizes a BundleWriter.
-	BundleConfig = obs.BundleConfig
-	// BundleWriter captures diagnostic bundles to disk.
-	BundleWriter = obs.BundleWriter
-	// BundleMeta is a bundle's decoded meta.json.
-	BundleMeta = obs.BundleMeta
 )
 
 // NewRuntimeCollector returns a runtime-health sampler bound to reg (which
@@ -262,15 +248,6 @@ func NewFlightRecorder(reqCap, spanCap int) *FlightRecorder {
 func NewTriggerEngine(cfg TriggerConfig, signals ...TriggerSignal) *TriggerEngine {
 	return obs.NewTriggerEngine(cfg, signals...)
 }
-
-// NewBundleWriter returns a diagnostic-bundle capturer writing to cfg.Dir.
-func NewBundleWriter(cfg BundleConfig) (*BundleWriter, error) { return obs.NewBundleWriter(cfg) }
-
-// ListBundles returns the bundle directories under dir, oldest first.
-func ListBundles(dir string) ([]string, error) { return obs.ListBundles(dir) }
-
-// ReadBundleMeta loads and validates a bundle's meta.json.
-func ReadBundleMeta(bundleDir string) (BundleMeta, error) { return obs.ReadBundleMeta(bundleDir) }
 
 // ErrNoPeaks is returned when a spectrum has no usable peaks.
 var ErrNoPeaks = core.ErrNoPeaks
@@ -295,25 +272,6 @@ func GenerateCSI(cfg *ChannelConfig, rng *rand.Rand) (*CSI, error) {
 // noise and detection delays.
 func GenerateBurst(cfg *ChannelConfig, n int, rng *rand.Rand) ([]*CSI, error) {
 	return wireless.GenerateBurst(cfg, n, rng)
-}
-
-// Localize minimizes the RSSI-weighted AoA deviation of paper Eq. 19 over a
-// uniform position grid.
-func Localize(obs []APObservation, bounds Rect, step float64) (Point, error) {
-	return core.Localize(obs, bounds, step)
-}
-
-// LocalizeParallel is Localize with the grid search fanned out over up to
-// workers goroutines; the result is bit-identical to the serial search.
-func LocalizeParallel(obs []APObservation, bounds Rect, step float64, workers int) (Point, error) {
-	return core.LocalizeParallel(obs, bounds, step, workers)
-}
-
-// LocalizeParallelCtx is LocalizeParallel under a context: the sweep aborts
-// within one grid column of ctx dying, returning an error that wraps
-// context.Canceled / context.DeadlineExceeded.
-func LocalizeParallelCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int) (Point, error) {
-	return core.LocalizeParallelCtx(ctx, obs, bounds, step, workers)
 }
 
 // Grid-search strategy types. All strategies return bit-identical positions;
@@ -343,14 +301,14 @@ var ErrSearchMismatch = core.ErrSearchMismatch
 // "flat", "exact".
 func ParseSearchMode(s string) (SearchMode, error) { return core.ParseSearchMode(s) }
 
-// LocalizeSearch runs the Eq. 19 localization with a configurable search
-// strategy and reports how many grid cells each pass evaluated.
-func LocalizeSearch(obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
-	return core.LocalizeSearch(obs, bounds, step, workers, cfg)
-}
-
-// LocalizeSearchCtx is LocalizeSearch under a context.
-func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
+// Localize minimizes the RSSI-weighted AoA deviation of paper Eq. 19 over a
+// uniform position grid (step <= 0 selects 0.1 m) inside bounds. cfg picks
+// the search strategy — the zero value is branch and bound; SearchFlat is
+// the reference scan, fanned over up to workers goroutines — and every
+// strategy returns the same position bits; SearchStats reports the cells it
+// evaluated. The search aborts with an error wrapping ctx.Err() soon after
+// ctx dies.
+func Localize(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
 	return core.LocalizeSearchCtx(ctx, obs, bounds, step, workers, cfg)
 }
 
@@ -358,12 +316,6 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 // workers (workers <= 0 selects runtime.GOMAXPROCS).
 func NewEngine(est *Estimator, workers int) (*Engine, error) {
 	return core.NewEngine(est, workers)
-}
-
-// NewGenerator returns a CSI generator with its own seeded RNG for
-// scheduling-independent reproducibility.
-func NewGenerator(cfg *ChannelConfig, seed int64) (*Generator, error) {
-	return wireless.NewGenerator(cfg, seed)
 }
 
 // ExpectedAoA returns the AoA at which an array at pos (axis orientation

@@ -1,6 +1,7 @@
 package roarray_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -37,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.EstimateJointFused(burst)
+	spec, _, err := est.EstimateJointFusedInfoCtx(context.Background(), burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestFacadeDeploymentPipeline(t *testing.T) {
 	for i, l := range sc.Links {
 		obs[i] = l.Observation(l.TrueAoADeg)
 	}
-	pos, err := roarray.Localize(obs, dep.Room, 0.1)
+	pos, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestFacadeCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.EstimateAoA(fixed)
+	spec, _, err := est.EstimateAoA(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
