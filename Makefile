@@ -9,7 +9,7 @@ GO ?= go
 # so the full -race sweep stays affordable.
 RACE_PKGS := ./internal/core/... ./internal/sparse/... ./internal/obs/... ./internal/quality/... ./internal/serve/... ./internal/venue/... ./internal/testbed/...
 
-.PHONY: check vet build test race bench bench-search profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
+.PHONY: check vet build test race bench bench-search bench-wire profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
 
 check: vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
 
@@ -49,6 +49,14 @@ bench:
 bench-search:
 	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
 	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
+
+# Request-decode benchmark pair (see DESIGN.md §11): the handlers'
+# reflection-free wire decoder (BenchmarkDecodeRequest) against the
+# encoding/json Decoder it replaced (BenchmarkDecodeRequestJSON), both over
+# the smoke preset's BatchRequests bodies with allocations reported; the
+# ratio is recorded in EXPERIMENTS.md.
+bench-wire:
+	$(GO) test -run XXX -bench 'BenchmarkDecodeRequest' -benchtime 2000x ./internal/serve/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -10,10 +9,12 @@ import (
 )
 
 // FuzzRequestDecode drives arbitrary bytes through the wire-format decode
-// path the HTTP handler trusts: JSON unmarshal into Request, then the
-// ToCore validation gate. Whatever the bytes, the decoder must not panic,
-// and any request that passes ToCore must survive a FromCore/ToCore round
-// trip (the representation the load generators rely on).
+// path the HTTP handler trusts: decodeWire into Request, then the ToCore
+// validation gate. decodeWire must agree with encoding/json's Decoder (the
+// handler's reference semantics): the same value down to the float64 bits,
+// or the same error. Whatever the bytes, nothing may panic, and any request
+// that passes ToCore must survive a FromCore/ToCore round trip (the
+// representation the load generators rely on).
 func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"links":[]}`))
@@ -24,10 +25,11 @@ func FuzzRequestDecode(f *testing.F) {
 		`"room":{"maxX":1,"maxY":1}}`)) // ragged row
 	f.Add([]byte(`{"links":null,"room":{"minX":1e308,"maxX":-1e308}}`))
 	f.Add([]byte(`[1,2,3]`))
+	addWireCases(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
+		req, err := decodeBoth[Request](t, data)
+		if err != nil {
 			return
 		}
 		// These must never panic, whatever decoded.
@@ -55,9 +57,10 @@ func FuzzRequestDecode(f *testing.F) {
 }
 
 // FuzzTrackRequestDecode drives arbitrary bytes through the /v1/track decode
-// path: JSON unmarshal into TrackRequest (embedded Request plus session
-// fields), ValidateTrack, obs.SanitizeRequestID on the client-supplied
-// session id, then ToCore. None of it may panic, validated tracking fields
+// path: decodeWire into TrackRequest (embedded Request plus session fields),
+// checked against encoding/json's Decoder as in FuzzRequestDecode, then
+// ValidateTrack, obs.SanitizeRequestID on the client-supplied session id,
+// then ToCore. None of it may panic, validated tracking fields
 // must be finite, and a sanitized session id must be idempotent under
 // re-sanitization (the handler echoes it back and honors it next epoch).
 func FuzzTrackRequestDecode(f *testing.F) {
@@ -69,10 +72,11 @@ func FuzzTrackRequestDecode(f *testing.F) {
 		`"links":[{"packets":[{"data":[[[1,0]]]}]},{"packets":[{"data":[[[0,1]]]}]}],` +
 		`"room":{"minX":0,"minY":0,"maxX":2,"maxY":2},"gridStepMeters":0.5}`))
 	f.Add([]byte(`{"sessionId":123}`))
+	addWireCases(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var wreq TrackRequest
-		if err := json.Unmarshal(data, &wreq); err != nil {
+		wreq, err := decodeBoth[TrackRequest](t, data)
+		if err != nil {
 			return
 		}
 		sid := obs.SanitizeRequestID(wreq.SessionID)
@@ -95,4 +99,12 @@ func FuzzTrackRequestDecode(f *testing.F) {
 			return
 		}
 	})
+}
+
+// addWireCases seeds a decode fuzzer with wireCases: one body per path the
+// scanner hands to encoding/json, and the canonical deviations it takes.
+func addWireCases(f *testing.F) {
+	for _, tc := range wireCases {
+		f.Add([]byte(tc.body))
+	}
 }

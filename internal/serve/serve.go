@@ -487,8 +487,7 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wreq Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&wreq); err != nil {
+	if err := decodeBody(w, r, &wreq); err != nil {
 		badRequest(http.StatusBadRequest, "decode", fmt.Sprintf("decode request: %v", err))
 		return
 	}

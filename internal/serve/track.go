@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -113,8 +112,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wreq TrackRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&wreq); err != nil {
+	if err := decodeBody(w, r, &wreq); err != nil {
 		badRequest(http.StatusBadRequest, "decode", fmt.Sprintf("decode request: %v", err))
 		return
 	}

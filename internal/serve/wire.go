@@ -122,9 +122,16 @@ func (r *Request) ToCore() (*core.LocalizeRequest, error) {
 	// callers, where a non-finite room or RSSI would poison the Eq. 19 cost
 	// surface (NaN compares false against everything, wedging the search at
 	// its starting corner).
-	for _, v := range []float64{r.Room.MinX, r.Room.MinY, r.Room.MaxX, r.Room.MaxY, r.GridStepMeters, r.DeadlineMillis} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("serve: non-finite request geometry %+v", r.Room)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"room.minX", r.Room.MinX}, {"room.minY", r.Room.MinY},
+		{"room.maxX", r.Room.MaxX}, {"room.maxY", r.Room.MaxY},
+		{"gridStepMeters", r.GridStepMeters}, {"deadlineMillis", r.DeadlineMillis},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("serve: non-finite %s %v", f.name, f.v)
 		}
 	}
 	if r.Room.MaxX <= r.Room.MinX || r.Room.MaxY <= r.Room.MinY {
