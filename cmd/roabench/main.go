@@ -69,7 +69,7 @@ func run(stdout, stderr io.Writer, args []string) error {
 	tau := fs.Int("tau", 0, "ROArray ToA grid points (0 = default 20; paper 50)")
 	iters := fs.Int("iters", 0, "solver iteration cap (0 = default 150)")
 	parallel := fs.Int("parallel", 1, "estimation worker count (0 or negative = GOMAXPROCS)")
-	warm := fs.Bool("warm", false, "serving solve profile: Kronecker-factored joint solves that stop once a duality-gap certificate shows them within 2% of optimal; with -batch this adds a serving-profile leg whose metrics feed the JSON snapshot")
+	warm := fs.Bool("warm", false, "serving solve profile: joint solves stop once a duality-gap certificate shows them within 2% of optimal (they run on the Kronecker factors with or without it); with -batch this adds a serving-profile leg whose metrics feed the JSON snapshot")
 	search := fs.String("search", "coarse", "localization grid-search strategy: coarse, flat, or exact (cross-checked)")
 	batch := fs.Int("batch", 0, "run the batch localization benchmark over this many requests instead of figures")
 	faultSweep := fs.Bool("fault", false, "run the fault-injection degradation sweep instead of figures (artifact gates against BENCH_fault.json)")

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	eventsFile := fs.String("events", "", "write one wide JSON request event per completed request to this file")
 	sloLatencyMs := fs.Float64("slo-latency-ms", 0, "SLO latency objective in milliseconds (0 = preset default)")
 	sloTarget := fs.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = preset default)")
-	warm := fs.Bool("warm", false, "serving solve profile: Kronecker-factored joint solves that stop once a duality-gap certificate shows them within 2% of optimal (~15 instead of 60 iterations); every solve starts cold")
+	warm := fs.Bool("warm", false, "serving solve profile: joint solves stop once a duality-gap certificate shows them within 2% of optimal (~15 instead of 60 iterations); joint solves run on the Kronecker factors with or without it, and every solve starts cold")
 	search := fs.String("search", "", "grid-search strategy override: coarse, flat, or exact (empty keeps the engine default)")
 	diagDir := fs.String("diag-dir", "", "write anomaly-triggered diagnostic bundles under this directory (empty disables the trigger engine)")
 	diagMaxBundles := fs.Int("diag-max-bundles", 8, "bundles retained in -diag-dir before oldest-first eviction")

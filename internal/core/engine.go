@@ -14,8 +14,9 @@ import (
 
 // Engine fans localization work out over a bounded pool of workers while
 // sharing one Estimator — and therefore one set of lazily-built AoA and
-// space-delay dictionaries and their cached solver factorizations (the
-// Woodbury Cholesky factor for ADMM, the Lipschitz constant for FISTA) —
+// space-delay dictionaries and their cached solver factorizations (the AoA
+// solver's Woodbury Cholesky factor, the joint solver's block-diagonal
+// Kronecker ridge step) —
 // across all of them. The estimator's solve path reads that shared state and
 // allocates per-call scratch, so concurrent use is safe; everything mutable
 // lives on the goroutine that created it.

@@ -47,28 +47,27 @@ type Config struct {
 	// SolverOptions are passed to the underlying sparse solvers (method,
 	// iteration caps, hooks, ...).
 	SolverOptions []sparse.Option
-	// Warm selects the serving solve profile for the joint solver: it
-	// iterates on the Kronecker factors of the space-delay dictionary
-	// (sparse.WithKronecker) and stops once its duality-gap certificate
-	// shows the solve within 2% of optimal (sparse.WithGapStop(0.02),
-	// prepended to SolverOptions so explicit options still win). The AoA
-	// solver is exactly the default profile's. Every solve starts cold, so
-	// a request's answer does not depend on which requests came before it.
-	// The profile's joint solves end at different iterates than the
-	// default profile's, so the bit-reproducible evaluation pipeline
-	// leaves this off; the serving path turns it on.
+	// Warm selects the serving solve profile. Its one effect is the
+	// duality-gap stop on the joint solver: a joint solve ends once its
+	// certificate shows it within 2% of optimal (sparse.WithGapStop(0.02),
+	// prepended to SolverOptions so explicit options still win). Every joint
+	// solve, with or without Warm, iterates on the Kronecker factors of the
+	// space-delay dictionary; the AoA solver is the same under both. Every
+	// solve starts cold, so a request's answer does not depend on which
+	// requests came before it. The gap stop ends joint solves at different
+	// iterates, so the bit-reproducible evaluation pipeline leaves this
+	// off; the serving path turns it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (see SearchConfig).
 	// The zero value selects the branch-and-bound strategy, which is
 	// bit-identical to the flat scan by construction.
 	Search SearchConfig
-	// Fallback enables the solver fallback chain: when the primary solve
-	// errors or exhausts its iteration budget without converging (meeting
-	// neither its residual criterion nor, under the serving profile, its
-	// duality-gap certificate), the estimator retries on a FISTA solver
-	// sharing the same dictionary and, failing that, falls back to greedy
-	// OMP on the dominant snapshot — trading optimality for a usable
-	// spectrum. The engaged solver is recorded in Result.Solver and the
+	// Fallback enables the solver fallback chain, ADMM → OMP: when the
+	// primary solve errors or exhausts its iteration budget without
+	// converging (meeting neither its residual criterion nor, under the
+	// serving profile, its duality-gap certificate), the estimator takes
+	// greedy OMP on the dominant snapshot instead — trading optimality for a
+	// usable spectrum. The engaged solver is recorded in SolveInfo and the
 	// core.solve.fallback_* counters.
 	// Default false: fallback changes which result a non-converged solve
 	// returns, so the bit-reproducible evaluation pipeline leaves it off.
@@ -136,15 +135,6 @@ type Estimator struct {
 	jointOnce   sync.Once
 	jointSolver *sparse.Solver
 	jointErr    error
-
-	// Fallback solvers (FISTA over the same dictionaries), built lazily the
-	// first time the chain engages so fault-free runs never pay for them.
-	aoaFBOnce   sync.Once
-	aoaFB       *sparse.Solver
-	aoaFBErr    error
-	jointFBOnce sync.Once
-	jointFB     *sparse.Solver
-	jointFBErr  error
 }
 
 // estimatorMetrics caches the estimator's metric handles, resolved once at
@@ -157,8 +147,7 @@ type estimatorMetrics struct {
 	solveSeconds *obs.Histogram
 
 	fallbackEngaged *obs.Counter // primary solve failed/non-converged, chain entered
-	fallbackFISTA   *obs.Counter // FISTA retry converged and was used
-	fallbackOMP     *obs.Counter // greedy OMP terminal fallback was used
+	fallbackOMP     *obs.Counter // greedy OMP fallback was used
 }
 
 func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
@@ -170,7 +159,6 @@ func newEstimatorMetrics(reg *obs.Registry) *estimatorMetrics {
 		dictHits:        reg.Counter("core.dict.cache_hits_total"),
 		solveSeconds:    reg.Histogram("core.solve.seconds", obs.ExpBuckets(0.0005, 2, 16)...),
 		fallbackEngaged: reg.Counter("core.solve.fallback_engaged_total"),
-		fallbackFISTA:   reg.Counter("core.solve.fallback_fista_total"),
 		fallbackOMP:     reg.Counter("core.solve.fallback_omp_total"),
 	}
 }
@@ -202,17 +190,22 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 // "Gap stop").
 const servingGapEps = 0.02
 
-// jointOptions returns the joint solver's options: SolverOptions, with the
-// serving profile's gap stop prepended under Config.Warm so explicit caller
-// options can still override it. The primary joint solver and its FISTA
-// fallback share them; the AoA solvers take SolverOptions as they are.
+// jointOptions returns the joint solver's options: SolverOptions followed by
+// the Kronecker factors of the space-delay dictionary, so the solver iterates
+// on the small delay and AoA factors (6,720 instead of 173,700 complex
+// multiply-adds per x-update and snapshot at the paper's dimensions). Under
+// Config.Warm the serving profile's gap stop is prepended so explicit caller
+// options can still override it. The AoA solver takes SolverOptions as they
+// are; its dictionary has no such factorization.
 func (e *Estimator) jointOptions() []sparse.Option {
-	if !e.cfg.Warm {
-		return e.cfg.SolverOptions
+	opts := make([]sparse.Option, 0, len(e.cfg.SolverOptions)+2)
+	if e.cfg.Warm {
+		opts = append(opts, sparse.WithGapStop(servingGapEps))
 	}
-	opts := make([]sparse.Option, 0, len(e.cfg.SolverOptions)+1)
-	opts = append(opts, sparse.WithGapStop(servingGapEps))
-	return append(opts, e.cfg.SolverOptions...)
+	opts = append(opts, e.cfg.SolverOptions...)
+	return append(opts, sparse.WithKronecker(
+		BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
+		BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -236,16 +229,13 @@ func (e *Estimator) Warmup() error {
 // FootprintBytes estimates the resident size of the estimator's heavy state:
 // the AoA dictionary (M x Ntheta) and its ADMM Cholesky factor (M x M), the
 // joint space-delay dictionary (M*L x Ntheta*Ntau), and the joint solver's
-// ridge-step factorization. That factorization is the dense (M*L)² Cholesky
-// of rho I + A Aᴴ, except under the serving profile (Config.Warm), where the
-// joint solver iterates on the Kronecker factor pair (L x Ntau delay,
-// M x Ntheta AoA), keeps the conjugate of each factor for its adjoint
-// matvec, and holds the block-diagonal form instead: M Ntau x Ntau blocks
-// H_m and the rotated M x Ntheta AoA factor S' with its conjugate.
-// Complex128 entries are 16 bytes. The joint dictionary term dominates at paper dimensions (90 x 3 x
-// 30 x 50 columns ~ 580 MB would be absurd; real venues run reduced grids),
-// which is exactly why a venue cache must budget on these bytes rather than
-// venue count.
+// Kronecker state: the factor pair (L x Ntau delay, M x Ntheta AoA) with the
+// conjugate of each for the adjoint matvec, and the block-diagonal ridge
+// step — M Ntau x Ntau blocks H_m and the rotated M x Ntheta AoA factor S'
+// with its conjugate. Complex128 entries are 16 bytes. The joint dictionary
+// term dominates (90 x 3 x 30 x 50 columns ~ 580 MB would be absurd; real
+// venues run reduced grids), which is exactly why a venue cache must budget
+// on these bytes rather than venue count.
 func (e *Estimator) FootprintBytes() int64 {
 	const c = 16 // bytes per complex128
 	m := int64(e.cfg.Array.NumAntennas)
@@ -253,14 +243,10 @@ func (e *Estimator) FootprintBytes() int64 {
 	nth := int64(len(e.cfg.ThetaGrid))
 	ntu := int64(len(e.cfg.TauGrid))
 	ml := m * l
-	b := m*nth*c + ml*nth*ntu*c // AoA + joint dictionaries
-	b += m * m * c              // AoA ADMM Cholesky factor
-	if e.cfg.Warm {
-		b += 2 * (l*ntu*c + m*nth*c) // Kronecker delay/AoA factor pair + conjugates
-		b += m*ntu*ntu*c + 2*m*nth*c // H_m blocks + rotated AoA factor S' + conjugate
-	} else {
-		b += ml * ml * c // joint ADMM Cholesky factor
-	}
+	b := m*nth*c + ml*nth*ntu*c  // AoA + joint dictionaries
+	b += m * m * c               // AoA ADMM Cholesky factor
+	b += 2 * (l*ntu*c + m*nth*c) // Kronecker delay/AoA factor pair + conjugates
+	b += m*ntu*ntu*c + 2*m*nth*c // H_m blocks + rotated AoA factor S' + conjugate
 	return b
 }
 
@@ -293,9 +279,8 @@ func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tau
 // one column g(tau_t) = [1, Gamma, ..., Gamma^{L-1}]ᵀ per grid delay, size
 // L x Ntau. Together with BuildAoADictionary it forms the Kronecker
 // factorization of BuildJointDictionary — entry ((l*M+m), (t*Ntheta+i)) of
-// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which the sparse
-// solver exploits via sparse.WithKronecker under the serving profile
-// (Config.Warm).
+// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which every joint
+// solve exploits via sparse.WithKronecker.
 func BuildDelayDictionary(ofdm wireless.OFDM, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(ofdm.NumSubcarriers, len(tauGrid))
 	col := make([]complex128, ofdm.NumSubcarriers)
@@ -327,20 +312,7 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 	e.jointOnce.Do(func() {
 		built = true
 		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
-		opts := e.jointOptions()
-		if e.cfg.Warm {
-			// The serving profile declares the joint dictionary's Kronecker
-			// structure so the solver iterates on the small delay and AoA
-			// factors (6,720 instead of 173,700 complex multiply-adds per
-			// x-update and snapshot at the paper's dimensions). Appended
-			// locally — never into cfg.SolverOptions, which the AoA solver
-			// shares and whose dictionary has no such factorization.
-			opts = append(opts[:len(opts):len(opts)],
-				sparse.WithKronecker(
-					BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
-					BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
-		}
-		e.jointSolver, e.jointErr = sparse.NewSolver(dict, opts...)
+		e.jointSolver, e.jointErr = sparse.NewSolver(dict, e.jointOptions()...)
 	})
 	e.recordDictAccess(built)
 	return e.jointSolver, e.jointErr
@@ -364,13 +336,12 @@ func (e *Estimator) recordDictAccess(built bool) {
 // timedSolve runs the group-sparse solve under a span and a latency
 // histogram. The time.Now pair is skipped entirely when metrics are
 // disabled, keeping the nil-registry path free of clock reads. With
-// Config.Fallback set, a failed or non-converged primary solve engages the
-// fallback chain (fb builds the FISTA retry solver; OMP is the terminal
-// stage); without it the primary outcome is returned untouched, preserving
+// Config.Fallback set, a failed or non-converged primary solve falls back to
+// OMP; without it the primary outcome is returned untouched, preserving
 // bit-identical legacy behavior. The returned stage names the fallback stage
 // the accepted result came from ("" = primary); together with the result it
 // feeds the SolveInfo that rides each LinkResult.
-func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb func() (*sparse.Solver, error), y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
+func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
 	// Stage-boundary cancellation: a dead context skips the solve entirely.
 	// (The solver's iteration loop itself is not interruptible; the worst
 	// post-cancel overrun is one solve.)
@@ -392,30 +363,19 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, fb fu
 	if !e.cfg.Fallback || (err == nil && res.Converged) {
 		return res, "", err
 	}
-	return e.fallbackSolve(ctx, solver, fb, y, kappa, res, err)
+	return e.fallbackSolve(ctx, solver, y, res, err)
 }
 
-// fallbackSolve is the degradation chain behind Config.Fallback: retry the
-// solve on a FISTA solver sharing the dictionary, and if that also fails to
-// converge, take greedy OMP on the dominant snapshot column as the answer of
-// last resort. When even OMP errors, the primary outcome is returned so the
-// chain never makes things worse. The returned stage names where the
-// accepted result came from ("fista", "omp", or "" for the primary outcome).
-func (e *Estimator) fallbackSolve(ctx context.Context, primary *sparse.Solver, fb func() (*sparse.Solver, error), y *cmat.Matrix, kappa float64, primaryRes *sparse.Result, primaryErr error) (*sparse.Result, string, error) {
+// fallbackSolve is the degradation chain behind Config.Fallback: take greedy
+// OMP on the dominant snapshot column in place of the failed primary solve.
+// When OMP errors too, the primary outcome is returned so the chain never
+// makes things worse. The returned stage names where the accepted result
+// came from ("omp", or "" for the primary outcome).
+func (e *Estimator) fallbackSolve(ctx context.Context, primary *sparse.Solver, y *cmat.Matrix, primaryRes *sparse.Result, primaryErr error) (*sparse.Result, string, error) {
 	_, sp := obs.StartSpan(ctx, "estimate.fallback")
 	defer sp.End()
 	if e.met != nil {
 		e.met.fallbackEngaged.Inc()
-	}
-	if fb != nil {
-		if retry, err := fb(); err == nil {
-			if res, err := retry.SolveMulti(y, kappa); err == nil && res.Converged {
-				if e.met != nil {
-					e.met.fallbackFISTA.Inc()
-				}
-				return res, "fista", nil
-			}
-		}
 	}
 	if res, err := e.ompSolve(primary, y); err == nil {
 		if e.met != nil {
@@ -462,36 +422,6 @@ func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Res
 		Iterations: len(r.Support),
 		Converged:  true,
 	}, nil
-}
-
-// aoaFallback lazily builds the FISTA retry solver over the AoA dictionary.
-func (e *Estimator) aoaFallback(primary *sparse.Solver) func() (*sparse.Solver, error) {
-	return func() (*sparse.Solver, error) {
-		e.aoaFBOnce.Do(func() {
-			e.aoaFB, e.aoaFBErr = sparse.NewSolver(primary.Dict(), fallbackOptions(e.cfg.SolverOptions)...)
-		})
-		return e.aoaFB, e.aoaFBErr
-	}
-}
-
-// jointFallback lazily builds the FISTA retry solver over the joint
-// space-delay dictionary. Under the serving profile it carries the same gap
-// stop as the primary, so a retry is accepted only when it is certified.
-func (e *Estimator) jointFallback(primary *sparse.Solver) func() (*sparse.Solver, error) {
-	return func() (*sparse.Solver, error) {
-		e.jointFBOnce.Do(func() {
-			e.jointFB, e.jointFBErr = sparse.NewSolver(primary.Dict(), fallbackOptions(e.jointOptions())...)
-		})
-		return e.jointFB, e.jointFBErr
-	}
-}
-
-// fallbackOptions derives a retry solver's options: opts with the method
-// forced to FISTA (appended last, so it wins).
-func fallbackOptions(opts []sparse.Option) []sparse.Option {
-	out := make([]sparse.Option, 0, len(opts)+1)
-	out = append(out, opts...)
-	return append(out, sparse.WithMethod(sparse.MethodFISTA))
 }
 
 // kappaFor selects the sparsity weight for a measurement block:
@@ -552,7 +482,7 @@ func (e *Estimator) EstimateAoA(ctx context.Context, csi *wireless.CSI) (*spectr
 		}
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, e.aoaFallback(solver), y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, y, kappa)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -626,7 +556,7 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 		spf.End()
 	}
 	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, e.jointFallback(solver), y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, y, kappa)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}

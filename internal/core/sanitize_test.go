@@ -259,26 +259,29 @@ func TestSolverFallbackChain(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	est := build(true, reg)
-	peak, _, err := est.EstimateDirectAoA(context.Background(), burst)
+	peak, info, err := est.EstimateDirectAoA(context.Background(), burst)
 	if err != nil {
 		t.Fatalf("fallback pipeline failed: %v", err)
 	}
 	if peak.ThetaDeg < 0 || peak.ThetaDeg > 180 {
 		t.Fatalf("nonsense AoA %v", peak.ThetaDeg)
 	}
-	if reg.Counter("core.solve.fallback_engaged_total").Value() == 0 {
-		t.Fatal("starved budget never engaged the fallback chain")
-	}
-	if reg.Counter("core.solve.fallback_fista_total").Value()+
-		reg.Counter("core.solve.fallback_omp_total").Value() == 0 {
-		t.Fatal("fallback engaged but no chain stage was used")
+	if info.Fallback != "omp" {
+		t.Fatalf("joint SolveInfo.Fallback = %q, want omp", info.Fallback)
 	}
 
 	// The AoA operation runs the same chain and reports the accepted stage.
 	if _, info, err := est.EstimateAoA(context.Background(), burst[0]); err != nil {
 		t.Fatalf("fallback AoA failed: %v", err)
-	} else if info.Fallback != "fista" && info.Fallback != "omp" {
-		t.Fatalf("AoA SolveInfo.Fallback = %q, want fista or omp", info.Fallback)
+	} else if info.Fallback != "omp" {
+		t.Fatalf("AoA SolveInfo.Fallback = %q, want omp", info.Fallback)
+	}
+	engaged := reg.Counter("core.solve.fallback_engaged_total").Value()
+	if engaged == 0 {
+		t.Fatal("starved budget never engaged the fallback chain")
+	}
+	if omp := reg.Counter("core.solve.fallback_omp_total").Value(); omp != engaged {
+		t.Fatalf("fallback_omp_total = %d, want fallback_engaged_total = %d", omp, engaged)
 	}
 
 	// Determinism: a second identical estimator reproduces the peak bitwise.

@@ -9,11 +9,11 @@ import (
 // SolveInfo is the per-solve diagnostic summary threaded from the sparse
 // solver up through the estimator into each LinkResult, so a served request
 // can report which algorithm actually produced its answer — the primary
-// solver, a FISTA retry, or the OMP answer of last resort — without any
-// consumer having to re-derive it from counters.
+// solver or the OMP fallback — without any consumer having to re-derive it
+// from counters.
 type SolveInfo struct {
 	// Solver names the algorithm that produced the accepted result
-	// ("admm", "fista", "omp").
+	// ("admm", "fista" when SolverOptions select it, "omp").
 	Solver string
 	// Iterations the accepted solve performed; Converged whether it met its
 	// residual criterion or its duality-gap certificate before the
@@ -25,8 +25,7 @@ type SolveInfo struct {
 	// results carry no certificate and report 0.
 	Gap float64
 	// Fallback is the degradation stage the accepted result came from:
-	// "" (primary solve), "fista" (converged retry), or "omp" (greedy last
-	// resort).
+	// "" (primary solve) or "omp" (greedy fallback).
 	Fallback string
 }
 
@@ -47,7 +46,7 @@ func solveInfoFor(res *sparse.Result, stage string) SolveInfo {
 
 // Merge folds another link's solve summary into this one, producing the
 // request-level roll-up the serving layer logs: Solver collapses to "mixed"
-// when links disagree, Fallback keeps the deepest stage engaged, Converged
+// when links disagree, Fallback is "omp" if any link fell back, Converged
 // ANDs together, Gap keeps the largest (the weakest certificate), and
 // Iterations accumulates.
 func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
@@ -60,19 +59,8 @@ func (si SolveInfo) Merge(other SolveInfo) SolveInfo {
 	out.Iterations += other.Iterations
 	out.Converged = out.Converged && other.Converged
 	out.Gap = math.Max(out.Gap, other.Gap)
-	if fallbackDepth(other.Fallback) > fallbackDepth(out.Fallback) {
+	if out.Fallback == "" {
 		out.Fallback = other.Fallback
 	}
 	return out
-}
-
-func fallbackDepth(stage string) int {
-	switch stage {
-	case "fista":
-		return 1
-	case "omp":
-		return 2
-	default:
-		return 0
-	}
 }

@@ -27,10 +27,10 @@ func TestSolveInfoMerge(t *testing.T) {
 		t.Fatalf("deepest fallback stage should win, got %q", m.Fallback)
 	}
 
-	d := SolveInfo{Solver: "mixed", Fallback: "fista", Converged: false}
+	d := SolveInfo{Solver: "mixed", Fallback: "", Converged: false}
 	m = m.Merge(d)
 	if m.Fallback != "omp" {
-		t.Fatalf("shallower stage must not replace omp, got %q", m.Fallback)
+		t.Fatalf("a primary solve must not replace omp, got %q", m.Fallback)
 	}
 	if m.Converged {
 		t.Fatal("a non-converged link should AND through merges")

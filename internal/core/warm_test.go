@@ -259,27 +259,21 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 
 // TestFootprintBytesFormula pins what FootprintBytes counts as resident for
 // the 3-antenna, 30-subcarrier, 31 x 8 grid of warmTestConfig: both
-// dictionaries and the AoA Cholesky factor always; then either the joint
-// dictionary's dense 90 x 90 Cholesky factor (default profile) or, under the
-// serving profile, the Kronecker factor pair and its conjugates (30 x 8 and 3 x 31 each) plus the
-// factored ridge step (three 8 x 8 H_m blocks and the rotated 3 x 31 AoA
-// factor with its conjugate).
+// dictionaries, the AoA Cholesky factor, the joint solver's Kronecker factor
+// pair and its conjugates (30 x 8 and 3 x 31 each), and the factored ridge
+// step (three 8 x 8 H_m blocks and the rotated 3 x 31 AoA factor with its
+// conjugate). Every joint solver runs on the factors, so the count is the
+// same with and without the serving profile.
 func TestFootprintBytesFormula(t *testing.T) {
 	const c = 16
-	base := int64(3*31*c + 90*31*8*c + 3*3*c)
-	for _, tc := range []struct {
-		warm bool
-		want int64
-	}{
-		{false, base + 90*90*c},
-		{true, base + 2*(30*8+3*31)*c + (3*8*8+2*3*31)*c},
-	} {
-		e, err := NewEstimator(warmTestConfig(tc.warm))
+	want := int64(3*31*c+90*31*8*c+3*3*c) + 2*(30*8+3*31)*c + (3*8*8+2*3*31)*c
+	for _, warm := range []bool{false, true} {
+		e, err := NewEstimator(warmTestConfig(warm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.FootprintBytes(); got != tc.want {
-			t.Errorf("warm=%v: FootprintBytes = %d, want %d", tc.warm, got, tc.want)
+		if got := e.FootprintBytes(); got != want {
+			t.Errorf("warm=%v: FootprintBytes = %d, want %d", warm, got, want)
 		}
 	}
 }

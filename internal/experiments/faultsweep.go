@@ -25,7 +25,7 @@ type faultMode struct {
 // single-AP fault — the whole burst of one AP is corrupted — because that is
 // the worst case the graceful-degradation machinery must survive: partial
 // faults are strictly easier. The solver-budget mode instead starves every
-// solve so the ADMM→FISTA→OMP fallback chain carries the run.
+// solve so the ADMM→OMP fallback chain carries the run.
 func faultModes(arr wireless.Array, ofdm wireless.OFDM) []faultMode {
 	m, l := arr.NumAntennas, ofdm.NumSubcarriers
 	return []faultMode{

@@ -40,12 +40,13 @@ type Options struct {
 	// SolverIters caps the ADMM iterations per solve (default 150 — the
 	// support stabilizes long before full convergence).
 	SolverIters int
-	// Warm selects the serving solve profile (core.Config.Warm): Kronecker
-	// joint solves that stop once a duality-gap certificate shows them
-	// within 2% of optimal. Off by default — those solves end at different
-	// iterates, so the bit-reproducible figure pipeline and the cold bench
-	// legs leave it off; RunBatchBench's warm leg and the serving path turn
-	// it on.
+	// Warm selects the serving solve profile (core.Config.Warm): its only
+	// effect is that joint solves stop once a duality-gap certificate shows
+	// them within 2% of optimal (every joint solve runs on the Kronecker
+	// factors, with or without it). Off by default — gap-stopped solves end
+	// at different iterates, so the bit-reproducible figure pipeline and the
+	// cold bench legs leave it off; RunBatchBench's warm leg and the serving
+	// path turn it on.
 	Warm bool
 	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
 	// the zero value selects the branch-and-bound strategy, bit-identical

@@ -61,8 +61,8 @@ type RequestEvent struct {
 
 	// Solver is the algorithm that produced the final accepted solve of the
 	// request's links ("admm", "fista", "omp"; "mixed" when links differ).
-	// FallbackStage is the deepest degradation stage any link engaged
-	// ("" = primary, "fista", "omp").
+	// FallbackStage is the degradation stage any link engaged ("" =
+	// primary, "omp").
 	Solver        string `json:"solver,omitempty"`
 	FallbackStage string `json:"fallback,omitempty"`
 

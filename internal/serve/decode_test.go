@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -240,9 +239,6 @@ func TestServeBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Drain(context.Background())
-	// Each request buffers the whole 64 MiB unfinished value; collect
-	// eagerly so the test's peak heap stays near one such buffer.
-	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	for _, path := range []string{"/v1/localize", "/v1/track"} {
 		body := io.MultiReader(strings.NewReader(`{"links":[`), io.LimitReader(spaceReader{}, maxBodyBytes))
 		rec := httptest.NewRecorder()
@@ -250,6 +246,29 @@ func TestServeBodyLimit(t *testing.T) {
 		const want = "decode request: http: request body too large"
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("%s: status %d body %q, want 400 %q", path, rec.Code, rec.Body.String(), want)
+		}
+	}
+}
+
+// TestPaperBodyUnderLimit checks maxBodyBytes against the largest preset:
+// "paper" request and track bodies, marshalled as clients send them, stay
+// under a tenth of the limit.
+func TestPaperBodyUnderLimit(t *testing.T) {
+	ps, err := LookupPreset("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, _, err := ps.Deployment.BatchRequests(3, ps.Packets, testbed.ScenarioConfig{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		wire := FromCore(req)
+		track := &TrackRequest{Request: *wire, SessionID: "walker-1", Seq: int64(i), TSeconds: 0.5}
+		for _, body := range [][]byte{mustMarshal(t, wire), mustMarshal(t, track)} {
+			if len(body) > maxBodyBytes/10 {
+				t.Errorf("request %d: %d-byte paper body exceeds a tenth of maxBodyBytes (%d)", i, len(body), maxBodyBytes)
+			}
 		}
 	}
 }

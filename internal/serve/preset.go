@@ -34,8 +34,9 @@ type Preset struct {
 	SLO obs.SLOConfig
 	// RetryAfterFull and RetryAfterDraining seed the Retry-After advice the
 	// preset's server gives on 429/503 rejections (see Config). Slow working
-	// points advertise longer backoff: a paper-preset solve takes seconds, so
-	// retrying a second later just burns another queue slot.
+	// points advertise longer backoff: a paper-preset request holds a worker
+	// for over a second, so retrying a second later just burns another
+	// queue slot.
 	RetryAfterFull     time.Duration
 	RetryAfterDraining time.Duration
 }
@@ -63,7 +64,9 @@ func PresetNames() []string {
 //
 //   - "paper": the paper's working point — Intel 5300 radios (3 x 30 CSI),
 //     default dictionary grids, 6-AP 18 m x 12 m testbed, 15-packet bursts.
-//     Faithful, but a single solve costs seconds of CPU.
+//     Faithful, but slow: a fused joint solve runs its full 400 iterations
+//     over the 91 x 50 grid in 0.2–0.4 s of CPU, and a 6-AP request takes
+//     1.4–1.8 s on one worker (Intel Xeon, Go 1.24).
 //   - "smoke": a cut-down configuration for latency/throughput exercises and
 //     CI — 8 subcarriers, 19 x 8 dictionary, 3 APs, 2-packet bursts. Solves
 //     complete in tens of milliseconds while running the full pipeline.
@@ -91,11 +94,11 @@ func paperPreset() *Preset {
 		},
 		Deployment: testbed.Default(),
 		Packets:    15,
-		// Paper-faithful solves cost seconds of CPU each; the latency
-		// objective reflects that working point.
+		// A paper-faithful request costs over a second of CPU; the
+		// latency objective reflects that working point.
 		SLO: obs.SLOConfig{LatencyObjective: 10 * time.Second, Target: 0.99},
-		// A paper solve holds a worker for seconds; tell rejected
-		// clients to stay away long enough for a batch to clear.
+		// A paper request holds a worker for over a second; tell
+		// rejected clients to stay away long enough for a batch to clear.
 		RetryAfterFull:     5 * time.Second,
 		RetryAfterDraining: 10 * time.Second,
 	}

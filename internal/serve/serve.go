@@ -453,9 +453,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// maxBodyBytes bounds a request body; CSI bursts are a few KB per packet, so
-// 64 MiB accommodates hundreds of packets while stopping abuse.
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds a request body on the servers and the proxy. It is
+// sized from the largest preset: a "paper" request (15-packet bursts from 6
+// APs of 3 x 30 CSI) is about 350 KB on the wire, so 4 MiB leaves more than
+// 10x headroom (TestPaperBodyUnderLimit). The bound also caps what a body
+// can cost before it is refused: encoding/json buffers a value that is
+// still open at the limit whole.
+const maxBodyBytes = 4 << 20
 
 func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// Request identity first: honor the client's X-Request-Id (sanitized)

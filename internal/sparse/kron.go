@@ -24,9 +24,8 @@ import (
 // took BenchmarkKronWoodbury from a median 3.7 to 3.0 µs per column at the
 // serving shape. The factored results are numerically equivalent but not
 // bit-identical to the dense kernels (the products associate differently),
-// which is why the structure is opt-in (WithKronecker) and engaged only by
-// core's serving solve profile (core.Config.Warm), never under the
-// bit-reproducible figure pipeline.
+// so the structure is declared explicitly (WithKronecker); core declares it
+// for every joint space-delay solver.
 type kronOps struct {
 	ll, tt int // row factor shape (L x T)
 	mm, cc int // column factor shape (M x C)

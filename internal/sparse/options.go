@@ -130,9 +130,8 @@ func WithGapStop(eps float64) Option { return func(o *options) { o.gapEps = eps 
 // 90 x 920). NewSolver verifies the factorization against the dense
 // dictionary and fails construction on mismatch. The factored products are
 // numerically equivalent but not bit-identical to the dense kernels (sums
-// associate differently), so this is opt-in: core's serving solve profile
-// (core.Config.Warm) declares it for the joint dictionary, and the
-// figure/golden pipeline never enables it.
+// associate differently), so this is opt-in; core declares it for every
+// joint space-delay solver, serving and figure pipeline alike.
 func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
 	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
 }

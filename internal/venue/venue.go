@@ -247,8 +247,9 @@ type BuildConfig struct {
 	// Workers sizes each venue engine's worker pool (<= 0 selects 1).
 	Workers int
 	// Warm selects the serving solve profile on the venue's estimator
-	// (core.Config.Warm): Kronecker-factored joint solves that stop on a
-	// duality-gap certificate of 2%.
+	// (core.Config.Warm): its only effect is that joint solves stop on a
+	// duality-gap certificate of 2%. Joint solves run on the Kronecker
+	// factors either way.
 	Warm bool
 	// Metrics, when non-nil, receives the estimator's telemetry.
 	Metrics *obs.Registry

@@ -1,6 +1,8 @@
 #!/bin/sh
 # End-to-end smoke of the request-centric observability stack: boot roaserve
-# with the event log, a trace file, a metrics endpoint, and the smoke SLO;
+# with the serving solve profile (-warm: joint solves stop on their 2%
+# duality-gap certificate), the event log, a trace file, a metrics endpoint,
+# and the smoke SLO;
 # drive it with roaload (which tags every request with X-Request-Id and
 # verifies the echo); then use roastat to (1) render the live /metrics with
 # its SLO burn table, (2) diff two snapshots taken around the load, and
@@ -26,7 +28,7 @@ go build -o "$TMP/roaserve" ./cmd/roaserve
 go build -o "$TMP/roaload" ./cmd/roaload
 go build -o "$TMP/roastat" ./cmd/roastat
 
-"$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke \
+"$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke -warm \
     -batch-linger 2ms -metrics-addr 127.0.0.1:0 \
     -events "$TMP/events.jsonl" -trace "$TMP/trace.jsonl" \
     2>"$TMP/serve.log" &
@@ -64,6 +66,13 @@ fi
 grep -q 'serve.e2e.seconds' "$TMP/after.txt"
 grep -q 'SLO: target' "$TMP/after.txt"
 grep -q 'burn(avail)' "$TMP/after.txt"
+
+# -warm must reach the solver: the load's joint solves stop on their
+# duality-gap certificate.
+if ! grep -Eq '"sparse.solve.earlystop_total": [1-9]' "$TMP/after.json"; then
+    echo "obs_smoke: no solve stopped on the duality-gap certificate" >&2
+    exit 1
+fi
 
 # The interval between the two snapshots is exactly the load run: the diff
 # must show completed requests (nonzero accepted counter delta).
