@@ -9,7 +9,7 @@ GO ?= go
 # so the full -race sweep stays affordable.
 RACE_PKGS := ./internal/core/... ./internal/sparse/... ./internal/obs/... ./internal/quality/... ./internal/serve/... ./internal/venue/... ./internal/testbed/...
 
-.PHONY: check vet build test race bench bench-search bench-wire profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
+.PHONY: check vet build test race bench bench-search bench-solve bench-wire profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
 
 check: vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
 
@@ -50,13 +50,26 @@ bench-search:
 	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
 	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
 
-# Request-decode benchmark pair (see DESIGN.md §11): the handlers'
+# Warm joint-solve benchmarks with allocations reported (see DESIGN.md §13):
+# the Kronecker ADMM solves (BenchmarkADMMKron*, the paper shape and the
+# smoke serving shape), one Kronecker x-update (BenchmarkKronWoodbury), and a
+# whole single-link estimate at the smoke serving shape
+# (BenchmarkEstimateDirectAoASmoke). A warm solve allocates only its result;
+# the allocs/op before and after the pooled solver workspace are recorded in
+# EXPERIMENTS.md.
+bench-solve:
+	$(GO) test -run XXX -bench 'BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchmem -benchtime 200x ./internal/sparse/
+	$(GO) test -run XXX -bench 'BenchmarkEstimateDirectAoASmoke$$' -benchmem -benchtime 2000x ./internal/core/
+
+# Request-decode benchmark pairs (see DESIGN.md §11): the handlers'
 # reflection-free wire decoder (BenchmarkDecodeRequest) against the
-# encoding/json Decoder it replaced (BenchmarkDecodeRequestJSON), both over
-# the smoke preset's BatchRequests bodies with allocations reported; the
-# ratio is recorded in EXPERIMENTS.md.
+# encoding/json Decoder it replaced (BenchmarkDecodeRequestJSON), and the
+# proxy's scanner-based venueId peek (BenchmarkPeekVenueID) against the
+# json.Unmarshal peek it replaced (BenchmarkPeekVenueIDJSON), all over the
+# smoke preset's BatchRequests bodies with allocations reported; the ratios
+# are recorded in EXPERIMENTS.md.
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkDecodeRequest' -benchtime 2000x ./internal/serve/
+	$(GO) test -run XXX -bench 'BenchmarkDecodeRequest|BenchmarkPeekVenueID' -benchtime 2000x ./internal/serve/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.
@@ -85,7 +98,7 @@ quality-gate:
 	$(GO) run ./cmd/roabench -compare BENCH_quality.json -artifact quality_current.json
 
 # Short fuzzing pass over the attacker-facing decoders — the serve wire
-# formats (stateless and tracking), the CSI admission sanitizer, the quality
+# formats (stateless and tracking) and the proxy's venueId peek, the CSI admission sanitizer, the quality
 # artifact loader, the event log, the venue manifest, and the trajectory
 # plan — plus the Eq. 19 search against its flat-scan reference. ~10 s per
 # target; the committed corpora under testdata/fuzz/ also run as plain unit
@@ -95,6 +108,7 @@ FUZZ_TIME := 10s
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzRequestDecode$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzTrackRequestDecode$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/serve/ -run XXX -fuzz '^FuzzVenuePeek$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run XXX -fuzz '^FuzzSanitizeBurst$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run XXX -fuzz '^FuzzSearchExact$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/quality/ -run XXX -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZ_TIME)

@@ -30,6 +30,17 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]complex128, rows*cols)}
 }
 
+// Wrap returns a rows x cols matrix over the row-major storage data, which
+// must hold exactly rows*cols entries. Nothing is copied: the matrix and data
+// alias. It is returned by value so that a caller pooling its buffers (the
+// sparse solvers' workspaces) can re-shape them per use without allocating.
+func Wrap(rows, cols int, data []complex128) Matrix {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("cmat: Wrap %dx%d over %d entries", rows, cols, len(data)))
+	}
+	return Matrix{rows: rows, cols: cols, data: data}
+}
+
 // FromRows builds a matrix from a slice of equal-length rows. The data is
 // copied.
 func FromRows(rows [][]complex128) (*Matrix, error) {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -135,6 +134,17 @@ type Estimator struct {
 	jointOnce   sync.Once
 	jointSolver *sparse.Solver
 	jointErr    error
+	// jointDict is the dense space-delay dictionary, kept only under
+	// Config.Fallback as the OMP stage's atoms: the joint solver itself
+	// iterates on the Kronecker factors and drops the dense matrix once
+	// built, so without Fallback nothing keeps it resident.
+	jointDict *cmat.Matrix
+
+	// delays is the matched-filter phasor table of the delay alignment that
+	// precedes fusion (see delayTable), built from the OFDM config on the
+	// first fused estimate.
+	delaysOnce sync.Once
+	delays     *delayTable
 }
 
 // estimatorMetrics caches the estimator's metric handles, resolved once at
@@ -227,26 +237,29 @@ func (e *Estimator) Warmup() error {
 }
 
 // FootprintBytes estimates the resident size of the estimator's heavy state:
-// the AoA dictionary (M x Ntheta) and its ADMM Cholesky factor (M x M), the
-// joint space-delay dictionary (M*L x Ntheta*Ntau), and the joint solver's
-// Kronecker state: the factor pair (L x Ntau delay, M x Ntheta AoA) with the
-// conjugate of each for the adjoint matvec, and the block-diagonal ridge
-// step — M Ntau x Ntau blocks H_m and the rotated M x Ntheta AoA factor S'
-// with its conjugate. Complex128 entries are 16 bytes. The joint dictionary
-// term dominates (90 x 3 x 30 x 50 columns ~ 580 MB would be absurd; real
-// venues run reduced grids), which is exactly why a venue cache must budget
-// on these bytes rather than venue count.
+// the AoA dictionary (M x Ntheta) and its ADMM Cholesky factor (M x M), and
+// the joint solver's Kronecker state: the factor pair (L x Ntau delay,
+// M x Ntheta AoA) with the conjugate of each for the adjoint matvec, and the
+// block-diagonal ridge step — M Ntau x Ntau blocks H_m and the rotated
+// M x Ntheta AoA factor S' with its conjugate. The dense joint space-delay
+// dictionary (M*L x Ntheta*Ntau) is counted only under Config.Fallback, the
+// one configuration that keeps it (as the OMP stage's atoms); the joint
+// solver drops it once built. When counted it dominates (6.55 of the paper
+// preset's 6.74 MB, against 0.19 MB without it), which is why a venue cache
+// budgets on these bytes rather than venue count. Complex128 entries are 16
+// bytes.
 func (e *Estimator) FootprintBytes() int64 {
 	const c = 16 // bytes per complex128
 	m := int64(e.cfg.Array.NumAntennas)
 	l := int64(e.cfg.OFDM.NumSubcarriers)
 	nth := int64(len(e.cfg.ThetaGrid))
 	ntu := int64(len(e.cfg.TauGrid))
-	ml := m * l
-	b := m*nth*c + ml*nth*ntu*c  // AoA + joint dictionaries
-	b += m * m * c               // AoA ADMM Cholesky factor
+	b := m*nth*c + m*m*c         // AoA dictionary + its ADMM Cholesky factor
 	b += 2 * (l*ntu*c + m*nth*c) // Kronecker delay/AoA factor pair + conjugates
 	b += m*ntu*ntu*c + 2*m*nth*c // H_m blocks + rotated AoA factor S' + conjugate
+	if e.cfg.Fallback {
+		b += m * l * nth * ntu * c // dense joint dictionary (OMP fallback atoms)
+	}
 	return b
 }
 
@@ -313,6 +326,9 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 		built = true
 		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
 		e.jointSolver, e.jointErr = sparse.NewSolver(dict, e.jointOptions()...)
+		if e.cfg.Fallback {
+			e.jointDict = dict
+		}
 	})
 	e.recordDictAccess(built)
 	return e.jointSolver, e.jointErr
@@ -334,14 +350,16 @@ func (e *Estimator) recordDictAccess(built bool) {
 }
 
 // timedSolve runs the group-sparse solve under a span and a latency
-// histogram. The time.Now pair is skipped entirely when metrics are
-// disabled, keeping the nil-registry path free of clock reads. With
-// Config.Fallback set, a failed or non-converged primary solve falls back to
-// OMP; without it the primary outcome is returned untouched, preserving
+// histogram, with kappa at Config.KappaRatio of max_i ||(AᴴY)_i|| (see
+// sparse.Solver.SolveMultiRatio). The time.Now pair is skipped entirely when
+// metrics are disabled, keeping the nil-registry path free of clock reads.
+// With Config.Fallback set, a failed or non-converged primary solve falls
+// back to OMP over ompDict, the dense dictionary the solver was built for;
+// without it the primary outcome is returned untouched, preserving
 // bit-identical legacy behavior. The returned stage names the fallback stage
 // the accepted result came from ("" = primary); together with the result it
 // feeds the SolveInfo that rides each LinkResult.
-func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, y *cmat.Matrix, kappa float64) (*sparse.Result, string, error) {
+func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, ompDict, y *cmat.Matrix) (*sparse.Result, string, error) {
 	// Stage-boundary cancellation: a dead context skips the solve entirely.
 	// (The solver's iteration loop itself is not interruptible; the worst
 	// post-cancel overrun is one solve.)
@@ -353,7 +371,7 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, y *cm
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	res, err := solver.SolveMulti(y, kappa)
+	res, err := solver.SolveMultiRatio(y, e.cfg.KappaRatio)
 	if e.met != nil {
 		// The latency exemplar ties this solve's bucket to the request that
 		// exercised it — an empty id (untagged caller) records plainly.
@@ -363,21 +381,21 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, y *cm
 	if !e.cfg.Fallback || (err == nil && res.Converged) {
 		return res, "", err
 	}
-	return e.fallbackSolve(ctx, solver, y, res, err)
+	return e.fallbackSolve(ctx, ompDict, y, res, err)
 }
 
 // fallbackSolve is the degradation chain behind Config.Fallback: take greedy
-// OMP on the dominant snapshot column in place of the failed primary solve.
-// When OMP errors too, the primary outcome is returned so the chain never
-// makes things worse. The returned stage names where the accepted result
-// came from ("omp", or "" for the primary outcome).
-func (e *Estimator) fallbackSolve(ctx context.Context, primary *sparse.Solver, y *cmat.Matrix, primaryRes *sparse.Result, primaryErr error) (*sparse.Result, string, error) {
+// OMP over dict on the dominant snapshot column in place of the failed
+// primary solve. When OMP errors too, the primary outcome is returned so the
+// chain never makes things worse. The returned stage names where the
+// accepted result came from ("omp", or "" for the primary outcome).
+func (e *Estimator) fallbackSolve(ctx context.Context, dict, y *cmat.Matrix, primaryRes *sparse.Result, primaryErr error) (*sparse.Result, string, error) {
 	_, sp := obs.StartSpan(ctx, "estimate.fallback")
 	defer sp.End()
 	if e.met != nil {
 		e.met.fallbackEngaged.Inc()
 	}
-	if res, err := e.ompSolve(primary, y); err == nil {
+	if res, err := e.ompSolve(dict, y); err == nil {
 		if e.met != nil {
 			e.met.fallbackOMP.Inc()
 		}
@@ -386,10 +404,11 @@ func (e *Estimator) fallbackSolve(ctx context.Context, primary *sparse.Solver, y
 	return primaryRes, "", primaryErr
 }
 
-// ompSolve runs orthogonal matching pursuit on the strongest column of y
-// (after l1-SVD fusion that is the dominant singular direction) and expands
-// the support into a Result comparable with the convex solvers' RowMags.
-func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Result, error) {
+// ompSolve runs orthogonal matching pursuit over dict on the strongest
+// column of y (after l1-SVD fusion that is the dominant singular direction)
+// and expands the support into a Result comparable with the convex solvers'
+// RowMags.
+func (e *Estimator) ompSolve(dict, y *cmat.Matrix) (*sparse.Result, error) {
 	best, bestN := 0, -1.0
 	for j := 0; j < y.Cols(); j++ {
 		var n2 float64
@@ -400,7 +419,6 @@ func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Res
 			best, bestN = j, n2
 		}
 	}
-	dict := solver.Dict()
 	atoms := e.cfg.MaxPaths
 	if atoms > dict.Rows() {
 		atoms = dict.Rows()
@@ -422,26 +440,6 @@ func (e *Estimator) ompSolve(solver *sparse.Solver, y *cmat.Matrix) (*sparse.Res
 		Iterations: len(r.Support),
 		Converged:  true,
 	}, nil
-}
-
-// kappaFor selects the sparsity weight for a measurement block:
-// KappaRatio * max row norm of AᴴY, the standard scale-free choice. The
-// correlation runs through the solver so Kronecker-structured dictionaries
-// use their factored fast path.
-func kappaFor(solver *sparse.Solver, y *cmat.Matrix, ratio float64) float64 {
-	g := solver.DictMulH(y)
-	mx := 0.0
-	for i := 0; i < g.Rows(); i++ {
-		var n2 float64
-		for j := 0; j < g.Cols(); j++ {
-			v := g.At(i, j)
-			n2 += real(v)*real(v) + imag(v)*imag(v)
-		}
-		if n2 > mx {
-			mx = n2
-		}
-	}
-	return ratio * math.Sqrt(mx)
 }
 
 // checkPackets rejects malformed measurements before any of them is read: a
@@ -481,8 +479,7 @@ func (e *Estimator) EstimateAoA(ctx context.Context, csi *wireless.CSI) (*spectr
 			y.Set(m, l, csi.Data[m][l])
 		}
 	}
-	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, solver.Dict(), y)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -526,9 +523,18 @@ func (e *Estimator) EstimateJointFusedInfoCtx(ctx context.Context, packets []*wi
 	// compensated first (the paper's delay-estimation step), with
 	// consensus-based outlier rejection against interfered packets.
 	_, sps := obs.StartSpan(ctx, "estimate.sanitize")
-	aligned := AlignAndFilter(packets, e.cfg.OFDM)
+	aligned := alignAndFilter(packets, e.cfg.OFDM, e.delayTable())
 	sps.End()
 	return e.estimateJointBlock(ctx, aligned, e.cfg.MaxPaths)
+}
+
+// delayTable returns the estimator's matched-filter phasor table, building
+// it on first use.
+func (e *Estimator) delayTable() *delayTable {
+	e.delaysOnce.Do(func() {
+		e.delays = newDelayTable(e.cfg.OFDM.SubcarrierSpacing, e.cfg.OFDM.NumSubcarriers)
+	})
+	return e.delays
 }
 
 func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.CSI, keep int) (*spectra.Spectrum2D, SolveInfo, error) {
@@ -555,8 +561,7 @@ func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.
 		y = sv.TruncateLeft(keep)
 		spf.End()
 	}
-	kappa := kappaFor(solver, y, e.cfg.KappaRatio)
-	res, stage, err := e.timedSolve(ctx, solver, y, kappa)
+	res, stage, err := e.timedSolve(ctx, solver, e.jointDict, y)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}

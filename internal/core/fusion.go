@@ -18,58 +18,99 @@ import (
 // refinement. That range is 400 ns on the Intel 5300, comfortably above
 // real detection-delay spreads.
 func EstimateRelativeDelay(ref, pkt *wireless.CSI, ofdm wireless.OFDM) float64 {
-	delta, _ := delayMatch(ref, pkt, ofdm)
+	delta, _ := delayMatch(ref, pkt, newDelayTable(ofdm.SubcarrierSpacing, ref.NumSubcarriers))
 	return delta
+}
+
+// delaySteps is the matched-filter search grid: delaySteps+1 candidate
+// delays spanning [-1/(2 f_delta), +1/(2 f_delta)].
+const delaySteps = 256
+
+// delayTable holds the matched filter's phasors for one subcarrier spacing
+// f_delta and subcarrier count L: row i holds rot_i^l for l = 0..L-1, with
+// rot_i = exp(-j 2 pi f_delta delta_i) at the i-th grid delay, each power
+// formed by the same chain of multiplications the filter once ran per call,
+// so filtering against the table gives the same bits. The phasors depend only
+// on the OFDM config, so an Estimator builds its table once and shares it,
+// read-only, across goroutines.
+type delayTable struct {
+	spacing float64
+	l       int
+	phasors []complex128 // (delaySteps+1) rows of l, row-major
+}
+
+func newDelayTable(spacing float64, l int) *delayTable {
+	t := &delayTable{spacing: spacing, l: l, phasors: make([]complex128, (delaySteps+1)*l)}
+	half := 1 / (2 * spacing)
+	for i := 0; i <= delaySteps; i++ {
+		rot := cmplx.Exp(complex(0, -2*math.Pi*spacing*gridDelay(half, i)))
+		cur := complex(1, 0)
+		row := t.phasors[i*l : (i+1)*l]
+		for k := range row {
+			row[k] = cur
+			cur *= rot
+		}
+	}
+	return t
+}
+
+// gridDelay returns the i-th candidate delay of the matched-filter search
+// over [-half, +half].
+func gridDelay(half float64, i int) float64 {
+	return -half + 2*half*float64(i)/delaySteps
 }
 
 // delayMatch runs the matched-filter delay search and additionally returns a
 // normalized correlation score in [0,1]: how much of the two packets' energy
 // is explained by a common channel at the best delay. Interfered or
 // unrelated packets score low, which AlignAndFilter uses for outlier
-// rejection.
-func delayMatch(ref, pkt *wireless.CSI, ofdm wireless.OFDM) (delta, score float64) {
+// rejection. tab supplies the filter's phasors; a table built for another
+// subcarrier count is replaced by one for the packets' own.
+func delayMatch(ref, pkt *wireless.CSI, tab *delayTable) (delta, score float64) {
 	l := ref.NumSubcarriers
 	if l != pkt.NumSubcarriers || ref.NumAntennas != pkt.NumAntennas || l < 2 {
 		return 0, 0
 	}
-	r := make([]complex128, l)
+	if tab.l != l {
+		tab = newDelayTable(tab.spacing, l)
+	}
+	// The cross product sums on the stack for every real subcarrier count
+	// (the Intel 5300 reports 30).
+	var rbuf [64]complex128
+	var r []complex128
+	if l <= len(rbuf) {
+		r = rbuf[:l]
+	} else {
+		r = make([]complex128, l)
+	}
 	for m := 0; m < ref.NumAntennas; m++ {
 		refRow, pktRow := ref.Data[m], pkt.Data[m]
 		for i := 0; i < l; i++ {
 			r[i] += refRow[i] * cmplx.Conj(pktRow[i])
 		}
 	}
-	// Matched filter: eval(delta) = |sum_l r[l] exp(-j 2 pi f_delta l delta)|.
-	half := 1 / (2 * ofdm.SubcarrierSpacing)
-	const steps = 256
-	eval := func(delta float64) float64 {
-		rot := cmplx.Exp(complex(0, -2*math.Pi*ofdm.SubcarrierSpacing*delta))
-		cur := complex(1, 0)
-		var acc complex128
-		for i := 0; i < l; i++ {
-			acc += r[i] * cur
-			cur *= rot
-		}
-		return cmplx.Abs(acc)
-	}
+	// Matched filter: vals[i] = |sum_l r[l] exp(-j 2 pi f_delta l delta_i)|.
+	half := 1 / (2 * tab.spacing)
+	var vals [delaySteps + 1]float64
 	bestIdx, bestVal := 0, math.Inf(-1)
-	deltas := make([]float64, steps+1)
-	vals := make([]float64, steps+1)
-	for i := 0; i <= steps; i++ {
-		d := -half + 2*half*float64(i)/steps
-		v := eval(d)
-		deltas[i], vals[i] = d, v
+	for i := range vals {
+		var acc complex128
+		for k, p := range tab.phasors[i*l : (i+1)*l] {
+			acc += r[k] * p
+		}
+		v := cmplx.Abs(acc)
+		vals[i] = v
 		if v > bestVal {
 			bestIdx, bestVal = i, v
 		}
 	}
-	best := deltas[bestIdx]
+	best := gridDelay(half, bestIdx)
 	// Parabolic interpolation around the grid maximum.
-	if bestIdx > 0 && bestIdx < steps {
+	if bestIdx > 0 && bestIdx < delaySteps {
 		y0, y1, y2 := vals[bestIdx-1], vals[bestIdx], vals[bestIdx+1]
 		den := y0 - 2*y1 + y2
 		if den < 0 {
-			step := deltas[1] - deltas[0]
+			step := gridDelay(half, 1) - gridDelay(half, 0)
 			best += step * 0.5 * (y0 - y2) / den
 		}
 	}
@@ -113,13 +154,17 @@ func CompensateDelay(csi *wireless.CSI, delta float64, ofdm wireless.OFDM) *wire
 // the paper applies before multi-packet fusion (Fig. 4). The first packet is
 // returned as is.
 func AlignToReference(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
+	return alignToReference(packets, ofdm, newDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers))
+}
+
+func alignToReference(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable) []*wireless.CSI {
 	if len(packets) == 0 {
 		return nil
 	}
 	out := make([]*wireless.CSI, len(packets))
 	out[0] = packets[0]
 	for i := 1; i < len(packets); i++ {
-		delta := EstimateRelativeDelay(packets[0], packets[i], ofdm)
+		delta, _ := delayMatch(packets[0], packets[i], tab)
 		out[i] = CompensateDelay(packets[i], delta, ofdm)
 	}
 	return out
@@ -134,9 +179,15 @@ func AlignToReference(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.C
 // becoming the reference, and the filter keeps interfered packets from
 // polluting the fused block.
 func AlignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
+	return alignAndFilter(packets, ofdm, newDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers))
+}
+
+// alignAndFilter is AlignAndFilter with the matched filter's phasors taken
+// from tab (an Estimator's, built once) rather than built per call.
+func alignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable) []*wireless.CSI {
 	n := len(packets)
 	if n <= 2 {
-		return AlignToReference(packets, ofdm)
+		return alignToReference(packets, ofdm, tab)
 	}
 	// Pairwise correlation scores (symmetric up to noise; compute one side).
 	scores := make([][]float64, n)
@@ -147,7 +198,7 @@ func AlignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d, s := delayMatch(packets[i], packets[j], ofdm)
+			d, s := delayMatch(packets[i], packets[j], tab)
 			scores[i][j], scores[j][i] = s, s
 			deltas[i][j], deltas[j][i] = d, -d
 		}

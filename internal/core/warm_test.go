@@ -258,22 +258,31 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 }
 
 // TestFootprintBytesFormula pins what FootprintBytes counts as resident for
-// the 3-antenna, 30-subcarrier, 31 x 8 grid of warmTestConfig: both
-// dictionaries, the AoA Cholesky factor, the joint solver's Kronecker factor
+// the 3-antenna, 30-subcarrier, 31 x 8 grid of warmTestConfig: the AoA
+// dictionary and its Cholesky factor, the joint solver's Kronecker factor
 // pair and its conjugates (30 x 8 and 3 x 31 each), and the factored ridge
 // step (three 8 x 8 H_m blocks and the rotated 3 x 31 AoA factor with its
-// conjugate). Every joint solver runs on the factors, so the count is the
-// same with and without the serving profile.
+// conjugate). The dense 90 x 248 joint dictionary is counted only under
+// Fallback, whose OMP stage keeps it; the joint solver drops it. The count is
+// the same with and without the serving profile.
 func TestFootprintBytesFormula(t *testing.T) {
 	const c = 16
-	want := int64(3*31*c+90*31*8*c+3*3*c) + 2*(30*8+3*31)*c + (3*8*8+2*3*31)*c
-	for _, warm := range []bool{false, true} {
-		e, err := NewEstimator(warmTestConfig(warm))
-		if err != nil {
-			t.Fatal(err)
+	base := int64(3*31*c+3*3*c) + 2*(30*8+3*31)*c + (3*8*8+2*3*31)*c
+	for _, fallback := range []bool{false, true} {
+		want := base
+		if fallback {
+			want += 90 * 31 * 8 * c
 		}
-		if got := e.FootprintBytes(); got != want {
-			t.Errorf("warm=%v: FootprintBytes = %d, want %d", warm, got, want)
+		for _, warm := range []bool{false, true} {
+			cfg := warmTestConfig(warm)
+			cfg.Fallback = fallback
+			e, err := NewEstimator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.FootprintBytes(); got != want {
+				t.Errorf("fallback=%v warm=%v: FootprintBytes = %d, want %d", fallback, warm, got, want)
+			}
 		}
 	}
 }

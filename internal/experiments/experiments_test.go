@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"roarray/internal/core"
+	"roarray/internal/quality"
 	"roarray/internal/spectra"
 	"roarray/internal/testbed"
 	"roarray/internal/wireless"
@@ -243,12 +244,31 @@ func TestRunComplexity(t *testing.T) {
 		t.Skip("timing sweep is slow")
 	}
 	var buf bytes.Buffer
-	if err := RunComplexity(&buf, tinyOptions()); err != nil {
+	opt := tinyOptions()
+	opt.Recorder = quality.NewRecorder(nil)
+	if err := RunComplexity(&buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "90 x 50") || !strings.Contains(out, "SpotFi smoothed MUSIC") {
 		t.Fatal("complexity output incomplete")
+	}
+	// Every recorded dictionary build time is a duration of its own, never
+	// a difference of two timings that noise can take below zero.
+	builds := 0
+	for _, e := range opt.Recorder.Artifact("test", opt.Seed, nil).Experiments {
+		for _, a := range e.Aggregates {
+			if !strings.HasPrefix(a.Name, "dict_build_s.") {
+				continue
+			}
+			builds++
+			if a.Median < 0 {
+				t.Errorf("%s = %v s, want >= 0", a.Name, a.Median)
+			}
+		}
+	}
+	if builds != 4 {
+		t.Errorf("%d dict_build_s values recorded, want one per grid (4)", builds)
 	}
 }
 

@@ -205,27 +205,95 @@ func (s *wireScanner) data(dst *[][][2]float64) bool {
 // returns the key's bit, which must be nonzero and not seen before in this
 // object.
 func (s *wireScanner) object(field func(key []byte) (bit uint, ok bool)) bool {
+	var seen uint
+	return s.members(func(key []byte) bool {
+		bit, ok := field(key)
+		if !ok || bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
+}
+
+// members scans one JSON object, calling member to scan the value of each
+// key.
+func (s *wireScanner) members(member func(key []byte) bool) bool {
 	if !s.consume('{') {
 		return false
 	}
 	if s.consume('}') {
 		return true
 	}
-	var seen uint
 	for {
 		key, ok := s.raw()
-		if !ok || !s.consume(':') {
+		if !ok || !s.consume(':') || !member(key) {
 			return false
 		}
-		bit, ok := field(key)
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
 		if !s.consume(',') {
 			return s.consume('}')
 		}
 	}
+}
+
+// maxSkipDepth bounds the nesting skip walks. A canonical body nests eight
+// levels deep; anything deeper is left to encoding/json, which has its own
+// limit.
+const maxSkipDepth = 16
+
+// skip scans past one value without decoding it: an object, an array, a
+// string of plain ASCII or a number, nested at most maxSkipDepth levels
+// below depth. Literals (true, false, null) are not accepted.
+func (s *wireScanner) skip(depth int) bool {
+	if depth >= maxSkipDepth {
+		return false
+	}
+	s.space()
+	if s.i >= len(s.b) {
+		return false
+	}
+	switch s.b[s.i] {
+	case '{':
+		return s.members(func([]byte) bool { return s.skip(depth + 1) })
+	case '[':
+		return s.array(func() bool { return s.skip(depth + 1) })
+	case '"':
+		_, ok := s.raw()
+		return ok
+	}
+	_, ok := s.number()
+	return ok
+}
+
+// venueIDKey is the routing key's JSON name.
+var venueIDKey = []byte("venueId")
+
+// venueID scans a whole body for the proxy's routing key: a top-level
+// object whose "venueId", if present, is a plain string, with every other
+// value skipped unparsed and nothing but whitespace after the object. It
+// reports false — leaving the body to encoding/json — on anything where
+// encoding/json's case-insensitive, last-wins key matching could differ from
+// an exact single match: a repeated venueId, or a key that equals it only up
+// to case.
+func (s *wireScanner) venueID() (id []byte, ok bool) {
+	seen := false
+	ok = s.members(func(key []byte) bool {
+		switch {
+		case bytes.Equal(key, venueIDKey):
+			if seen {
+				return false
+			}
+			seen = true
+			var ok bool
+			id, ok = s.raw()
+			return ok
+		case bytes.EqualFold(key, venueIDKey):
+			return false
+		}
+		return s.skip(1)
+	})
+	s.space()
+	return id, ok && s.i == len(s.b)
 }
 
 // array scans one JSON array, calling elem to scan each element.

@@ -92,6 +92,21 @@ type venuePeek struct {
 	VenueID string `json:"venueId"`
 }
 
+// peekVenueID returns the venue id a request body routes on: exactly the
+// VenueID that json.Unmarshal fills into a venuePeek, with its error ignored
+// (so invalid JSON routes as ""). A body in the canonical form clients send
+// is walked by the wire scanner, which reads venueId and skips every other
+// value unparsed; anything it does not accept is unmarshalled.
+func peekVenueID(body []byte) string {
+	s := wireScanner{b: body}
+	if id, ok := s.venueID(); ok {
+		return string(id)
+	}
+	var peek venuePeek
+	json.Unmarshal(body, &peek) //nolint:errcheck // backend re-validates
+	return peek.VenueID
+}
+
 func (p *Proxy) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -108,9 +123,7 @@ func (p *Proxy) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// error message, the proxy only owns placement. An empty id routes
 	// deterministically too, so single-venue traffic through a proxy always
 	// lands on one backend and keeps its micro-batching.
-	var peek venuePeek
-	json.Unmarshal(body, &peek) //nolint:errcheck // backend re-validates
-	backend := p.ring.Owner(peek.VenueID)
+	backend := p.ring.Owner(peekVenueID(body))
 
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, backend+"/v1/localize", bytes.NewReader(body))
 	if err != nil {

@@ -27,52 +27,30 @@ import (
 // Under WithGapStop the objective of z is evaluated each iteration from a
 // product with z's nonzero rows, and the solve stops once the relative gap is
 // at most eps.
-func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
-	n := s.a.Cols()
-	m := s.a.Rows()
+func (s *Solver) solveADMM(ws *workspace, y *cmat.Matrix, kappa float64) *Result {
+	n := s.cols
 	k := y.Cols()
 	rho := s.opts.rho
 
-	// All iteration scratch is allocated here, never inside the loop, and
-	// never stored on the Solver (Solvers are shared across goroutines). The
-	// batched kernels traverse the dictionary once per iteration for all k
-	// snapshot columns while reproducing the legacy per-column operation order
-	// bit for bit; the Kronecker path (when the factors were declared) swaps
-	// in the factored ridge step instead.
-	z := cmat.New(n, k)
-	u := cmat.New(n, k)
-	v := cmat.New(n, k)
-	av := cmat.New(m, k)
-	atw := cmat.New(n, k)
-	mags := make([]float64, n)
-	var w *cmat.Matrix
-	var fwd, bwd, kscratch []complex128
-	if s.kron != nil {
-		kscratch = make([]complex128, s.kron.scratchLen(k))
-	} else {
-		w = cmat.New(m, k)
-		fwd = make([]complex128, m)
-		bwd = make([]complex128, m)
-	}
-
-	aty := cmat.New(n, k)
-	if s.kron != nil {
-		s.kron.mulHInto(y, aty, kscratch)
-	} else {
-		mulHInto(s.a, y, aty)
-	}
-	cert := newGapCert(kappa)
+	// The iteration state is the pooled workspace (see workspace), whose
+	// aty the caller has filled with Aᴴy: nothing is allocated inside the
+	// loop or stored on the Solver. The batched kernels traverse the
+	// dictionary once per iteration for all k snapshot columns while
+	// reproducing the legacy per-column operation order bit for bit; the
+	// Kronecker path (when the factors were declared) swaps in the factored
+	// ridge step instead.
+	z, v, av, atw := &ws.z, &ws.v, &ws.av, &ws.atw
+	kscratch := ws.kscratch
+	cert := newGapCert(kappa, ws.nz)
 	yn := y.FrobNorm()
 	y2 := yn * yn
 
 	t := kappa / rho
 	sw := admmSweep{
-		v: v.Data(), atw: atw.Data(), z: z.Data(), u: u.Data(), aty: aty.Data(),
+		v: v.Data(), atw: atw.Data(), z: z.Data(), u: ws.u.Data(), aty: ws.aty.Data(),
 		k: k, rho: complex(rho, 0), inv: complex(1/rho, 0),
-		t: t, bound: zeroBound(t), mags: mags,
-	}
-	if k > 1 {
-		sw.xrow, sw.rowBuf = make([]complex128, k), make([]complex128, k)
+		t: t, bound: zeroBound(t), mags: ws.mags,
+		xrow: ws.xrow, rowBuf: ws.rowBuf,
 	}
 	for idx := range sw.v {
 		sw.v[idx] = sw.aty[idx] + sw.rho*(sw.z[idx]-sw.u[idx])
@@ -87,8 +65,8 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 			s.kron.woodburyInto(v, atw, kscratch)
 		} else {
 			mulBatchInto(s.a, v, av)
-			s.chol.SolveBatchInto(av, w, fwd, bwd)
-			mulHBatchInto(s.a, w, atw)
+			s.chol.SolveBatchInto(av, &ws.w, ws.fwd, ws.bwd)
+			mulHBatchInto(s.a, &ws.w, atw)
 		}
 		var nm sweepNorms
 		if k == 1 {
@@ -97,9 +75,9 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 			nm = sw.sweepK()
 		}
 		cert.observe(y2-nm.xy, y2-2*nm.xy+nm.xv-rho*nm.x2, rho*math.Sqrt(nm.g2))
-		certified := s.certified(cert, it, z, y, mags, kscratch)
+		certified := s.certified(&cert, it, z, y, ws.mags, kscratch)
 		if s.opts.hook != nil {
-			s.opts.hook(it, mags)
+			s.opts.hook(it, ws.mags)
 		}
 
 		priRes := math.Sqrt(nm.xz2)
@@ -116,19 +94,7 @@ func (s *Solver) solveADMM(y *cmat.Matrix, kappa float64) (*Result, error) {
 		}
 	}
 
-	rowMagsInto(z, mags)
-	res := &Result{
-		Solver:       s.opts.method.String(),
-		X:            matToColumns(z),
-		RowMags:      mags,
-		Iterations:   iters,
-		Converged:    converged,
-		EarlyStopped: early,
-		Objective:    s.objective(z, y, kappa, av, kscratch),
-	}
-	res.Gap = cert.gap(res.Objective)
-	s.tele.record(res)
-	return res, nil
+	return s.result(ws, z, y, kappa, iters, converged, early, &cert)
 }
 
 // zeroBound returns a bound b such that a row whose squared norm n2 is below
@@ -175,7 +141,7 @@ type admmSweep struct {
 	rho, inv          complex128
 	t, bound          float64 // shrink threshold and its zeroBound
 	mags              []float64
-	xrow, rowBuf      []complex128 // k-long row scratch, k > 1 only
+	xrow, rowBuf      []complex128 // k-long row scratch, read only when k > 1
 }
 
 // sweepNorms are the sums one sweep accumulates: the squared norms ‖x-z‖²,

@@ -24,8 +24,10 @@ type gapCert struct {
 	nz    []int   // the iterate's nonzero rows, scratch for certified
 }
 
-func newGapCert(kappa float64) *gapCert {
-	return &gapCert{kappa: kappa, best: math.Inf(-1)}
+// newGapCert starts a certificate for weight kappa, collecting nonzero rows
+// into nz's storage (a pooled workspace's, so a warm solve grows none).
+func newGapCert(kappa float64, nz []int) gapCert {
+	return gapCert{kappa: kappa, best: math.Inf(-1), nz: nz[:0]}
 }
 
 // observe folds in the dual point built from a residual R with
@@ -83,10 +85,10 @@ func (s *Solver) residual2(z, y *cmat.Matrix, nz []int, kscratch []complex128) f
 	if s.kron != nil {
 		return s.kron.residual2(z, y, nz, kscratch)
 	}
-	n, nc := s.a.Cols(), z.Cols()
+	n, nc := s.cols, z.Cols()
 	ad, zd, yd := s.a.Data(), z.Data(), y.Data()
 	var r2 float64
-	for r := 0; r < s.a.Rows(); r++ {
+	for r := 0; r < s.rows; r++ {
 		arow := ad[r*n : (r+1)*n]
 		for c := 0; c < nc; c++ {
 			var acc complex128

@@ -49,7 +49,8 @@ var ErrDimensionMismatch = errors.New("sparse: measurement length does not match
 
 // IterationHook observes solver progress. iter is 1-based; mags holds the
 // current per-atom coefficient magnitudes aggregated across snapshots (for a
-// single measurement vector this is simply |x_i|).
+// single measurement vector this is simply |x_i|). mags is the solve's pooled
+// scratch, valid only during the call: a hook that keeps it must copy it.
 type IterationHook func(iter int, mags []float64)
 
 type options struct {
@@ -128,10 +129,11 @@ func WithGapStop(eps float64) Option { return func(o *options) { o.gapEps = eps 
 // without ever forming the dense (L*M)² factorization (6,720 instead of
 // 173,700 complex multiply-adds per x-update and snapshot at the paper's
 // 90 x 920). NewSolver verifies the factorization against the dense
-// dictionary and fails construction on mismatch. The factored products are
-// numerically equivalent but not bit-identical to the dense kernels (sums
-// associate differently), so this is opt-in; core declares it for every
-// joint space-delay solver, serving and figure pipeline alike.
+// dictionary and fails construction on mismatch; once built, the solver
+// drops the dense matrix, which its iterations never read. The factored
+// products are numerically equivalent but not bit-identical to the dense
+// kernels (sums associate differently), so this is opt-in; core declares it
+// for every joint space-delay solver, serving and figure pipeline alike.
 func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
 	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"roarray/internal/cmat"
 	"roarray/internal/obs"
@@ -14,14 +15,25 @@ import (
 // for FISTA) is done once at construction and reused across measurement
 // vectors, which is how ROArray amortizes cost across packets that share a
 // steering dictionary.
+//
+// A Kronecker solver (WithKronecker) reads the dense dictionary only while it
+// is built — for the default rho, the FISTA Lipschitz constant and the
+// factorization check — and then drops it, keeping only its shape: its
+// iterations run on the factors alone.
 type Solver struct {
-	a    *cmat.Matrix
-	opts options
-	tele *solverTelemetry // nil when no metrics registry is configured
+	a          *cmat.Matrix // dense dictionary; nil for a Kronecker solver once built
+	rows, cols int          // the dictionary's shape
+	opts       options
+	tele       *solverTelemetry // nil when no metrics registry is configured
 
 	chol *cmat.Cholesky // dense ADMM: factor of (rho I + A Aᴴ), size m x m
 	lip  float64        // FISTA: ||A||_2^2
 	kron *kronOps       // non-nil when WithKronecker declared factor structure
+
+	// pool holds *workspace iteration state. Solvers are shared across
+	// goroutines, so no solve's scratch is stored on the Solver itself:
+	// each solve takes a workspace of its own for its duration.
+	pool sync.Pool
 }
 
 // solverTelemetry caches the metric handles a solver records into, resolved
@@ -83,7 +95,7 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 			return nil, fmt.Errorf("sparse: %s must be finite, got %v", p.name, p.v)
 		}
 	}
-	s := &Solver{a: a, opts: o, tele: newSolverTelemetry(o.metrics)}
+	s := &Solver{a: a, rows: a.Rows(), cols: a.Cols(), opts: o, tele: newSolverTelemetry(o.metrics)}
 	if (o.kronRow == nil) != (o.kronCol == nil) {
 		return nil, fmt.Errorf("sparse: Kronecker structure needs both a row and a column factor")
 	}
@@ -136,58 +148,56 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 		return nil, fmt.Errorf("sparse: unknown method %v", o.method)
 	}
 	// kronOps holds its own copies of the Kronecker factors; dropping the
-	// caller's keeps them from staying resident twice.
+	// caller's keeps them from staying resident twice. A Kronecker solver's
+	// iterations never read the dense dictionary, so it is dropped too.
 	s.opts.kronRow, s.opts.kronCol = nil, nil
+	if s.kron != nil {
+		s.a = nil
+	}
 	return s, nil
 }
 
-// Dict returns the dictionary this solver was built for.
+// Dict returns the dense dictionary a non-Kronecker solver iterates on, and
+// nil for a Kronecker solver, which drops the dense matrix once built.
 func (s *Solver) Dict() *cmat.Matrix { return s.a }
-
-// DictMulH returns Aᴴ y, routed through the Kronecker factors when the
-// solver has them (callers computing data-dependent regularization like
-// kappa = ratio * max ||row(AᴴY)|| then share the solver's fast path).
-// Without factors this is exactly cmat.MulH.
-func (s *Solver) DictMulH(y *cmat.Matrix) *cmat.Matrix {
-	if s.kron != nil {
-		out := cmat.New(s.a.Cols(), y.Cols())
-		s.kron.mulHInto(y, out, make([]complex128, s.kron.scratchLen(1)))
-		return out
-	}
-	return cmat.MulH(s.a, y)
-}
 
 // Solve recovers a sparse coefficient vector for a single measurement y,
 // minimizing 1/2||Ax-y||^2 + kappa||x||_1.
 func (s *Solver) Solve(y []complex128, kappa float64) (*Result, error) {
-	if len(y) != s.a.Rows() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, len(y), s.a.Rows())
+	if len(y) != s.rows {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, len(y), s.rows)
 	}
 	ym := cmat.New(len(y), 1)
 	ym.SetCol(0, y)
 	return s.SolveMulti(ym, kappa)
 }
 
-// checkProblem rejects a measurement block or regularization weight the
-// solvers cannot iterate on. A NaN or infinite entry does not fail loudly
-// downstream: it turns every iterate NaN, the loop runs to its cap, and the
-// result is a NaN spectrum (or, for kappa = +Inf, an all-zero one reported
-// as converged). A block with no columns has all-zero norms, so it would
-// "converge" after one iteration to an empty solution.
-func (s *Solver) checkProblem(y *cmat.Matrix, kappa float64) error {
-	if y.Rows() != s.a.Rows() {
-		return fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.a.Rows())
+// checkMeasurement rejects a measurement block the solvers cannot iterate
+// on. A NaN or infinite entry does not fail loudly downstream: it turns every
+// iterate NaN, the loop runs to its cap, and the result is a NaN spectrum. A
+// block with no columns has all-zero norms, so it would "converge" after one
+// iteration to an empty solution.
+func (s *Solver) checkMeasurement(y *cmat.Matrix) error {
+	if y.Rows() != s.rows {
+		return fmt.Errorf("%w: got %d, want %d", ErrDimensionMismatch, y.Rows(), s.rows)
 	}
 	if y.Cols() == 0 {
 		return fmt.Errorf("%w: measurement block has no columns", ErrDimensionMismatch)
-	}
-	if kappa < 0 || !isFinite(kappa) {
-		return fmt.Errorf("sparse: kappa must be nonnegative and finite, got %v", kappa)
 	}
 	for i, v := range y.Data() {
 		if !isFinite(real(v)) || !isFinite(imag(v)) {
 			return fmt.Errorf("sparse: measurement entry (%d,%d) = %v is not finite", i/y.Cols(), i%y.Cols(), v)
 		}
+	}
+	return nil
+}
+
+// checkKappa rejects a regularization weight the solvers cannot iterate on:
+// a NaN weight turns every iterate NaN, and kappa = +Inf returns an all-zero
+// spectrum reported as converged.
+func checkKappa(kappa float64) error {
+	if kappa < 0 || !isFinite(kappa) {
+		return fmt.Errorf("sparse: kappa must be nonnegative and finite, got %v", kappa)
 	}
 	return nil
 }
@@ -199,13 +209,76 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // the l2,1 group-sparse program of l1-SVD fusion. With a single column it
 // reduces exactly to Solve.
 func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
-	if err := s.checkProblem(y, kappa); err != nil {
+	if err := checkKappa(kappa); err != nil {
 		return nil, err
 	}
-	if s.opts.method == MethodADMM {
-		return s.solveADMM(y, kappa)
+	return s.solve(y, kappa, false)
+}
+
+// SolveMultiRatio is SolveMulti with the data-scaled sparsity weight
+// kappa = ratio * max_i ||(AᴴY)_i||_2, the standard scale-free choice (above
+// max_i ||(AᴴY)_i||_2 the solution is identically zero). It forms AᴴY once,
+// for the weight and as the ADMM iteration's constant term, so the weight
+// costs no extra product with the dictionary. The result is bit-identical to
+// SolveMulti at that kappa.
+func (s *Solver) SolveMultiRatio(y *cmat.Matrix, ratio float64) (*Result, error) {
+	if ratio < 0 || !isFinite(ratio) {
+		return nil, fmt.Errorf("sparse: kappa ratio must be nonnegative and finite, got %v", ratio)
 	}
-	return s.solveFISTA(y, kappa)
+	return s.solve(y, ratio, true)
+}
+
+// solve runs the configured method on y in a pooled workspace, with weight
+// w as kappa itself or, when scaled, as the ratio of SolveMultiRatio.
+func (s *Solver) solve(y *cmat.Matrix, w float64, scaled bool) (*Result, error) {
+	if err := s.checkMeasurement(y); err != nil {
+		return nil, err
+	}
+	ws := s.takeWorkspace(y.Cols())
+	defer s.pool.Put(ws)
+	admm := s.opts.method == MethodADMM
+	if admm || scaled {
+		s.mulHInto(y, &ws.aty, ws.kscratch)
+	}
+	kappa := w
+	if scaled {
+		kappa = w * maxRowNorm(&ws.aty)
+		if err := checkKappa(kappa); err != nil {
+			return nil, err
+		}
+	}
+	if admm {
+		return s.solveADMM(ws, y, kappa), nil
+	}
+	return s.solveFISTA(ws, y, kappa), nil
+}
+
+// mulHInto computes out = Aᴴ y: through the Kronecker factors when the
+// solver has them, otherwise with the exact loop of cmat.MulH.
+func (s *Solver) mulHInto(y, out *cmat.Matrix, kscratch []complex128) {
+	if s.kron != nil {
+		s.kron.mulHInto(y, out, kscratch)
+		return
+	}
+	mulHInto(s.a, y, out)
+}
+
+// maxRowNorm returns max_i ||g_i||_2 over the rows of g, summing each row's
+// squared magnitudes in column order and taking one square root of the
+// largest sum.
+func maxRowNorm(g *cmat.Matrix) float64 {
+	d, k := g.Data(), g.Cols()
+	mx := 0.0
+	for i := 0; i < g.Rows(); i++ {
+		var n2 float64
+		for _, v := range d[i*k : (i+1)*k] {
+			n2 += real(v)*real(v) + imag(v)*imag(v)
+		}
+		if n2 > mx {
+			mx = n2
+		}
+	}
+	return math.Sqrt(mx)
 }
 
 func rowMagsInto(x *cmat.Matrix, dst []float64) {
@@ -224,13 +297,12 @@ func rowMagsInto(x *cmat.Matrix, dst []float64) {
 // the caller's m x k scratch ax through the Kronecker factors when the solver
 // has them.
 func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, ax *cmat.Matrix, kscratch []complex128) float64 {
-	var fit float64
 	if s.kron != nil {
 		s.kron.mulInto(x, ax, kscratch)
-		fit = subFrobNorm(ax, y)
 	} else {
-		fit = cmat.Sub(cmat.Mul(s.a, x), y).FrobNorm()
+		mulInto(s.a, x, ax)
 	}
+	fit := subFrobNorm(ax, y)
 	var l1 float64
 	for i := 0; i < x.Rows(); i++ {
 		l1 += rowNorm(x.RowView(i))
@@ -245,28 +317,22 @@ func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, ax *cmat.Matrix, ks
 // to dual feasibility. Under WithGapStop the objective of the new iterate is
 // evaluated each iteration from a product with its nonzero rows, and the
 // solve stops once the relative gap is at most eps.
-func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
-	n := s.a.Cols()
-	m := s.a.Rows()
+func (s *Solver) solveFISTA(ws *workspace, y *cmat.Matrix, kappa float64) *Result {
+	n := s.cols
 	k := y.Cols()
 	step := 1 / s.lip
 	t := kappa * step
 
-	// All iteration scratch is allocated here, never inside the loop, and
-	// never stored on the Solver (Solvers are shared across goroutines).
-	x := cmat.New(n, k) // current iterate
-	xPrev := cmat.New(n, k)
-	w := cmat.New(n, k)    // extrapolation point
-	aw := cmat.New(m, k)   // A w, then the residual A w - Y in place
-	grad := cmat.New(n, k) // Aᴴ(Aw - Y)
-	rowBuf := make([]complex128, k)
-	mags := make([]float64, n)
+	// The iteration state is the pooled workspace (see workspace): nothing
+	// is allocated inside the loop or stored on the Solver.
+	x := &ws.z     // current iterate, zero at the start
+	xPrev := &ws.u // previous iterate
+	w := &ws.v     // extrapolation point, zero at the start
+	aw := &ws.av   // A w, then the residual A w - Y in place
+	grad := &ws.atw
+	rowBuf, mags, kscratch := ws.rowBuf, ws.mags, ws.kscratch
 	theta := 1.0
-	var kscratch []complex128
-	if s.kron != nil {
-		kscratch = make([]complex128, s.kron.scratchLen(1)) // matvecs only
-	}
-	cert := newGapCert(kappa)
+	cert := newGapCert(kappa, ws.nz)
 
 	xd, pd, wd, gd := x.Data(), xPrev.Data(), w.Data(), grad.Data()
 	awd, yd := aw.Data(), y.Data()
@@ -312,7 +378,7 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 		theta = thetaNext
 
 		rowMagsInto(x, mags)
-		certified := s.certified(cert, it, x, y, mags, kscratch)
+		certified := s.certified(&cert, it, x, y, mags, kscratch)
 		if s.opts.hook != nil {
 			s.opts.hook(it, mags)
 		}
@@ -330,19 +396,28 @@ func (s *Solver) solveFISTA(y *cmat.Matrix, kappa float64) (*Result, error) {
 		}
 	}
 
-	rowMagsInto(x, mags)
+	return s.result(ws, x, y, kappa, iters, converged, early, &cert)
+}
+
+// result builds a solve's Result from its final iterate x, which lives in
+// ws: X and RowMags are fresh copies, so nothing the caller keeps aliases the
+// pooled workspace. The objective is formed in ws.av, and the certificate's
+// grown nonzero-row list is handed back to ws for the next solve.
+func (s *Solver) result(ws *workspace, x, y *cmat.Matrix, kappa float64, iters int, converged, early bool, cert *gapCert) *Result {
+	rowMagsInto(x, ws.mags)
 	res := &Result{
 		Solver:       s.opts.method.String(),
 		X:            matToColumns(x),
-		RowMags:      mags,
+		RowMags:      append([]float64(nil), ws.mags...),
 		Iterations:   iters,
 		Converged:    converged,
 		EarlyStopped: early,
-		Objective:    s.objective(x, y, kappa, aw, kscratch),
+		Objective:    s.objective(x, y, kappa, &ws.av, ws.kscratch),
 	}
 	res.Gap = cert.gap(res.Objective)
+	ws.nz = cert.nz[:0]
 	s.tele.record(res)
-	return res, nil
+	return res
 }
 
 func matToColumns(x *cmat.Matrix) [][]complex128 {

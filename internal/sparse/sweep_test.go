@@ -19,7 +19,7 @@ import (
 // Kronecker kernel (see referenceRidge); the matvecs outside the loop follow
 // the solver's path.
 func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *cmat.Matrix)) *Result {
-	n, m, k := s.a.Cols(), s.a.Rows(), y.Cols()
+	n, m, k := s.cols, s.rows, y.Cols()
 	rho := s.opts.rho
 	x, z, u, zOld, v := cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k)
 	av, atw := cmat.New(m, k), cmat.New(n, k)
@@ -33,7 +33,7 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 	} else {
 		mulHInto(s.a, y, aty)
 	}
-	cert := newGapCert(kappa)
+	cert := newGapCert(kappa, nil)
 	yn := y.FrobNorm()
 	y2 := yn * yn
 
@@ -351,7 +351,7 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 				for p, y := range ys {
 					hookGot, hookWant = hookGot[:0], hookWant[:0]
 					kappa := 0.05 * kappaScale(arm.a, y)
-					got, err := fused.solveADMM(y, kappa)
+					got, err := fused.SolveMulti(y, kappa)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -13,14 +13,15 @@
 #   identicalSingleVenue  the serve-level bit-identity test: a 2-shard server
 #             must reproduce the direct engine path exactly
 #
-# Knobs: DURATION (default 4s), CONCURRENCY (8), RATE (40), BUDGET_KB (140).
+# Knobs: DURATION (default 4s), CONCURRENCY (8), RATE (40), BUDGET_KB (24,
+# two smoke venues at FootprintBytes 9,824 B each).
 set -eu
 
 OUT="${OUT:-BENCH_shard.json}"
 DURATION="${DURATION:-4s}"
 CONCURRENCY="${CONCURRENCY:-8}"
 RATE="${RATE:-40}"
-BUDGET_KB="${BUDGET_KB:-140}"
+BUDGET_KB="${BUDGET_KB:-24}"
 
 TMP=$(mktemp -d)
 SERVE_PID=""

@@ -10,15 +10,16 @@
 #   DURATION    load duration                         (default 3s)
 #   RATE        swarm open-loop arrival rate          (default 40)
 #   SHARDS      dispatcher lanes                      (default 2)
-#   BUDGET_KB   venue cache budget; the default fits two smoke venues, so a
-#               third forces an eviction               (default 140)
+#   BUDGET_KB   venue cache budget; the default fits two smoke venues
+#               (FootprintBytes 9,824 B each), so a third forces an
+#               eviction                               (default 24)
 set -eu
 
 OUT="${OUT:-}"
 DURATION="${DURATION:-3s}"
 RATE="${RATE:-40}"
 SHARDS="${SHARDS:-2}"
-BUDGET_KB="${BUDGET_KB:-140}"
+BUDGET_KB="${BUDGET_KB:-24}"
 
 TMP=$(mktemp -d)
 SERVE_PID=""
