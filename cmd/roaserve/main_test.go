@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,6 +128,58 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no ok event for roaserve-e2e in %d events:\n%s", len(evs), raw)
+	}
+}
+
+// TestRunProxyForwardsBothEndpoints boots the command in -proxy mode over a
+// backend named as host:port, the form the usage documents, and posts to
+// both endpoints: each must reach the backend on its own path.
+func TestRunProxyForwardsBothEndpoints(t *testing.T) {
+	paths := make(chan string, 2)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths <- r.URL.Path
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer backend.Close()
+
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	stop := make(chan os.Signal, 1)
+	var stdout, stderr bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-proxy", "-addr", "127.0.0.1:0", "-addr-file", addrFile,
+			"-backends", strings.TrimPrefix(backend.URL, "http://"),
+		}, &stdout, &stderr, stop)
+	}()
+	var addr string
+	for deadline := time.Now().Add(15 * time.Second); addr == ""; {
+		if time.Now().After(deadline) {
+			t.Fatalf("addr file never appeared; stderr:\n%s", stderr.String())
+		}
+		if raw, err := os.ReadFile(addrFile); err == nil && len(raw) > 0 {
+			addr = strings.TrimSpace(string(raw))
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	for _, path := range []string{"/v1/localize", "/v1/track"} {
+		resp, err := http.Post("http://"+addr+path, "application/json", strings.NewReader(`{"venueId":"hq"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s through the proxy: status %d", path, resp.StatusCode)
+		}
+		if got := <-paths; got != path {
+			t.Fatalf("%s reached the backend as %s", path, got)
+		}
+	}
+	stop <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }
 

@@ -158,9 +158,6 @@ type LocalizeRequest struct {
 	Bounds Rect
 	// Step is the search grid step in meters; <= 0 selects 0.1 m.
 	Step float64
-	// Search, when non-nil, overrides the engine's configured grid-search
-	// strategy (Config.Search) for this request only.
-	Search *SearchConfig
 }
 
 // LinkResult is the per-AP outcome within a LocalizeResult.
@@ -330,14 +327,6 @@ func (e *Engine) estimateLinks(ctx context.Context, req *LocalizeRequest, worker
 	return out, aps, nil
 }
 
-// searchConfig resolves the grid-search configuration for one request.
-func (e *Engine) searchConfig(req *LocalizeRequest) SearchConfig {
-	if req.Search != nil {
-		return *req.Search
-	}
-	return e.est.cfg.Search
-}
-
 // localize runs one request with the given degree of internal parallelism.
 // Cancellation contract: when ctx dies the call returns promptly with an
 // error wrapping ctx.Err() — before scheduling work if already dead, at the
@@ -356,7 +345,7 @@ func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, workers int
 		return nil, err
 	}
 	_, gsp := obs.StartSpan(ctx, "localize.grid")
-	pos, stats, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, workers, e.searchConfig(req))
+	pos, stats, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, workers, e.est.cfg.Search)
 	gsp.End()
 	if err != nil {
 		return nil, err
@@ -422,7 +411,7 @@ func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *
 	if err != nil {
 		return nil, err
 	}
-	scfg := e.searchConfig(req)
+	scfg := e.est.cfg.Search
 	res := &TrackResult{}
 	var pos Point
 	var stats SearchStats

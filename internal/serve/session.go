@@ -36,7 +36,6 @@ var ErrSessionVenue = errors.New("serve: session bound to another venue")
 type trackSession struct {
 	mu sync.Mutex
 
-	id    string
 	venue string
 	// seq is the highest sequence number claimed; seqSet distinguishes a
 	// fresh session (any first seq accepted) from seq 0 already claimed.
@@ -46,7 +45,6 @@ type trackSession struct {
 	seq     int64
 	seqSet  bool
 	tracker *core.Tracker
-	epochs  int64
 
 	// touched is the admission time of the most recent epoch, guarded by
 	// the owning shard's lock (not mu) so the sweeper never has to take
@@ -65,13 +63,11 @@ type trackShard struct {
 // sweep interval, on the request path that touches it — no background
 // goroutine to leak or to coordinate with Drain.
 type trackSessions struct {
-	ttl     time.Duration
-	max     int
-	ring    *Ring
-	shards  [trackSessionShards]trackShard
-	count   atomic.Int64
-	started atomic.Int64
-	evicted atomic.Int64
+	ttl    time.Duration
+	max    int
+	ring   *Ring
+	shards [trackSessionShards]trackShard
+	count  atomic.Int64
 
 	// newTracker builds the filter for a fresh session; swapped in tests.
 	newTracker func() (*core.Tracker, error)
@@ -133,10 +129,9 @@ func (ts *trackSessions) acquire(id, venue string, now time.Time) (sess *trackSe
 				sh.mu.Unlock()
 				return nil, false, terr
 			}
-			sess = &trackSession{id: id, venue: venue, tracker: tr}
+			sess = &trackSession{venue: venue, tracker: tr}
 			sh.m[id] = sess
 			ts.count.Add(1)
-			ts.started.Add(1)
 			created = true
 		}
 	}
@@ -187,7 +182,6 @@ func (ts *trackSessions) noteEvicted(n int64) {
 	if n == 0 {
 		return
 	}
-	ts.evicted.Add(n)
 	if ts.onEvict != nil {
 		ts.onEvict(n)
 	}

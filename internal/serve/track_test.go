@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,11 +178,15 @@ func TestTrackStickySessionWalk(t *testing.T) {
 
 // TestTrackOutOfOrderAndBadTime covers the 400 family: replayed seq, stale
 // seq, negative seq, non-increasing epoch time (the filter's typed error
-// surfaced as a client error with the session left intact), and a
-// non-finite tSeconds rejected at validation.
+// surfaced as a client error with the session left intact, its event still
+// carrying the batch it rode), and a non-finite tSeconds rejected at
+// validation. It also pins the tracked ok event to the stateless one: the
+// solver summary and the sanitize confidence of a burst with a dead antenna.
 func TestTrackOutOfOrderAndBadTime(t *testing.T) {
 	eng := serveTestEngine(t, 1)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond})
+	var eventBuf obsSyncBuffer
+	events := obs.NewEventLog(&eventBuf, 64)
+	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +194,8 @@ func TestTrackOutOfOrderAndBadTime(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain(context.Background())
 
-	req := FromCore(serveTestRequests(t, 1, 1, 31)[0])
+	creq := serveTestRequests(t, 1, 1, 31)[0]
+	req := FromCore(creq)
 	sid := "target-7"
 	ok := func(seq int64, tsec float64) {
 		t.Helper()
@@ -228,6 +234,58 @@ func TestTrackOutOfOrderAndBadTime(t *testing.T) {
 	}
 	if st := srv.Stats(); st.TrackSessions != 2 {
 		t.Fatalf("TrackSessions = %d, want 2", st.TrackSessions)
+	}
+
+	// A dead antenna on one link flags its burst: the same payload through
+	// both endpoints must log the same solver summary and sanitize
+	// confidence.
+	dirty := FromCore(creq)
+	for _, pkt := range dirty.Links[0].Packets {
+		for l := range pkt.Data[0] {
+			pkt.Data[0][l] = [2]float64{}
+		}
+	}
+	if status, body := postLocalize(t, ts.Client(), ts.URL, dirty); status != http.StatusOK {
+		t.Fatalf("dirty localize: status %d: %s", status, body)
+	}
+	if status, body := postTrack(t, ts.Client(), ts.URL, &TrackRequest{Request: *dirty, SessionID: "target-9", Seq: 1}); status != http.StatusOK {
+		t.Fatalf("dirty track: status %d: %s", status, body)
+	}
+
+	events.Close()
+	evs, err := obs.ReadRequestEvents(strings.NewReader(eventBuf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stateless, tracked, update *obs.RequestEvent
+	for i, ev := range evs {
+		switch {
+		case ev.Outcome == "ok" && ev.Session == "":
+			stateless = &evs[i]
+		case ev.Outcome == "ok" && ev.Session == "target-9":
+			tracked = &evs[i]
+		case ev.ErrorClass == "track_update":
+			update = &evs[i]
+		}
+		if ev.Outcome == "ok" && ev.Solver == "" {
+			t.Errorf("ok event without a solver: %+v", ev)
+		}
+	}
+	if stateless == nil || tracked == nil || update == nil {
+		t.Fatalf("missing events: stateless %v, tracked %v, track_update %v", stateless, tracked, update)
+	}
+	if tracked.SanitizeConfidence <= 0 || tracked.SanitizeConfidence >= 1 {
+		t.Errorf("tracked sanitize confidence %v, want the dead antenna's reduced weight", tracked.SanitizeConfidence)
+	}
+	if tracked.Solver != stateless.Solver || tracked.FallbackStage != stateless.FallbackStage ||
+		tracked.SanitizeConfidence != stateless.SanitizeConfidence {
+		t.Errorf("tracked event (solver %q, fallback %q, sanitize %v) != stateless (%q, %q, %v)",
+			tracked.Solver, tracked.FallbackStage, tracked.SanitizeConfidence,
+			stateless.Solver, stateless.FallbackStage, stateless.SanitizeConfidence)
+	}
+	if update.Outcome != "bad_request" || update.Status != http.StatusBadRequest || update.Session != sid ||
+		update.QueueMillis <= 0 || update.TotalMillis <= 0 || update.BatchID <= 0 || update.BatchSize < 1 {
+		t.Errorf("track_update event lost what its epoch accrued in the batch: %+v", *update)
 	}
 }
 

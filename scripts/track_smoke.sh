@@ -5,7 +5,8 @@
 # session-contract violations, require the prediction window to have engaged,
 # check roastat renders the tracking section from the live /metrics, then
 # drain via SIGTERM and require a clean exit with the session count in the
-# drain report.
+# drain report and a request log whose every ok epoch names its session and
+# its solver.
 #
 # Environment knobs (defaults keep the whole run well under 30 s):
 #   WALKERS   concurrent moving targets          (default 3)
@@ -31,7 +32,7 @@ go build -o "$TMP/roastat" ./cmd/roastat
 
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke \
     -batch-linger 2ms -metrics-addr 127.0.0.1:0 \
-    -track-ttl 1m -track-max-sessions 64 2>"$TMP/serve.log" &
+    -track-ttl 1m -track-max-sessions 64 -events "$TMP/events.jsonl" 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
 i=0
@@ -96,4 +97,14 @@ grep -q '"TrackSessions": '"$WALKERS" "$TMP/serve.log" || {
     cat "$TMP/serve.log" >&2
     exit 1
 }
+# Every ok epoch in the request log carries its session and the solver
+# summary /v1/localize events carry.
+OK_EVENTS=$(grep -c '"outcome":"ok"' "$TMP/events.jsonl" || true)
+BARE=$(grep '"outcome":"ok"' "$TMP/events.jsonl" | grep -v '"session":' | grep -c . || true)
+UNSOLVED=$(grep '"outcome":"ok"' "$TMP/events.jsonl" | grep -v '"solver":' | grep -c . || true)
+if [ "$OK_EVENTS" -lt "$MIN_OK" ] || [ "$BARE" -ne 0 ] || [ "$UNSOLVED" -ne 0 ]; then
+    echo "track_smoke: request log has $OK_EVENTS ok events (want >= $MIN_OK), $BARE without a session, $UNSOLVED without a solver" >&2
+    head -5 "$TMP/events.jsonl" >&2
+    exit 1
+fi
 echo "track_smoke: OK (walkers=$WALKERS epochs=$EPOCHS windowed=$WINDOWED)"
