@@ -54,8 +54,10 @@ bench-search:
 # the Kronecker ADMM solves (BenchmarkADMMKron*, the paper shape and the
 # smoke serving shape), one Kronecker x-update (BenchmarkKronWoodbury), and a
 # whole single-link estimate at the smoke serving shape
-# (BenchmarkEstimateDirectAoASmoke). A warm solve allocates only its result;
-# the allocs/op before and after the pooled solver workspace are recorded in
+# (BenchmarkEstimateDirectAoASmoke). A warm SolveMulti allocates only its
+# Result and RowMags; a warm single-link estimate, whose solve reuses its
+# pooled link workspace's RowMags, allocates nothing. The allocs/op before
+# and after the pooled solver and link workspaces are recorded in
 # EXPERIMENTS.md.
 bench-solve:
 	$(GO) test -run XXX -bench 'BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchmem -benchtime 200x ./internal/sparse/

@@ -97,6 +97,11 @@ type Summary struct {
 	TrackFallback   int64   `json:"trackFallback,omitempty"`
 	TrackReacquired int64   `json:"trackReacquired,omitempty"`
 	SessionErrors   int64   `json:"sessionErrors,omitempty"`
+	// TrackFallbackGate and TrackFallbackEdge split TrackFallback by why
+	// the windowed attempt was rejected: the NIS gate, or an argmin on the
+	// window edge.
+	TrackFallbackGate int64 `json:"trackFallbackGate,omitempty"`
+	TrackFallbackEdge int64 `json:"trackFallbackEdge,omitempty"`
 
 	DurationSeconds float64 `json:"durationSeconds"`
 	Requests        int64   `json:"requests"`
@@ -299,6 +304,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sum.TrackRMSEM = ts.rmse()
 		sum.TrackWindowed = ts.windowed.Load()
 		sum.TrackFallback = ts.fallback.Load()
+		sum.TrackFallbackGate = ts.fallbackGate.Load()
+		sum.TrackFallbackEdge = ts.fallbackEdge.Load()
 		sum.TrackReacquired = ts.reacquired.Load()
 		sum.SessionErrors = ts.sessionErrs.Load()
 	}
@@ -596,6 +603,8 @@ type trackStats struct {
 	fallback    atomic.Int64
 	reacquired  atomic.Int64
 	sessionErrs atomic.Int64
+	// fallbackGate and fallbackEdge split fallback by cause.
+	fallbackGate, fallbackEdge atomic.Int64
 
 	mu    sync.Mutex
 	sumSq float64
@@ -684,6 +693,12 @@ func runWalk(client *http.Client, url string, walks []*walkerLoad, interval, d t
 					}
 					if tr.Fallback {
 						ts.fallback.Add(1)
+						switch tr.FallbackCause {
+						case "gate":
+							ts.fallbackGate.Add(1)
+						case "edge":
+							ts.fallbackEdge.Add(1)
+						}
 					}
 					if tr.Reacquired {
 						ts.reacquired.Add(1)

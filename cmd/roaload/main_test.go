@@ -116,6 +116,34 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
+// TestRunWalkSplitsFallbacks: walk mode reports the tracked fallbacks
+// split by cause, and the split adds up to the total.
+func TestRunWalkSplitsFallbacks(t *testing.T) {
+	addr := startTestServer(t)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-addr", addr,
+		"-mode", "walk",
+		"-walkers", "3",
+		"-epochs", "8",
+		"-seed", "7",
+		"-min-ok", "1",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	var sum Summary
+	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Mode != "walk" || sum.OK == 0 {
+		t.Fatalf("walk summary: %+v", sum)
+	}
+	if sum.TrackFallbackGate+sum.TrackFallbackEdge != sum.TrackFallback {
+		t.Fatalf("fallbacks by cause gate %d + edge %d != total %d", sum.TrackFallbackGate, sum.TrackFallbackEdge, sum.TrackFallback)
+	}
+}
+
 // TestRunGatesAndAddrFile covers the -addr-file path and both gate
 // failures.
 func TestRunGatesAndAddrFile(t *testing.T) {

@@ -1,6 +1,7 @@
 package cmat
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -350,5 +351,62 @@ func TestPropSVDTransposeInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSVDWorkReuseBitIdentical: one SVDWork decomposing a sequence of
+// shapes — shrinking and growing, tall and wide, rank-deficient (which
+// takes the orthonormal-completion path) and all-zero — returns for each
+// exactly the bits of a fresh SVDecompose, so nothing left in its storage
+// by one decomposition reaches the next. TruncateLeftInto into one reused
+// matrix matches TruncateLeft the same way, and a warm decomposition of a
+// shape already seen allocates nothing.
+func TestSVDWorkReuseBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	lowRank := Mul(randMatrix(rng, 9, 1), randMatrix(rng, 3, 1).H())
+	inputs := []*Matrix{
+		randMatrix(rng, 24, 5), randMatrix(rng, 24, 2), lowRank, randMatrix(rng, 3, 7),
+		New(4, 2), randMatrix(rng, 24, 5), randMatrix(rng, 6, 6),
+	}
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Fatalf("%s shape %dx%d, want %dx%d", what, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+		}
+		for i, v := range want.Data() {
+			g := got.Data()[i]
+			if math.Float64bits(real(g)) != math.Float64bits(real(v)) || math.Float64bits(imag(g)) != math.Float64bits(imag(v)) {
+				t.Fatalf("%s entry %d = %v, want %v (bitwise)", what, i, g, v)
+			}
+		}
+	}
+	var w SVDWork
+	var trunc Matrix
+	for n, a := range inputs {
+		want, err := SVDecompose(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.Decompose(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("input %d U", n), got.U, want.U)
+		same(fmt.Sprintf("input %d V", n), got.V, want.V)
+		for i, s := range want.S {
+			if math.Float64bits(got.S[i]) != math.Float64bits(s) {
+				t.Fatalf("input %d S[%d] = %v, want %v (bitwise)", n, i, got.S[i], s)
+			}
+		}
+		got.TruncateLeftInto(&trunc, 2)
+		same(fmt.Sprintf("input %d TruncateLeft", n), &trunc, want.TruncateLeft(2))
+	}
+	a := inputs[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := w.Decompose(a); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("warm SVDWork.Decompose: %.0f allocations, want 0", allocs)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 )
 
 // Eigen holds the eigendecomposition of a Hermitian matrix: A = V diag(Values) Vᴴ.
@@ -19,19 +19,49 @@ type Eigen struct {
 // the cyclic complex Jacobi method. The input is not modified. Matrices that
 // are not Hermitian within a loose tolerance are rejected.
 func EigHermitian(a *Matrix) (*Eigen, error) {
+	return new(EigWork).Decompose(a)
+}
+
+// EigWork is reusable working storage for EigHermitian: once it has grown to
+// a size, decomposing a matrix up to that size allocates nothing. The Eigen
+// that Decompose returns aliases the storage and stays valid until the next
+// Decompose. An EigWork must not be used by two goroutines at once.
+type EigWork struct {
+	w, v   Matrix // the rotated matrix and the accumulated rotations
+	vecs   Matrix
+	values []float64
+	pairs  []eigPair
+	eig    Eigen
+}
+
+// eigPair is one diagonal entry of the converged Jacobi matrix and its index.
+type eigPair struct {
+	val float64
+	idx int
+}
+
+// Decompose is EigHermitian into the work's storage.
+func (ew *EigWork) Decompose(a *Matrix) (*Eigen, error) {
 	n := a.Rows()
 	if n != a.Cols() {
 		return nil, fmt.Errorf("cmat: EigHermitian needs a square matrix, got %dx%d", n, a.Cols())
 	}
+	ew.values = grow(ew.values, n)
+	ew.vecs.Reset(n, n)
+	ew.eig = Eigen{Values: ew.values, Vectors: &ew.vecs}
 	scale := a.MaxAbs()
 	if scale == 0 {
-		return &Eigen{Values: make([]float64, n), Vectors: Identity(n)}, nil
+		clear(ew.values)
+		setIdentity(&ew.vecs)
+		return &ew.eig, nil
 	}
 	if !a.IsHermitian(1e-8 * math.Max(scale, 1)) {
 		return nil, fmt.Errorf("cmat: EigHermitian input is not Hermitian")
 	}
 
-	w := a.Clone()
+	w := &ew.w
+	w.Reset(n, n)
+	copy(w.data, a.data)
 	// Symmetrize exactly so rounding in the input cannot accumulate.
 	for i := 0; i < n; i++ {
 		w.Set(i, i, complex(real(w.At(i, i)), 0))
@@ -41,7 +71,9 @@ func EigHermitian(a *Matrix) (*Eigen, error) {
 			w.Set(j, i, cmplx.Conj(m))
 		}
 	}
-	v := Identity(n)
+	v := &ew.v
+	v.Reset(n, n)
+	setIdentity(v)
 
 	const maxSweeps = 60
 	tol := 1e-13 * scale
@@ -57,22 +89,44 @@ func EigHermitian(a *Matrix) (*Eigen, error) {
 		}
 	}
 
-	type pair struct {
-		val float64
-		idx int
-	}
-	pairs := make([]pair, n)
+	ew.pairs = grow(ew.pairs, n)
+	pairs := ew.pairs
 	for i := 0; i < n; i++ {
-		pairs[i] = pair{val: real(w.At(i, i)), idx: i}
+		pairs[i] = eigPair{val: real(w.At(i, i)), idx: i}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val < pairs[j].val })
-
-	out := &Eigen{Values: make([]float64, n), Vectors: New(n, n)}
+	// pdqsort consults a comparison only as cmp(x, y) < 0, so this orders
+	// exactly as sort.Slice with the less function x.val < y.val did, ties
+	// and NaNs included.
+	slices.SortFunc(pairs, func(x, y eigPair) int {
+		if x.val < y.val {
+			return -1
+		}
+		return 1
+	})
 	for k, pr := range pairs {
-		out.Values[k] = pr.val
-		out.Vectors.SetCol(k, v.Col(pr.idx))
+		ew.values[k] = pr.val
+		for i := 0; i < n; i++ {
+			ew.vecs.data[i*n+k] = v.data[i*n+pr.idx]
+		}
 	}
-	return out, nil
+	return &ew.eig, nil
+}
+
+// setIdentity writes the identity into the square matrix m, which must be
+// zero.
+func setIdentity(m *Matrix) {
+	for i := 0; i < m.rows; i++ {
+		m.data[i*m.cols+i] = 1
+	}
+}
+
+// grow returns b resliced to length n, reallocated when its capacity is
+// short. The contents are unspecified.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 func offDiagNorm(a *Matrix) float64 {

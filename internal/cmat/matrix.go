@@ -41,6 +41,24 @@ func Wrap(rows, cols int, data []complex128) Matrix {
 	return Matrix{rows: rows, cols: cols, data: data}
 }
 
+// Reset re-shapes m to rows x cols with every entry zero, reusing m's
+// storage when it is large enough. A zero Matrix is ready to Reset; this is
+// how pooled scratch (the fusion SVD's, the estimator's link workspace) is
+// re-shaped per use without allocating.
+func (m *Matrix) Reset(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("cmat: negative dimensions %dx%d", rows, cols))
+	}
+	n := rows * cols
+	if cap(m.data) < n {
+		m.data = make([]complex128, n)
+	} else {
+		m.data = m.data[:n]
+		clear(m.data)
+	}
+	m.rows, m.cols = rows, cols
+}
+
 // FromRows builds a matrix from a slice of equal-length rows. The data is
 // copied.
 func FromRows(rows [][]complex128) (*Matrix, error) {
@@ -61,9 +79,7 @@ func FromRows(rows [][]complex128) (*Matrix, error) {
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
+	setIdentity(m)
 	return m
 }
 
@@ -275,10 +291,18 @@ func (m *Matrix) MulVecH(v []complex128) []complex128 {
 
 // MulH returns aᴴ * b without forming the Hermitian transpose of a.
 func MulH(a, b *Matrix) *Matrix {
+	out := new(Matrix)
+	MulHInto(a, b, out)
+	return out
+}
+
+// MulHInto computes out = aᴴ * b, re-shaping out (see Reset) and reusing its
+// storage. out must not alias a or b.
+func MulHInto(a, b, out *Matrix) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("cmat: MulH shape mismatch (%dx%d)ᴴ * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New(a.cols, b.cols)
+	out.Reset(a.cols, b.cols)
 	for k := 0; k < a.rows; k++ {
 		arow := a.data[k*a.cols : (k+1)*a.cols]
 		brow := b.data[k*b.cols : (k+1)*b.cols]
@@ -293,7 +317,6 @@ func MulH(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // FrobNorm returns the Frobenius norm of m.

@@ -3,6 +3,7 @@ package cmat
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // SVD holds a thin singular value decomposition A = U diag(S) Vᴴ where A is
@@ -19,79 +20,119 @@ type SVD struct {
 // moderate-size problems in this repository (snapshot fusion and subspace
 // estimation) and avoids a full Golub-Kahan implementation.
 func SVDecompose(a *Matrix) (*SVD, error) {
+	return new(SVDWork).Decompose(a)
+}
+
+// SVDWork is reusable working storage for SVDecompose: once it has grown to
+// a shape, decomposing a matrix up to that shape allocates nothing. The SVD
+// that Decompose returns aliases the storage and stays valid until the next
+// Decompose. An SVDWork must not be used by two goroutines at once.
+type SVDWork struct {
+	eig  EigWork
+	g    Matrix // the Gram matrix
+	at   Matrix // aᴴ, when a is wider than tall
+	u, v Matrix
+	s    []float64
+	cand []complex128 // orthoFill's candidate vector
+	svd  SVD
+}
+
+// Decompose is SVDecompose into the work's storage.
+func (w *SVDWork) Decompose(a *Matrix) (*SVD, error) {
 	m, n := a.Rows(), a.Cols()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("cmat: SVD of empty %dx%d matrix", m, n)
 	}
-	if m >= n {
-		// Eigendecompose AᴴA (n x n).
-		g := MulH(a, a)
-		eig, err := EigHermitian(g)
-		if err != nil {
-			return nil, fmt.Errorf("svd gram eig: %w", err)
-		}
-		s := make([]float64, n)
-		v := New(n, n)
-		// Eigenvalues ascend; reverse for descending singular values.
-		for k := 0; k < n; k++ {
-			lam := eig.Values[n-1-k]
-			if lam < 0 {
-				lam = 0
-			}
-			s[k] = math.Sqrt(lam)
-			v.SetCol(k, eig.Vectors.Col(n-1-k))
-		}
-		u := New(m, n)
-		maxS := 0.0
-		if n > 0 {
-			maxS = s[0]
-		}
-		for k := 0; k < n; k++ {
-			col := a.MulVec(v.Col(k))
-			if s[k] > 1e-12*math.Max(maxS, 1) {
-				inv := complex(1/s[k], 0)
-				for i := range col {
-					col[i] *= inv
-				}
-				u.SetCol(k, col)
-			} else {
-				// Null direction: fill with an orthonormal completion vector.
-				u.SetCol(k, orthoFill(u, k, m))
+	if m < n {
+		// Decompose the Hermitian transpose and swap factors.
+		w.at.Reset(n, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				w.at.data[j*m+i] = cmplx.Conj(a.data[i*n+j])
 			}
 		}
-		return &SVD{U: u, S: s, V: v}, nil
+		if _, err := w.Decompose(&w.at); err != nil {
+			return nil, err
+		}
+		w.svd.U, w.svd.V = w.svd.V, w.svd.U
+		return &w.svd, nil
 	}
-	// m < n: decompose the Hermitian transpose and swap factors.
-	sv, err := SVDecompose(a.H())
+	// Eigendecompose AᴴA (n x n).
+	MulHInto(a, a, &w.g)
+	eig, err := w.eig.Decompose(&w.g)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("svd gram eig: %w", err)
 	}
-	return &SVD{U: sv.V, S: sv.S, V: sv.U}, nil
+	w.s = grow(w.s, n)
+	s, u, v := w.s, &w.u, &w.v
+	v.Reset(n, n)
+	// Eigenvalues ascend; reverse for descending singular values.
+	for k := 0; k < n; k++ {
+		lam := eig.Values[n-1-k]
+		if lam < 0 {
+			lam = 0
+		}
+		s[k] = math.Sqrt(lam)
+		for i := 0; i < n; i++ {
+			v.data[i*n+k] = eig.Vectors.data[i*n+n-1-k]
+		}
+	}
+	u.Reset(m, n)
+	maxS := s[0]
+	for k := 0; k < n; k++ {
+		if s[k] > 1e-12*math.Max(maxS, 1) {
+			// Column k of U is A v_k / s_k.
+			inv := complex(1/s[k], 0)
+			for i := 0; i < m; i++ {
+				var acc complex128
+				for j, x := range a.data[i*n : (i+1)*n] {
+					acc += x * v.data[j*n+k]
+				}
+				u.data[i*n+k] = acc * inv
+			}
+		} else {
+			// Null direction: fill with an orthonormal completion vector.
+			w.orthoFill(k)
+		}
+	}
+	w.svd = SVD{U: u, S: s, V: v}
+	return &w.svd, nil
 }
 
-// orthoFill produces a unit vector orthogonal to the first k columns of u by
-// Gram-Schmidt on canonical basis vectors.
-func orthoFill(u *Matrix, k, m int) []complex128 {
+// orthoFill writes into column k of w.u a unit vector orthogonal to its first
+// k columns, by Gram-Schmidt on canonical basis vectors.
+func (w *SVDWork) orthoFill(k int) {
+	u := &w.u
+	m, cols := u.rows, u.cols
+	w.cand = grow(w.cand, m)
+	cand := w.cand
 	for e := 0; e < m; e++ {
-		cand := make([]complex128, m)
+		clear(cand)
 		cand[e] = 1
 		for j := 0; j < k; j++ {
-			col := u.Col(j)
-			proj := Dot(col, cand)
-			AXPY(-proj, col, cand)
+			// proj = <u_j, cand>, then cand -= proj u_j.
+			var proj complex128
+			for i := range cand {
+				proj += cmplx.Conj(u.data[i*cols+j]) * cand[i]
+			}
+			alpha := -proj
+			for i := range cand {
+				cand[i] += alpha * u.data[i*cols+j]
+			}
 		}
 		if nrm := Norm2(cand); nrm > 1e-6 {
 			inv := complex(1/nrm, 0)
-			for i := range cand {
-				cand[i] *= inv
+			for i, c := range cand {
+				u.data[i*cols+k] = c * inv
 			}
-			return cand
+			return
 		}
 	}
 	// Unreachable for k < m, but keep a safe fallback.
-	out := make([]complex128, m)
-	out[0] = 1
-	return out
+	for i := 0; i < m; i++ {
+		u.data[i*cols+k] = 0
+	}
+	u.data[k] = 1
 }
 
 // Rank returns the numerical rank implied by the singular values at the
@@ -113,16 +154,23 @@ func (s *SVD) Rank(rtol float64) int {
 // space used by the l1-SVD multi-snapshot fusion (Malioutov et al.). k is
 // clamped to the available number of singular values.
 func (s *SVD) TruncateLeft(k int) *Matrix {
+	out := new(Matrix)
+	s.TruncateLeftInto(out, k)
+	return out
+}
+
+// TruncateLeftInto is TruncateLeft into out, re-shaping it (see Reset) and
+// reusing its storage.
+func (s *SVD) TruncateLeftInto(out *Matrix, k int) {
 	if k > len(s.S) {
 		k = len(s.S)
 	}
-	m := s.U.Rows()
-	out := New(m, k)
+	m, uc := s.U.Rows(), s.U.Cols()
+	out.Reset(m, k)
 	for j := 0; j < k; j++ {
-		col := s.U.Col(j)
+		sj := complex(s.S[j], 0)
 		for i := 0; i < m; i++ {
-			out.Set(i, j, col[i]*complex(s.S[j], 0))
+			out.data[i*k+j] = s.U.data[i*uc+j] * sj
 		}
 	}
-	return out
 }

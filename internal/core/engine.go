@@ -380,6 +380,11 @@ type TrackResult struct {
 	// on a window edge, or innovation outside the NIS gate) and the full
 	// search re-ran — the verified-fallback path.
 	Fallback bool
+	// FallbackCause names why a Fallback attempt was rejected: "gate" when
+	// its argmin failed the tracker's NIS gate (or had no innovation to
+	// gate), otherwise "edge" when the argmin sat on the window edge. A
+	// rejection on both counts is a "gate" one. Empty unless Fallback.
+	FallbackCause string
 	// WindowStats describes the rejected windowed attempt (zero unless
 	// Fallback), so the wasted work is visible to benchmarks.
 	WindowStats SearchStats
@@ -432,11 +437,16 @@ func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *
 			// edge hit or gate failure means the true optimum may lie
 			// outside the window, so the full search must decide.
 			nis, ok := tr.NISAt(t, p)
-			if ok && nis <= tr.GateNIS && !st.WindowEdge {
+			gated := ok && nis <= tr.GateNIS
+			switch {
+			case gated && !st.WindowEdge:
 				pos, stats, accepted = p, st, true
 				res.Windowed = true
-			} else {
-				res.Fallback = true
+			case !gated:
+				res.Fallback, res.FallbackCause = true, "gate"
+				res.WindowStats = st
+			default:
+				res.Fallback, res.FallbackCause = true, "edge"
 				res.WindowStats = st
 			}
 		} else {
@@ -474,7 +484,9 @@ func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *
 
 // recordTrack notes one tracked epoch's window/fallback/re-acquisition
 // outcome, so an operator can see the prediction shrinkage paying off (or
-// thrashing into fallbacks).
+// thrashing into fallbacks). Fallbacks are also counted by cause, in
+// core.track.fallback_gate_total and core.track.fallback_edge_total, which
+// sum to core.track.fallback_total.
 func (m *engineMetrics) recordTrack(res *TrackResult) {
 	if m == nil {
 		return
@@ -484,6 +496,11 @@ func (m *engineMetrics) recordTrack(res *TrackResult) {
 	}
 	if res.Fallback {
 		m.reg.Counter("core.track.fallback_total").Inc()
+		if res.FallbackCause == "gate" {
+			m.reg.Counter("core.track.fallback_gate_total").Inc()
+		} else {
+			m.reg.Counter("core.track.fallback_edge_total").Inc()
+		}
 	}
 	if res.Track.Reacquired {
 		m.reg.Counter("core.track.reacquired_total").Inc()

@@ -141,10 +141,41 @@ type Estimator struct {
 	jointDict *cmat.Matrix
 
 	// delays is the matched-filter phasor table of the delay alignment that
-	// precedes fusion (see delayTable), built from the OFDM config on the
+	// precedes fusion (see delayTable), looked up from the OFDM config on the
 	// first fused estimate.
 	delaysOnce sync.Once
 	delays     *delayTable
+
+	// links holds *linkWorkspace scratch. Estimators are shared across
+	// goroutines, so each link estimate takes a workspace of its own for its
+	// duration; the pool fills on first use, not in Warmup.
+	links sync.Pool
+}
+
+// linkWorkspace is the scratch of one link estimate, from the stacked CSI to
+// the direct-path peak: the delay alignment, the measurement block Y, the
+// fusion SVD and its truncation, the solve's row magnitudes, the joint
+// spectrum, its 3x3 smoothing and the peak list. Every buffer only grows, so
+// a warm estimate writes each intermediate into storage the previous one
+// left behind and allocates nothing but its outputs.
+type linkWorkspace struct {
+	al     alignment
+	y      cmat.Matrix // M*L x kept packets
+	svd    cmat.SVDWork
+	fused  cmat.Matrix // the l1-SVD compression of y
+	mags   []float64
+	spec   spectra.Spectrum2D
+	smooth spectra.Spectrum2D
+	peaks  []spectra.Peak
+}
+
+// takeLinkWorkspace takes a link workspace from the estimator's pool. Return
+// it to e.links once nothing read from it is needed.
+func (e *Estimator) takeLinkWorkspace() *linkWorkspace {
+	if ws, ok := e.links.Get().(*linkWorkspace); ok {
+		return ws
+	}
+	return new(linkWorkspace)
 }
 
 // estimatorMetrics caches the estimator's metric handles, resolved once at
@@ -351,27 +382,28 @@ func (e *Estimator) recordDictAccess(built bool) {
 
 // timedSolve runs the group-sparse solve under a span and a latency
 // histogram, with kappa at Config.KappaRatio of max_i ||(AᴴY)_i|| (see
-// sparse.Solver.SolveMultiRatio). The time.Now pair is skipped entirely when
-// metrics are disabled, keeping the nil-registry path free of clock reads.
-// With Config.Fallback set, a failed or non-converged primary solve falls
-// back to OMP over ompDict, the dense dictionary the solver was built for;
-// without it the primary outcome is returned untouched, preserving
-// bit-identical legacy behavior. The returned stage names the fallback stage
-// the accepted result came from ("" = primary); together with the result it
-// feeds the SolveInfo that rides each LinkResult.
-func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, ompDict, y *cmat.Matrix) (*sparse.Result, string, error) {
+// sparse.Solver.SolveMultiRatio), writing the row magnitudes into mags'
+// storage. The time.Now pair is skipped entirely when metrics are disabled,
+// keeping the nil-registry path free of clock reads. With Config.Fallback
+// set, a failed or non-converged primary solve falls back to OMP over
+// ompDict, the dense dictionary the solver was built for; without it the
+// primary outcome is returned untouched, preserving bit-identical legacy
+// behavior. The returned stage names the fallback stage the accepted result
+// came from ("" = primary); together with the result it feeds the SolveInfo
+// that rides each LinkResult.
+func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, ompDict, y *cmat.Matrix, mags []float64) (sparse.Result, string, error) {
 	// Stage-boundary cancellation: a dead context skips the solve entirely.
 	// (The solver's iteration loop itself is not interruptible; the worst
 	// post-cancel overrun is one solve.)
 	if err := ctx.Err(); err != nil {
-		return nil, "", err
+		return sparse.Result{}, "", err
 	}
 	_, sp := obs.StartSpan(ctx, "estimate.solve")
 	var t0 time.Time
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	res, err := solver.SolveMultiRatio(y, e.cfg.KappaRatio)
+	res, err := solver.SolveMultiRatio(y, e.cfg.KappaRatio, mags)
 	if e.met != nil {
 		// The latency exemplar ties this solve's bucket to the request that
 		// exercised it — an empty id (untagged caller) records plainly.
@@ -389,7 +421,7 @@ func (e *Estimator) timedSolve(ctx context.Context, solver *sparse.Solver, ompDi
 // primary solve. When OMP errors too, the primary outcome is returned so the
 // chain never makes things worse. The returned stage names where the
 // accepted result came from ("omp", or "" for the primary outcome).
-func (e *Estimator) fallbackSolve(ctx context.Context, dict, y *cmat.Matrix, primaryRes *sparse.Result, primaryErr error) (*sparse.Result, string, error) {
+func (e *Estimator) fallbackSolve(ctx context.Context, dict, y *cmat.Matrix, primaryRes sparse.Result, primaryErr error) (sparse.Result, string, error) {
 	_, sp := obs.StartSpan(ctx, "estimate.fallback")
 	defer sp.End()
 	if e.met != nil {
@@ -408,7 +440,7 @@ func (e *Estimator) fallbackSolve(ctx context.Context, dict, y *cmat.Matrix, pri
 // column of y (after l1-SVD fusion that is the dominant singular direction)
 // and expands the support into a Result comparable with the convex solvers'
 // RowMags.
-func (e *Estimator) ompSolve(dict, y *cmat.Matrix) (*sparse.Result, error) {
+func (e *Estimator) ompSolve(dict, y *cmat.Matrix) (sparse.Result, error) {
 	best, bestN := 0, -1.0
 	for j := 0; j < y.Cols(); j++ {
 		var n2 float64
@@ -425,17 +457,10 @@ func (e *Estimator) ompSolve(dict, y *cmat.Matrix) (*sparse.Result, error) {
 	}
 	r, err := sparse.OMP(dict, y.Col(best), atoms, 1e-3)
 	if err != nil {
-		return nil, err
+		return sparse.Result{}, err
 	}
-	x := make([]complex128, dict.Cols())
-	for i, j := range r.Support {
-		if i < len(r.Coef) {
-			x[j] = r.Coef[i]
-		}
-	}
-	return &sparse.Result{
+	return sparse.Result{
 		Solver:     "omp",
-		X:          [][]complex128{x},
 		RowMags:    r.Spectrum(dict.Cols()),
 		Iterations: len(r.Support),
 		Converged:  true,
@@ -479,7 +504,8 @@ func (e *Estimator) EstimateAoA(ctx context.Context, csi *wireless.CSI) (*spectr
 			y.Set(m, l, csi.Data[m][l])
 		}
 	}
-	res, stage, err := e.timedSolve(ctx, solver, solver.Dict(), y)
+	// A nil buffer gives the spectrum freshly allocated row magnitudes.
+	res, stage, err := e.timedSolve(ctx, solver, solver.Dict(), y, nil)
 	if err != nil {
 		return nil, SolveInfo{}, fmt.Errorf("core: AoA solve: %w", err)
 	}
@@ -493,12 +519,22 @@ func (e *Estimator) EstimateAoA(ctx context.Context, csi *wireless.CSI) (*spectr
 // EstimateJoint recovers the joint AoA/ToA spectrum of paper Eq. 18 from a
 // single packet by solving over the stacked space-delay dictionary, under
 // the "estimate.dict" and "estimate.solve" spans when ctx carries a tracer.
+// The spectrum is the caller's own copy.
 func (e *Estimator) EstimateJoint(ctx context.Context, csi *wireless.CSI) (*spectra.Spectrum2D, SolveInfo, error) {
 	packets := []*wireless.CSI{csi}
 	if err := e.checkPackets(packets, e.cfg.OFDM.NumSubcarriers); err != nil {
 		return nil, SolveInfo{}, err
 	}
-	return e.estimateJointBlock(ctx, packets, 1)
+	ws := e.takeLinkWorkspace()
+	defer e.links.Put(ws)
+	// A lone packet is its own reference: it is stacked as is and no delay
+	// is matched, so no filter table is needed.
+	ws.al.align(packets, e.cfg.OFDM, nil, false)
+	info, err := e.estimateJointBlock(ctx, ws, 1)
+	if err != nil {
+		return nil, SolveInfo{}, err
+	}
+	return ws.spec.Clone(), info, nil
 }
 
 // EstimateJointFusedInfoCtx coherently fuses a burst of packets (Sec.
@@ -510,66 +546,89 @@ func (e *Estimator) EstimateJoint(ctx context.Context, csi *wireless.CSI) (*spec
 // (delay alignment and interference screening), "estimate.dict",
 // "estimate.fuse" (the l1-SVD compression), and "estimate.solve" spans. The
 // SolveInfo describes which solver (and which fallback stage, if any)
-// produced the accepted spectrum.
+// produced the accepted spectrum. The spectrum is the caller's own copy.
 func (e *Estimator) EstimateJointFusedInfoCtx(ctx context.Context, packets []*wireless.CSI) (*spectra.Spectrum2D, SolveInfo, error) {
+	ws := e.takeLinkWorkspace()
+	defer e.links.Put(ws)
+	info, err := e.estimateFused(ctx, ws, packets)
+	if err != nil {
+		return nil, SolveInfo{}, err
+	}
+	return ws.spec.Clone(), info, nil
+}
+
+// estimateFused is EstimateJointFusedInfoCtx into ws, leaving the joint
+// spectrum in ws.spec.
+func (e *Estimator) estimateFused(ctx context.Context, ws *linkWorkspace, packets []*wireless.CSI) (SolveInfo, error) {
 	if len(packets) == 0 {
-		return nil, SolveInfo{}, fmt.Errorf("core: fusion needs at least one packet")
+		return SolveInfo{}, fmt.Errorf("core: fusion needs at least one packet")
 	}
 	if err := e.checkPackets(packets, e.cfg.OFDM.NumSubcarriers); err != nil {
-		return nil, SolveInfo{}, err
+		return SolveInfo{}, err
 	}
 	// Fusion is only coherent if the packets share a delay reference; the
 	// per-packet detection delay is estimated by matched filtering and
 	// compensated first (the paper's delay-estimation step), with
 	// consensus-based outlier rejection against interfered packets.
 	_, sps := obs.StartSpan(ctx, "estimate.sanitize")
-	aligned := alignAndFilter(packets, e.cfg.OFDM, e.delayTable())
+	ws.al.align(packets, e.cfg.OFDM, e.delayTable(), true)
 	sps.End()
-	return e.estimateJointBlock(ctx, aligned, e.cfg.MaxPaths)
+	return e.estimateJointBlock(ctx, ws, e.cfg.MaxPaths)
 }
 
-// delayTable returns the estimator's matched-filter phasor table, building
-// it on first use.
+// delayTable returns the matched-filter phasor table for the estimator's
+// OFDM config, shared process-wide (see sharedDelayTable).
 func (e *Estimator) delayTable() *delayTable {
 	e.delaysOnce.Do(func() {
-		e.delays = newDelayTable(e.cfg.OFDM.SubcarrierSpacing, e.cfg.OFDM.NumSubcarriers)
+		e.delays = sharedDelayTable(e.cfg.OFDM.SubcarrierSpacing, e.cfg.OFDM.NumSubcarriers)
 	})
 	return e.delays
 }
 
-func (e *Estimator) estimateJointBlock(ctx context.Context, packets []*wireless.CSI, keep int) (*spectra.Spectrum2D, SolveInfo, error) {
+// estimateJointBlock solves the joint space-delay program over the packets
+// ws.al kept, l1-SVD fusing them to at most keep directions when there are
+// several, and leaves the normalized spectrum in ws.spec.
+func (e *Estimator) estimateJointBlock(ctx context.Context, ws *linkWorkspace, keep int) (SolveInfo, error) {
 	_, spd := obs.StartSpan(ctx, "estimate.dict")
 	solver, err := e.getJointSolver()
 	spd.End()
 	if err != nil {
-		return nil, SolveInfo{}, fmt.Errorf("core: build joint solver: %w", err)
+		return SolveInfo{}, fmt.Errorf("core: build joint solver: %w", err)
 	}
 	// Callers have checked every packet's shape, so each stacked vector has
-	// M*L entries.
-	y := cmat.New(e.cfg.Array.NumAntennas*e.cfg.OFDM.NumSubcarriers, len(packets))
-	for p, pkt := range packets {
-		y.SetCol(p, pkt.StackedVector())
+	// M*L entries; column c of Y is the c-th kept packet's.
+	ml := e.cfg.Array.NumAntennas * e.cfg.OFDM.NumSubcarriers
+	kept := ws.al.kept
+	np := len(kept)
+	ws.y.Reset(ml, np)
+	yd := ws.y.Data()
+	for c, j := range kept {
+		for i, v := range ws.al.stack[j*ml : (j+1)*ml] {
+			yd[i*np+c] = v
+		}
 	}
-	if len(packets) > 1 {
+	y := &ws.y
+	if np > 1 {
 		_, spf := obs.StartSpan(ctx, "estimate.fuse")
-		sv, err := cmat.SVDecompose(y)
+		sv, err := ws.svd.Decompose(y)
 		if err != nil {
 			spf.End()
-			return nil, SolveInfo{}, fmt.Errorf("core: fusion SVD: %w", err)
+			return SolveInfo{}, fmt.Errorf("core: fusion SVD: %w", err)
 		}
-		keep = fusionRank(sv.S, keep, len(packets))
-		y = sv.TruncateLeft(keep)
+		keep = fusionRank(sv.S, keep, np)
+		sv.TruncateLeftInto(&ws.fused, keep)
+		y = &ws.fused
 		spf.End()
 	}
-	res, stage, err := e.timedSolve(ctx, solver, e.jointDict, y)
+	res, stage, err := e.timedSolve(ctx, solver, e.jointDict, y, ws.mags)
 	if err != nil {
-		return nil, SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
+		return SolveInfo{}, fmt.Errorf("core: joint solve: %w", err)
 	}
-	spec, err := e.reshapeJoint(res.RowMags)
-	if err != nil {
-		return nil, SolveInfo{}, err
+	ws.mags = res.RowMags
+	if err := e.reshapeJoint(&ws.spec, res.RowMags); err != nil {
+		return SolveInfo{}, err
 	}
-	return spec, solveInfoFor(res, stage), nil
+	return solveInfoFor(res, stage), nil
 }
 
 // fusionRank decides how many left singular directions the l1-SVD fusion
@@ -618,29 +677,21 @@ func fusionRank(sigma []float64, maxPaths, packets int) int {
 }
 
 // reshapeJoint maps the flat coefficient magnitudes back onto the
-// (theta, tau) grid using the tau-major column ordering of Eq. 16.
-func (e *Estimator) reshapeJoint(mags []float64) (*spectra.Spectrum2D, error) {
+// (theta, tau) grid using the tau-major column ordering of Eq. 16, into spec
+// (which shares the estimator's grids), and normalizes it.
+func (e *Estimator) reshapeJoint(spec *spectra.Spectrum2D, mags []float64) error {
 	nth, ntu := len(e.cfg.ThetaGrid), len(e.cfg.TauGrid)
 	if len(mags) != nth*ntu {
-		return nil, fmt.Errorf("core: %d coefficients for %dx%d grid", len(mags), nth, ntu)
+		return fmt.Errorf("core: %d coefficients for %dx%d grid", len(mags), nth, ntu)
 	}
-	power := make([][]float64, nth)
-	for i := range power {
-		power[i] = make([]float64, ntu)
-	}
+	spec.Reset(e.cfg.ThetaGrid, e.cfg.TauGrid)
 	for t := 0; t < ntu; t++ {
 		for i := 0; i < nth; i++ {
-			power[i][t] = mags[t*nth+i]
+			spec.Power[i][t] = mags[t*nth+i]
 		}
 	}
-	spec, err := spectra.NewSpectrum2D(
-		append([]float64(nil), e.cfg.ThetaGrid...),
-		append([]float64(nil), e.cfg.TauGrid...),
-		power)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Normalize(), nil
+	spec.Normalize()
+	return nil
 }
 
 // DirectPath applies ROArray's rule (Sec. III-B): among spectrum peaks at or
@@ -649,11 +700,21 @@ func (e *Estimator) reshapeJoint(mags []float64) (*spectra.Spectrum2D, error) {
 // unknown packet detection delay) — only its ordering is meaningful, which
 // is all the rule needs.
 func (e *Estimator) DirectPath(spec *spectra.Spectrum2D) (spectra.Peak, error) {
+	ws := e.takeLinkWorkspace()
+	defer e.links.Put(ws)
+	return e.directPath(ws, spec)
+}
+
+// directPath is DirectPath with the smoothed spectrum and the peak list in
+// ws.
+func (e *Estimator) directPath(ws *linkWorkspace, spec *spectra.Spectrum2D) (spectra.Peak, error) {
 	// Aggregate adjacent-atom energy first: an off-grid path's l1 energy
 	// splits across neighboring grid atoms, which would otherwise push a
 	// real (direct) path below the power threshold while an exactly
 	// on-grid reflection spikes.
-	peaks := spec.Smooth3x3().Peaks(e.cfg.PeakThreshold)
+	spec.Smooth3x3Into(&ws.smooth)
+	ws.peaks = ws.smooth.PeaksInto(ws.peaks, e.cfg.PeakThreshold)
+	peaks := ws.peaks
 	// A uniform linear array has no angular resolution at endfire
 	// (d*cos(theta) is stationary at 0/180 degrees), so peaks hugging the
 	// grid ends are artifacts; letting them into the candidate set would
@@ -699,14 +760,18 @@ func tauStep(tau []float64) float64 {
 // When ctx carries an obs.Tracer it emits the fused estimation spans plus an
 // "estimate.peak" span around direct-path selection. The SolveInfo is that
 // of the solve that produced the spectrum the peak was picked from — the
-// per-link diagnostic the serving layer surfaces in its request log.
+// per-link diagnostic the serving layer surfaces in its request log. Every
+// intermediate lives in a pooled link workspace, so a warm estimate
+// allocates nothing it does not return.
 func (e *Estimator) EstimateDirectAoA(ctx context.Context, packets []*wireless.CSI) (spectra.Peak, SolveInfo, error) {
-	spec, info, err := e.EstimateJointFusedInfoCtx(ctx, packets)
+	ws := e.takeLinkWorkspace()
+	defer e.links.Put(ws)
+	info, err := e.estimateFused(ctx, ws, packets)
 	if err != nil {
-		return spectra.Peak{}, info, err
+		return spectra.Peak{}, SolveInfo{}, err
 	}
 	_, sp := obs.StartSpan(ctx, "estimate.peak")
 	defer sp.End()
-	peak, err := e.DirectPath(spec)
+	peak, err := e.directPath(ws, &ws.spec)
 	return peak, info, err
 }

@@ -220,3 +220,97 @@ func TestEstimatorConcurrentUseWithObservability(t *testing.T) {
 		t.Fatalf("trace has %d estimate.aoa spans, want %d", aoaSpans, solves)
 	}
 }
+
+// TestLinkWorkspaceConcurrentUse: 16 goroutines share one estimator and run
+// EstimateDirectAoA, EstimateJointFusedInfoCtx and DirectPath over bursts of
+// 1 to 5 packets in rotation, so pooled link workspaces pass between burst
+// sizes, fusion ranks and goroutines. Every peak, SolveInfo and spectrum
+// must equal its serial reference bit for bit, and a returned spectrum must
+// not change when later estimates reuse the workspace it came from (`make
+// race` runs this under -race).
+func TestLinkWorkspaceConcurrentUse(t *testing.T) {
+	const goroutines = 16
+	cfg := smokeServingConfig()
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bursts [][]*wireless.CSI
+	for packets := 1; packets <= 5; packets++ {
+		bursts = append(bursts, smokeBursts(t, cfg, 4, packets)...)
+	}
+	type link struct {
+		peak spectra.Peak
+		info SolveInfo
+		spec *spectra.Spectrum2D
+	}
+	ctx := context.Background()
+	want := make([]link, len(bursts))
+	for i, b := range bursts {
+		peak, info, err := est.EstimateDirectAoA(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _, err := est.EstimateJointFusedInfoCtx(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = link{peak, info, spec}
+	}
+	sameSpec := func(a, b *spectra.Spectrum2D) bool {
+		for i := range a.Power {
+			for j := range a.Power[i] {
+				if math.Float64bits(a.Power[i][j]) != math.Float64bits(b.Power[i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	samePeak := func(a, b spectra.Peak) bool {
+		return math.Float64bits(a.ThetaDeg) == math.Float64bits(b.ThetaDeg) &&
+			math.Float64bits(a.Tau) == math.Float64bits(b.Tau) && math.Float64bits(a.Power) == math.Float64bits(b.Power)
+	}
+	var wg sync.WaitGroup
+	failures := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := range bursts {
+				i := (g*7 + r) % len(bursts)
+				peak, info, err := est.EstimateDirectAoA(ctx, bursts[i])
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				if !samePeak(peak, want[i].peak) || info != want[i].info {
+					failures <- "concurrent EstimateDirectAoA differs from its serial reference"
+					return
+				}
+				spec, _, err := est.EstimateJointFusedInfoCtx(ctx, bursts[i])
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				if _, _, err := est.EstimateDirectAoA(ctx, bursts[(i+1)%len(bursts)]); err != nil {
+					failures <- err.Error()
+					return
+				}
+				if !sameSpec(spec, want[i].spec) {
+					failures <- "a returned spectrum differs from its serial reference"
+					return
+				}
+				if p, err := est.DirectPath(spec); err != nil || !samePeak(p, want[i].peak) {
+					failures <- "DirectPath on a returned spectrum differs from EstimateDirectAoA"
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(failures)
+	for msg := range failures {
+		t.Fatal(msg)
+	}
+}

@@ -3,7 +3,8 @@ package core
 import (
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
+	"sync"
 
 	"roarray/internal/wireless"
 )
@@ -18,7 +19,7 @@ import (
 // refinement. That range is 400 ns on the Intel 5300, comfortably above
 // real detection-delay spreads.
 func EstimateRelativeDelay(ref, pkt *wireless.CSI, ofdm wireless.OFDM) float64 {
-	delta, _ := delayMatch(ref, pkt, newDelayTable(ofdm.SubcarrierSpacing, ref.NumSubcarriers))
+	delta, _ := delayMatch(ref, pkt, sharedDelayTable(ofdm.SubcarrierSpacing, ref.NumSubcarriers))
 	return delta
 }
 
@@ -31,12 +32,37 @@ const delaySteps = 256
 // rot_i = exp(-j 2 pi f_delta delta_i) at the i-th grid delay, each power
 // formed by the same chain of multiplications the filter once ran per call,
 // so filtering against the table gives the same bits. The phasors depend only
-// on the OFDM config, so an Estimator builds its table once and shares it,
-// read-only, across goroutines.
+// on the OFDM config, so one table per (spacing, L) is built for the whole
+// process (sharedDelayTable) and read, never written, from any goroutine.
 type delayTable struct {
 	spacing float64
 	l       int
 	phasors []complex128 // (delaySteps+1) rows of l, row-major
+}
+
+// delayTableKey identifies a shared table. The spacing is keyed by its bits
+// so that every value, NaN included, finds its one table again.
+type delayTableKey struct {
+	spacing uint64
+	l       int
+}
+
+// delayTables holds the process-wide delayTable per delayTableKey. There is
+// one entry per OFDM configuration in use (a few KiB to a few tens of KiB
+// each), so nothing is ever evicted.
+var delayTables sync.Map
+
+// sharedDelayTable returns the process-wide matched-filter table for
+// subcarrier spacing and count l, building it on first use. Two goroutines
+// that race on a first use may both build it; one table wins and the other
+// is dropped, and both are identical.
+func sharedDelayTable(spacing float64, l int) *delayTable {
+	key := delayTableKey{math.Float64bits(spacing), l}
+	if t, ok := delayTables.Load(key); ok {
+		return t.(*delayTable)
+	}
+	t, _ := delayTables.LoadOrStore(key, newDelayTable(spacing, l))
+	return t.(*delayTable)
 }
 
 func newDelayTable(spacing float64, l int) *delayTable {
@@ -65,14 +91,14 @@ func gridDelay(half float64, i int) float64 {
 // is explained by a common channel at the best delay. Interfered or
 // unrelated packets score low, which AlignAndFilter uses for outlier
 // rejection. tab supplies the filter's phasors; a table built for another
-// subcarrier count is replaced by one for the packets' own.
+// subcarrier count is replaced by the shared one for the packets' own.
 func delayMatch(ref, pkt *wireless.CSI, tab *delayTable) (delta, score float64) {
 	l := ref.NumSubcarriers
 	if l != pkt.NumSubcarriers || ref.NumAntennas != pkt.NumAntennas || l < 2 {
 		return 0, 0
 	}
 	if tab.l != l {
-		tab = newDelayTable(tab.spacing, l)
+		tab = sharedDelayTable(tab.spacing, l)
 	}
 	// The cross product sums on the stack for every real subcarrier count
 	// (the Intel 5300 reports 30).
@@ -136,15 +162,39 @@ func delayMatch(ref, pkt *wireless.CSI, tab *delayTable) (delta, score float64) 
 // counter-rotating the subcarrier phase ramp: subcarrier l is multiplied by
 // exp(+j 2 pi f_delta l delta).
 func CompensateDelay(csi *wireless.CSI, delta float64, ofdm wireless.OFDM) *wireless.CSI {
-	out := csi.Clone()
-	out.DetectionDelay = csi.DetectionDelay - delta
+	v := make([]complex128, csi.NumAntennas*csi.NumSubcarriers)
+	compensateInto(v, csi, delta, ofdm)
+	return unstack(v, csi, delta)
+}
+
+// compensateInto writes the delay-compensated measurement into dst as its
+// stacked vector (paper Eq. 15, antenna-major within each subcarrier).
+// Subcarrier l is multiplied by exp(+j 2 pi f_delta l delta), formed as the
+// l-th power of one rotation by repeated multiplication.
+func compensateInto(dst []complex128, csi *wireless.CSI, delta float64, ofdm wireless.OFDM) {
 	rot := ofdm.PhaseFactor(-delta) // exp(+j 2 pi f_delta delta)
 	cur := complex(1, 0)
-	for l := 0; l < out.NumSubcarriers; l++ {
-		for m := 0; m < out.NumAntennas; m++ {
-			out.Data[m][l] *= cur
+	idx := 0
+	for l := 0; l < csi.NumSubcarriers; l++ {
+		for m := 0; m < csi.NumAntennas; m++ {
+			dst[idx] = csi.Data[m][l] * cur
+			idx++
 		}
 		cur *= rot
+	}
+}
+
+// unstack returns the measurement whose stacked vector is v, shaped like
+// src, with src's detection delay less delta.
+func unstack(v []complex128, src *wireless.CSI, delta float64) *wireless.CSI {
+	out := wireless.NewCSI(src.NumAntennas, src.NumSubcarriers)
+	out.DetectionDelay = src.DetectionDelay - delta
+	idx := 0
+	for l := 0; l < out.NumSubcarriers; l++ {
+		for m := 0; m < out.NumAntennas; m++ {
+			out.Data[m][l] = v[idx]
+			idx++
+		}
 	}
 	return out
 }
@@ -154,20 +204,7 @@ func CompensateDelay(csi *wireless.CSI, delta float64, ofdm wireless.OFDM) *wire
 // the paper applies before multi-packet fusion (Fig. 4). The first packet is
 // returned as is.
 func AlignToReference(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
-	return alignToReference(packets, ofdm, newDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers))
-}
-
-func alignToReference(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable) []*wireless.CSI {
-	if len(packets) == 0 {
-		return nil
-	}
-	out := make([]*wireless.CSI, len(packets))
-	out[0] = packets[0]
-	for i := 1; i < len(packets); i++ {
-		delta, _ := delayMatch(packets[0], packets[i], tab)
-		out[i] = CompensateDelay(packets[i], delta, ofdm)
-	}
-	return out
+	return alignPackets(packets, ofdm, false)
 }
 
 // AlignAndFilter is the robust variant of AlignToReference used by fusion:
@@ -179,73 +216,122 @@ func alignToReference(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTab
 // becoming the reference, and the filter keeps interfered packets from
 // polluting the fused block.
 func AlignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
-	return alignAndFilter(packets, ofdm, newDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers))
+	return alignPackets(packets, ofdm, true)
 }
 
-// alignAndFilter is AlignAndFilter with the matched filter's phasors taken
-// from tab (an Estimator's, built once) rather than built per call.
-func alignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable) []*wireless.CSI {
+// alignPackets runs the estimator's alignment (alignment.align) on a fresh
+// workspace and returns the kept packets as measurements: the reference as
+// is, every other one a compensated copy.
+func alignPackets(packets []*wireless.CSI, ofdm wireless.OFDM, filter bool) []*wireless.CSI {
+	if len(packets) == 0 {
+		return nil
+	}
+	var al alignment
+	al.align(packets, ofdm, sharedDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers), filter)
+	out := make([]*wireless.CSI, len(al.kept))
+	ml := packets[0].NumAntennas * packets[0].NumSubcarriers
+	for c, j := range al.kept {
+		if j == al.ref {
+			out[c] = packets[j]
+		} else {
+			out[c] = unstack(al.stack[j*ml:(j+1)*ml], packets[j], al.applied[j])
+		}
+	}
+	return out
+}
+
+// alignment is the delay-alignment stage of a link estimate and its scratch,
+// kept in the estimator's pooled link workspace so that a warm estimate
+// allocates none of it. align leaves every packet's delay-compensated
+// stacked vector in stack, packet by packet, and the packets fusion keeps,
+// in burst order, in kept.
+type alignment struct {
+	stack   []complex128 // n stacked vectors of M*L, packet-major
+	applied []float64    // the delay each packet was compensated by
+	ref     int          // the reference packet, stacked as is
+	kept    []int
+
+	scores, deltas []float64 // n x n pairwise matched-filter results
+	keep           []bool
+	sorted         []float64 // descending-order scratch
+	ms             []float64 // each packet's correlation with the mean
+	mean           []complex128
+}
+
+// align compensates every packet's detection delay onto a reference and,
+// with filter set and more than two packets, picks the reference by
+// consensus and drops outliers (AlignAndFilter); otherwise the first packet
+// is the reference and every packet is kept (AlignToReference). packets
+// must be non-empty and share one shape.
+func (al *alignment) align(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable, filter bool) {
 	n := len(packets)
-	if n <= 2 {
-		return alignToReference(packets, ofdm, tab)
+	ml := packets[0].NumAntennas * packets[0].NumSubcarriers
+	al.stack = grow(al.stack, n*ml)
+	al.applied = grow(al.applied, n)
+	al.kept = al.kept[:0]
+	if !filter || n <= 2 {
+		al.ref = 0
+		al.applied[0] = 0
+		packets[0].StackInto(al.stack[:ml])
+		al.kept = append(al.kept, 0)
+		for i := 1; i < n; i++ {
+			delta, _ := delayMatch(packets[0], packets[i], tab)
+			al.applied[i] = delta
+			compensateInto(al.stack[i*ml:(i+1)*ml], packets[i], delta, ofdm)
+			al.kept = append(al.kept, i)
+		}
+		return
 	}
 	// Pairwise correlation scores (symmetric up to noise; compute one side).
-	scores := make([][]float64, n)
-	deltas := make([][]float64, n)
-	for i := range scores {
-		scores[i] = make([]float64, n)
-		deltas[i] = make([]float64, n)
-	}
+	al.scores, al.deltas = grow(al.scores, n*n), grow(al.deltas, n*n)
+	scores, deltas := al.scores, al.deltas
 	for i := 0; i < n; i++ {
+		scores[i*n+i], deltas[i*n+i] = 0, 0
 		for j := i + 1; j < n; j++ {
 			d, s := delayMatch(packets[i], packets[j], tab)
-			scores[i][j], scores[j][i] = s, s
-			deltas[i][j], deltas[j][i] = d, -d
+			scores[i*n+j], scores[j*n+i] = s, s
+			deltas[i*n+j], deltas[j*n+i] = d, -d
 		}
 	}
 	ref, best := 0, -1.0
 	for i := 0; i < n; i++ {
 		var total float64
-		for j := 0; j < n; j++ {
-			total += scores[i][j]
+		for _, s := range scores[i*n : (i+1)*n] {
+			total += s
 		}
 		if total > best {
 			ref, best = i, total
 		}
 	}
+	al.ref = ref
+	refScores, refDeltas := scores[ref*n:(ref+1)*n], deltas[ref*n:(ref+1)*n]
 	// The outlier bar anchors on the strongest correlations to the
 	// reference: those pairs are clean-clean with high probability even
 	// when interfered packets are the majority (interference is independent
 	// per packet, so an interfered packet correlates poorly with everyone).
-	toRef := make([]float64, 0, n-1)
+	toRef := al.sorted[:0]
 	for j := 0; j < n; j++ {
 		if j != ref {
-			toRef = append(toRef, scores[ref][j])
+			toRef = append(toRef, refScores[j])
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(toRef)))
-	top := (len(toRef) + 2) / 3
-	var topMean float64
-	for _, v := range toRef[:top] {
-		topMean += v
-	}
-	topMean /= float64(top)
-	bar := 0.75 * topMean
+	al.sorted = toRef
+	bar := 0.75 * topMean(toRef, (len(toRef)+2)/3)
 
-	aligned := make([]*wireless.CSI, n)
 	for j := 0; j < n; j++ {
+		v := al.stack[j*ml : (j+1)*ml]
 		if j == ref {
-			aligned[j] = packets[j]
+			al.applied[j] = 0
+			packets[j].StackInto(v)
 		} else {
-			aligned[j] = CompensateDelay(packets[j], deltas[ref][j], ofdm)
+			al.applied[j] = refDeltas[j]
+			compensateInto(v, packets[j], refDeltas[j], ofdm)
 		}
 	}
-	keep := make([]bool, n)
-	keep[ref] = true
+	al.keep = grow(al.keep, n)
+	keep := al.keep
 	for j := 0; j < n; j++ {
-		if j != ref && scores[ref][j] >= bar {
-			keep[j] = true
-		}
+		keep[j] = j == ref || refScores[j] >= bar
 	}
 
 	// Cycle-consistency vote: a correctly estimated delay triple satisfies
@@ -263,8 +349,8 @@ func alignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable
 				continue
 			}
 			total++
-			want := deltas[ref][k] - deltas[ref][j]
-			if math.Abs(deltas[j][k]-want) < tol {
+			want := refDeltas[k] - refDeltas[j]
+			if math.Abs(deltas[j*n+k]-want) < tol {
 				votes++
 			}
 		}
@@ -276,67 +362,79 @@ func alignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable
 	// Second pass: the mean of the kept packets has a sqrt(P) SNR advantage
 	// over any single packet, so scoring each packet against it separates
 	// clean from interfered packets even deep below 0 dB.
-	mean := meanPacket(aligned, keep)
-	ms := make([]float64, n)
+	al.meanOfKept(n, ml)
+	al.ms = grow(al.ms, n)
+	ms := al.ms
+	m := packets[0].NumAntennas
 	for j := 0; j < n; j++ {
-		ms[j] = packetCorrelation(mean, aligned[j])
+		ms[j] = stackedCorrelation(al.mean, al.stack[j*ml:(j+1)*ml], m)
 	}
-	sorted := append([]float64(nil), ms...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	top2 := (n + 2) / 3
-	var topMean2 float64
-	for _, v := range sorted[:top2] {
-		topMean2 += v
-	}
-	topMean2 /= float64(top2)
-	bar2 := 0.8 * topMean2
+	al.sorted = append(al.sorted[:0], ms...)
+	bar2 := 0.8 * topMean(al.sorted, (n+2)/3)
 
-	out := make([]*wireless.CSI, 0, n)
 	for j := 0; j < n; j++ {
 		if ms[j] >= bar2 {
-			out = append(out, aligned[j])
+			al.kept = append(al.kept, j)
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, aligned[ref])
+	if len(al.kept) == 0 {
+		al.kept = append(al.kept, ref)
 	}
-	return out
 }
 
-// meanPacket averages the kept aligned packets element-wise.
-func meanPacket(packets []*wireless.CSI, keep []bool) *wireless.CSI {
-	mean := wireless.NewCSI(packets[0].NumAntennas, packets[0].NumSubcarriers)
+// topMean sorts v in descending order and returns the mean of its first top
+// values. The order is that of sort.Sort(sort.Reverse(sort.Float64Slice(v)))
+// (pdqsort consults a comparison only as cmp(a, b) < 0, and NaNs sort last),
+// so the sum adds the same values in the same order.
+func topMean(v []float64, top int) float64 {
+	slices.SortFunc(v, func(a, b float64) int {
+		if b < a || (math.IsNaN(b) && !math.IsNaN(a)) {
+			return -1
+		}
+		return 1
+	})
+	var sum float64
+	for _, x := range v[:top] {
+		sum += x
+	}
+	return sum / float64(top)
+}
+
+// meanOfKept averages the kept packets' stacked vectors element-wise into
+// al.mean.
+func (al *alignment) meanOfKept(n, ml int) {
+	al.mean = grow(al.mean, ml)
+	mean := al.mean
+	clear(mean)
 	count := 0
-	for j, p := range packets {
-		if keep != nil && !keep[j] {
+	for j := 0; j < n; j++ {
+		if !al.keep[j] {
 			continue
 		}
-		for m := range p.Data {
-			for l, v := range p.Data[m] {
-				mean.Data[m][l] += v
-			}
+		for i, v := range al.stack[j*ml : (j+1)*ml] {
+			mean[i] += v
 		}
 		count++
 	}
 	if count > 0 {
 		inv := complex(1/float64(count), 0)
-		for m := range mean.Data {
-			for l := range mean.Data[m] {
-				mean.Data[m][l] *= inv
-			}
+		for i := range mean {
+			mean[i] *= inv
 		}
 	}
-	return mean
 }
 
-// packetCorrelation is the normalized inner-product magnitude between two
-// aligned measurements.
-func packetCorrelation(a, b *wireless.CSI) float64 {
+// stackedCorrelation is the normalized inner-product magnitude between two
+// aligned measurements given as stacked vectors of m antennas per
+// subcarrier, with the sums taken antenna by antenna, subcarrier by
+// subcarrier within each antenna.
+func stackedCorrelation(a, b []complex128, m int) float64 {
 	var dot complex128
 	var na, nb float64
-	for m := range a.Data {
-		for l := range a.Data[m] {
-			va, vb := a.Data[m][l], b.Data[m][l]
+	l := len(a) / m
+	for ant := 0; ant < m; ant++ {
+		for sc := 0; sc < l; sc++ {
+			va, vb := a[sc*m+ant], b[sc*m+ant]
 			dot += va * cmplx.Conj(vb)
 			na += real(va)*real(va) + imag(va)*imag(va)
 			nb += real(vb)*real(vb) + imag(vb)*imag(vb)
@@ -347,4 +445,13 @@ func packetCorrelation(a, b *wireless.CSI) float64 {
 		return 0
 	}
 	return cmplx.Abs(dot) / den
+}
+
+// grow returns b resliced to length n, reallocated when its capacity is
+// short. The contents are unspecified.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }

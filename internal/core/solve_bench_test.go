@@ -25,6 +25,31 @@ func smokeServingConfig() Config {
 	}
 }
 
+// smokeBursts returns count seeded bursts of the given packet count at the
+// smoke serving shape: two paths, 15 dB SNR, up to 100 ns detection delay.
+func smokeBursts(tb testing.TB, cfg Config, count, packets int) [][]*wireless.CSI {
+	tb.Helper()
+	cc := &wireless.ChannelConfig{
+		Array: cfg.Array, OFDM: cfg.OFDM,
+		Paths: []wireless.Path{
+			{AoADeg: 70, ToA: 40e-9, Gain: 1},
+			{AoADeg: 130, ToA: 150e-9, Gain: 0.5},
+		},
+		SNRdB:             15,
+		MaxDetectionDelay: 100e-9,
+	}
+	var bursts [][]*wireless.CSI
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < count; i++ {
+		burst, err := wireless.GenerateBurst(cc, packets, rng)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bursts = append(bursts, burst)
+	}
+	return bursts
+}
+
 // BenchmarkEstimateDirectAoASmoke measures one warm single-link estimate at
 // the smoke serving shape: a 2-packet burst through alignment, l1-SVD
 // fusion, the joint solve and direct-path selection, with allocations
@@ -38,30 +63,49 @@ func BenchmarkEstimateDirectAoASmoke(b *testing.B) {
 	if err := est.Warmup(); err != nil {
 		b.Fatal(err)
 	}
-	cc := &wireless.ChannelConfig{
-		Array: cfg.Array, OFDM: cfg.OFDM,
-		Paths: []wireless.Path{
-			{AoADeg: 70, ToA: 40e-9, Gain: 1},
-			{AoADeg: 130, ToA: 150e-9, Gain: 0.5},
-		},
-		SNRdB:             15,
-		MaxDetectionDelay: 100e-9,
-	}
-	var bursts [][]*wireless.CSI
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 8; i++ {
-		burst, err := wireless.GenerateBurst(cc, 2, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bursts = append(bursts, burst)
-	}
+	bursts := smokeBursts(b, cfg, 8, 2)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := est.EstimateDirectAoA(ctx, bursts[i%len(bursts)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWarmEstimateDirectAoAAllocatesNothing: once the estimator's link
+// workspace pool is warm, a single-link estimate at the smoke serving shape
+// allocates nothing — its outputs (the peak and the SolveInfo) are values,
+// and every intermediate from the stacked CSI to the peak list lives in the
+// pooled workspace. The serving shape's 2-packet bursts are checked, and
+// 5-packet bursts, which take the outlier filter's path through alignment.
+func TestWarmEstimateDirectAoAAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled workspaces at random under -race")
+	}
+	cfg := smokeServingConfig()
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, packets := range []int{2, 5} {
+		bursts := smokeBursts(t, cfg, 8, packets)
+		for _, burst := range bursts { // warm the pool
+			if _, _, err := est.EstimateDirectAoA(ctx, burst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := est.EstimateDirectAoA(ctx, bursts[i%len(bursts)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 0 {
+			t.Errorf("%d-packet bursts: %.1f allocations per warm link estimate, want 0", packets, allocs)
 		}
 	}
 }

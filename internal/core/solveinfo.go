@@ -31,10 +31,7 @@ type SolveInfo struct {
 
 // solveInfoFor condenses a solver result plus the fallback stage that
 // produced it into the wire-facing summary.
-func solveInfoFor(res *sparse.Result, stage string) SolveInfo {
-	if res == nil {
-		return SolveInfo{Fallback: stage}
-	}
+func solveInfoFor(res sparse.Result, stage string) SolveInfo {
 	return SolveInfo{
 		Solver:     res.Solver,
 		Iterations: res.Iterations,

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"roarray/internal/obs"
 )
 
 // Window mode on the same index lattice: a window covering the whole room
@@ -329,5 +331,48 @@ func TestLocalizeBatchItemsMixed(t *testing.T) {
 	requireSameBits(t, "batch tracked slot", outs[1].Track.Fix.Position, serialB.Fix.Position)
 	if outs[1].Track.Track != serialB.Track {
 		t.Fatalf("batch tracked filter outcome diverged: %+v vs %+v", outs[1].Track.Track, serialB.Track)
+	}
+}
+
+// TestTrackFallbackCauseCounters: every tracked fallback names its cause,
+// and the per-cause counters core.track.fallback_gate_total and
+// core.track.fallback_edge_total sum to core.track.fallback_total. A walk
+// that settles and then teleports across the room produces at least one
+// gate rejection.
+func TestTrackFallbackCauseCounters(t *testing.T) {
+	cfg := engineTestEstimator(t).Config()
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(est, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := append(engineTestRequests(t, 4, 3, 7300), engineTestRequests(t, 4, 3, 9911)[3])
+	tr, _ := NewTracker(0, 0, 0)
+	causes := map[string]int64{}
+	for i, req := range reqs {
+		res, err := eng.LocalizeTracked(context.Background(), req, tr, float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallback != (res.FallbackCause != "") {
+			t.Fatalf("epoch %d: Fallback %v with cause %q", i, res.Fallback, res.FallbackCause)
+		}
+		if res.Fallback {
+			causes[res.FallbackCause]++
+		}
+	}
+	total := reg.Counter("core.track.fallback_total").Value()
+	gate := reg.Counter("core.track.fallback_gate_total").Value()
+	edge := reg.Counter("core.track.fallback_edge_total").Value()
+	if gate+edge != total || gate != causes["gate"] || edge != causes["edge"] || len(causes) > 2 {
+		t.Fatalf("fallback counters gate %d + edge %d vs total %d; results %v", gate, edge, total, causes)
+	}
+	if gate == 0 {
+		t.Fatalf("the cross-room jump produced no gate rejection (results %v)", causes)
 	}
 }

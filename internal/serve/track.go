@@ -70,12 +70,14 @@ type TrackResponse struct {
 	NIS      float64 `json:"nis"`
 	GateMiss bool    `json:"gateMiss,omitempty"`
 	// Windowed reports the fix came from the prediction-shrunk window
-	// search; Fallback that a windowed attempt was rejected (gate or edge)
-	// and the full search re-ran; Reacquired that the filter re-anchored
-	// after consecutive gate misses.
-	Windowed   bool `json:"windowed,omitempty"`
-	Fallback   bool `json:"fallback,omitempty"`
-	Reacquired bool `json:"reacquired,omitempty"`
+	// search; Fallback that a windowed attempt was rejected and the full
+	// search re-ran, with FallbackCause "gate" (the attempt failed the NIS
+	// gate) or "edge" (its argmin sat on the window edge); Reacquired that
+	// the filter re-anchored after consecutive gate misses.
+	Windowed      bool   `json:"windowed,omitempty"`
+	Fallback      bool   `json:"fallback,omitempty"`
+	FallbackCause string `json:"fallbackCause,omitempty"`
+	Reacquired    bool   `json:"reacquired,omitempty"`
 	// SearchMode and CellsEvaluated describe the accepted search
 	// ("window" with a small cell count when the shrinkage engaged).
 	SearchMode     string `json:"searchMode"`
@@ -203,6 +205,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		GateMiss:       tr.Track.GateMiss,
 		Windowed:       tr.Windowed,
 		Fallback:       tr.Fallback,
+		FallbackCause:  tr.FallbackCause,
 		Reacquired:     tr.Track.Reacquired,
 		SearchMode:     tr.Fix.Search.Mode,
 		CellsEvaluated: tr.Fix.Search.Evaluated(),

@@ -27,7 +27,7 @@ import (
 // Under WithGapStop the objective of z is evaluated each iteration from a
 // product with z's nonzero rows, and the solve stops once the relative gap is
 // at most eps.
-func (s *Solver) solveADMM(ws *workspace, y *cmat.Matrix, kappa float64) *Result {
+func (s *Solver) solveADMM(ws *workspace, y *cmat.Matrix, kappa float64) Result {
 	n := s.cols
 	k := y.Cols()
 	rho := s.opts.rho

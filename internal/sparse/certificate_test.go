@@ -70,8 +70,9 @@ func certProblems(seeds int) []certProblem {
 	return out
 }
 
-// hashResult folds every bit of a solve's outcome into h.
-func hashResult(h hash.Hash, r *Result) {
+// hashResult folds every bit of a solve's outcome into h: the result and
+// its final iterate x, one column per snapshot (see solveIterate).
+func hashResult(h hash.Hash, r *Result, x [][]complex128) {
 	var b [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(b[:], u)
@@ -91,12 +92,33 @@ func hashResult(h hash.Hash, r *Result) {
 	for _, v := range r.RowMags {
 		put(math.Float64bits(v))
 	}
-	for _, col := range r.X {
+	for _, col := range x {
 		for _, v := range col {
 			put(math.Float64bits(real(v)))
 			put(math.Float64bits(imag(v)))
 		}
 	}
+}
+
+// solveIterate runs the solve path of SolveMulti (or, when scaled, of
+// SolveMultiRatio with w as the ratio) and also returns the final iterate,
+// one column per snapshot: the coefficients Result does not carry, which the
+// bitwise checks still compare.
+func solveIterate(s *Solver, y *cmat.Matrix, w float64, scaled bool) (*Result, [][]complex128, error) {
+	var x [][]complex128
+	res, err := s.solve(y, w, scaled, nil, func(z *cmat.Matrix) { x = matToColumns(z) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return &res, x, nil
+}
+
+func matToColumns(x *cmat.Matrix) [][]complex128 {
+	out := make([][]complex128, x.Cols())
+	for j := 0; j < x.Cols(); j++ {
+		out[j] = x.Col(j)
+	}
+	return out
 }
 
 // coldSolveDigest pins the bits of every cold solve that declares no early
@@ -120,11 +142,11 @@ func TestColdSolveDigest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := s.SolveMulti(p.y, p.kappa)
+				r, x, err := solveIterate(s, p.y, p.kappa, false)
 				if err != nil {
 					t.Fatalf("%s %v: %v", p.name, method, err)
 				}
-				hashResult(h, r)
+				hashResult(h, r, x)
 			}
 		}
 	}

@@ -155,11 +155,10 @@ type Result struct {
 	// "fista"), so telemetry consumers don't have to thread the
 	// configured Method alongside every result.
 	Solver string
-	// X holds the recovered coefficients, one column per snapshot
-	// (a single column for ordinary LASSO).
-	X [][]complex128
 	// RowMags holds per-atom magnitudes aggregated across snapshots
 	// (the l2 norm of each coefficient row); this is the sparse spectrum.
+	// The coefficients themselves are not returned: every consumer reads
+	// only this spectrum.
 	RowMags []float64
 	// Iterations actually performed.
 	Iterations int

@@ -207,12 +207,16 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // SolveMulti recovers jointly sparse coefficients for multiple snapshots
 // (columns of y), minimizing 1/2||AX-Y||_F^2 + kappa * sum_i ||X_i,:||_2 —
 // the l2,1 group-sparse program of l1-SVD fusion. With a single column it
-// reduces exactly to Solve.
+// reduces exactly to Solve. The result's RowMags is freshly allocated.
 func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
 	if err := checkKappa(kappa); err != nil {
 		return nil, err
 	}
-	return s.solve(y, kappa, false)
+	res, err := s.solve(y, kappa, false, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // SolveMultiRatio is SolveMulti with the data-scaled sparsity weight
@@ -221,18 +225,26 @@ func (s *Solver) SolveMulti(y *cmat.Matrix, kappa float64) (*Result, error) {
 // for the weight and as the ADMM iteration's constant term, so the weight
 // costs no extra product with the dictionary. The result is bit-identical to
 // SolveMulti at that kappa.
-func (s *Solver) SolveMultiRatio(y *cmat.Matrix, ratio float64) (*Result, error) {
+//
+// It is the serving entry point, so it allocates nothing once the solver's
+// pool is warm: the Result comes back by value, and its RowMags is written
+// into mags, whose storage is reused when its capacity covers the
+// dictionary's columns (pass the previous RowMags back in).
+func (s *Solver) SolveMultiRatio(y *cmat.Matrix, ratio float64, mags []float64) (Result, error) {
 	if ratio < 0 || !isFinite(ratio) {
-		return nil, fmt.Errorf("sparse: kappa ratio must be nonnegative and finite, got %v", ratio)
+		return Result{}, fmt.Errorf("sparse: kappa ratio must be nonnegative and finite, got %v", ratio)
 	}
-	return s.solve(y, ratio, true)
+	return s.solve(y, ratio, true, mags, nil)
 }
 
 // solve runs the configured method on y in a pooled workspace, with weight
-// w as kappa itself or, when scaled, as the ratio of SolveMultiRatio.
-func (s *Solver) solve(y *cmat.Matrix, w float64, scaled bool) (*Result, error) {
+// w as kappa itself or, when scaled, as the ratio of SolveMultiRatio. The
+// row magnitudes are copied into mags (reusing its storage) and, when final
+// is non-nil, it is handed the final iterate before the workspace goes back
+// to the pool; tests read the coefficients through it.
+func (s *Solver) solve(y *cmat.Matrix, w float64, scaled bool, mags []float64, final func(x *cmat.Matrix)) (Result, error) {
 	if err := s.checkMeasurement(y); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	ws := s.takeWorkspace(y.Cols())
 	defer s.pool.Put(ws)
@@ -244,13 +256,21 @@ func (s *Solver) solve(y *cmat.Matrix, w float64, scaled bool) (*Result, error) 
 	if scaled {
 		kappa = w * maxRowNorm(&ws.aty)
 		if err := checkKappa(kappa); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
+	var res Result
 	if admm {
-		return s.solveADMM(ws, y, kappa), nil
+		res = s.solveADMM(ws, y, kappa)
+	} else {
+		res = s.solveFISTA(ws, y, kappa)
 	}
-	return s.solveFISTA(ws, y, kappa), nil
+	// Both methods leave their final iterate in ws.z.
+	if final != nil {
+		final(&ws.z)
+	}
+	res.RowMags = append(mags[:0], ws.mags...)
+	return res, nil
 }
 
 // mulHInto computes out = Aᴴ y: through the Kronecker factors when the
@@ -317,7 +337,7 @@ func (s *Solver) objective(x, y *cmat.Matrix, kappa float64, ax *cmat.Matrix, ks
 // to dual feasibility. Under WithGapStop the objective of the new iterate is
 // evaluated each iteration from a product with its nonzero rows, and the
 // solve stops once the relative gap is at most eps.
-func (s *Solver) solveFISTA(ws *workspace, y *cmat.Matrix, kappa float64) *Result {
+func (s *Solver) solveFISTA(ws *workspace, y *cmat.Matrix, kappa float64) Result {
 	n := s.cols
 	k := y.Cols()
 	step := 1 / s.lip
@@ -400,15 +420,13 @@ func (s *Solver) solveFISTA(ws *workspace, y *cmat.Matrix, kappa float64) *Resul
 }
 
 // result builds a solve's Result from its final iterate x, which lives in
-// ws: X and RowMags are fresh copies, so nothing the caller keeps aliases the
-// pooled workspace. The objective is formed in ws.av, and the certificate's
-// grown nonzero-row list is handed back to ws for the next solve.
-func (s *Solver) result(ws *workspace, x, y *cmat.Matrix, kappa float64, iters int, converged, early bool, cert *gapCert) *Result {
+// ws, with x's row magnitudes left in ws.mags for solve to copy out. The
+// objective is formed in ws.av, and the certificate's grown nonzero-row list
+// is handed back to ws for the next solve.
+func (s *Solver) result(ws *workspace, x, y *cmat.Matrix, kappa float64, iters int, converged, early bool, cert *gapCert) Result {
 	rowMagsInto(x, ws.mags)
-	res := &Result{
+	res := Result{
 		Solver:       s.opts.method.String(),
-		X:            matToColumns(x),
-		RowMags:      append([]float64(nil), ws.mags...),
 		Iterations:   iters,
 		Converged:    converged,
 		EarlyStopped: early,
@@ -416,14 +434,6 @@ func (s *Solver) result(ws *workspace, x, y *cmat.Matrix, kappa float64, iters i
 	}
 	res.Gap = cert.gap(res.Objective)
 	ws.nz = cert.nz[:0]
-	s.tele.record(res)
+	s.tele.record(&res)
 	return res
-}
-
-func matToColumns(x *cmat.Matrix) [][]complex128 {
-	out := make([][]complex128, x.Cols())
-	for j := 0; j < x.Cols(); j++ {
-		out[j] = x.Col(j)
-	}
-	return out
 }

@@ -18,7 +18,7 @@ import (
 // atw = Aᴴ(rho I + AAᴴ)⁻¹A v: the dense Cholesky route, or the per-column
 // Kronecker kernel (see referenceRidge); the matvecs outside the loop follow
 // the solver's path.
-func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *cmat.Matrix)) *Result {
+func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *cmat.Matrix)) (*Result, [][]complex128) {
 	n, m, k := s.cols, s.rows, y.Cols()
 	rho := s.opts.rho
 	x, z, u, zOld, v := cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k), cmat.New(n, k)
@@ -122,10 +122,10 @@ func admmMultiPass(s *Solver, y *cmat.Matrix, kappa float64, ridge func(v, atw *
 	}
 	obj := 0.5*fit*fit + kappa*l1
 	return &Result{
-		Solver: s.opts.method.String(), X: matToColumns(z), RowMags: mags,
+		Solver: s.opts.method.String(), RowMags: mags,
 		Iterations: iters, Converged: converged, EarlyStopped: early,
 		Objective: obj, Gap: cert.gap(obj),
-	}
+	}, matToColumns(z)
 }
 
 // referenceRidge returns the ridge step admmMultiPass runs for a k-column
@@ -212,7 +212,9 @@ func requireComplexBits(t *testing.T, what string, got, want complex128) {
 	}
 }
 
-func requireResultBits(t *testing.T, got, want *Result) {
+// requireResultBits requires two results and their final iterates (one
+// column per snapshot) to agree bit for bit, every coefficient included.
+func requireResultBits(t *testing.T, got *Result, gotX [][]complex128, want *Result, wantX [][]complex128) {
 	t.Helper()
 	if got.Iterations != want.Iterations || got.Converged != want.Converged || got.EarlyStopped != want.EarlyStopped ||
 		got.Solver != want.Solver {
@@ -225,9 +227,15 @@ func requireResultBits(t *testing.T, got, want *Result) {
 	for i := range want.RowMags {
 		requireFloatBits(t, "RowMags", got.RowMags[i], want.RowMags[i])
 	}
-	for c := range want.X {
-		for i := range want.X[c] {
-			requireComplexBits(t, "X", got.X[c][i], want.X[c][i])
+	if len(gotX) != len(wantX) {
+		t.Fatalf("X has %d columns, want %d", len(gotX), len(wantX))
+	}
+	for c := range wantX {
+		if len(gotX[c]) != len(wantX[c]) {
+			t.Fatalf("X column %d has %d coefficients, want %d", c, len(gotX[c]), len(wantX[c]))
+		}
+		for i := range wantX[c] {
+			requireComplexBits(t, "X", gotX[c][i], wantX[c][i])
 		}
 	}
 }
@@ -351,13 +359,13 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 				for p, y := range ys {
 					hookGot, hookWant = hookGot[:0], hookWant[:0]
 					kappa := 0.05 * kappaScale(arm.a, y)
-					got, err := fused.SolveMulti(y, kappa)
+					got, gotX, err := solveIterate(fused, y, kappa, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := admmMultiPass(ref, y, kappa, ridge)
+					want, wantX := admmMultiPass(ref, y, kappa, ridge)
 					t.Run(fmt.Sprintf("%s/k%d/weighted=%v/packet%d", cfg.name, k, arm.a != plain.a, p), func(t *testing.T) {
-						requireResultBits(t, got, want)
+						requireResultBits(t, got, gotX, want, wantX)
 						if len(hookGot) != len(hookWant) || len(hookWant) != want.Iterations {
 							t.Fatalf("hook calls %d, want %d", len(hookGot), len(hookWant))
 						}

@@ -10,11 +10,12 @@ import "roarray/internal/cmat"
 // as the gradient Aᴴ(Aw - Y) and av as the residual Aw - Y.
 //
 // Each Solver keeps its workspaces in a sync.Pool. A solve takes one for its
-// whole duration and returns it once the result has been copied out, so no
-// two concurrent solves ever share one and nothing a caller keeps (Result.X,
-// Result.RowMags) aliases one. A workspace is re-shaped for each solve's
-// snapshot count k over buffers that only grow, so a warm solve allocates
-// nothing but its result.
+// whole duration and returns it once the row magnitudes have been copied into
+// the caller's Result.RowMags, so no two concurrent solves ever share one and
+// nothing a caller keeps aliases one. A workspace is re-shaped for each
+// solve's snapshot count k over buffers that only grow, so a warm solve
+// allocates nothing but its result (and nothing at all through
+// SolveMultiRatio handed a RowMags buffer to reuse).
 type workspace struct {
 	z, u, v, atw, aty cmat.Matrix  // n x k
 	av, w             cmat.Matrix  // m x k; w only on the dense ADMM path

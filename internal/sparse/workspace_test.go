@@ -49,9 +49,10 @@ func servingSolver(t testing.TB, method Method, g, s, dense *cmat.Matrix) *Solve
 }
 
 // TestWarmKronSolveAllocatesOnlyOutputs: once its pooled workspace is warm,
-// a serving-shape Kronecker solve allocates only what it returns — the
-// Result, X's column slice and its k columns, and RowMags — for ADMM and
-// FISTA at k = 1 and 3, through SolveMulti and SolveMultiRatio alike.
+// a serving-shape Kronecker solve allocates only what it returns. Through
+// SolveMulti that is the Result and its RowMags (2); through
+// SolveMultiRatio, handed back its previous RowMags, nothing at all. Both
+// are checked for ADMM and FISTA at k = 1 and 3.
 func TestWarmKronSolveAllocatesOnlyOutputs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled workspaces at random under -race")
@@ -61,35 +62,44 @@ func TestWarmKronSolveAllocatesOnlyOutputs(t *testing.T) {
 		sv := servingSolver(t, method, g, s, dense)
 		for _, y := range []*cmat.Matrix{ys[0], ys[2]} {
 			k := y.Cols()
-			ceiling := float64(3 + k)
 			kappa := 0.25 * kappaScale(dense, y)
+			var mags []float64
 			for _, entry := range []struct {
-				name  string
-				solve func() (*Result, error)
+				name    string
+				ceiling float64
+				solve   func() error
 			}{
-				{"SolveMulti", func() (*Result, error) { return sv.SolveMulti(y, kappa) }},
-				{"SolveMultiRatio", func() (*Result, error) { return sv.SolveMultiRatio(y, 0.25) }},
+				{"SolveMulti", 2, func() error {
+					_, err := sv.SolveMulti(y, kappa)
+					return err
+				}},
+				{"SolveMultiRatio", 0, func() error {
+					res, err := sv.SolveMultiRatio(y, 0.25, mags)
+					mags = res.RowMags
+					return err
+				}},
 			} {
-				if _, err := entry.solve(); err != nil { // warm the pool
+				if err := entry.solve(); err != nil { // warm the pool
 					t.Fatal(err)
 				}
 				allocs := testing.AllocsPerRun(20, func() {
-					if _, err := entry.solve(); err != nil {
+					if err := entry.solve(); err != nil {
 						t.Fatal(err)
 					}
 				})
-				if allocs > ceiling {
-					t.Errorf("%v k=%d %s: %.1f allocations per warm solve, ceiling %.0f", method, k, entry.name, allocs, ceiling)
+				if allocs > entry.ceiling {
+					t.Errorf("%v k=%d %s: %.1f allocations per warm solve, ceiling %.0f", method, k, entry.name, allocs, entry.ceiling)
 				}
 			}
 		}
 	}
 }
 
-// resultDigest hashes every bit of a result (see hashResult).
-func resultDigest(r *Result) string {
+// resultDigest hashes every bit of a result and its final iterate (see
+// hashResult).
+func resultDigest(r *Result, x [][]complex128) string {
 	h := sha256.New()
-	hashResult(h, r)
+	hashResult(h, r, x)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -104,11 +114,11 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 		ref := servingSolver(t, method, g, s, dense)
 		want := make([]string, len(ys))
 		for p, y := range ys {
-			r, err := ref.SolveMultiRatio(y, 0.25)
+			r, x, err := solveIterate(ref, y, 0.25, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[p] = resultDigest(r)
+			want[p] = resultDigest(r, x)
 		}
 		shared := servingSolver(t, method, g, s, dense)
 		var wg sync.WaitGroup
@@ -119,12 +129,12 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 				defer wg.Done()
 				for i := range ys {
 					p := (gr*5 + i) % len(ys)
-					r, err := shared.SolveMultiRatio(ys[p], 0.25)
+					r, x, err := solveIterate(shared, ys[p], 0.25, true)
 					if err != nil {
 						errs <- err.Error()
 						return
 					}
-					if got := resultDigest(r); got != want[p] {
+					if got := resultDigest(r, x); got != want[p] {
 						errs <- fmt.Sprintf("%v goroutine %d problem %d (k=%d): result differs from the serial solve", method, gr, p, ys[p].Cols())
 						return
 					}
@@ -155,6 +165,7 @@ func TestSolveMultiRatioMatchesSolveMulti(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var mags []float64
 			for p, y := range ys {
 				var aty *cmat.Matrix
 				if kron {
@@ -174,16 +185,30 @@ func TestSolveMultiRatioMatchesSolveMulti(t *testing.T) {
 						mx = n2
 					}
 				}
-				want, err := sv.SolveMulti(y, 0.25*math.Sqrt(mx))
+				want, wantX, err := solveIterate(sv, y, 0.25*math.Sqrt(mx), false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sv.SolveMultiRatio(y, 0.25)
+				got, gotX, err := solveIterate(sv, y, 0.25, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resultDigest(got) != resultDigest(want) {
+				if resultDigest(got, gotX) != resultDigest(want, wantX) {
 					t.Fatalf("kron=%v %v problem %d: SolveMultiRatio differs from SolveMulti", kron, method, p)
+				}
+				// The public entry points return the same results, the
+				// ratio path into a reused RowMags buffer.
+				pubWant, err := sv.SolveMulti(y, 0.25*math.Sqrt(mx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pubGot, err := sv.SolveMultiRatio(y, 0.25, mags)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mags = pubGot.RowMags
+				if resultDigest(&pubGot, nil) != resultDigest(want, nil) || resultDigest(pubWant, nil) != resultDigest(want, nil) {
+					t.Fatalf("kron=%v %v problem %d: public entry points differ from the solve path", kron, method, p)
 				}
 			}
 		}
@@ -196,16 +221,16 @@ func TestSolveMultiRatioRejects(t *testing.T) {
 	g, s, dense, ys := servingProblems(1)
 	sv := servingSolver(t, MethodADMM, g, s, dense)
 	for _, ratio := range []float64{-0.1, math.NaN(), math.Inf(1)} {
-		if _, err := sv.SolveMultiRatio(ys[0], ratio); err == nil {
+		if _, err := sv.SolveMultiRatio(ys[0], ratio, nil); err == nil {
 			t.Errorf("ratio %v accepted", ratio)
 		}
 	}
 	bad := ys[0].Clone()
 	bad.Set(0, 0, complex(math.NaN(), 0))
-	if _, err := sv.SolveMultiRatio(bad, 0.25); err == nil {
+	if _, err := sv.SolveMultiRatio(bad, 0.25, nil); err == nil {
 		t.Error("non-finite measurement accepted")
 	}
-	if _, err := sv.SolveMultiRatio(cmat.New(dense.Rows()+1, 1), 0.25); err == nil {
+	if _, err := sv.SolveMultiRatio(cmat.New(dense.Rows()+1, 1), 0.25, nil); err == nil {
 		t.Error("mis-shaped measurement accepted")
 	}
 }

@@ -215,3 +215,48 @@ func TestPropPeaksInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSpectrum2DReuse: one pooled destination spectrum and one peak slice,
+// reused across random surfaces of shrinking and growing shape, give
+// exactly what a fresh destination and the allocating Peaks give, and a
+// Clone keeps its values when its source is overwritten.
+func TestSpectrum2DReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var smooth Spectrum2D
+	var peaks []Peak
+	for _, shape := range [][2]int{{19, 8}, {5, 3}, {31, 12}, {19, 8}} {
+		theta, tau := UniformGrid(0, 180, shape[0]), UniformGrid(0, 1e-6, shape[1])
+		var s Spectrum2D
+		s.Reset(theta, tau)
+		for _, row := range s.Power {
+			for j := range row {
+				row[j] = math.Pow(rng.Float64(), 4)
+			}
+		}
+		want := new(Spectrum2D)
+		s.Smooth3x3Into(want)
+		s.Smooth3x3Into(&smooth)
+		for i := range want.Power {
+			for j, v := range want.Power[i] {
+				if math.Float64bits(smooth.Power[i][j]) != math.Float64bits(v) {
+					t.Fatalf("shape %v: smoothed (%d,%d) = %v, want %v", shape, i, j, smooth.Power[i][j], v)
+				}
+			}
+		}
+		wantPeaks := want.Peaks(0.3)
+		peaks = smooth.PeaksInto(peaks, 0.3)
+		if len(peaks) != len(wantPeaks) {
+			t.Fatalf("shape %v: %d peaks, want %d", shape, len(peaks), len(wantPeaks))
+		}
+		for i, p := range wantPeaks {
+			if peaks[i] != p {
+				t.Fatalf("shape %v: peak %d = %+v, want %+v", shape, i, peaks[i], p)
+			}
+		}
+		c := s.Clone()
+		s.Reset(theta, tau)
+		if c.Max() == 0 || s.Max() != 0 {
+			t.Fatalf("shape %v: Clone shares storage with its source", shape)
+		}
+	}
+}

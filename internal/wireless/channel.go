@@ -55,14 +55,20 @@ func (c *CSI) Clone() *CSI {
 // (antenna-major within each subcarrier).
 func (c *CSI) StackedVector() []complex128 {
 	out := make([]complex128, c.NumAntennas*c.NumSubcarriers)
+	c.StackInto(out)
+	return out
+}
+
+// StackInto writes the stacked vector (see StackedVector) into dst, which
+// must hold M*L entries.
+func (c *CSI) StackInto(dst []complex128) {
 	idx := 0
 	for l := 0; l < c.NumSubcarriers; l++ {
 		for m := 0; m < c.NumAntennas; m++ {
-			out[idx] = c.Data[m][l]
+			dst[idx] = c.Data[m][l]
 			idx++
 		}
 	}
-	return out
 }
 
 // Power returns the mean squared magnitude across all entries.
