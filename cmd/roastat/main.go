@@ -293,8 +293,9 @@ func renderVenues(w io.Writer, s *snapshot) {
 }
 
 // renderTrack prints the /v1/track session surface: epoch outcomes (windowed
-// vs fallback vs re-acquired), session lifecycle counts, and the live-session
-// gauge. The serve.track.* histograms (end-to-end latency and the windowed
+// vs fallback vs re-acquired, with the engine's fallbacks split by cause
+// when the registry carries them), session lifecycle counts, and the
+// live-session gauge. The serve.track.* histograms (end-to-end latency and the windowed
 // cells fraction) render with the other distributions below.
 func renderTrack(w io.Writer, s *snapshot) {
 	if _, ok := s.scalars["serve.track.epochs_total"]; !ok {
@@ -305,6 +306,8 @@ func renderTrack(w io.Writer, s *snapshot) {
 		{"serve.track.epochs_total", "epochs"},
 		{"serve.track.windowed_total", "windowed"},
 		{"serve.track.fallback_total", "fallbacks"},
+		{"core.track.fallback_gate_total", "fallbacks (gate)"},
+		{"core.track.fallback_edge_total", "fallbacks (edge)"},
 		{"serve.track.reacquired_total", "re-acquired"},
 		{"serve.track.rejected_out_of_order_total", "rejected (out of order)"},
 		{"serve.track.rejected_capacity_total", "rejected (capacity)"},

@@ -13,7 +13,8 @@ import (
 )
 
 // testRegistry builds a registry shaped like a live roaserve: RED counters,
-// an e2e latency histogram with an exemplar, and bound SLO gauges.
+// tracking counters with the engine's fallbacks by cause, an e2e latency
+// histogram with an exemplar, and bound SLO gauges.
 func testRegistry(t *testing.T) (*obs.Registry, *obs.SLO) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -22,6 +23,10 @@ func testRegistry(t *testing.T) (*obs.Registry, *obs.SLO) {
 	reg.Counter("serve.failed_total").Add(1)
 	reg.Counter("serve.rejected_queue_full_total").Add(1)
 	reg.Counter("serve.batches_total").Add(4)
+	reg.Counter("serve.track.epochs_total").Add(9)
+	reg.Counter("serve.track.fallback_total").Add(5)
+	reg.Counter("core.track.fallback_gate_total").Add(3)
+	reg.Counter("core.track.fallback_edge_total").Add(2)
 	h := reg.Histogram("serve.e2e.seconds", 0.01, 0.1, 1)
 	h.ObserveExemplar(0.005, "fast-req")
 	h.ObserveExemplar(0.5, "slow-req")
@@ -57,6 +62,10 @@ func TestRenderSnapshotFile(t *testing.T) {
 	for _, want := range []string{
 		"accepted", "12",
 		"rejected 429 (queue full)",
+		"-- tracking --",
+		"fallbacks                  5",
+		"fallbacks (gate)           3",
+		"fallbacks (edge)           2",
 		"serve.e2e.seconds",
 		"slowest occupied bucket <= 1.00s: request slow-req",
 		"SLO: target 99.00%",

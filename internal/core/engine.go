@@ -40,9 +40,7 @@ type Engine struct {
 }
 
 // engineMetrics caches the engine-level metric handles (request counters and
-// the end-to-end localization latency histogram). Per-worker queue-wait
-// gauges are named dynamically in Map and therefore resolved there, but only
-// when a registry is present.
+// the end-to-end localization latency histogram).
 type engineMetrics struct {
 	reg          *obs.Registry
 	requests     *obs.Counter
@@ -66,8 +64,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 
 // NewEngine returns an engine running on the given estimator. workers <= 0
 // selects runtime.GOMAXPROCS(0). The engine inherits the estimator's
-// metrics registry (Config.Metrics): engine-level request counts, latency
-// histograms, and per-worker queue-wait gauges are recorded there.
+// metrics registry (Config.Metrics): engine-level request counts and latency
+// histograms are recorded there.
 func NewEngine(est *Estimator, workers int) (*Engine, error) {
 	if est == nil {
 		return nil, fmt.Errorf("core: engine needs an estimator")
@@ -101,33 +99,14 @@ func (e *Engine) Map(n int, fn func(i int)) {
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	met := e.met
-	for k := 0; k < w; k++ {
+	for range w {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			if met == nil {
-				for i := range idx {
-					fn(i)
-				}
-				return
-			}
-			// Metered path: accumulate the time this worker spends blocked
-			// waiting for work, and publish it as a per-worker gauge when
-			// the fan-out drains. A worker starved by an unbalanced batch
-			// shows up as a high queue-wait relative to its siblings.
-			var wait time.Duration
-			for {
-				t0 := time.Now()
-				i, ok := <-idx
-				wait += time.Since(t0)
-				if !ok {
-					break
-				}
+			for i := range idx {
 				fn(i)
 			}
-			met.reg.Gauge(fmt.Sprintf("engine.queue_wait_ns.w%d", k)).Set(float64(wait.Nanoseconds()))
-		}(k)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i

@@ -25,12 +25,14 @@ import (
 // Counter is a monotonically increasing event count.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n. Safe on a nil receiver (no-op).
-func (c *Counter) Add(n int64) {
+// Add increments the counter by n and returns the new count, so a counter
+// can also number the events it counts. Safe on a nil receiver (a no-op
+// returning 0).
+func (c *Counter) Add(n int64) int64 {
 	if c == nil {
-		return
+		return 0
 	}
-	c.v.Add(n)
+	return c.v.Add(n)
 }
 
 // Inc increments the counter by one. Safe on a nil receiver.

@@ -121,11 +121,9 @@ func (s *Server) flush(batch []*pending) {
 		return
 	}
 	dequeued := time.Now()
-	if s.met != nil {
-		s.met.queueDepth.Set(float64(s.queuedTotal()))
-		for _, p := range batch {
-			s.met.queueWait.Observe(dequeued.Sub(p.enqueued).Seconds())
-		}
+	s.met.queueDepth.Set(float64(s.queuedTotal()))
+	for _, p := range batch {
+		s.met.queueWait.Observe(dequeued.Sub(p.enqueued).Seconds())
 	}
 	var groups [][]*pending
 	idx := make(map[*core.Engine]int, 1)
@@ -147,12 +145,8 @@ func (s *Server) flush(batch []*pending) {
 // Members whose context already died cost almost nothing: the engine rejects
 // them at entry before any estimation work.
 func (s *Server) flushGroup(batch []*pending, dequeued time.Time) {
-	batchID := s.batches.Add(1)
-	s.batched.Add(int64(len(batch)))
-	if s.met != nil {
-		s.met.batches.Inc()
-		s.met.batchSize.Observe(float64(len(batch)))
-	}
+	batchID := s.met.batches.Add(1)
+	s.met.batchSize.Observe(float64(len(batch)))
 	items := make([]core.BatchItem, len(batch))
 	for i, p := range batch {
 		items[i] = core.BatchItem{Req: p.req, Ctx: p.ctx, Tracker: p.tracker, T: p.t}
@@ -172,10 +166,7 @@ func (s *Server) flushGroup(batch []*pending, dequeued time.Time) {
 func (s *Server) localizeBatch(eng *core.Engine, items []core.BatchItem) (outs []core.BatchOutcome) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.panics.Add(1)
-			if s.met != nil {
-				s.met.panics.Inc()
-			}
+			s.met.panics.Inc()
 			outs = make([]core.BatchOutcome, len(items))
 			for i := range outs {
 				outs[i].Err = fmt.Errorf("serve: batch flush panicked: %v", rec)

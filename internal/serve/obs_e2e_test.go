@@ -224,37 +224,118 @@ func TestRequestIDMintedAndSanitized(t *testing.T) {
 	}
 }
 
-// TestRequestEventsOnRejection: client errors and admission rejections
-// answer the same way on /v1/localize and /v1/track — the same status, the
-// same Retry-After advice, and a request-log record with the same outcome
-// taxonomy the inspector filters on — and the SLO observes the rejections
-// but not the client errors.
+// TestRequestEventsOnRejection: every outcome answers the same way on
+// /v1/localize and /v1/track — the same status, the same Retry-After
+// advice, and a request-log record with the same outcome taxonomy the
+// inspector filters on — and moves the request ledger by exactly its own
+// counts: the Stats fields and their serve.* twins, the track rejections,
+// the venue's RED row and the SLO window, which observes 200s, 429s and
+// 5xx but not client errors. A server without Metrics keeps the same
+// ledger in a private registry, so its Stats match a metered one's.
 func TestRequestEventsOnRejection(t *testing.T) {
+	metered := requestLedgerRun(t, obs.NewRegistry())
+	plain := requestLedgerRun(t, nil)
+	if plain != metered {
+		t.Fatalf("Stats without Metrics %+v, metered %+v", plain, metered)
+	}
+}
+
+// ledgerCounts is what one request adds to the request ledger: Stats
+// (Accepted, Completed, Failed, RejectedQueueFull, RejectedDraining,
+// TrackEpochs), the serve.track.rejected_{out_of_order,capacity}_total
+// counters, the hq venue's ok and error counts, and the SLO's requests and
+// good requests.
+type ledgerCounts struct {
+	acc, ok, fail, full, drn, epochs int64
+	seq, cap                         int64
+	vOK, vErr                        int64
+	slo, sloOK                       int64
+}
+
+// add expands c into the exact change it makes to every ledger entry and
+// adds it to into: each Stats count has its serve.* twin, every admitted
+// request rides a batch of its own (BatchSize 1) and lands once in the e2e
+// histogram — and, on /v1/track, in the track one.
+func (c ledgerCounts) add(into map[string]int64, track bool) {
+	fin, trackFin := c.ok+c.fail, int64(0)
+	if track {
+		trackFin = fin
+	}
+	for k, v := range map[string]int64{
+		"Accepted": c.acc, "serve.accepted_total": c.acc,
+		"Completed": c.ok, "serve.completed_total": c.ok,
+		"Failed": c.fail, "serve.failed_total": c.fail,
+		"Finished": fin, "serve.e2e.seconds": fin,
+		"RejectedQueueFull": c.full, "serve.rejected_queue_full_total": c.full,
+		"RejectedDraining": c.drn, "serve.rejected_draining_total": c.drn,
+		"Batches": c.acc, "Batched": c.acc, "serve.batches_total": c.acc,
+		"TrackEpochs": c.epochs, "serve.track.epochs_total": c.epochs,
+		"serve.track.rejected_out_of_order_total": c.seq,
+		"serve.track.rejected_capacity_total":     c.cap,
+		"serve.venue.hq.requests_total":           c.vOK + c.vErr,
+		"serve.venue.hq.ok_total":                 c.vOK,
+		"serve.venue.hq.errors_total":             c.vErr,
+		"slo.requests":                            c.slo,
+		"slo.ok":                                  c.sloOK,
+		"serve.track.e2e.seconds":                 trackFin,
+	} {
+		into[k] += v
+	}
+}
+
+// requestLedgerRun drives every outcome through a server built on reg
+// (nil: no Metrics), checks each request's answer, event and ledger
+// delta, and returns the final Stats.
+func requestLedgerRun(t *testing.T, reg *obs.Registry) Stats {
+	t.Helper()
 	eng := serveTestEngine(t, 1)
 	var eventBuf obsSyncBuffer
-	events := obs.NewEventLog(&eventBuf, 64)
+	events := obs.NewEventLog(&eventBuf, 128)
 	slo := obs.NewSLO(obs.SLOConfig{})
 	venues := venue.NewRegistry(serveTestManifest("hq"), venue.RegistryConfig{})
 	// One-deep queue, batches of one: a heavy solve wedges the dispatcher and
-	// one more request fills the queue.
-	srv, err := New(Config{Engine: eng, Venues: venues, BatchSize: 1, QueueDepth: 1, Events: events, SLO: slo})
+	// one more request fills the queue. One session fits, so a second one is
+	// turned away; a request with a deadline is held until it expires, so it
+	// fails in its batch with 504.
+	srv, err := New(Config{
+		Engine: eng, Venues: venues, BatchSize: 1, QueueDepth: 1, Events: events, SLO: slo,
+		Metrics: reg, TrackMaxSessions: 1,
+		Disturb: func(ctx context.Context) {
+			if _, ok := ctx.Deadline(); ok {
+				<-ctx.Done()
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reg != nil && srv.met.reg != reg {
+		t.Fatal("server does not count on Config.Metrics")
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	creq := serveTestRequests(t, 1, 1, 73)[0]
 	paths := []string{"/v1/localize", "/v1/track"}
-	body := func(path string, edit func(*Request)) []byte {
+	// Requests run on venue hq; tracked ones ride session "walker" unless
+	// the case's track edit says otherwise.
+	body := func(path string, edit func(*Request), track func(*TrackRequest)) []byte {
 		wreq := FromCore(creq)
+		wreq.VenueID = "hq"
 		if edit != nil {
 			edit(wreq)
 		}
 		if path == "/v1/track" {
-			return mustMarshal(t, &TrackRequest{Request: *wreq, Seq: 1})
+			treq := &TrackRequest{Request: *wreq, SessionID: "walker", Seq: 1, TSeconds: 1}
+			if track != nil {
+				track(treq)
+			}
+			return mustMarshal(t, treq)
 		}
 		return mustMarshal(t, wreq)
+	}
+	epoch := func(seq int64, ts float64) func(*TrackRequest) {
+		return func(r *TrackRequest) { r.Seq, r.TSeconds = seq, ts }
 	}
 	// status is what the client saw; evStatus is what the request log
 	// recorded, and every case expects the two to agree.
@@ -264,13 +345,20 @@ func TestRequestEventsOnRejection(t *testing.T) {
 		outcome, class string
 		evStatus       int
 	}
-	cases := []struct {
+	// Cases run in order (the walker's epochs depend on it): the sequential
+	// ones, then "full" behind a wedged dispatcher, then "draining" after
+	// Drain. A case with a path runs on that endpoint only.
+	type ledgerCase struct {
 		name   string
+		path   string
 		method string
 		edit   func(*Request)
+		track  func(*TrackRequest)
 		raw    string
 		want   answer
-	}{
+		counts ledgerCounts
+	}
+	cases := []ledgerCase{
 		{name: "method", method: http.MethodGet,
 			want: answer{http.StatusMethodNotAllowed, false, "bad_request", "method", http.StatusMethodNotAllowed}},
 		{name: "decode", raw: "{junk",
@@ -283,48 +371,129 @@ func TestRequestEventsOnRejection(t *testing.T) {
 					}
 				}
 			}
-		}, want: answer{http.StatusBadRequest, false, "bad_request", "dimension", http.StatusBadRequest}},
+		}, want: answer{http.StatusBadRequest, false, "bad_request", "dimension", http.StatusBadRequest},
+			counts: ledgerCounts{vErr: 1}},
 		{name: "venue", edit: func(r *Request) { r.VenueID = "ghost" },
 			want: answer{http.StatusNotFound, false, "bad_request", "venue_unknown", http.StatusNotFound}},
-		{name: "full", want: answer{http.StatusTooManyRequests, true, "rejected_queue_full", "", http.StatusTooManyRequests}},
-		{name: "draining", want: answer{http.StatusServiceUnavailable, true, "rejected_draining", "", http.StatusServiceUnavailable}},
+		{name: "ok", path: "/v1/localize",
+			want:   answer{http.StatusOK, false, "ok", "", http.StatusOK},
+			counts: ledgerCounts{acc: 1, ok: 1, vOK: 1, slo: 1, sloOK: 1}},
+		{name: "ok", path: "/v1/track",
+			want:   answer{http.StatusOK, false, "ok", "", http.StatusOK},
+			counts: ledgerCounts{acc: 1, ok: 1, epochs: 1, vOK: 1, slo: 1, sloOK: 1}},
+		{name: "deadline", edit: func(r *Request) { r.DeadlineMillis = 50 }, track: epoch(2, 2),
+			want:   answer{http.StatusGatewayTimeout, false, "deadline", "deadline", http.StatusGatewayTimeout},
+			counts: ledgerCounts{acc: 1, fail: 1, vErr: 1, slo: 1}},
+		// A stale epoch time fails the filter after the batch ran: a client
+		// error, but of an admitted request.
+		{name: "track_update", path: "/v1/track", track: epoch(3, 1),
+			want:   answer{http.StatusBadRequest, false, "bad_request", "track_update", http.StatusBadRequest},
+			counts: ledgerCounts{acc: 1, fail: 1, vErr: 1}},
+		{name: "out_of_order", path: "/v1/track", track: epoch(3, 5),
+			want:   answer{http.StatusBadRequest, false, "bad_request", "track_seq", http.StatusBadRequest},
+			counts: ledgerCounts{seq: 1, vErr: 1}},
+		{name: "capacity", path: "/v1/track", track: func(r *TrackRequest) { r.SessionID = "intruder" },
+			want:   answer{http.StatusTooManyRequests, true, "rejected_session_capacity", "session_capacity", http.StatusTooManyRequests},
+			counts: ledgerCounts{cap: 1, vErr: 1, slo: 1}},
+		{name: "full", track: epoch(4, 6),
+			want:   answer{http.StatusTooManyRequests, true, "rejected_queue_full", "", http.StatusTooManyRequests},
+			counts: ledgerCounts{full: 1, vErr: 1, slo: 1}},
+		{name: "draining", track: epoch(5, 7),
+			want:   answer{http.StatusServiceUnavailable, true, "rejected_draining", "", http.StatusServiceUnavailable},
+			counts: ledgerCounts{drn: 1, vErr: 1, slo: 1}},
 	}
-	got := map[string]answer{}
-	send := func(name, method, path string, b []byte) {
+	// ledger reads every entry one request can move: Stats, the serve.*
+	// counters and e2e histogram counts, the hq venue's RED row and the
+	// SLO's 1h window.
+	ledger := func() map[string]int64 {
+		st, w, r := srv.Stats(), slo.Windows()[2], srv.met.reg
+		m := map[string]int64{
+			"Accepted": st.Accepted, "Finished": st.Finished, "Completed": st.Completed, "Failed": st.Failed,
+			"RejectedQueueFull": st.RejectedQueueFull, "RejectedDraining": st.RejectedDraining,
+			"Batches": st.Batches, "Batched": st.Batched, "TrackEpochs": st.TrackEpochs,
+			"slo.requests": w.Total, "slo.ok": w.OK,
+		}
+		for _, name := range []string{
+			"serve.accepted_total", "serve.completed_total", "serve.failed_total",
+			"serve.rejected_queue_full_total", "serve.rejected_draining_total", "serve.batches_total",
+			"serve.track.epochs_total", "serve.track.rejected_out_of_order_total",
+			"serve.track.rejected_capacity_total", "serve.venue.hq.requests_total",
+			"serve.venue.hq.ok_total", "serve.venue.hq.errors_total",
+		} {
+			m[name] = r.Counter(name).Value()
+		}
+		for _, name := range []string{"serve.e2e.seconds", "serve.track.e2e.seconds"} {
+			m[name] = r.Histogram(name).Count()
+		}
+		return m
+	}
+	// expectDelta checks that the ledger moved from before by exactly want.
+	expectDelta := func(what string, before map[string]int64, want map[string]int64) {
 		t.Helper()
+		after := ledger()
+		if len(want) != len(after) {
+			t.Fatalf("%s: ledger has %d entries, expectation %d", what, len(after), len(want))
+		}
+		for k, v := range after {
+			if d := v - before[k]; d != want[k] {
+				t.Errorf("%s: %s moved by %d, want %d", what, k, d, want[k])
+			}
+		}
+	}
+	rid := func(tc ledgerCase, path string) string { return tc.name + "-" + strings.TrimPrefix(path, "/v1/") }
+	got := map[string]answer{}
+	send := func(tc ledgerCase, path string, b []byte) {
+		t.Helper()
+		method := tc.method
 		if method == "" {
 			method = http.MethodPost
 		}
-		rid := name + "-" + strings.TrimPrefix(path, "/v1/")
+		id := rid(tc, path)
 		hreq, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hreq.Header.Set("X-Request-Id", rid)
+		hreq.Header.Set("X-Request-Id", id)
 		hres, err := ts.Client().Do(hreq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, hres.Body) //nolint:errcheck
 		hres.Body.Close()
-		if echoed := hres.Header.Get("X-Request-Id"); echoed != rid {
-			t.Fatalf("%s: error response header X-Request-Id = %q", rid, echoed)
+		if echoed := hres.Header.Get("X-Request-Id"); echoed != id {
+			t.Fatalf("%s: response header X-Request-Id = %q", id, echoed)
 		}
-		got[rid] = answer{status: hres.StatusCode, retryAfter: hres.Header.Get("Retry-After") != ""}
+		got[id] = answer{status: hres.StatusCode, retryAfter: hres.Header.Get("Retry-After") != ""}
 	}
-
-	for _, tc := range cases[:4] {
-		for _, path := range paths {
-			b := []byte(tc.raw)
-			if tc.raw == "" {
-				b = body(path, tc.edit)
+	// each runs fn on every endpoint of every case in cs, with its body.
+	each := func(cs []ledgerCase, fn func(tc ledgerCase, path string, b []byte)) {
+		for _, tc := range cs {
+			for _, path := range paths {
+				if tc.path != "" && tc.path != path {
+					continue
+				}
+				b := []byte(tc.raw)
+				if tc.raw == "" {
+					b = body(path, tc.edit, tc.track)
+				}
+				fn(tc, path, b)
 			}
-			send(tc.name, tc.method, path, b)
 		}
 	}
+	// alone sends one request by itself and checks its exact ledger delta.
+	alone := func(tc ledgerCase, path string, b []byte) {
+		before, want := ledger(), map[string]int64{}
+		send(tc, path, b)
+		tc.counts.add(want, path == "/v1/track")
+		expectDelta(rid(tc, path), before, want)
+	}
+	n := len(cases)
+	each(cases[:n-2], alone)
 
 	// Queue full: wedge the dispatcher behind a heavy solve, occupy the
-	// queue's only slot, then overflow on each path.
+	// queue's only slot, then overflow on each path. The wedge and the
+	// filler complete while the overflow is turned away, so the phase moves
+	// the ledger by two completions and the two rejections.
 	await := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -346,23 +515,28 @@ func TestRequestEventsOnRejection(t *testing.T) {
 		resp.Body.Close()
 		statuses <- resp.StatusCode
 	}
+	before := ledger()
+	want := map[string]int64{}
+	ledgerCounts{acc: 1, ok: 1, slo: 1, sloOK: 1}.add(want, false)         // the wedge, venue-less
+	ledgerCounts{acc: 1, ok: 1, vOK: 1, slo: 1, sloOK: 1}.add(want, false) // the filler
+	accepted := before["Accepted"]
 	go post(mustMarshal(t, FromCore(serveTestRequests(t, 1, 96, 323)[0])))
-	await("wedge pickup", func() bool { return srv.Stats().Accepted == 1 && srv.queuedTotal() == 0 })
-	go post(body("/v1/localize", nil))
-	await("filler admission", func() bool { return srv.Stats().Accepted == 2 })
-	for _, path := range paths {
-		send("full", "", path, body(path, nil))
-	}
+	await("wedge pickup", func() bool { return srv.Stats().Accepted == accepted+1 && srv.queuedTotal() == 0 })
+	go post(body("/v1/localize", nil, nil))
+	await("filler admission", func() bool { return srv.Stats().Accepted == accepted+2 })
+	each(cases[n-2:n-1], func(tc ledgerCase, path string, b []byte) {
+		send(tc, path, b)
+		tc.counts.add(want, path == "/v1/track")
+	})
 	for i := 0; i < 2; i++ {
 		if st := <-statuses; st != http.StatusOK {
 			t.Fatalf("accepted request finished with status %d", st)
 		}
 	}
+	expectDelta("full phase", before, want)
 
 	srv.Drain(context.Background())
-	for _, path := range paths {
-		send("draining", "", path, body(path, nil))
-	}
+	each(cases[n-1:], alone)
 
 	events.Close()
 	evs, err := obs.ReadRequestEvents(strings.NewReader(eventBuf.String()))
@@ -375,19 +549,17 @@ func TestRequestEventsOnRejection(t *testing.T) {
 			got[ev.ID] = a
 		}
 	}
-	for _, tc := range cases {
-		for _, path := range paths {
-			rid := tc.name + "-" + strings.TrimPrefix(path, "/v1/")
-			if a := got[rid]; a != tc.want {
-				t.Errorf("%s: got %+v, want %+v", rid, a, tc.want)
-			}
+	each(cases, func(tc ledgerCase, path string, _ []byte) {
+		if a := got[rid(tc, path)]; a != tc.want {
+			t.Errorf("%s: got %+v, want %+v", rid(tc, path), a, tc.want)
 		}
+	})
+	// The SLO saw the two 200s and two 504s of the cases, the wedge and the
+	// filler, and the five rejections, not the client errors.
+	if w := slo.Windows()[2]; w.Total != 11 || w.OK != 4 {
+		t.Fatalf("SLO 1h window %+v, want 4 ok of 11", w)
 	}
-	// The SLO saw the two accepted requests and the four rejections, not
-	// the client errors.
-	if w := slo.Windows()[2]; w.Total != 6 || w.OK != 2 {
-		t.Fatalf("SLO 1h window %+v, want 2 ok of 6", w)
-	}
+	return srv.Stats()
 }
 
 // TestServeObservedMatchesPlain pins non-perturbation at the serving layer:

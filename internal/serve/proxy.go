@@ -39,6 +39,7 @@ type Proxy struct {
 	client *http.Client
 	mux    *http.ServeMux
 
+	// The routing counters; nil (counting nothing) without Metrics.
 	forwarded  *obs.Counter
 	transport  *obs.Counter
 	perBackend map[string]*obs.Counter
@@ -147,19 +148,13 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		if p.transport != nil {
-			p.transport.Inc()
-		}
+		p.transport.Inc()
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", backend, err))
 		return
 	}
 	defer resp.Body.Close()
-	if p.forwarded != nil {
-		p.forwarded.Inc()
-		if c := p.perBackend[backend]; c != nil {
-			c.Inc()
-		}
-	}
+	p.forwarded.Inc()
+	p.perBackend[backend].Inc()
 	for _, h := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)

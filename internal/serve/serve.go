@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"roarray/internal/core"
@@ -70,7 +69,8 @@ type Config struct {
 	// never loosens this.
 	RequestTimeout time.Duration
 	// Metrics receives serving telemetry (queue depth, batch sizes, latency
-	// histograms, admission counters). Nil disables recording.
+	// histograms, admission counters). Stats reads the same counters, so a
+	// registry serves one Server; nil keeps them in a private registry.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, threads span tracing through every request and
 	// flush.
@@ -139,8 +139,8 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// Accepted counts requests admitted to the queue.
 	Accepted int64
-	// Finished counts accepted requests that received a response (success or
-	// failure). Accepted - Finished is the in-flight depth.
+	// Finished is Completed + Failed: accepted requests that received a
+	// response. Accepted - Finished is the in-flight depth.
 	Finished int64
 	// Completed counts 200 responses; Failed counts accepted requests that
 	// ended in an error status: 500/503/504, or the 400 a /v1/track epoch
@@ -182,8 +182,10 @@ type DrainReport struct {
 	Forced bool
 }
 
-// metrics caches the obs handles; nil when Config.Metrics is nil.
+// metrics holds the serving counters Stats reads and /metrics exports; New
+// always builds it, on Config.Metrics or on a private registry.
 type metrics struct {
+	reg          *obs.Registry
 	queueDepth   *obs.Gauge
 	batchSize    *obs.Histogram
 	queueWait    *obs.Histogram
@@ -212,9 +214,10 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &metrics{
+		reg:          reg,
 		queueDepth:   reg.Gauge("serve.queue_depth"),
 		batchSize:    reg.Histogram("serve.batch_size", obs.LinearBuckets(1, 1, 16)...),
 		queueWait:    reg.Histogram("serve.queue_wait.seconds", obs.ExpBuckets(0.0005, 2, 14)...),
@@ -276,14 +279,6 @@ type Server struct {
 	dispatcherDone chan struct{}
 	hardCtx        context.Context
 	hardCancel     context.CancelFunc
-
-	accepted, finished atomic.Int64
-	completed, failed  atomic.Int64
-	trackEpochs        atomic.Int64
-	rejectedFull       atomic.Int64
-	rejectedDraining   atomic.Int64
-	batches, batched   atomic.Int64
-	panics             atomic.Int64
 }
 
 // New validates cfg, starts the dispatcher lanes, and returns the server.
@@ -327,9 +322,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.met != nil {
-		sessions.onEvict = func(n int64) { s.met.trackEvicted.Add(n) }
-	}
+	sessions.evicted = s.met.trackEvicted
 	s.sessions = sessions
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/localize", s.handleLocalize)
@@ -358,10 +351,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.panics.Add(1)
-			if s.met != nil {
-				s.met.panics.Inc()
-			}
+			s.met.panics.Inc()
 			// Best effort: if the handler already wrote headers this is a
 			// no-op on a broken response, which is all that can be done.
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec))
@@ -370,21 +360,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Stats returns a snapshot of the lifetime counters.
+// Stats returns a snapshot of the lifetime counters, read from the metric
+// handles the request ledger (record) and the dispatcher keep.
 func (s *Server) Stats() Stats {
-	return Stats{
-		Accepted:          s.accepted.Load(),
-		Finished:          s.finished.Load(),
-		Completed:         s.completed.Load(),
-		Failed:            s.failed.Load(),
-		RejectedQueueFull: s.rejectedFull.Load(),
-		RejectedDraining:  s.rejectedDraining.Load(),
-		Batches:           s.batches.Load(),
-		Batched:           s.batched.Load(),
-		Panics:            s.panics.Load(),
+	m := s.met
+	st := Stats{
+		Accepted:          m.accepted.Value(),
+		Completed:         m.completed.Value(),
+		Failed:            m.failed.Value(),
+		RejectedQueueFull: m.rejectedFull.Value(),
+		RejectedDraining:  m.rejectedDrn.Value(),
+		Batches:           m.batchSize.Count(),
+		Batched:           int64(m.batchSize.Sum()),
+		Panics:            m.panics.Value(),
 		TrackSessions:     s.sessions.Sessions(),
-		TrackEpochs:       s.trackEpochs.Load(),
+		TrackEpochs:       m.trackEpochs.Value(),
 	}
+	st.Finished = st.Completed + st.Failed
+	return st
 }
 
 // Drain gracefully stops the server: admission closes (new requests answer
@@ -402,10 +395,9 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.admitMu.Unlock()
 
 	rep := DrainReport{}
-	preFailed := s.failed.Load()
-	preCompleted := s.completed.Load()
+	pre := s.Stats()
 	if !already {
-		rep.Pending = s.accepted.Load() - s.finished.Load()
+		rep.Pending = pre.Accepted - pre.Finished
 		for _, q := range s.queues {
 			close(q)
 		}
@@ -420,14 +412,18 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	}
 	// Once the dispatcher has exited, every accepted request's outcome sits
 	// in its buffered done channel; give the handler goroutines a beat to
-	// consume them so the report balances (bounded in case a handler was
-	// killed mid-flight by its client).
-	for waited := time.Duration(0); s.finished.Load() < s.accepted.Load() && waited < time.Second; waited += 200 * time.Microsecond {
+	// record them so the report balances (bounded in case a handler was
+	// killed mid-flight by its client). A request counts as finished in the
+	// same step that counts it completed or failed, so the two cannot
+	// disagree.
+	post := s.Stats()
+	for waited := time.Duration(0); post.Finished < post.Accepted && waited < time.Second; waited += 200 * time.Microsecond {
 		time.Sleep(200 * time.Microsecond)
+		post = s.Stats()
 	}
-	rep.Drained = s.completed.Load() - preCompleted
-	rep.Failed = s.failed.Load() - preFailed
-	rep.RejectedDraining = s.rejectedDraining.Load()
+	rep.Drained = post.Completed - pre.Completed
+	rep.Failed = post.Failed - pre.Failed
+	rep.RejectedDraining = post.RejectedDraining
 	rep.Elapsed = time.Since(t0)
 	return rep
 }
@@ -478,11 +474,10 @@ type call struct {
 	cancelTimeout, cancel context.CancelFunc
 	stop                  func() bool
 
-	// elapsed and ev are what the request accrued riding its batch (total
-	// time; queue time, deadline, batch), zero until submit returns. The
-	// event of the request's answer builds on ev.
-	elapsed time.Duration
-	ev      obs.RequestEvent
+	// ev is what the request accrued riding its batch (queue and total
+	// time, deadline, batch), zero until submit returns. The event of the
+	// request's answer builds on it.
+	ev obs.RequestEvent
 }
 
 // newCall honors the client's X-Request-Id (sanitized) or mints one, and
@@ -519,20 +514,21 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	c.respond(c.response(&out), out.res, out.res.Position)
 }
 
-// event stamps the request's identity onto ev and records it.
-func (c *call) event(ev obs.RequestEvent) {
+// answer stamps the request's identity onto its terminal event ev, records
+// it, and only then writes body with ev's status, so a client that has read
+// its answer always finds itself in Stats.
+func (c *call) answer(ev obs.RequestEvent, body any) {
 	ev.ID, ev.Venue, ev.Session, ev.Seq = c.rid, c.venue, c.session, c.seq
-	c.s.event(ev)
+	c.s.record(ev)
+	writeJSON(c.w, ev.Status, body)
 }
 
-// badRequest answers a client error. Client errors are not observed by the
-// SLO: they spend the client's error budget, not the server's. After the
-// batch the event keeps what the request accrued riding it.
+// badRequest answers a client error. After the batch the event keeps what
+// the request accrued riding it.
 func (c *call) badRequest(status int, class, msg string) {
-	writeError(c.w, status, msg)
 	ev := c.ev
 	ev.Outcome, ev.Status, ev.ErrorClass, ev.Error = "bad_request", status, class, msg
-	c.event(ev)
+	c.answer(ev, ErrorResponse{Error: msg})
 }
 
 // fail answers a server-side failure and logs it on ev. The status and
@@ -545,9 +541,7 @@ func (c *call) fail(ev obs.RequestEvent, class string, err error) {
 		class = ev.Outcome
 	}
 	ev.ErrorClass, ev.Error = class, err.Error()
-	writeError(c.w, ev.Status, ev.Error)
-	c.s.cfg.SLO.Observe(false, time.Since(c.t0))
-	c.event(ev)
+	c.answer(ev, ErrorResponse{Error: ev.Error})
 }
 
 func failure(err error) (outcome string, status int) {
@@ -562,13 +556,12 @@ func failure(err error) (outcome string, status int) {
 
 // turnAway answers a request the server refused before admitting it with
 // ev's status, the error message msg, and Retry-After advice scaled from
-// seed; ev is logged as the caller built it.
+// seed; ev is logged as the caller built it, plus the budget and the time
+// spent.
 func (c *call) turnAway(ev obs.RequestEvent, msg string, seed time.Duration) {
 	c.w.Header().Set("Retry-After", c.s.retryAfter(seed))
-	writeError(c.w, ev.Status, msg)
-	c.s.cfg.SLO.Observe(false, time.Since(c.t0))
-	ev.DeadlineMillis = c.deadlineMs
-	c.event(ev)
+	ev.DeadlineMillis, ev.TotalMillis = c.deadlineMs, time.Since(c.t0).Seconds()*1e3
+	c.answer(ev, ErrorResponse{Error: msg})
 }
 
 // decode runs the method and decode gates: v (a *Request or *TrackRequest)
@@ -693,60 +686,35 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	s.admitMu.RLock()
 	if s.draining {
 		s.admitMu.RUnlock()
-		s.rejectedDraining.Add(1)
-		if s.met != nil {
-			s.met.rejectedDrn.Inc()
-		}
 		c.turnAway(obs.RequestEvent{Outcome: "rejected_draining", Status: http.StatusServiceUnavailable},
 			"draining", s.cfg.RetryAfterDraining)
 		return outcome{}, false
 	}
 	select {
 	case queue <- p:
+		s.met.accepted.Inc()
 		s.admitMu.RUnlock()
 	default:
 		s.admitMu.RUnlock()
-		s.rejectedFull.Add(1)
-		if s.met != nil {
-			s.met.rejectedFull.Inc()
-		}
 		c.turnAway(obs.RequestEvent{Outcome: "rejected_queue_full", Status: http.StatusTooManyRequests},
 			"queue full", s.cfg.RetryAfterFull)
 		return outcome{}, false
 	}
-	s.accepted.Add(1)
-	if s.met != nil {
-		s.met.accepted.Inc()
-		s.met.queueDepth.Set(float64(s.queuedTotal()))
-	}
+	s.met.queueDepth.Set(float64(s.queuedTotal()))
 
 	// The dispatcher always answers every accepted request — on flush, on
 	// forced cancellation, or on drain — so this receive cannot leak.
 	out := <-p.done
-	s.finished.Add(1)
-	c.elapsed = time.Since(c.t0)
-	if s.met != nil {
-		// The e2e exemplar is the entry point of a slow-request diagnosis:
-		// /metrics names the request that most recently landed in each
-		// latency bucket.
-		s.met.e2e.ObserveExemplar(c.elapsed.Seconds(), c.rid)
-	}
 	queueMs := out.dequeued.Sub(enq).Seconds() * 1e3
 	if out.dequeued.IsZero() {
 		queueMs = 0
 	}
 	c.ev = obs.RequestEvent{
 		QueueMillis:    queueMs,
-		TotalMillis:    c.elapsed.Seconds() * 1e3,
+		TotalMillis:    time.Since(c.t0).Seconds() * 1e3,
 		DeadlineMillis: c.deadlineMs,
 		BatchID:        out.batchID,
 		BatchSize:      out.batchSize,
-	}
-	if out.err != nil {
-		s.failed.Add(1)
-		if s.met != nil {
-			s.met.failed.Inc()
-		}
 	}
 	return out, true
 }
@@ -776,15 +744,7 @@ func (c *call) response(out *outcome) Response {
 // the estimate est, the search that placed res, the links' merged solver
 // provenance, and their lowest sanitize confidence.
 func (c *call) respond(resp any, res *core.LocalizeResult, est core.Point) {
-	s := c.s
-	s.completed.Add(1)
-	if s.met != nil {
-		s.met.completed.Inc()
-	}
-	writeJSON(c.w, http.StatusOK, resp)
-	s.cfg.SLO.Observe(true, c.elapsed)
-
-	ev := &c.ev
+	ev := c.ev
 	ev.Outcome, ev.Status = "ok", http.StatusOK
 	ev.SearchMode = res.Search.Mode
 	ev.CellsEvaluated = res.Search.Evaluated()
@@ -803,7 +763,7 @@ func (c *call) respond(resp any, res *core.LocalizeResult, est core.Point) {
 	}
 	ev.Solver = solve.Solver
 	ev.FallbackStage = solve.Fallback
-	c.event(*ev)
+	c.answer(ev, resp)
 }
 
 // engineResolution classifies the outcome of mapping a request's venueId to
@@ -860,16 +820,69 @@ func (s *Server) resolveEngine(ctx context.Context, venueID string) engineResolu
 	return r
 }
 
-// event stamps one wide-event record, folds it into the per-venue RED
-// metrics, and fans it out to the event log and the flight recorder.
-func (s *Server) event(ev obs.RequestEvent) {
-	s.recordVenue(ev)
-	if s.cfg.Events == nil && s.cfg.Recorder == nil {
-		return
+// record is the request ledger: the one step every terminal outcome takes,
+// and the only place an outcome is counted. It reads everything from ev:
+//   - the rejections count by outcome, and an out-of-order epoch by class;
+//   - the SLO observes 200s, 429s and 5xx. Client errors (400/404/405)
+//     spend the client's error budget, not the server's, and are skipped;
+//   - the venue's RED row, a tracked epoch's search outcome, and the
+//     latency histograms of admitted requests (those that rode a batch, so
+//     BatchID > 0);
+//   - the event log and the flight recorder get ev;
+//   - last, an admitted request counts completed or failed, so Drain never
+//     sees a request finished before its record is done.
+func (s *Server) record(ev obs.RequestEvent) {
+	m := s.met
+	ok := ev.Status == http.StatusOK
+	total := ev.TotalMillis / 1e3
+	switch ev.Outcome {
+	case "rejected_queue_full":
+		m.rejectedFull.Inc()
+	case "rejected_draining":
+		m.rejectedDrn.Inc()
+	case "rejected_session_capacity":
+		m.trackCapacity.Inc()
 	}
-	ev.TimeUnixNs = time.Now().UnixNano()
-	s.cfg.Recorder.RecordRequest(ev)
-	s.cfg.Events.Log(ev)
+	if ev.ErrorClass == "track_seq" {
+		m.trackOutOfOrd.Inc()
+	}
+	if ok || ev.Status == http.StatusTooManyRequests || ev.Status >= http.StatusInternalServerError {
+		s.cfg.SLO.Observe(ok, time.Duration(total*float64(time.Second)))
+	}
+	s.recordVenue(ev)
+	admitted := ev.BatchID > 0
+	if admitted {
+		// The e2e exemplar is the entry point of a slow-request diagnosis:
+		// /metrics names the request that most recently landed in each
+		// latency bucket.
+		m.e2e.ObserveExemplar(total, ev.ID)
+		if ev.Session != "" {
+			m.trackE2E.Observe(total)
+		}
+	}
+	if ok && ev.Session != "" {
+		m.trackEpochs.Inc()
+		countIf(m.trackWindowed, ev.Windowed)
+		countIf(m.trackFallback, ev.TrackFallback)
+		countIf(m.trackReacq, ev.Reacquired)
+	}
+	if s.cfg.Events != nil || s.cfg.Recorder != nil {
+		ev.TimeUnixNs = time.Now().UnixNano()
+		s.cfg.Recorder.RecordRequest(ev)
+		s.cfg.Events.Log(ev)
+	}
+	switch {
+	case admitted && ok:
+		m.completed.Inc()
+	case admitted:
+		m.failed.Inc()
+	}
+}
+
+func countIf(c *obs.Counter, cond bool) {
+	if cond {
+		c.Inc()
+	}
 }
 
 // venueMetrics is one venue's RED row: request/ok/error counters plus the
@@ -882,8 +895,8 @@ type venueMetrics struct {
 }
 
 // venueMetricsFor lazily resolves (and caches) the metric handles for one
-// venue. Only ids that resolved through the registry reach here (see
-// handleLocalize), and recordVenue re-checks the manifest alphabet, so
+// venue. Only ids that resolved through the registry reach here (see prepare
+// and resolveEngine), and recordVenue re-checks the manifest alphabet, so
 // embedding them in metric names cannot collide with the fixed schema or
 // grow without bound under client-invented ids.
 func (s *Server) venueMetricsFor(id string) *venueMetrics {
@@ -891,7 +904,7 @@ func (s *Server) venueMetricsFor(id string) *venueMetrics {
 	defer s.venueMu.Unlock()
 	vm := s.venueMet[id]
 	if vm == nil {
-		reg := s.cfg.Metrics
+		reg := s.met.reg
 		vm = &venueMetrics{
 			requests: reg.Counter("serve.venue." + id + ".requests_total"),
 			ok:       reg.Counter("serve.venue." + id + ".ok_total"),
@@ -904,12 +917,12 @@ func (s *Server) venueMetricsFor(id string) *venueMetrics {
 }
 
 // recordVenue attributes one terminal outcome to its venue's RED metrics
-// (no-op for venue-less requests or metric-less servers). The alphabet gate
+// (no-op for venue-less requests). The alphabet gate
 // is defense in depth: metric handles live forever, so only ids obeying the
 // manifest contract ([A-Za-z0-9_-], the alphabet roastat's parser assumes)
 // may mint them, whatever path produced the event.
 func (s *Server) recordVenue(ev obs.RequestEvent) {
-	if ev.Venue == "" || s.cfg.Metrics == nil || !venue.ValidID(ev.Venue) {
+	if ev.Venue == "" || !venue.ValidID(ev.Venue) {
 		return
 	}
 	vm := s.venueMetricsFor(ev.Venue)

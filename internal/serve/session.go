@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"roarray/internal/core"
+	"roarray/internal/obs"
 )
 
 // trackSessionShards fixes the lock-striping width of the session store.
@@ -71,9 +72,9 @@ type trackSessions struct {
 
 	// newTracker builds the filter for a fresh session; swapped in tests.
 	newTracker func() (*core.Tracker, error)
-	// onEvict, when non-nil, receives the number of sessions each sweep
-	// reclaimed (the serve.track.sessions_evicted_total hook).
-	onEvict func(n int64)
+	// evicted counts the sessions the sweeps reclaimed
+	// (serve.track.sessions_evicted_total; nil counts nothing).
+	evicted *obs.Counter
 }
 
 func newTrackSessions(ttl time.Duration, max int) (*trackSessions, error) {
@@ -108,7 +109,7 @@ func (ts *trackSessions) Sessions() int64 { return ts.count.Load() }
 func (ts *trackSessions) acquire(id, venue string, now time.Time) (sess *trackSession, created bool, err error) {
 	sh := &ts.shards[ts.ring.OwnerIndex(id)]
 	sh.mu.Lock()
-	ts.sweepLocked(sh, now)
+	ts.sweepLocked(sh, now, false)
 	sess = sh.m[id]
 	if sess == nil {
 		if int(ts.count.Load()) >= ts.max {
@@ -158,12 +159,13 @@ func (sess *trackSession) claimSeq(seq int64) error {
 }
 
 // sweepLocked evicts this shard's expired sessions if a sweep interval has
-// elapsed. Caller holds sh.mu. Sessions whose epoch is still in flight are
-// safe to drop from the map: the handler owns the *trackSession directly,
-// and an expired-then-recreated id simply starts a fresh track — exactly
-// what a target silent past the TTL deserves.
-func (ts *trackSessions) sweepLocked(sh *trackShard, now time.Time) {
-	if now.Sub(sh.lastSweep) < ts.ttl/4 {
+// elapsed, or whenever force is set. Caller holds sh.mu. Sessions whose
+// epoch is still in flight are safe to drop from the map: the handler owns
+// the *trackSession directly, and an expired-then-recreated id simply
+// starts a fresh track — exactly what a target silent past the TTL
+// deserves.
+func (ts *trackSessions) sweepLocked(sh *trackShard, now time.Time, force bool) {
+	if !force && now.Sub(sh.lastSweep) < ts.ttl/4 {
 		return
 	}
 	sh.lastSweep = now
@@ -171,20 +173,11 @@ func (ts *trackSessions) sweepLocked(sh *trackShard, now time.Time) {
 	for id, sess := range sh.m {
 		if now.Sub(sess.touched) > ts.ttl {
 			delete(sh.m, id)
-			ts.count.Add(-1)
 			n++
 		}
 	}
-	ts.noteEvicted(n)
-}
-
-func (ts *trackSessions) noteEvicted(n int64) {
-	if n == 0 {
-		return
-	}
-	if ts.onEvict != nil {
-		ts.onEvict(n)
-	}
+	ts.count.Add(-n)
+	ts.evicted.Add(n)
 }
 
 // sweepAll force-sweeps every shard (ignoring the per-shard interval) — the
@@ -193,16 +186,7 @@ func (ts *trackSessions) sweepAll(now time.Time) {
 	for i := range ts.shards {
 		sh := &ts.shards[i]
 		sh.mu.Lock()
-		sh.lastSweep = now
-		n := int64(0)
-		for id, sess := range sh.m {
-			if now.Sub(sess.touched) > ts.ttl {
-				delete(sh.m, id)
-				ts.count.Add(-1)
-				n++
-			}
-		}
+		ts.sweepLocked(sh, now, true)
 		sh.mu.Unlock()
-		ts.noteEvicted(n)
 	}
 }

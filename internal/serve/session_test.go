@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"roarray/internal/obs"
 )
 
 func sessionStore(t *testing.T, ttl time.Duration, max int) *trackSessions {
@@ -86,8 +88,7 @@ func TestSessionStoreTTLEviction(t *testing.T) {
 	if got := ts.Sessions(); got != 10 {
 		t.Fatalf("Sessions() = %d, want 10", got)
 	}
-	evicted := int64(0)
-	ts.onEvict = func(n int64) { evicted += n }
+	ts.evicted = new(obs.Counter)
 
 	// Two minutes later every session is past the TTL; touching one id
 	// sweeps that shard, and a capacity-style full sweep reclaims the rest.
@@ -107,7 +108,7 @@ func TestSessionStoreTTLEviction(t *testing.T) {
 	if got := ts.Sessions(); got != 1 {
 		t.Fatalf("after full sweep: Sessions() = %d, want 1 (the recreated s0)", got)
 	}
-	if evicted != 9 && evicted != 10 {
+	if evicted := ts.evicted.Value(); evicted != 9 && evicted != 10 {
 		// s0's old entry may be evicted by its shard's lazy sweep before the
 		// recreate (10) or replaced in place if the sweep interval gated it.
 		t.Fatalf("evicted = %d, want 9 or 10", evicted)

@@ -123,9 +123,6 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrSessionCapacity):
-			if s.met != nil {
-				s.met.trackCapacity.Inc()
-			}
 			c.turnAway(obs.RequestEvent{
 				Outcome: "rejected_session_capacity", Status: http.StatusTooManyRequests,
 				ErrorClass: "session_capacity", Error: err.Error(),
@@ -138,16 +135,9 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.mu.Unlock()
-	if s.met != nil {
-		if created {
-			s.met.trackStarted.Inc()
-		}
-		s.met.trackSessions.Set(float64(s.sessions.Sessions()))
-	}
+	countIf(s.met.trackStarted, created)
+	s.met.trackSessions.Set(float64(s.sessions.Sessions()))
 	if err := sess.claimSeq(wreq.Seq); err != nil {
-		if s.met != nil {
-			s.met.trackOutOfOrd.Inc()
-		}
 		c.badRequest(http.StatusBadRequest, "track_seq", err.Error())
 		return
 	}
@@ -157,9 +147,6 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	out, ok := c.submit(creq, sess.tracker, wreq.TSeconds)
 	if !ok {
 		return
-	}
-	if s.met != nil {
-		s.met.trackE2E.Observe(c.elapsed.Seconds())
 	}
 	if out.err != nil {
 		// A filter rejection (bad epoch time, non-finite fix) is a client
@@ -172,24 +159,10 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		c.fail(c.ev, "", out.err)
 		return
 	}
-	s.trackEpochs.Add(1)
 	tr := out.track
-	if s.met != nil {
-		s.met.trackEpochs.Inc()
-		if tr.Windowed {
-			s.met.trackWindowed.Inc()
-			if full := core.GridCells(creq.Bounds, creq.Step); full > 0 {
-				s.met.trackWindowEff.Observe(float64(tr.Fix.Search.Evaluated()) / float64(full))
-			}
-		}
-		if tr.Fallback {
-			s.met.trackFallback.Inc()
-		}
-		if tr.Track.Reacquired {
-			s.met.trackReacq.Inc()
-		}
+	if full := core.GridCells(creq.Bounds, creq.Step); tr.Windowed && full > 0 {
+		s.met.trackWindowEff.Observe(float64(tr.Fix.Search.Evaluated()) / float64(full))
 	}
-
 	c.ev.Windowed = tr.Windowed
 	c.ev.TrackFallback = tr.Fallback
 	c.ev.Reacquired = tr.Track.Reacquired
