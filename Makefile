@@ -152,7 +152,7 @@ diag-smoke:
 
 # End-to-end smoke of the multi-venue sharded serving tier (3-venue manifest,
 # Zipf swarm load, per-venue RED rows in roastat, LRU evictions under a
-# 2-venue budget, clean drain).
+# two-shape budget: the three venues differ in theta grid, clean drain).
 shard-smoke:
 	./scripts/shard_smoke.sh
 

@@ -36,8 +36,9 @@
 // is cancelled), and a JSON drain report goes to stderr before exit.
 //
 // Multi-venue serving: -venues loads a venue manifest (see internal/venue)
-// and serves every venue from one process behind an LRU dictionary cache
-// bounded by -venue-budget-kb; requests carry a venueId and -shards splits
+// and serves every venue from one process behind an LRU cache of engines,
+// one per estimation shape, bounded by -venue-budget-kb; requests carry a
+// venueId and -shards splits
 // them across consistent-hashed dispatcher lanes. -proxy turns the process
 // into a thin router that forwards each request to the -backends member
 // owning its venue on the same hash ring, so a fleet of roaserve processes

@@ -282,7 +282,7 @@ func renderVenues(w io.Writer, s *snapshot) {
 			{"venue.cache.evictions_total", "evictions"},
 			{"venue.cache.load_dedup_total", "deduped loads"},
 			{"venue.cache.load_errors_total", "load errors"},
-			{"venue.cache.resident", "resident venues"},
+			{"venue.cache.resident", "resident shapes"},
 			{"venue.cache.bytes", "resident bytes"},
 		} {
 			if v, ok := s.scalars[row.metric]; ok {

@@ -11,10 +11,8 @@ import (
 // pending is one admitted request waiting for its batch to flush.
 type pending struct {
 	req *core.LocalizeRequest
-	// eng is the engine that will run the request (the venue's engine in
-	// multi-venue mode, the server default otherwise). The dispatcher groups
-	// a flush by engine so dictionary reuse only ever amortizes within one
-	// venue.
+	// eng is the engine that will run the request (the engine of its
+	// venue's shape in multi-venue mode, the server default otherwise).
 	eng *core.Engine
 	// venue is the venue id the request resolved to ("" for single-venue).
 	venue string
@@ -110,12 +108,11 @@ func (s *Server) collectClosed(queue chan *pending, first *pending) []*pending {
 	return batch
 }
 
-// flush answers one collected batch. Requests are grouped by engine
-// (arrival order preserved within each group) and each group flushed
-// separately: a multi-venue lane can collect neighbors from different
-// venues, and a cross-venue flush would feed one venue's CSI to another's
-// dictionaries. With a single engine this is exactly the old single-flush
-// path — one group, same batch IDs, bit-identical results.
+// flush answers one collected batch, grouped by engine (arrival order kept
+// within each group): a lane can collect venues of different estimation
+// shapes, which must never share dictionaries. Venues of one shape share an
+// engine and so a group; each request carries its own geometry, so no
+// answer changes. With a single engine this is one group, bit-identical.
 func (s *Server) flush(batch []*pending) {
 	if len(batch) == 0 {
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,14 +165,103 @@ func TestVenueRoutingAndEvents(t *testing.T) {
 			t.Fatalf("%s = %v, want 1", name, snap[name])
 		}
 	}
-	if got, _ := snap["venue.cache.misses_total"].(int64); got != 2 {
-		t.Fatalf("venue.cache.misses_total = %v, want 2 cold loads", snap["venue.cache.misses_total"])
+	// hq and lab share one estimation shape, so the first request builds
+	// its engine and the second finds it resident.
+	if got, _ := snap["venue.cache.misses_total"].(int64); got != 1 {
+		t.Fatalf("venue.cache.misses_total = %v, want 1 build for the shared shape", snap["venue.cache.misses_total"])
+	}
+	if got, _ := snap["venue.cache.hits_total"].(int64); got != 1 {
+		t.Fatalf("venue.cache.hits_total = %v, want the second venue to hit", snap["venue.cache.hits_total"])
 	}
 	// Client-invented ids must never reach the metric namespace.
 	for name := range snap {
 		if strings.HasPrefix(name, "serve.venue.") &&
 			!strings.HasPrefix(name, "serve.venue.hq.") && !strings.HasPrefix(name, "serve.venue.lab.") {
 			t.Fatalf("bogus venue id minted metric %q", name)
+		}
+	}
+}
+
+// TestMixedVenueFlushBitIdentical pins that venues of one shape may share a
+// micro-batch: one lane collects two hq and two lab requests into a single
+// flush on their shared engine, and every answer still equals a direct
+// Localize on an engine built from that venue's own spec, bit for bit.
+func TestMixedVenueFlushBitIdentical(t *testing.T) {
+	man := serveTestManifest("hq", "lab")
+	man.Venues[1].Room = venue.RoomSpec{MaxX: 8, MaxY: 6}
+	venues := venue.NewRegistry(man, venue.RegistryConfig{})
+	if _, err := venues.Get(context.Background(), "hq"); err != nil {
+		t.Fatal(err)
+	}
+	// The linger is long enough that only a full batch flushes.
+	srv, err := New(Config{Venues: venues, BatchSize: 4, BatchLinger: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	reqs := serveTestRequests(t, 4, 2, 915)
+	ids := []string{"hq", "lab", "hq", "lab"}
+	resps := make([]Response, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wreq := FromCore(reqs[i])
+		wreq.VenueID = ids[i]
+		body, err := json.Marshal(wreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d (%s): status %d", i, ids[i], resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&resps[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	own := make(map[string]*venue.Venue)
+	for _, spec := range man.Venues {
+		v, err := venue.Build(spec, venue.BuildConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		own[spec.ID] = v
+	}
+	for i, req := range reqs {
+		if resps[i].BatchSize != len(reqs) {
+			t.Fatalf("request %d rode a batch of %d, want one flush of %d", i, resps[i].BatchSize, len(reqs))
+		}
+		want, err := own[ids[i]].Engine.Localize(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resps[i]
+		if math.Float64bits(got.X) != math.Float64bits(want.Position.X) ||
+			math.Float64bits(got.Y) != math.Float64bits(want.Position.Y) {
+			t.Fatalf("request %d (%s): flushed (%v,%v) != direct (%v,%v)",
+				i, ids[i], got.X, got.Y, want.Position.X, want.Position.Y)
+		}
+		for j, l := range want.Links {
+			if math.Float64bits(got.Links[j].AoADeg) != math.Float64bits(l.AoADeg) {
+				t.Fatalf("request %d link %d: AoA %v != direct %v", i, j, got.Links[j].AoADeg, l.AoADeg)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"roarray/internal/obs"
@@ -20,19 +19,23 @@ var ErrUnknownVenue = errors.New("venue: unknown venue")
 
 // RegistryConfig parameterizes a Registry.
 type RegistryConfig struct {
-	// BudgetBytes bounds the total estimator footprint of resident venues.
-	// The budget floors at one venue: a single venue larger than the budget
-	// still loads (and is the only resident), because refusing to serve any
-	// venue would be strictly worse than briefly exceeding the budget.
+	// BudgetBytes bounds the total estimator footprint of resident shapes:
+	// venues of one estimation shape share one engine, so they are charged
+	// once. The budget floors at one shape: a shape larger than the budget
+	// still loads (and is the only resident), because refusing to serve its
+	// venues would be strictly worse than briefly exceeding the budget.
 	// <= 0 selects 256 MiB.
 	BudgetBytes int64
-	// Build parameterizes venue loads (worker pool, solve profile, metrics).
+	// Build parameterizes shape loads (worker pool, solve profile, metrics).
 	Build BuildConfig
-	// Metrics, when non-nil, receives the venue.cache.* counters and gauges.
+	// Metrics receives the venue.cache.* counters and gauges, which Stats
+	// reads back, so one obs registry serves one Registry; nil keeps them
+	// in a private registry.
 	Metrics *obs.Registry
 }
 
-// registryMetrics caches the cache's metric handles (nil when disabled).
+// registryMetrics holds the cache's metric handles; NewRegistry always
+// builds it, on RegistryConfig.Metrics or on a private registry.
 type registryMetrics struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -47,7 +50,7 @@ type registryMetrics struct {
 
 func newRegistryMetrics(reg *obs.Registry) *registryMetrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &registryMetrics{
 		hits:      reg.Counter("venue.cache.hits_total"),
@@ -62,10 +65,10 @@ func newRegistryMetrics(reg *obs.Registry) *registryMetrics {
 	}
 }
 
-// resident is one cached venue plus its LRU bookkeeping.
-type residentVenue struct {
-	id string
-	v  *Venue
+// residentShape is one cached engine plus its LRU key.
+type residentShape struct {
+	key shape
+	v   *Venue
 }
 
 // inflight is one in-progress load: followers wait on done instead of
@@ -76,8 +79,8 @@ type inflight struct {
 	err  error
 }
 
-// Stats is a point-in-time snapshot of the cache counters, available even
-// without a metrics registry (tests and the drain report use it).
+// Stats is a point-in-time snapshot of the cache counters. Misses, evictions
+// and the resident count and bytes are of shapes, not venues.
 type Stats struct {
 	Hits      int64
 	Misses    int64
@@ -87,11 +90,12 @@ type Stats struct {
 	Bytes     int64
 }
 
-// Registry resolves venue IDs to loaded venues, keeping at most BudgetBytes
-// of estimator state resident. Lookups are lock-cheap; a miss builds the
-// venue outside the lock with singleflight dedup, then installs it and
-// evicts coldest venues until the budget holds again. All methods are safe
-// for concurrent use.
+// Registry resolves venue IDs to loaded engines, keeping at most BudgetBytes
+// of estimator state resident. The cache is keyed by estimation shape, so
+// every venue of one shape gets the same engine from one build. Lookups are
+// lock-cheap; a miss builds the shape outside the lock with singleflight
+// dedup, then installs it and evicts coldest shapes until the budget holds
+// again. All methods are safe for concurrent use.
 type Registry struct {
 	specs  map[string]Spec
 	budget int64
@@ -99,15 +103,10 @@ type Registry struct {
 	met    *registryMetrics
 
 	mu       sync.Mutex
-	cached   map[string]*list.Element // id -> element whose Value is *residentVenue
-	lru      *list.List               // front = hottest, back = coldest
-	loading  map[string]*inflight
+	cached   map[shape]*list.Element // Value is *residentShape
+	lru      *list.List              // front = hottest, back = coldest
+	loading  map[shape]*inflight
 	resBytes int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	dedups    atomic.Int64
 }
 
 // NewRegistry builds a registry over the manifest's venues. The manifest
@@ -129,9 +128,9 @@ func NewRegistry(m *Manifest, cfg RegistryConfig) *Registry {
 		budget:  cfg.BudgetBytes,
 		bcfg:    bcfg,
 		met:     newRegistryMetrics(cfg.Metrics),
-		cached:  make(map[string]*list.Element),
+		cached:  make(map[shape]*list.Element),
 		lru:     list.New(),
-		loading: make(map[string]*inflight),
+		loading: make(map[shape]*inflight),
 	}
 }
 
@@ -154,59 +153,52 @@ func (r *Registry) Stats() Stats {
 	res, bytes := r.lru.Len(), r.resBytes
 	r.mu.Unlock()
 	return Stats{
-		Hits:      r.hits.Load(),
-		Misses:    r.misses.Load(),
-		Evictions: r.evictions.Load(),
-		Dedups:    r.dedups.Load(),
+		Hits:      r.met.hits.Value(),
+		Misses:    r.met.misses.Value(),
+		Evictions: r.met.evictions.Value(),
+		Dedups:    r.met.dedups.Value(),
 		Resident:  res,
 		Bytes:     bytes,
 	}
 }
 
-// Get resolves a venue ID: a resident venue is returned immediately (and
-// marked hottest); an unknown ID fails with ErrUnknownVenue; a cold venue is
-// built — once, on a detached goroutine, with every concurrent caller
-// waiting on the same load — then installed, evicting coldest venues until
-// the budget holds. ctx bounds only this caller's wait, never the build: a
-// load already underway completes for the next caller even when every
-// current waiter gives up, and a caller arriving with a tight deadline
-// fails fast with ctx.Err() instead of riding out a slow build.
+// Get resolves a venue ID to the engine of its shape: a resident shape is
+// returned immediately (and marked hottest); an unknown ID fails with
+// ErrUnknownVenue; a cold shape is built — once, on a detached goroutine,
+// with every concurrent caller for any venue of that shape waiting on the
+// same load — then installed, evicting coldest shapes until the budget
+// holds. ctx bounds only this caller's wait, never the build: a load
+// already underway completes for the next caller even when every current
+// waiter gives up, and a caller arriving with a tight deadline fails fast
+// with ctx.Err() instead of riding out a slow build.
 func (r *Registry) Get(ctx context.Context, id string) (*Venue, error) {
 	spec, ok := r.specs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownVenue, id)
 	}
+	key := spec.shape()
 
 	r.mu.Lock()
-	if el, ok := r.cached[id]; ok {
+	if el, ok := r.cached[key]; ok {
 		r.lru.MoveToFront(el)
 		r.mu.Unlock()
-		r.hits.Add(1)
-		if r.met != nil {
-			r.met.hits.Inc()
-		}
-		return el.Value.(*residentVenue).v, nil
+		r.met.hits.Inc()
+		return el.Value.(*residentShape).v, nil
 	}
-	fl, underway := r.loading[id]
+	fl, underway := r.loading[key]
 	if !underway {
 		fl = &inflight{done: make(chan struct{})}
-		r.loading[id] = fl
+		r.loading[key] = fl
 	}
 	r.mu.Unlock()
 
 	if underway {
 		// A load is already underway — wait for its result instead of
 		// building the same dictionaries again (the thundering-herd path).
-		r.dedups.Add(1)
-		if r.met != nil {
-			r.met.dedups.Inc()
-		}
+		r.met.dedups.Inc()
 	} else {
-		r.misses.Add(1)
-		if r.met != nil {
-			r.met.misses.Inc()
-		}
-		go r.build(spec, fl)
+		r.met.misses.Inc()
+		go r.build(spec, key, fl)
 	}
 	select {
 	case <-fl.done:
@@ -216,28 +208,26 @@ func (r *Registry) Get(ctx context.Context, id string) (*Venue, error) {
 	}
 }
 
-// build runs one venue load to completion and installs the result; it is
+// build runs one shape load to completion and installs the result; it is
 // deliberately detached from any request context so an abandoned wait never
 // wastes the dictionaries it already paid for.
-func (r *Registry) build(spec Spec, fl *inflight) {
+func (r *Registry) build(spec Spec, key shape, fl *inflight) {
 	v, err := Build(spec, r.bcfg)
-	if r.met != nil {
-		r.met.loads.Inc()
-		if err != nil {
-			r.met.loadErrs.Inc()
-		} else {
-			r.met.loadSecs.Observe(v.BuildDuration.Seconds())
-		}
+	r.met.loads.Inc()
+	if err != nil {
+		r.met.loadErrs.Inc()
+	} else {
+		r.met.loadSecs.Observe(v.BuildDuration.Seconds())
 	}
 
 	r.mu.Lock()
-	delete(r.loading, spec.ID)
+	delete(r.loading, key)
 	if err == nil {
-		el := r.lru.PushFront(&residentVenue{id: spec.ID, v: v})
-		r.cached[spec.ID] = el
+		r.cached[key] = r.lru.PushFront(&residentShape{key: key, v: v})
 		r.resBytes += v.Bytes
 		r.evictLocked()
-		r.publishLocked()
+		r.met.bytes.Set(float64(r.resBytes))
+		r.met.resident.Set(float64(r.lru.Len()))
 	}
 	r.mu.Unlock()
 
@@ -245,63 +235,15 @@ func (r *Registry) build(spec Spec, fl *inflight) {
 	close(fl.done)
 }
 
-// evictLocked drops coldest venues until the budget holds, always keeping at
-// least one resident venue (see RegistryConfig.BudgetBytes). Caller holds mu.
+// evictLocked drops coldest shapes until the budget holds, always keeping at
+// least one resident (see RegistryConfig.BudgetBytes). Caller holds mu.
 func (r *Registry) evictLocked() {
 	for r.resBytes > r.budget && r.lru.Len() > 1 {
-		el := r.lru.Back()
-		rv := el.Value.(*residentVenue)
-		r.lru.Remove(el)
-		delete(r.cached, rv.id)
-		r.resBytes -= rv.v.Bytes
-		r.evictions.Add(1)
-		if r.met != nil {
-			r.met.evictions.Inc()
-		}
-	}
-}
-
-// publishLocked refreshes the resident gauges. Caller holds mu.
-func (r *Registry) publishLocked() {
-	if r.met == nil {
-		return
-	}
-	r.met.bytes.Set(float64(r.resBytes))
-	r.met.resident.Set(float64(r.lru.Len()))
-}
-
-// Invalidate drops a venue from the cache if resident (a no-op otherwise),
-// forcing the next Get to rebuild it from the same manifest spec — specs
-// are fixed at NewRegistry and there is no hot spec-reload path, so this
-// changes when the dictionaries are built, never what they contain (the
-// rebuild-determinism gate in the tests relies on exactly that). The
-// removal counts toward the eviction telemetry so the resident gauges and
-// the evictions counter stay reconcilable.
-func (r *Registry) Invalidate(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.cached[id]
-	if !ok {
-		return
-	}
-	rv := el.Value.(*residentVenue)
-	r.lru.Remove(el)
-	delete(r.cached, id)
-	r.resBytes -= rv.v.Bytes
-	r.evictions.Add(1)
-	if r.met != nil {
+		rs := r.lru.Remove(r.lru.Back()).(*residentShape)
+		delete(r.cached, rs.key)
+		r.resBytes -= rs.v.Bytes
 		r.met.evictions.Inc()
 	}
-	r.publishLocked()
-}
-
-// Resident reports whether a venue is currently cached (primarily for tests
-// and the drain report).
-func (r *Registry) Resident(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cached[id]
-	return ok
 }
 
 // WaitIdle blocks until no loads are in flight or the timeout elapses,

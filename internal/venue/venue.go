@@ -1,10 +1,11 @@
 // Package venue turns the single-deployment solver into a multi-tenant one:
-// a Venue bundles one building's AP geometry, estimation grids, and solver
-// configuration into a loadable unit, and a Registry keeps the hot venues'
-// dictionaries and factorizations resident under an explicit memory budget,
-// evicting whole venues coldest-first when buildings churn. Specs are
-// declarative JSON (a manifest file), so adding a building is an ops action,
-// not a rebuild.
+// a Spec declares one building's AP geometry, estimation grids, and solver
+// configuration. The geometry rides each request; the rest is the venue's
+// estimation shape, which alone fixes the dictionaries and factorizations.
+// A Registry keeps the hot shapes' engines resident under an explicit
+// memory budget, shared by every venue of that shape, and evicts whole
+// shapes coldest-first. Specs are declarative JSON (a manifest file), so
+// adding a building is an ops action, not a rebuild.
 package venue
 
 import (
@@ -76,8 +77,8 @@ type Spec struct {
 	Subcarriers         int     `json:"subcarriers,omitempty"`
 	SubcarrierSpacingHz float64 `json:"subcarrierSpacingHz,omitempty"`
 	// ThetaPoints / TauPoints size the estimation grids; zeros select the
-	// estimator defaults (91 angles, 50 delays). These dominate the venue's
-	// resident bytes — see core.Estimator.FootprintBytes.
+	// estimator defaults (91 angles, 50 delays). These dominate the resident
+	// bytes of the venue's shape — see core.Estimator.FootprintBytes.
 	ThetaPoints int `json:"thetaPoints,omitempty"`
 	TauPoints   int `json:"tauPoints,omitempty"`
 	// MaxIters caps solver iterations; zero keeps the solver default.
@@ -159,6 +160,21 @@ func (s *Spec) EstimatorConfig() core.Config {
 	return cfg
 }
 
+// shape is the registry's cache key: the fields EstimatorConfig reads, as
+// written. An estimator's output depends only on its config, so venues of
+// one shape share one engine and answer bit for bit as if each had its own.
+type shape struct {
+	subcarriers         int
+	subcarrierSpacingHz float64
+	thetaPoints         int
+	tauPoints           int
+	maxIters            int
+}
+
+func (s *Spec) shape() shape {
+	return shape{s.Subcarriers, s.SubcarrierSpacingHz, s.ThetaPoints, s.TauPoints, s.MaxIters}
+}
+
 // Deployment materializes the spec as a testbed deployment — the same
 // structure the evaluation pipeline and load generator synthesize workloads
 // from, so a manifest venue can be driven end to end without real hardware.
@@ -228,11 +244,10 @@ func LoadManifest(path string) (*Manifest, error) {
 	return DecodeManifest(data)
 }
 
-// Venue is one resident (loaded) venue: its spec, a ready engine whose
-// dictionaries and factorizations are already built, and the byte/latency
-// accounting the cache charged for it.
+// Venue is one loaded estimation shape: a ready engine whose dictionaries
+// and factorizations are already built, shared by every venue of the shape,
+// and the byte/latency accounting the cache charged for it.
 type Venue struct {
-	Spec   Spec
 	Engine *core.Engine
 	// Bytes is the estimator's heavy-state footprint the registry accounts
 	// against its budget (core.Estimator.FootprintBytes).
@@ -253,18 +268,19 @@ type BuildConfig struct {
 	Warm bool
 	// Metrics, when non-nil, receives the estimator's telemetry.
 	Metrics *obs.Registry
-	// Disturb, when non-nil, is called at the start of every build, after
-	// spec validation — the hook the fault harness and tests use to inject
-	// slow or stuck venue loads. It runs on the registry's detached build
-	// goroutine, so a wedged Disturb stalls only that venue's load (callers
-	// waiting on it fail at their own deadlines), never the request path.
+	// Disturb, when non-nil, is called at the start of every build (once
+	// per shape the registry loads), after spec validation — the hook the
+	// fault harness and tests use to inject slow or stuck loads. It runs on
+	// the registry's detached build goroutine, so a wedged Disturb stalls
+	// only that shape's load (callers of its venues fail at their own
+	// deadlines), never the request path.
 	Disturb func()
 }
 
-// Build loads one venue: construct the estimator, force-build its
-// dictionaries and factorizations (Warmup), and wrap it in an engine. All
-// the heavy allocation happens here, never on a request path — which is what
-// makes the registry's singleflight dedup worth having.
+// Build loads the shape of one venue: construct the estimator, force-build
+// its dictionaries and factorizations (Warmup), and wrap it in an engine.
+// All the heavy allocation happens here, never on a request path — which is
+// what makes the registry's singleflight dedup worth having.
 func Build(spec Spec, bcfg BuildConfig) (*Venue, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -292,7 +308,6 @@ func Build(spec Spec, bcfg BuildConfig) (*Venue, error) {
 		return nil, fmt.Errorf("venue %s: %w", spec.ID, err)
 	}
 	return &Venue{
-		Spec:          spec,
 		Engine:        eng,
 		Bytes:         est.FootprintBytes(),
 		BuildDuration: time.Since(start),

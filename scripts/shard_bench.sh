@@ -8,13 +8,15 @@
 #             core and the gate (cmd/roaload TestCommittedShardBaseline) only
 #             requires the sharded path not to regress (the same 1-CPU
 #             ceiling BENCH_batch.json documents for the parallel engine)
-#   churn     Zipf swarm over 4 venues with a 2-venue cache budget (working
-#             set ~2x budget): p99 must stay bounded while the LRU evicts
+#   churn     Zipf swarm over 4 venues of 4 shapes with a 2-shape cache
+#             budget (working set ~2x budget): p99 must stay bounded while
+#             the LRU evicts
 #   identicalSingleVenue  the serve-level bit-identity test: a 2-shard server
 #             must reproduce the direct engine path exactly
 #
-# Knobs: DURATION (default 4s), CONCURRENCY (8), RATE (40), BUDGET_KB (24,
-# two smoke venues at FootprintBytes 9,824 B each).
+# Knobs: DURATION (default 4s), CONCURRENCY (8), RATE (40), BUDGET_KB (24:
+# any two churn shapes fit, the largest pair at 22,048 B, and no three do,
+# the smallest triple at 30,912 B).
 set -eu
 
 OUT="${OUT:-BENCH_shard.json}"
@@ -72,7 +74,11 @@ S1=$(leg 1)
 echo "shard_bench: leg 2/3 — two lanes" >&2
 S2=$(leg 2)
 
-# Churn leg: 4 venues under a 2-venue budget, Zipf arrivals.
+# Churn leg: 4 venues under a 2-shape budget, Zipf arrivals. The venues share
+# the smoke CSI layout, so every payload is valid for every venue, but each
+# has its own theta grid (19/21/23/25 points, FootprintBytes 9,824 / 10,304
+# / 10,784 / 11,264 B): same-shape venues would share one engine and never
+# evict.
 cat > "$TMP/venues.json" <<'EOF'
 {
   "schema": 1,
@@ -82,18 +88,18 @@ cat > "$TMP/venues.json" <<'EOF'
      "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 19, "tauPoints": 8, "maxIters": 60},
     {"id": "lab", "room": {"maxX": 6, "maxY": 5},
      "aps": [{"x": 0.1, "y": 2.5, "axisDeg": 90}, {"x": 5.9, "y": 2.5, "axisDeg": 90}, {"x": 3.0, "y": 0.1, "axisDeg": 0}],
-     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 19, "tauPoints": 8, "maxIters": 60},
+     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 21, "tauPoints": 8, "maxIters": 60},
     {"id": "warehouse", "room": {"maxX": 6, "maxY": 5},
      "aps": [{"x": 0.1, "y": 2.5, "axisDeg": 90}, {"x": 5.9, "y": 2.5, "axisDeg": 90}, {"x": 3.0, "y": 0.1, "axisDeg": 0}],
-     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 19, "tauPoints": 8, "maxIters": 60},
+     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 23, "tauPoints": 8, "maxIters": 60},
     {"id": "annex", "room": {"maxX": 6, "maxY": 5},
      "aps": [{"x": 0.1, "y": 2.5, "axisDeg": 90}, {"x": 5.9, "y": 2.5, "axisDeg": 90}, {"x": 3.0, "y": 0.1, "axisDeg": 0}],
-     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 19, "tauPoints": 8, "maxIters": 60}
+     "subcarriers": 8, "subcarrierSpacingHz": 4e6, "thetaPoints": 25, "tauPoints": 8, "maxIters": 60}
   ]
 }
 EOF
 
-echo "shard_bench: leg 3/3 — cache churn (4 venues, 2-venue budget)" >&2
+echo "shard_bench: leg 3/3 — cache churn (4 shapes, 2-shape budget)" >&2
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr.churn" \
     -venues "$TMP/venues.json" -venue-budget-kb "$BUDGET_KB" -shards 2 \
     -batch-linger 2ms -metrics-addr 127.0.0.1:0 2>"$TMP/serve.churn.log" &

@@ -1,18 +1,20 @@
 #!/bin/sh
 # End-to-end smoke of the multi-venue sharded serving tier: write a 3-venue
-# manifest, boot roaserve with -venues, -shards, and a cache budget sized for
-# only two resident venues, drive Zipf-skewed swarm load so the LRU venue
-# cache actually churns, then verify per-venue RED rows render in roastat,
-# the eviction counter moved, and SIGTERM still drains cleanly.
+# manifest of three estimation shapes, boot roaserve with -venues, -shards,
+# and a cache budget sized for only two resident shapes, drive Zipf-skewed
+# swarm load so the LRU cache actually churns, then verify per-venue RED
+# rows render in roastat, the eviction counter moved, and SIGTERM still
+# drains cleanly.
 #
 # Environment knobs (defaults keep the whole run well under 30 s):
 #   OUT         write the roaload swarm artifact here (default: temp only)
 #   DURATION    load duration                         (default 3s)
 #   RATE        swarm open-loop arrival rate          (default 40)
 #   SHARDS      dispatcher lanes                      (default 2)
-#   BUDGET_KB   venue cache budget; the default fits two smoke venues
-#               (FootprintBytes 9,824 B each), so a third forces an
-#               eviction                               (default 24)
+#   BUDGET_KB   venue cache budget; the default fits any two of the three
+#               shapes (FootprintBytes 9,824 / 10,304 / 10,784 B, the
+#               largest pair 21,088 B) and never all three (30,912 B), so
+#               the third shape forces an eviction       (default 24)
 set -eu
 
 OUT="${OUT:-}"
@@ -33,8 +35,10 @@ go build -o "$TMP/roaserve" ./cmd/roaserve
 go build -o "$TMP/roaload" ./cmd/roaload
 go build -o "$TMP/roastat" ./cmd/roastat
 
-# Three venues sharing the smoke working point (8 subcarriers, 19x8 grids)
-# but distinct ids — the cache accounts each one separately.
+# Three venues on the smoke CSI layout (8 subcarriers at 4 MHz, so every
+# payload is valid for every venue), each with its own theta grid (19, 21,
+# 23 points): the cache holds one engine per shape, and same-shape venues
+# would share one engine and never evict.
 cat > "$TMP/venues.json" <<'EOF'
 {
   "schema": 1,
@@ -59,7 +63,7 @@ cat > "$TMP/venues.json" <<'EOF'
         {"x": 3.0, "y": 0.1, "axisDeg": 0}
       ],
       "subcarriers": 8, "subcarrierSpacingHz": 4e6,
-      "thetaPoints": 19, "tauPoints": 8, "maxIters": 60
+      "thetaPoints": 21, "tauPoints": 8, "maxIters": 60
     },
     {
       "id": "warehouse",
@@ -70,7 +74,7 @@ cat > "$TMP/venues.json" <<'EOF'
         {"x": 3.0, "y": 0.1, "axisDeg": 0}
       ],
       "subcarriers": 8, "subcarrierSpacingHz": 4e6,
-      "thetaPoints": 19, "tauPoints": 8, "maxIters": 60
+      "thetaPoints": 23, "tauPoints": 8, "maxIters": 60
     }
   ]
 }
@@ -121,12 +125,12 @@ for v in hq lab warehouse; do
     }
 done
 
-# The cache must have churned: with three venues under a two-venue budget,
+# The cache must have churned: with three shapes under a two-shape budget,
 # at least one eviction is structurally guaranteed.
 "$TMP/roastat" -metrics "$METRICS_URL" -raw > "$TMP/snap.json"
 EVICTIONS=$(sed -n 's/.*"venue\.cache\.evictions_total": *\([0-9]*\).*/\1/p' "$TMP/snap.json" | head -1)
 if [ -z "$EVICTIONS" ] || [ "$EVICTIONS" -lt 1 ]; then
-    echo "shard_smoke: no venue evictions under a two-venue budget (got '${EVICTIONS:-absent}')" >&2
+    echo "shard_smoke: no venue evictions under a two-shape budget (got '${EVICTIONS:-absent}')" >&2
     exit 1
 fi
 
