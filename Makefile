@@ -9,7 +9,7 @@ GO ?= go
 # so the full -race sweep stays affordable.
 RACE_PKGS := ./internal/core/... ./internal/sparse/... ./internal/obs/... ./internal/quality/... ./internal/serve/... ./internal/venue/... ./internal/testbed/...
 
-.PHONY: check vet build test race bench bench-search bench-solve bench-wire profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
+.PHONY: check vet build test race bench bench-search bench-solve bench-wire bench-serve profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
 
 check: vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
 
@@ -72,6 +72,15 @@ bench-solve:
 # are recorded in EXPERIMENTS.md.
 bench-wire:
 	$(GO) test -run XXX -bench 'BenchmarkDecodeRequest|BenchmarkPeekVenueID' -benchtime 2000x ./internal/serve/
+
+# Whole-request benchmarks (see DESIGN.md §11, Request memory): warm
+# smoke-preset /v1/localize and /v1/track bodies served one at a time
+# through Server.ServeHTTP on the production observability stack, with
+# allocations reported. Each request pays the 2 ms batch linger, so ns/op
+# is dominated by it; allocs/op and B/op are the request arena's figures
+# (TestServeLocalizeAllocs and TestServeTrackAllocs gate the counts).
+bench-serve:
+	$(GO) test -run XXX -bench 'BenchmarkServeLocalize$$|BenchmarkServeTrack$$' -benchmem -benchtime 500x ./internal/serve/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.

@@ -212,13 +212,16 @@ func (e *Engine) estimateLink(ctx context.Context, in *LinkInput) LinkResult {
 	e.met.recordSanitize(rep)
 	if serr != nil {
 		e.met.recordLinkFailure()
-		return LinkResult{AoADeg: fallbackAoA, Err: serr, Confidence: confidenceFloor, Sanitize: &rep}
+		report := rep
+		return LinkResult{AoADeg: fallbackAoA, Err: serr, Confidence: confidenceFloor, Sanitize: &report}
 	}
 	var conf float64
 	var report *BurstReport
 	if !rep.Clean() {
+		// A copy, so a clean link's report stays off the heap.
 		conf = rep.Confidence()
-		report = &rep
+		flagged := rep
+		report = &flagged
 	}
 	peak, info, err := e.est.EstimateDirectAoA(ctx, packets)
 	if err != nil {
@@ -552,36 +555,48 @@ type BatchOutcome struct {
 // Results for non-aborted, non-panicked slots are bit-identical to serial
 // Localize / LocalizeTracked calls, for any worker count.
 func (e *Engine) LocalizeBatchItems(ctx context.Context, items []BatchItem) []BatchOutcome {
+	outs := make([]BatchOutcome, len(items))
+	e.LocalizeBatchEach(ctx, items, func(i int, out BatchOutcome) { outs[i] = out })
+	return outs
+}
+
+// LocalizeBatchEach runs a batch exactly as LocalizeBatchItems does, but
+// hands outcome i to done(i, outcome) on the worker that finished slot i, as
+// soon as it finishes, so a caller can answer each slot without waiting for
+// its batchmates. done is called once per slot, possibly concurrently for
+// different slots; it must not retain items. The call returns after every
+// done has returned.
+func (e *Engine) LocalizeBatchEach(ctx context.Context, items []BatchItem, done func(i int, out BatchOutcome)) {
 	ctx, sp := obs.StartSpan(ctx, "localize.batch")
 	defer sp.End()
-	outs := make([]BatchOutcome, len(items))
-	e.Map(len(items), func(i int) {
-		// Each request runs its pipeline serially: the batch fan-out is the
-		// parallelism, and estimation is deterministic either way.
-		rctx := ctx
-		if items[i].Ctx != nil {
-			rctx = items[i].Ctx
-		}
-		rctx, rsp := obs.StartSpanf(rctx, "localize.req%d", i)
-		defer rsp.End()
-		defer func() {
-			if r := recover(); r != nil {
-				outs[i] = BatchOutcome{Err: fmt.Errorf("core: localize request %d panicked: %v", i, r)}
-			}
-		}()
-		if items[i].Tracker != nil {
-			tr, err := e.localizeTracked(rctx, items[i].Req, items[i].Tracker, items[i].T, 1)
-			if err != nil {
-				outs[i] = BatchOutcome{Err: err}
-				return
-			}
-			outs[i] = BatchOutcome{Res: tr.Fix, Track: tr}
-			return
-		}
-		outs[i].Res, outs[i].Err = e.localize(rctx, items[i].Req, 1)
-	})
+	e.Map(len(items), func(i int) { done(i, e.localizeSlot(ctx, i, &items[i])) })
 	if e.met != nil {
 		e.met.batches.Inc()
 	}
-	return outs
+}
+
+// localizeSlot runs slot i of a batch, panic-isolated, under a
+// "localize.req<i>" span.
+func (e *Engine) localizeSlot(ctx context.Context, i int, item *BatchItem) (out BatchOutcome) {
+	// Each request runs its pipeline serially: the batch fan-out is the
+	// parallelism, and estimation is deterministic either way.
+	if item.Ctx != nil {
+		ctx = item.Ctx
+	}
+	ctx, sp := obs.StartSpanf(ctx, "localize.req%d", i)
+	defer sp.End()
+	defer func() {
+		if r := recover(); r != nil {
+			out = BatchOutcome{Err: fmt.Errorf("core: localize request %d panicked: %v", i, r)}
+		}
+	}()
+	if item.Tracker != nil {
+		tr, err := e.localizeTracked(ctx, item.Req, item.Tracker, item.T, 1)
+		if err != nil {
+			return BatchOutcome{Err: err}
+		}
+		return BatchOutcome{Res: tr.Fix, Track: tr}
+	}
+	out.Res, out.Err = e.localize(ctx, item.Req, 1)
+	return out
 }

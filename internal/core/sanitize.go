@@ -144,19 +144,25 @@ func CheckCSI(c *wireless.CSI, wantM, wantL int) error {
 // nothing survives; the report is valid either way.
 func SanitizeBurst(packets []*wireless.CSI, wantM, wantL int) ([]*wireless.CSI, BurstReport, error) {
 	rep := BurstReport{Total: len(packets), Antennas: wantM}
-	kept := make([]*wireless.CSI, 0, len(packets))
-	touched := false
-	for _, p := range packets {
+	// kept stays nil, and costs nothing, until the first packet is dropped
+	// or repaired; it then starts from the packets before that one.
+	var kept []*wireless.CSI
+	touch := func(i int) {
+		if kept == nil {
+			kept = append(make([]*wireless.CSI, 0, len(packets)), packets[:i]...)
+		}
+	}
+	for i, p := range packets {
 		if dimensionProblem(p, wantM, wantL) != "" {
 			rep.DroppedDimension++
-			touched = true
+			touch(i)
 			continue
 		}
 		bad := nonFiniteCount(p)
 		if bad > 0 {
+			touch(i)
 			if float64(bad) > repairFraction*float64(p.NumAntennas*p.NumSubcarriers) {
 				rep.DroppedNonFinite++
-				touched = true
 				continue
 			}
 			repaired := p.Clone()
@@ -169,9 +175,13 @@ func SanitizeBurst(packets []*wireless.CSI, wantM, wantL int) ([]*wireless.CSI, 
 			}
 			p = repaired
 			rep.Repaired++
-			touched = true
 		}
-		kept = append(kept, p)
+		if kept != nil {
+			kept = append(kept, p)
+		}
+	}
+	if kept == nil {
+		kept = packets
 	}
 	rep.Kept = len(kept)
 	if rep.Kept == 0 {
@@ -197,9 +207,6 @@ func SanitizeBurst(packets []*wireless.CSI, wantM, wantL int) ([]*wireless.CSI, 
 				rep.DeadAntennas++
 			}
 		}
-	}
-	if !touched {
-		return packets, rep, nil
 	}
 	return kept, rep, nil
 }

@@ -143,6 +143,20 @@ type gridSearch struct {
 	bounds Rect
 	step   float64
 	nx, ny int
+	// heap is the branch-and-bound frontier, kept with the search so a
+	// pooled search reuses it.
+	heap nodeHeap
+}
+
+// searchPool recycles gridSearch values, their apTerm slices and their
+// frontier heaps across LocalizeSearchCtx calls.
+var searchPool = sync.Pool{New: func() any { return new(gridSearch) }}
+
+// release returns g to searchPool, dropping its references to the caller's
+// context and observations.
+func (g *gridSearch) release() {
+	g.ctx, g.obs = nil, nil
+	searchPool.Put(g)
 }
 
 // apTerm holds one AP's per-search constants: its Eq. 19 weight and the unit
@@ -162,9 +176,11 @@ func newGridSearch(ctx context.Context, obs []APObservation, bounds Rect, step f
 	if step <= 0 {
 		step = 0.1
 	}
-	aps := make([]apTerm, len(obs))
+	g := searchPool.Get().(*gridSearch)
+	aps := g.aps[:0]
 	for i, o := range obs {
 		if !finite(o.Pos.X, o.Pos.Y, o.AxisDeg, o.AoADeg, o.RSSIdBm, o.Confidence) {
+			g.release()
 			return nil, fmt.Errorf("core: AP observation %d has a non-finite field: %+v", i, o)
 		}
 		w := wireless.DBmToMilliwatt(o.RSSIdBm)
@@ -172,12 +188,13 @@ func newGridSearch(ctx context.Context, obs []APObservation, bounds Rect, step f
 			w *= o.Confidence
 		}
 		if math.IsInf(w, 0) {
+			g.release()
 			return nil, fmt.Errorf("core: AP observation %d weight overflows (RSSI %v dBm, confidence %v)", i, o.RSSIdBm, o.Confidence)
 		}
-		aps[i].w = w
-		aps[i].ux, aps[i].uy = axisUnit(o.AxisDeg)
+		ux, uy := axisUnit(o.AxisDeg)
+		aps = append(aps, apTerm{w: w, ux: ux, uy: uy})
 	}
-	return &gridSearch{
+	*g = gridSearch{
 		ctx:    ctx,
 		obs:    obs,
 		aps:    aps,
@@ -185,7 +202,9 @@ func newGridSearch(ctx context.Context, obs []APObservation, bounds Rect, step f
 		step:   step,
 		nx:     gridCount(bounds.MinX, bounds.MaxX, step),
 		ny:     gridCount(bounds.MinY, bounds.MaxY, step),
-	}, nil
+		heap:   g.heap[:0],
+	}
+	return g, nil
 }
 
 // finite reports whether every v is neither NaN nor infinite.
@@ -487,7 +506,8 @@ func (h *nodeHeap) pop() node {
 // rectangle.
 func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (idxBest, error) {
 	best := noBest()
-	h := make(nodeHeap, 0, 32)
+	h := g.heap[:0]
+	defer func() { g.heap = h[:0] }()
 	push := func(ix0, ixHi, iy0, iyHi int) {
 		b := g.blockBound(ix0, ixHi, iy0, iyHi)
 		stats.CoarseCells++
@@ -575,6 +595,7 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 	if err != nil {
 		return Point{}, SearchStats{}, err
 	}
+	defer g.release()
 	cfg = cfg.withDefaults()
 	dec := cfg.Decimation
 	stats := SearchStats{FlatCells: g.nx * g.ny}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,7 +95,7 @@ type RequestEvent struct {
 // and counted instead. A nil *EventLog is the disabled fast path: Log is a
 // nil-check no-op, mirroring the rest of the obs package.
 type EventLog struct {
-	ch      chan []byte
+	ch      chan *eventLine
 	done    chan struct{}
 	w       io.Writer
 	dropped atomic.Int64
@@ -117,7 +118,7 @@ func NewEventLog(w io.Writer, depth int) *EventLog {
 		depth = 256
 	}
 	l := &EventLog{
-		ch:   make(chan []byte, depth),
+		ch:   make(chan *eventLine, depth),
 		done: make(chan struct{}),
 		w:    w,
 	}
@@ -128,9 +129,37 @@ func NewEventLog(w io.Writer, depth int) *EventLog {
 func (l *EventLog) drain() {
 	defer close(l.done)
 	for line := range l.ch {
-		if _, err := l.w.Write(line); err != nil {
+		if _, err := l.w.Write(line.buf.Bytes()); err != nil {
 			l.errs.Add(1)
 		}
+		line.release()
+	}
+}
+
+// eventLine is one encoded event on its way to the writer goroutine. Log
+// takes it from linePool and the writer gives it back after the write, so a
+// logged event allocates nothing once the pool is warm.
+type eventLine struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	// ev is the event being encoded; a field, so handing it to the encoder
+	// boxes a pointer instead of copying the event to the heap.
+	ev RequestEvent
+}
+
+// maxPooledLine bounds the lines linePool keeps; an event with a longer
+// error message is encoded once and dropped.
+const maxPooledLine = 64 << 10
+
+var linePool = sync.Pool{New: func() any {
+	line := new(eventLine)
+	line.enc = json.NewEncoder(&line.buf)
+	return line
+}}
+
+func (line *eventLine) release() {
+	if line.buf.Cap() <= maxPooledLine {
+		linePool.Put(line)
 	}
 }
 
@@ -145,16 +174,22 @@ func (l *EventLog) Log(ev RequestEvent) bool {
 	if ev.Schema == 0 {
 		ev.Schema = RequestEventSchema
 	}
-	line, err := json.Marshal(ev)
+	// Encoder.Encode writes exactly json.Marshal's bytes plus the newline.
+	line := linePool.Get().(*eventLine)
+	line.buf.Reset()
+	line.ev = ev
+	err := line.enc.Encode(&line.ev)
+	line.ev = RequestEvent{}
 	if err != nil {
 		l.errs.Add(1)
+		line.release()
 		return false
 	}
-	line = append(line, '\n')
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if l.closed {
 		l.dropped.Add(1)
+		line.release()
 		return false
 	}
 	select {
@@ -163,6 +198,7 @@ func (l *EventLog) Log(ev RequestEvent) bool {
 		return true
 	default:
 		l.dropped.Add(1)
+		line.release()
 		return false
 	}
 }

@@ -102,16 +102,29 @@ func (t *Tracer) emit(ev SpanEvent) {
 
 // Span is one live stage of a traced call. End records it; a nil *Span (the
 // untraced fast path) makes End a no-op.
+//
+// A span is also the context its nested stages start under: it embeds the
+// context it was started in and answers the span key itself, so opening a
+// span costs one allocation. The request and venue ids its event carries
+// are read from that context when the span ends.
 type Span struct {
+	context.Context
 	tracer  *Tracer
 	traceID uint64
 	id      uint64
 	parent  uint64
 	name    string
-	req     string
-	venue   string
 	start   time.Time
 	ended   atomic.Bool
+}
+
+// Value answers the span key with s and every other key from the context s
+// was started in.
+func (s *Span) Value(key any) any {
+	if key == spanKey {
+		return s
+	}
+	return s.Context.Value(key)
 }
 
 // End completes the span and emits its event. Idempotent and nil-safe.
@@ -124,8 +137,8 @@ func (s *Span) End() {
 		Span:        s.id,
 		Parent:      s.parent,
 		Name:        s.name,
-		Req:         s.req,
-		Venue:       s.venue,
+		Req:         RequestIDFrom(s.Context),
+		Venue:       VenueFrom(s.Context),
 		StartUnixNs: s.start.UnixNano(),
 		DurNs:       time.Since(s.start).Nanoseconds(),
 	})
@@ -162,25 +175,55 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
+	return startSpan(ctx, t, name)
+}
+
+func startSpan(ctx context.Context, t *Tracer, name string) (context.Context, *Span) {
 	id := t.nextID.Add(1)
-	s := &Span{tracer: t, id: id, name: name, req: RequestIDFrom(ctx), venue: VenueFrom(ctx), start: time.Now()}
+	s := &Span{Context: ctx, tracer: t, id: id, name: name, start: time.Now()}
 	if parent, _ := ctx.Value(spanKey).(*Span); parent != nil {
 		s.parent = parent.id
 		s.traceID = parent.traceID
 	} else {
 		s.traceID = id
 	}
-	return context.WithValue(ctx, spanKey, s), s
+	return s, s
+}
+
+// indexedSpanNames bounds the indices whose span names are precomputed.
+const indexedSpanNames = 64
+
+// indexedSpans holds, for each indexed span name format the pipeline opens
+// once per link or per batch slot, its names for indices below
+// indexedSpanNames, so naming such a span formats nothing.
+var indexedSpans = map[string]*[indexedSpanNames]string{
+	"estimate.ap%d":  spanNames("estimate.ap%d"),
+	"localize.req%d": spanNames("localize.req%d"),
+}
+
+func spanNames(format string) *[indexedSpanNames]string {
+	var names [indexedSpanNames]string
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
+	}
+	return &names
 }
 
 // StartSpanf is StartSpan with a formatted name. The format arguments are
 // only evaluated into a string when a tracer is present, keeping dynamic
-// span names (e.g. "estimate.ap%d") allocation-free on the disabled path.
+// span names (e.g. "estimate.ap%d") allocation-free on the disabled path;
+// the pipeline's indexed names come from a precomputed table.
 func StartSpanf(ctx context.Context, format string, args ...any) (context.Context, *Span) {
-	if TracerFrom(ctx) == nil {
+	t := TracerFrom(ctx)
+	if t == nil {
 		return ctx, nil
 	}
-	return StartSpan(ctx, fmt.Sprintf(format, args...))
+	if names := indexedSpans[format]; names != nil && len(args) == 1 {
+		if i, ok := args[0].(int); ok && i >= 0 && i < len(names) {
+			return startSpan(ctx, t, names[i])
+		}
+	}
+	return startSpan(ctx, t, fmt.Sprintf(format, args...))
 }
 
 // ReadEvents decodes a JSONL span stream back into events — the round-trip

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,46 @@ func TestTraceRoundTrip(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("missing span %q in %v", want, names)
 		}
+	}
+}
+
+// TestSpanOneAllocation pins the cost of a span on the serving path, where
+// the flight recorder's mirror is always installed: StartSpan plus End is one
+// allocation, and so is StartSpanf with an index from the precomputed name
+// table. The mirrored events keep their names, parents, trace ids, request
+// id and venue.
+func TestSpanOneAllocation(t *testing.T) {
+	r := NewFlightRecorder(8, 8)
+	tr := NewTracer(nil)
+	tr.Mirror(r.RecordSpan)
+	ctx := WithVenue(WithRequestID(WithTracer(context.Background(), tr), "alloc-probe"), "hq")
+	ctx, root := StartSpan(ctx, "localize")
+	defer root.End()
+	if allocs := testing.AllocsPerRun(200, func() {
+		_, sp := StartSpan(ctx, "localize.grid")
+		sp.End()
+	}); allocs != 1 {
+		t.Fatalf("StartSpan+End allocates %.1f objects, want 1", allocs)
+	}
+	i := 5
+	if allocs := testing.AllocsPerRun(200, func() {
+		_, sp := StartSpanf(ctx, "estimate.ap%d", i)
+		sp.End()
+	}); allocs != 1 {
+		t.Fatalf("StartSpanf+End allocates %.1f objects, want 1", allocs)
+	}
+	spans := r.Spans()
+	last := spans[len(spans)-1]
+	if last.Name != "estimate.ap5" || last.Parent != root.id || last.Trace != root.traceID ||
+		last.Req != "alloc-probe" || last.Venue != "hq" {
+		t.Fatalf("mirrored span %+v, want estimate.ap5 under root %d with req and venue", last, root.id)
+	}
+	// An index past the table still formats its name.
+	_, sp := StartSpanf(ctx, "localize.req%d", indexedSpanNames+1)
+	sp.End()
+	spans = r.Spans()
+	if got, want := spans[len(spans)-1].Name, fmt.Sprintf("localize.req%d", indexedSpanNames+1); got != want {
+		t.Fatalf("span name %q, want %q", got, want)
 	}
 }
 

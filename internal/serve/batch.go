@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"roarray/internal/core"
@@ -46,24 +47,48 @@ type outcome struct {
 	dequeued time.Time
 }
 
+// lane is one dispatcher's reusable state: its admission queue, its linger
+// timer, and the scratch a flush groups and answers its batch with. Only
+// the lane's dispatcher goroutine touches it, apart from the answer
+// callback, which the engine's workers call for distinct slots of the
+// group being flushed.
+type lane struct {
+	queue  chan *pending
+	linger *time.Timer
+	batch  []*pending
+	// grouped is the batch reordered into engine groups; ends marks where
+	// each group ends in it.
+	grouped []*pending
+	ends    []int
+	// items, group and answered describe the group in flight: its engine
+	// slots, its members, and which of them the engine has answered.
+	items    []core.BatchItem
+	group    []*pending
+	answered []bool
+	batchID  int64
+	dequeued time.Time
+	answer   func(i int, out core.BatchOutcome)
+}
+
 // dispatch is one lane's batching goroutine: it blocks for the first queued
 // request, collects more until the batch cap or the linger deadline, flushes
 // the batch through the engine(s), and repeats until the queue closes
 // (Drain). Each lane runs its own dispatcher, so a slow flush on one lane
 // never delays collection on another.
-func (s *Server) dispatch(queue chan *pending) {
+func (s *Server) dispatch(l *lane) {
+	l.answer = l.answerSlot
 	for {
-		p, ok := <-queue
+		p, ok := <-l.queue
 		if !ok {
 			return
 		}
-		batch, closed := s.collect(queue, p)
-		s.flush(batch)
+		batch, closed := s.collect(l, p)
+		s.flush(l, batch)
 		if closed {
 			// Drain closed the queue mid-collect; take whatever arrived
 			// before the close and exit after flushing it.
-			for q := range queue {
-				s.flush(s.collectClosed(queue, q))
+			for q := range l.queue {
+				s.flush(l, s.collectClosed(l, q))
 			}
 			return
 		}
@@ -72,39 +97,60 @@ func (s *Server) dispatch(queue chan *pending) {
 
 // collect grows a batch from first until it reaches the size cap, the linger
 // timer fires, or the queue closes (reported via closed so dispatch can wind
-// down).
-func (s *Server) collect(queue chan *pending, first *pending) (batch []*pending, closed bool) {
-	batch = append(batch, first)
+// down). The lane's one timer is armed per batch and stopped again before
+// collect returns.
+func (s *Server) collect(l *lane, first *pending) (batch []*pending, closed bool) {
+	batch = append(l.batch[:0], first)
+	defer func() { l.batch = batch }()
 	if s.cfg.BatchSize == 1 {
 		return batch, false
 	}
-	linger := time.NewTimer(s.cfg.BatchLinger)
-	defer linger.Stop()
+	if l.linger == nil {
+		l.linger = time.NewTimer(s.cfg.BatchLinger)
+	} else {
+		stopTimer(l.linger)
+		l.linger.Reset(s.cfg.BatchLinger)
+	}
+	defer stopTimer(l.linger)
 	for len(batch) < s.cfg.BatchSize {
 		select {
-		case p, ok := <-queue:
+		case p, ok := <-l.queue:
 			if !ok {
 				return batch, true
 			}
 			batch = append(batch, p)
-		case <-linger.C:
+		case <-l.linger.C:
 			return batch, false
 		}
 	}
 	return batch, false
 }
 
+// stopTimer stops t and discards an expiry already delivered to t.C. Under
+// the asynchronous timer channels of go 1.22 modules an expiry can land just
+// after Stop reports it, so collect also stops the timer before each Reset:
+// by then any such value has arrived and is discarded there.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
 // collectClosed drains the already-closed queue into one final batch,
 // starting from first, bounded only by the batch size cap.
-func (s *Server) collectClosed(queue chan *pending, first *pending) []*pending {
-	batch := []*pending{first}
+func (s *Server) collectClosed(l *lane, first *pending) []*pending {
+	batch := append(l.batch[:0], first)
 	for len(batch) < s.cfg.BatchSize {
-		p, ok := <-queue
+		p, ok := <-l.queue
 		if !ok {
 			break
 		}
 		batch = append(batch, p)
 	}
+	l.batch = batch
 	return batch
 }
 
@@ -113,7 +159,10 @@ func (s *Server) collectClosed(queue chan *pending, first *pending) []*pending {
 // shapes, which must never share dictionaries. Venues of one shape share an
 // engine and so a group; each request carries its own geometry, so no
 // answer changes. With a single engine this is one group, bit-identical.
-func (s *Server) flush(batch []*pending) {
+//
+// The grouping is complete before any member is answered: an answered
+// member's handler may release its arena, pending included, at once.
+func (s *Server) flush(l *lane, batch []*pending) {
 	if len(batch) == 0 {
 		return
 	}
@@ -122,53 +171,72 @@ func (s *Server) flush(batch []*pending) {
 	for _, p := range batch {
 		s.met.queueWait.Observe(dequeued.Sub(p.enqueued).Seconds())
 	}
-	var groups [][]*pending
-	idx := make(map[*core.Engine]int, 1)
-	for _, p := range batch {
-		g, ok := idx[p.eng]
-		if !ok {
-			g = len(groups)
-			idx[p.eng] = g
-			groups = append(groups, nil)
+	l.grouped, l.ends = l.grouped[:0], l.ends[:0]
+	for i, p := range batch {
+		if slices.ContainsFunc(batch[:i], func(q *pending) bool { return q.eng == p.eng }) {
+			continue
 		}
-		groups[g] = append(groups[g], p)
+		for _, q := range batch[i:] {
+			if q.eng == p.eng {
+				l.grouped = append(l.grouped, q)
+			}
+		}
+		l.ends = append(l.ends, len(l.grouped))
 	}
-	for _, g := range groups {
-		s.flushGroup(g, dequeued)
+	start := 0
+	for _, end := range l.ends {
+		s.flushGroup(l, l.grouped[start:end], dequeued)
+		start = end
 	}
+	clear(batch)
+	clear(l.grouped)
 }
 
-// flushGroup runs one single-engine micro-batch and answers every member.
-// Members whose context already died cost almost nothing: the engine rejects
-// them at entry before any estimation work.
-func (s *Server) flushGroup(batch []*pending, dequeued time.Time) {
-	batchID := s.met.batches.Add(1)
-	s.met.batchSize.Observe(float64(len(batch)))
-	items := make([]core.BatchItem, len(batch))
-	for i, p := range batch {
-		items[i] = core.BatchItem{Req: p.req, Ctx: p.ctx, Tracker: p.tracker, T: p.t}
+// flushGroup runs one single-engine micro-batch and answers each member from
+// the worker that finished its slot, as soon as it finishes, so no member
+// waits for a slower batchmate. Members whose context already died cost
+// almost nothing: the engine rejects them at entry before any estimation
+// work.
+func (s *Server) flushGroup(l *lane, group []*pending, dequeued time.Time) {
+	l.batchID = s.met.batches.Add(1)
+	l.dequeued = dequeued
+	s.met.batchSize.Observe(float64(len(group)))
+	l.items = l.items[:0]
+	for _, p := range group {
+		l.items = append(l.items, core.BatchItem{Req: p.req, Ctx: p.ctx, Tracker: p.tracker, T: p.t})
 	}
-	outs := s.localizeBatch(batch[0].eng, items)
-	for i, p := range batch {
-		p.done <- outcome{
-			res: outs[i].Res, track: outs[i].Track, err: outs[i].Err,
-			batchSize: len(batch), batchID: batchID, dequeued: dequeued,
-		}
+	l.group = group
+	l.answered = grow(l.answered, len(group))
+	clear(l.answered)
+	s.localizeBatch(group[0].eng, l)
+	clear(l.items)
+}
+
+// answerSlot sends slot i's outcome to its member. It runs on the engine
+// worker that finished the slot; after the send the member is the handler's
+// again, so nothing here touches it later.
+func (l *lane) answerSlot(i int, out core.BatchOutcome) {
+	l.answered[i] = true
+	l.group[i].done <- outcome{
+		res: out.Res, track: out.Track, err: out.Err,
+		batchSize: len(l.group), batchID: l.batchID, dequeued: l.dequeued,
 	}
 }
 
 // localizeBatch wraps the engine call so that a panic escaping the engine
-// itself (not one isolated per-request inside it) still answers the whole
-// batch instead of killing the dispatcher.
-func (s *Server) localizeBatch(eng *core.Engine, items []core.BatchItem) (outs []core.BatchOutcome) {
+// itself (not one isolated per-request inside it) still answers every
+// member of the group not yet answered, instead of killing the dispatcher.
+func (s *Server) localizeBatch(eng *core.Engine, l *lane) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.met.panics.Inc()
-			outs = make([]core.BatchOutcome, len(items))
-			for i := range outs {
-				outs[i].Err = fmt.Errorf("serve: batch flush panicked: %v", rec)
+			err := fmt.Errorf("serve: batch flush panicked: %v", rec)
+			for i, done := range l.answered {
+				if !done {
+					l.answer(i, core.BatchOutcome{Err: err})
+				}
 			}
 		}
 	}()
-	return eng.LocalizeBatchItems(s.hardCtx, items)
+	eng.LocalizeBatchEach(s.hardCtx, l.items, l.answer)
 }

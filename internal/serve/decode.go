@@ -6,34 +6,28 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 )
 
 // pooledBodyBytes caps both the bodies the pooled read takes in whole and the
-// buffers the pool keeps. A CSI burst body is a few KB to a few hundred KB;
+// arenas the pool keeps. A CSI burst body is a few KB to a few hundred KB;
 // a larger one streams through encoding/json, so a body near maxBodyBytes
 // never stays resident in the pool.
 const pooledBodyBytes = 1 << 20
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // decodeBody decodes the JSON body of POST /v1/localize or /v1/track into v
-// (a *Request or *TrackRequest). Its result and error are exactly those of
+// (the arena's *Request or *TrackRequest, zero on entry), reading the body
+// into a.body and carving the decoded slices from a.wire. Its result and
+// error are exactly those of
 // json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v):
 // the same value, the same rejection and message, and the same indifference
 // to bytes after the first JSON value.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+func (a *arena) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= pooledBodyBytes {
-			bodyPool.Put(buf)
-		}
-	}()
+	buf := &a.body
 	buf.Reset()
 	_, err := buf.ReadFrom(io.LimitReader(body, pooledBodyBytes+1))
 	if err == nil && buf.Len() <= pooledBodyBytes {
-		return decodeWire(buf.Bytes(), v)
+		return a.wire.decode(buf.Bytes(), v)
 	}
 	// A failed read (MaxBytesReader's error is sticky) or a body too large
 	// for the pool: encoding/json reads the bytes taken so far, then the
@@ -41,38 +35,69 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body)).Decode(v)
 }
 
-// decodeWire decodes one request body into v (a *Request or *TrackRequest)
+// wireSlabs is the storage a decoded request's slices are carved from: its
+// links, their packets, the packets' antenna rows and the rows' [re, im]
+// values. Each level has its own slab, and the elements of one array are
+// contiguous in it, so a request reuses the slabs of the one before.
+type wireSlabs struct {
+	links   []Link
+	packets []Packet
+	rows    [][][2]float64
+	vals    [][2]float64
+}
+
+// carve returns slab[start:] with its capacity clipped, non-nil even when
+// empty (encoding/json decodes [] to an empty, non-nil slice).
+func carve[T any](slab []T, start int) []T {
+	if slab == nil {
+		return []T{}
+	}
+	return slab[start:len(slab):len(slab)]
+}
+
+// decodeWire decodes one request body into v (a zero *Request or
+// *TrackRequest) over fresh slabs; see wireSlabs.decode.
+func decodeWire(b []byte, v any) error {
+	return new(wireSlabs).decode(b, v)
+}
+
+// scanWire is wireSlabs.scan over fresh slabs.
+func scanWire(b []byte, v any) bool {
+	return new(wireSlabs).scan(b, v)
+}
+
+// decode decodes one request body into v (a zero *Request or *TrackRequest)
 // with the result and error of json.NewDecoder(bytes.NewReader(b)).Decode(v).
 // A body in the canonical form json.Marshal emits for the wire types is
-// scanned without reflection; anything the scanner does not accept (an
-// unknown, case-folded or repeated key, null, an escape or non-ASCII byte in
-// a string, a pair that is not two numbers, an out-of-range number, a syntax
-// error) is decoded by encoding/json from the same bytes. The decoded value
-// never aliases b.
-func decodeWire(b []byte, v any) error {
-	if scanWire(b, v) {
+// scanned without reflection into slices carved from sl; anything the
+// scanner does not accept (an unknown, case-folded or repeated key, null, an
+// escape or non-ASCII byte in a string, a pair that is not two numbers, an
+// out-of-range number, a syntax error) is decoded by encoding/json from the
+// same bytes. The decoded value never aliases b.
+func (sl *wireSlabs) decode(b []byte, v any) error {
+	if sl.scan(b, v) {
 		return nil
 	}
 	return json.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
-// scanWire fills v (a *Request or *TrackRequest) from a canonical body and
-// reports whether it did; on false, v is untouched.
-func scanWire(b []byte, v any) bool {
-	s := wireScanner{b: b}
+// scan fills v (a zero *Request or *TrackRequest) from a canonical body,
+// reusing sl's slabs, and reports whether it did; on false, v is zero
+// again.
+func (sl *wireSlabs) scan(b []byte, v any) bool {
+	sl.links, sl.packets, sl.rows, sl.vals = sl.links[:0], sl.packets[:0], sl.rows[:0], sl.vals[:0]
+	s := wireScanner{b: b, slab: sl}
 	switch v := v.(type) {
 	case *Request:
-		var req Request
-		if s.request(&req, nil) {
-			*v = req
+		if s.request(v, nil) {
 			return true
 		}
+		*v = Request{}
 	case *TrackRequest:
-		var req TrackRequest
-		if s.request(&req.Request, &req) {
-			*v = req
+		if s.request(&v.Request, v) {
 			return true
 		}
+		*v = TrackRequest{}
 	}
 	return false
 }
@@ -83,11 +108,9 @@ func scanWire(b []byte, v any) bool {
 type wireScanner struct {
 	b []byte
 	i int
-	// rows and cols size the next packet's antenna slice and the next
-	// row's subcarrier slice after the last ones seen: packets in a request
-	// share their dimensions, so each slice is allocated once at its
-	// final size.
-	rows, cols int
+	// slab holds the storage scanned arrays are carved from (nil when
+	// only scanning for the proxy's routing key).
+	slab *wireSlabs
 }
 
 // request scans a whole Request body; with t non-nil it also accepts the
@@ -138,12 +161,13 @@ func (s *wireScanner) room(r *Rect) bool {
 }
 
 func (s *wireScanner) links(dst *[]Link) bool {
-	links := []Link{}
+	sl := s.slab
+	start := len(sl.links)
 	ok := s.array(func() bool {
-		links = append(links, Link{})
-		return s.link(&links[len(links)-1])
+		sl.links = append(sl.links, Link{})
+		return s.link(&sl.links[len(sl.links)-1])
 	})
-	*dst = links
+	*dst = carve(sl.links, start)
 	return ok
 }
 
@@ -166,10 +190,11 @@ func (s *wireScanner) link(l *Link) bool {
 }
 
 func (s *wireScanner) packets(dst *[]Packet) bool {
-	packets := []Packet{}
+	sl := s.slab
+	start := len(sl.packets)
 	ok := s.array(func() bool {
-		packets = append(packets, Packet{})
-		p := &packets[len(packets)-1]
+		sl.packets = append(sl.packets, Packet{})
+		p := &sl.packets[len(sl.packets)-1]
 		return s.object(func(key []byte) (uint, bool) {
 			if string(key) != "data" {
 				return 0, false
@@ -177,27 +202,26 @@ func (s *wireScanner) packets(dst *[]Packet) bool {
 			return 1, s.data(&p.Data)
 		})
 	})
-	*dst = packets
+	*dst = carve(sl.packets, start)
 	return ok
 }
 
 // data scans one packet's [antenna][subcarrier][re, im] matrix.
 func (s *wireScanner) data(dst *[][][2]float64) bool {
-	rows := make([][][2]float64, 0, s.rows)
+	sl := s.slab
+	start := len(sl.rows)
 	ok := s.array(func() bool {
-		row := make([][2]float64, 0, s.cols)
+		vstart := len(sl.vals)
 		ok := s.array(func() bool {
 			var v [2]float64
 			ok := s.consume('[') && s.float(&v[0]) && s.consume(',') && s.float(&v[1]) && s.consume(']')
-			row = append(row, v)
+			sl.vals = append(sl.vals, v)
 			return ok
 		})
-		rows = append(rows, row)
-		s.cols = len(row)
+		sl.rows = append(sl.rows, carve(sl.vals, vstart))
 		return ok
 	})
-	*dst = rows
-	s.rows = len(rows)
+	*dst = carve(sl.rows, start)
 	return ok
 }
 

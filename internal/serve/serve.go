@@ -20,7 +20,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -279,6 +278,10 @@ type Server struct {
 	dispatcherDone chan struct{}
 	hardCtx        context.Context
 	hardCancel     context.CancelFunc
+
+	// arenaReleased, when set before the first request, sees every arena a
+	// finished call releases (a test's probe; see arena.release).
+	arenaReleased func(*arena)
 }
 
 // New validates cfg, starts the dispatcher lanes, and returns the server.
@@ -335,7 +338,7 @@ func New(cfg Config) (*Server, error) {
 		q := s.queues[i]
 		go func() {
 			defer lanes.Done()
-			s.dispatch(q)
+			s.dispatch(&lane{queue: q})
 		}()
 	}
 	go func() {
@@ -453,9 +456,11 @@ const maxBodyBytes = 4 << 20
 // request path both endpoints share. The handlers run its steps in a
 // straight line and answer the request at the first step that reports
 // false; only the decode target, the session steps and the response shape
-// are their own.
+// are their own. A call lives in its arena, which holds every buffer the
+// request fills.
 type call struct {
 	s   *Server
+	a   *arena
 	w   http.ResponseWriter
 	rid string
 	// venue stays empty until the id is known to the manifest, so per-venue
@@ -473,6 +478,9 @@ type call struct {
 	ctx                   context.Context
 	cancelTimeout, cancel context.CancelFunc
 	stop                  func() bool
+	// inflight is set while the dispatcher holds the request: from its
+	// admission to its outcome.
+	inflight bool
 
 	// ev is what the request accrued riding its batch (queue and total
 	// time, deadline, batch), zero until submit returns. The event of the
@@ -480,27 +488,30 @@ type call struct {
 	ev obs.RequestEvent
 }
 
-// newCall honors the client's X-Request-Id (sanitized) or mints one, and
-// echoes it on every response, including errors, so the client can always
-// quote an id the server-side telemetry knows.
-func (s *Server) newCall(w http.ResponseWriter, r *http.Request) call {
+// newCall takes an arena for the request, honors the client's
+// X-Request-Id (sanitized) or mints one, and echoes it on every response,
+// including errors, so the client can always quote an id the server-side
+// telemetry knows.
+func (s *Server) newCall(w http.ResponseWriter, r *http.Request) *call {
 	rid := obs.SanitizeRequestID(r.Header.Get("X-Request-Id"))
 	if rid == "" {
 		rid = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-Id", rid)
-	return call{s: s, w: w, rid: rid}
+	a := arenaPool.Get().(*arena)
+	a.call = call{s: s, a: a, w: w, rid: rid}
+	return &a.call
 }
 
 func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	c := s.newCall(w, r)
 	defer c.end()
-	var wreq Request
-	if !c.decode(r, &wreq) {
+	wreq := &c.a.req.Request
+	if !c.decode(r, wreq) {
 		return
 	}
-	creq, ok := c.validate(&wreq)
-	if !ok || !c.prepare(r, &wreq) {
+	creq, ok := c.validate(wreq)
+	if !ok || !c.prepare(r, wreq) {
 		return
 	}
 	out, ok := c.submit(creq, nil, 0)
@@ -520,7 +531,7 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 func (c *call) answer(ev obs.RequestEvent, body any) {
 	ev.ID, ev.Venue, ev.Session, ev.Seq = c.rid, c.venue, c.session, c.seq
 	c.s.record(ev)
-	writeJSON(c.w, ev.Status, body)
+	c.a.out.write(c.w, ev.Status, body)
 }
 
 // badRequest answers a client error. After the batch the event keeps what
@@ -564,24 +575,25 @@ func (c *call) turnAway(ev obs.RequestEvent, msg string, seed time.Duration) {
 	c.answer(ev, ErrorResponse{Error: msg})
 }
 
-// decode runs the method and decode gates: v (a *Request or *TrackRequest)
-// holds the body when it reports true.
+// decode runs the method and decode gates: v (the arena's *Request or
+// *TrackRequest) holds the body when it reports true.
 func (c *call) decode(r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		c.w.Header().Set("Allow", http.MethodPost)
 		c.badRequest(http.StatusMethodNotAllowed, "method", "POST only")
 		return false
 	}
-	if err := decodeBody(c.w, r, v); err != nil {
+	if err := c.a.decodeBody(c.w, r, v); err != nil {
 		c.badRequest(http.StatusBadRequest, "decode", fmt.Sprintf("decode request: %v", err))
 		return false
 	}
 	return true
 }
 
-// validate is the validate gate: the wire request as engine input.
+// validate is the validate gate: the wire request as engine input, built
+// in the arena.
 func (c *call) validate(wreq *Request) (*core.LocalizeRequest, bool) {
-	creq, err := wreq.ToCore()
+	creq, err := c.a.csi.toCore(wreq)
 	if err != nil {
 		c.badRequest(http.StatusBadRequest, "validate", err.Error())
 		return nil, false
@@ -648,7 +660,9 @@ func (c *call) prepare(r *http.Request, wreq *Request) bool {
 	return true
 }
 
-// end releases the request's contexts.
+// end releases the request's contexts and its arena. A call that unwinds
+// while the dispatcher still holds its request (only a panic can) leaves
+// the arena to the garbage collector instead.
 func (c *call) end() {
 	if c.stop != nil {
 		c.stop()
@@ -656,6 +670,9 @@ func (c *call) end() {
 	}
 	if c.cancelTimeout != nil {
 		c.cancelTimeout()
+	}
+	if !c.inflight {
+		c.a.release(c.s.arenaReleased)
 	}
 }
 
@@ -669,10 +686,14 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	// latency (and includes any cold venue load), while enq anchors the
 	// queue-wait measurement so a slow load does not masquerade as queueing.
 	enq := time.Now()
-	p := &pending{
+	p := &c.a.p
+	if p.done == nil {
+		p.done = make(chan outcome, 1)
+	}
+	*p = pending{
 		req: creq, eng: c.eng, venue: c.venue, ctx: c.ctx,
 		tracker: tracker, t: t,
-		done: make(chan outcome, 1), enqueued: enq,
+		done: p.done, enqueued: enq,
 	}
 	// Lane selection: consistent hashing on venue id, so one venue's traffic
 	// always shares a lane (and its micro-batches), while a hot venue can
@@ -692,6 +713,7 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	}
 	select {
 	case queue <- p:
+		c.inflight = true
 		s.met.accepted.Inc()
 		s.admitMu.RUnlock()
 	default:
@@ -705,6 +727,7 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	// The dispatcher always answers every accepted request — on flush, on
 	// forced cancellation, or on drain — so this receive cannot leak.
 	out := <-p.done
+	c.inflight = false
 	queueMs := out.dequeued.Sub(enq).Seconds() * 1e3
 	if out.dequeued.IsZero() {
 		queueMs = 0
@@ -719,25 +742,27 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	return out, true
 }
 
-// response is the wire view of a completed request's fix.
-func (c *call) response(out *outcome) Response {
-	resp := Response{
+// response is the wire view of a completed request's fix, built in the
+// arena's response.
+func (c *call) response(out *outcome) *Response {
+	a := c.a
+	a.links = grow(a.links, len(out.res.Links))
+	for i, lr := range out.res.Links {
+		a.links[i] = LinkResult{AoADeg: lr.AoADeg, Confidence: lr.Confidence}
+		if lr.Err != nil {
+			a.links[i].Error = lr.Err.Error()
+		}
+	}
+	a.resp.Response = Response{
 		RequestID:   c.rid,
 		X:           out.res.Position.X,
 		Y:           out.res.Position.Y,
-		Links:       make([]LinkResult, len(out.res.Links)),
+		Links:       a.links,
 		BatchSize:   out.batchSize,
 		QueueMillis: c.ev.QueueMillis,
 		TotalMillis: c.ev.TotalMillis,
 	}
-	for i, lr := range out.res.Links {
-		resp.Links[i].AoADeg = lr.AoADeg
-		resp.Links[i].Confidence = lr.Confidence
-		if lr.Err != nil {
-			resp.Links[i].Error = lr.Err.Error()
-		}
-	}
-	return resp
+	return &a.resp.Response
 }
 
 // respond answers a completed request with resp and records its ok event:
@@ -971,12 +996,8 @@ func (s *Server) retryAfter(seed time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a client gone mid-write
-}
-
+// writeError answers a request that has no arena (the proxy's, or one whose
+// handler panicked) with status and msg.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	new(jsonOut).write(w, status, ErrorResponse{Error: msg})
 }

@@ -93,8 +93,8 @@ type TrackResponse struct {
 func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	c := s.newCall(w, r)
 	defer c.end()
-	var wreq TrackRequest
-	if !c.decode(r, &wreq) {
+	wreq := &c.a.req
+	if !c.decode(r, wreq) {
 		return
 	}
 	c.seq = wreq.Seq
@@ -166,8 +166,8 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	c.ev.Windowed = tr.Windowed
 	c.ev.TrackFallback = tr.Fallback
 	c.ev.Reacquired = tr.Track.Reacquired
-	c.respond(TrackResponse{
-		Response:       c.response(&out),
+	c.a.resp = TrackResponse{
+		Response:       *c.response(&out),
 		SessionID:      c.session,
 		Seq:            wreq.Seq,
 		SmoothedX:      tr.Track.Smoothed.X,
@@ -182,5 +182,6 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		Reacquired:     tr.Track.Reacquired,
 		SearchMode:     tr.Fix.Search.Mode,
 		CellsEvaluated: tr.Fix.Search.Evaluated(),
-	}, out.res, tr.Track.Smoothed)
+	}
+	c.respond(&c.a.resp, out.res, tr.Track.Smoothed)
 }

@@ -112,8 +112,27 @@ func (r *Request) Deadline() time.Duration {
 
 // ToCore validates the wire request and converts it into a
 // core.LocalizeRequest. Every packet must be a rectangular complex matrix
-// with the same dimensions as the first packet of the first link.
+// with the same dimensions as the first packet of the first link. It is the
+// handlers' conversion over fresh slabs, so the result shares no storage.
 func (r *Request) ToCore() (*core.LocalizeRequest, error) {
+	return new(csiSlabs).toCore(r)
+}
+
+// csiSlabs is the engine-side storage of one converted request: the
+// core.LocalizeRequest, its links, and the packet bursts, CSI matrices,
+// antenna rows and complex values they are carved from.
+type csiSlabs struct {
+	req    core.LocalizeRequest
+	links  []core.LinkInput
+	bursts []*wireless.CSI
+	csis   []wireless.CSI
+	rows   [][]complex128
+	vals   []complex128
+}
+
+// toCore is ToCore over cs: the returned request and every slice in it point
+// into cs, which must not be reused while the request is in use.
+func (cs *csiSlabs) toCore(r *Request) (*core.LocalizeRequest, error) {
 	if len(r.Links) < 2 {
 		return nil, fmt.Errorf("serve: request needs >= 2 links, got %d", len(r.Links))
 	}
@@ -122,7 +141,7 @@ func (r *Request) ToCore() (*core.LocalizeRequest, error) {
 	// callers, where a non-finite room or RSSI would poison the Eq. 19 cost
 	// surface (NaN compares false against everything, wedging the search at
 	// its starting corner).
-	for _, f := range []struct {
+	for _, f := range [...]struct {
 		name string
 		v    float64
 	}{
@@ -137,28 +156,38 @@ func (r *Request) ToCore() (*core.LocalizeRequest, error) {
 	if r.Room.MaxX <= r.Room.MinX || r.Room.MaxY <= r.Room.MinY {
 		return nil, fmt.Errorf("serve: empty room %+v", r.Room)
 	}
-	var m, l int
-	out := &core.LocalizeRequest{
-		Links: make([]core.LinkInput, len(r.Links)),
-		Bounds: core.Rect{
-			MinX: r.Room.MinX, MinY: r.Room.MinY,
-			MaxX: r.Room.MaxX, MaxY: r.Room.MaxY,
-		},
-		Step: r.GridStepMeters,
+	// Size every slab before filling any, so a burst never straddles a
+	// slab's growth.
+	var packets, rows, vals int
+	for _, link := range r.Links {
+		packets += len(link.Packets)
+		for _, pkt := range link.Packets {
+			rows += len(pkt.Data)
+			for _, row := range pkt.Data {
+				vals += len(row)
+			}
+		}
 	}
+	cs.links = grow(cs.links, len(r.Links))
+	cs.bursts = grow(cs.bursts, packets)
+	cs.csis = grow(cs.csis, packets)
+	// fill appends the rows and values within the capacity sized here.
+	cs.rows = grow(cs.rows, rows)[:0]
+	cs.vals = grow(cs.vals, vals)[:0]
+	var m, l, pi int
 	for i, link := range r.Links {
 		if len(link.Packets) == 0 {
 			return nil, fmt.Errorf("serve: link %d has no packets", i)
 		}
-		for _, v := range []float64{link.X, link.Y, link.AxisDeg, link.RSSIdBm} {
+		for _, v := range [...]float64{link.X, link.Y, link.AxisDeg, link.RSSIdBm} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("serve: link %d has non-finite geometry/RSSI", i)
 			}
 		}
-		burst := make([]*wireless.CSI, len(link.Packets))
-		for p, pkt := range link.Packets {
-			csi, err := pkt.toCSI()
-			if err != nil {
+		burst := cs.bursts[pi : pi+len(link.Packets) : pi+len(link.Packets)]
+		for p := range link.Packets {
+			csi := &cs.csis[pi+p]
+			if err := cs.fill(csi, &link.Packets[p]); err != nil {
 				return nil, fmt.Errorf("serve: link %d packet %d: %w", i, p, err)
 			}
 			if m == 0 {
@@ -169,14 +198,23 @@ func (r *Request) ToCore() (*core.LocalizeRequest, error) {
 			}
 			burst[p] = csi
 		}
-		out.Links[i] = core.LinkInput{
+		pi += len(link.Packets)
+		cs.links[i] = core.LinkInput{
 			Pos:     core.Point{X: link.X, Y: link.Y},
 			AxisDeg: link.AxisDeg,
 			RSSIdBm: link.RSSIdBm,
 			Packets: burst,
 		}
 	}
-	return out, nil
+	cs.req = core.LocalizeRequest{
+		Links: cs.links,
+		Bounds: core.Rect{
+			MinX: r.Room.MinX, MinY: r.Room.MinY,
+			MaxX: r.Room.MaxX, MaxY: r.Room.MaxY,
+		},
+		Step: r.GridStepMeters,
+	}
+	return &cs.req, nil
 }
 
 // Dims returns the antenna and subcarrier counts of the request's first
@@ -193,25 +231,30 @@ func (r *Request) Dims() (antennas, subcarriers int) {
 	return len(d), len(d[0])
 }
 
-func (p *Packet) toCSI() (*wireless.CSI, error) {
+// fill converts one wire packet into dst, appending its rows and values to
+// the slabs toCore sized for the whole request.
+func (cs *csiSlabs) fill(dst *wireless.CSI, p *Packet) error {
 	m := len(p.Data)
 	if m == 0 {
-		return nil, fmt.Errorf("packet has no antennas")
+		return fmt.Errorf("packet has no antennas")
 	}
 	l := len(p.Data[0])
 	if l == 0 {
-		return nil, fmt.Errorf("packet has no subcarriers")
+		return fmt.Errorf("packet has no subcarriers")
 	}
-	csi := wireless.NewCSI(m, l)
+	r0 := len(cs.rows)
 	for a, row := range p.Data {
 		if len(row) != l {
-			return nil, fmt.Errorf("antenna %d has %d subcarriers, antenna 0 has %d", a, len(row), l)
+			return fmt.Errorf("antenna %d has %d subcarriers, antenna 0 has %d", a, len(row), l)
 		}
-		for s, v := range row {
-			csi.Data[a][s] = complex(v[0], v[1])
+		v0 := len(cs.vals)
+		for _, v := range row {
+			cs.vals = append(cs.vals, complex(v[0], v[1]))
 		}
+		cs.rows = append(cs.rows, cs.vals[v0:len(cs.vals):len(cs.vals)])
 	}
-	return csi, nil
+	*dst = wireless.CSI{NumAntennas: m, NumSubcarriers: l, Data: cs.rows[r0:len(cs.rows):len(cs.rows)]}
+	return nil
 }
 
 // FromCore converts a core request into its wire form — the encoder load
