@@ -18,6 +18,7 @@ import (
 // k-column measurement block and its kappa.
 type certProblem struct {
 	name  string
+	shape string // "dense" or "kron"
 	a     *cmat.Matrix
 	path  []Option
 	y     *cmat.Matrix
@@ -59,6 +60,7 @@ func certProblems(seeds int) []certProblem {
 				}
 				out = append(out, certProblem{
 					name:  fmt.Sprintf("%s/seed%d/k%d", shape.name, seed, k),
+					shape: shape.name,
 					a:     shape.a,
 					path:  shape.path,
 					y:     y,
@@ -121,23 +123,32 @@ func matToColumns(x *cmat.Matrix) [][]complex128 {
 	return out
 }
 
-// coldSolveDigest pins the bits of every cold solve that declares no early
-// stop: X, RowMags, Objective, Iterations and the status flags over 96
-// solves (dense and Kronecker paths, ADMM and FISTA, k = 1..3, a 60-iteration
-// cap and a tolerance tight enough to converge).
-const coldSolveDigest = "4c9a99aa7be9b9c8828514fdef01b49b712963fd4240dce32936a3a5812e3961"
+// coldSolveDigests pins the bits of every cold solve that declares no early
+// stop, one digest per arm (dictionary path and method): X, RowMags,
+// Objective, Iterations and the status flags over 24 solves each, 96 in all
+// (k = 1..3, a 60-iteration cap and a tolerance tight enough to converge).
+var coldSolveDigests = map[string]string{
+	"dense/admm":  "4a0c46b466831086726120b931cc25c7f60eed54cf4852a8f8fcb9c6c8337baf",
+	"dense/fista": "09a601e62ded50d60c961d06bbb3443598ef545b3122f5d6bce01bcea6ef0737",
+	"kron/admm":   "736b63dd60350f8c5a9a038f70831d696b9a2165bac87576f1dc74a7337f988f",
+	"kron/fista":  "f29830971525512cf3f82e0d0b945f219492666444fe1586308847f58a4dd846",
+}
 
 // TestColdSolveDigest: a solve that declares no early stop computes exactly
 // the iterates it always has.
 func TestColdSolveDigest(t *testing.T) {
-	h := sha256.New()
+	hs := map[string]hash.Hash{}
 	for _, p := range certProblems(4) {
 		for _, method := range []Method{MethodADMM, MethodFISTA} {
-			for _, arm := range [][]Option{
+			arm := p.shape + "/" + method.String()
+			if hs[arm] == nil {
+				hs[arm] = sha256.New()
+			}
+			for _, stop := range [][]Option{
 				{WithMaxIters(60)},
 				{WithMaxIters(3000), WithTolerance(1e-9, 1e-8)},
 			} {
-				opts := append(append([]Option{WithMethod(method)}, p.path...), arm...)
+				opts := append(append([]Option{WithMethod(method)}, p.path...), stop...)
 				s, err := NewSolver(p.a, opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -146,12 +157,17 @@ func TestColdSolveDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %v: %v", p.name, method, err)
 				}
-				hashResult(h, r, x)
+				hashResult(hs[arm], r, x)
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != coldSolveDigest {
-		t.Fatalf("cold solve digest %s, want %s", got, coldSolveDigest)
+	if len(hs) != len(coldSolveDigests) {
+		t.Fatalf("%d arms solved, %d digests pinned", len(hs), len(coldSolveDigests))
+	}
+	for arm, want := range coldSolveDigests {
+		if got := hex.EncodeToString(hs[arm].Sum(nil)); got != want {
+			t.Errorf("%s cold solve digest %s, want %s", arm, got, want)
+		}
 	}
 }
 
