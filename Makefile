@@ -9,12 +9,18 @@ GO ?= go
 # so the full -race sweep stays affordable.
 RACE_PKGS := ./internal/core/... ./internal/sparse/... ./internal/obs/... ./internal/quality/... ./internal/serve/... ./internal/venue/... ./internal/testbed/...
 
-.PHONY: check vet build test race bench bench-search bench-solve bench-wire bench-serve profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
+.PHONY: check vet perfbench-vet build test race bench bench-search bench-solve bench-wire bench-serve profile experiments quality-gate bless-quality bless-batch serve-smoke bless-serve fuzz-smoke fault-gate bless-fault obs-smoke diag-smoke shard-smoke bless-shard track-smoke bless-track
 
-check: vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
+check: vet perfbench-vet build test race fuzz-smoke quality-gate fault-gate serve-smoke obs-smoke diag-smoke shard-smoke track-smoke
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is a nested module, so the root `go vet ./...` and
+# `go build ./...` skip it: a renamed core or serve API it uses would
+# otherwise fail only when the benchmark runs.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -31,21 +37,21 @@ bench:
 	$(GO) test -run XXX -bench 'LocalizeBatch' -benchtime 3x .
 
 # Search-strategy and solver benchmark pairs (see DESIGN.md §13): the
-# flat-vs-branch-and-bound grid search ratio, the windowed search, and the
-# dense-vs-Kronecker solver ratio. The search benchmarks report the cost
-# evaluations per search as cells/op beside ns/op. The BenchmarkADMMKron
-# pattern also matches BenchmarkADMMKronSmoke, the serving-shape solve (the
-# smoke preset's 8x8 delay and 3x19 AoA factors, k=1) that the perfbench
-# workloads run: it stops on the duality-gap certificate
-# (sparse.WithGapStop(0.02)), with the 60-iteration cap as a backstop, and
-# BenchmarkADMMKronGapStop reports that profile's iterations per solve over a
-# fused burst. BenchmarkKronWoodbury
+# flat-vs-branch-and-bound grid search ratio and the windowed search, which
+# report the cost evaluations per search as cells/op beside ns/op, and the
+# dense-vs-Kronecker solver ratio: BenchmarkADMMCold on the dense 90 x 920
+# dictionary against BenchmarkADMMKron on a solver built from its factors
+# (sparse.NewKronSolver; 30 x 20 delay and 3 x 46 AoA factors). The
+# BenchmarkADMMKron pattern also matches BenchmarkADMMKronK1 (one snapshot),
+# BenchmarkADMMKronSmoke, the serving-shape solve the perfbench workloads
+# run (the smoke preset's 8 x 8 delay and 3 x 19 AoA factors, k = 1, stopped
+# by the duality-gap certificate sparse.WithGapStop(0.02) with the
+# 60-iteration cap as a backstop), and BenchmarkADMMKronGapStop, that
+# profile's iterations per solve over a fused burst. BenchmarkKronWoodbury
 # isolates one Kronecker x-update (the block-diagonal Woodbury kernel) at
-# that shape, separating the ridge step from the rest of the ADMM
-# iteration. The committed-baseline
-# regression assertion itself lives in cmd/roabench
-# (TestCommittedBatchBaseline, part of `make test`); this target is for
-# eyeballing the ratios.
+# the serving shape. The committed-baseline regression assertion itself
+# lives in cmd/roabench (TestCommittedBatchBaseline, part of `make test`);
+# this target is for eyeballing the ratios.
 bench-search:
 	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
 	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
@@ -54,14 +60,18 @@ bench-search:
 # the Kronecker ADMM solves (BenchmarkADMMKron*, the paper shape and the
 # smoke serving shape), one Kronecker x-update (BenchmarkKronWoodbury), and a
 # whole single-link estimate at the smoke serving shape
-# (BenchmarkEstimateDirectAoASmoke). A warm SolveMulti allocates only its
-# Result and RowMags; a warm single-link estimate, whose solve reuses its
-# pooled link workspace's RowMags, allocates nothing. The allocs/op before
-# and after the pooled solver and link workspaces are recorded in
-# EXPERIMENTS.md.
+# (BenchmarkEstimateDirectAoASmoke), plus a cold estimator's construction
+# and Warmup at the smoke and paper presets' shapes
+# (BenchmarkEstimatorWarmup), the dictionary cost a venue load pays. A warm
+# SolveMulti allocates only its Result and RowMags; a warm single-link
+# estimate, whose solve reuses its pooled link workspace's RowMags,
+# allocates nothing. The allocs/op before and after the pooled solver and
+# link workspaces, and the warm-up cost before and after the joint solver
+# was built from its factors alone, are recorded in EXPERIMENTS.md.
 bench-solve:
 	$(GO) test -run XXX -bench 'BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchmem -benchtime 200x ./internal/sparse/
 	$(GO) test -run XXX -bench 'BenchmarkEstimateDirectAoASmoke$$' -benchmem -benchtime 2000x ./internal/core/
+	$(GO) test -run XXX -bench 'BenchmarkEstimatorWarmup$$' -benchmem -benchtime 41x ./internal/core/
 
 # Request-decode benchmark pairs (see DESIGN.md §11): the handlers'
 # reflection-free wire decoder (BenchmarkDecodeRequest) against the

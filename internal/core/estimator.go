@@ -134,10 +134,8 @@ type Estimator struct {
 	jointOnce   sync.Once
 	jointSolver *sparse.Solver
 	jointErr    error
-	// jointDict is the dense space-delay dictionary, kept only under
-	// Config.Fallback as the OMP stage's atoms: the joint solver itself
-	// iterates on the Kronecker factors and drops the dense matrix once
-	// built, so without Fallback nothing keeps it resident.
+	// jointDict is the dense space-delay dictionary, built only under
+	// Config.Fallback as the OMP stage's atoms.
 	jointDict *cmat.Matrix
 
 	// delays is the matched-filter phasor table of the delay alignment that
@@ -231,24 +229,6 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 // "Gap stop").
 const servingGapEps = 0.02
 
-// jointOptions returns the joint solver's options: SolverOptions followed by
-// the Kronecker factors of the space-delay dictionary, so the solver iterates
-// on the small delay and AoA factors (6,720 instead of 173,700 complex
-// multiply-adds per x-update and snapshot at the paper's dimensions). Under
-// Config.Warm the serving profile's gap stop is prepended so explicit caller
-// options can still override it. The AoA solver takes SolverOptions as they
-// are; its dictionary has no such factorization.
-func (e *Estimator) jointOptions() []sparse.Option {
-	opts := make([]sparse.Option, 0, len(e.cfg.SolverOptions)+2)
-	if e.cfg.Warm {
-		opts = append(opts, sparse.WithGapStop(servingGapEps))
-	}
-	opts = append(opts, e.cfg.SolverOptions...)
-	return append(opts, sparse.WithKronecker(
-		BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
-		BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid)))
-}
-
 // Config returns the effective (default-filled) configuration.
 func (e *Estimator) Config() Config { return e.cfg }
 
@@ -274,8 +254,8 @@ func (e *Estimator) Warmup() error {
 // block-diagonal ridge step — M Ntau x Ntau blocks H_m and the rotated
 // M x Ntheta AoA factor S' with its conjugate. The dense joint space-delay
 // dictionary (M*L x Ntheta*Ntau) is counted only under Config.Fallback, the
-// one configuration that keeps it (as the OMP stage's atoms); the joint
-// solver drops it once built. When counted it dominates (6.55 of the paper
+// one configuration that builds it (as the OMP stage's atoms); the joint
+// solver never forms it. When counted it dominates (6.55 of the paper
 // preset's 6.74 MB, against 0.19 MB without it), which is why a venue cache
 // budgets on these bytes rather than venue count. Complex128 entries are 16
 // bytes.
@@ -323,8 +303,8 @@ func BuildJointDictionary(arr wireless.Array, ofdm wireless.OFDM, thetaGrid, tau
 // one column g(tau_t) = [1, Gamma, ..., Gamma^{L-1}]ᵀ per grid delay, size
 // L x Ntau. Together with BuildAoADictionary it forms the Kronecker
 // factorization of BuildJointDictionary — entry ((l*M+m), (t*Ntheta+i)) of
-// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — which every joint
-// solve exploits via sparse.WithKronecker.
+// the joint dictionary is g(tau_t)[l] * s(theta_i)[m] — from which every
+// joint solver is built (sparse.NewKronSolver).
 func BuildDelayDictionary(ofdm wireless.OFDM, tauGrid []float64) *cmat.Matrix {
 	d := cmat.New(ofdm.NumSubcarriers, len(tauGrid))
 	col := make([]complex128, ofdm.NumSubcarriers)
@@ -355,10 +335,22 @@ func (e *Estimator) getJointSolver() (*sparse.Solver, error) {
 	built := false
 	e.jointOnce.Do(func() {
 		built = true
-		dict := BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
-		e.jointSolver, e.jointErr = sparse.NewSolver(dict, e.jointOptions()...)
+		// Under Config.Warm the serving profile's gap stop comes first, so
+		// explicit SolverOptions still override it.
+		opts := e.cfg.SolverOptions
+		if e.cfg.Warm {
+			opts = append([]sparse.Option{sparse.WithGapStop(servingGapEps)}, opts...)
+		}
+		// The solver is built from the Kronecker factors of the space-delay
+		// dictionary alone and iterates on them (6,720 instead of 173,700
+		// complex multiply-adds per x-update and snapshot at the paper's
+		// dimensions); the dense dictionary is formed only as the atoms of
+		// Config.Fallback's OMP stage.
+		e.jointSolver, e.jointErr = sparse.NewKronSolver(
+			BuildDelayDictionary(e.cfg.OFDM, e.cfg.TauGrid),
+			BuildAoADictionary(e.cfg.Array, e.cfg.ThetaGrid), opts...)
 		if e.cfg.Fallback {
-			e.jointDict = dict
+			e.jointDict = BuildJointDictionary(e.cfg.Array, e.cfg.OFDM, e.cfg.ThetaGrid, e.cfg.TauGrid)
 		}
 	})
 	e.recordDictAccess(built)

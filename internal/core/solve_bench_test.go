@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"roarray/internal/sparse"
@@ -22,6 +23,17 @@ func smokeServingConfig() Config {
 		TauGrid:       spectra.UniformGrid(0, ofdm.MaxToA(), 8),
 		SolverOptions: []sparse.Option{sparse.WithMaxIters(60)},
 		Warm:          true,
+	}
+}
+
+// paperServingConfig is the paper preset's estimator under the serving
+// profile: the Intel 5300 array and 30 subcarriers with the default 91 x 50
+// grid and 400-iteration cap.
+func paperServingConfig() Config {
+	return Config{
+		Array: wireless.Intel5300Array(),
+		OFDM:  wireless.Intel5300OFDM(),
+		Warm:  true,
 	}
 }
 
@@ -110,9 +122,9 @@ func TestWarmEstimateDirectAoAAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestJointDictResidentOnlyUnderFallback: the dense joint dictionary stays
-// resident only for the OMP stage of Config.Fallback; the joint solver
-// itself keeps none.
+// TestJointDictResidentOnlyUnderFallback: the joint solver holds no dense
+// dictionary, and the estimator keeps the dense joint dictionary only under
+// Config.Fallback, as the OMP stage's atoms.
 func TestJointDictResidentOnlyUnderFallback(t *testing.T) {
 	for _, fallback := range []bool{false, true} {
 		cfg := smokeServingConfig()
@@ -130,5 +142,55 @@ func TestJointDictResidentOnlyUnderFallback(t *testing.T) {
 		if kept := est.jointDict != nil; kept != fallback {
 			t.Errorf("fallback=%v: dense joint dictionary resident = %v", fallback, kept)
 		}
+	}
+}
+
+// TestWarmupBuildsFromFactors: without Config.Fallback, warming the paper
+// preset's estimator builds the joint solver from its Kronecker factors and
+// never forms the 90 x 4,550 dense joint dictionary (6.55 MB on its own), so
+// NewEstimator plus Warmup allocate under 1 MB in total.
+func TestWarmupBuildsFromFactors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what is allocated")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	est, err := NewEstimator(paperServingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewEstimator+Warmup allocated %d bytes on the paper preset, want under 1 MiB", got)
+	}
+}
+
+// BenchmarkEstimatorWarmup measures a cold estimator's construction and
+// Warmup (both dictionaries and their factorizations), as a venue load pays
+// it, at the smoke and paper presets' shapes without Fallback, with
+// allocations reported.
+func BenchmarkEstimatorWarmup(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"smoke", smokeServingConfig()},
+		{"paper", paperServingConfig()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				est, err := NewEstimator(tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := est.Warmup(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

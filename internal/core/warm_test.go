@@ -263,8 +263,8 @@ func TestEstimatorWarmConcurrentHammer(t *testing.T) {
 // pair and its conjugates (30 x 8 and 3 x 31 each), and the factored ridge
 // step (three 8 x 8 H_m blocks and the rotated 3 x 31 AoA factor with its
 // conjugate). The dense 90 x 248 joint dictionary is counted only under
-// Fallback, whose OMP stage keeps it; the joint solver drops it. The count is
-// the same with and without the serving profile.
+// Fallback, whose OMP stage keeps it; the joint solver never forms it. The
+// count is the same with and without the serving profile.
 func TestFootprintBytesFormula(t *testing.T) {
 	const c = 16
 	base := int64(3*31*c+3*3*c) + 2*(30*8+3*31)*c + (3*8*8+2*3*31)*c

@@ -44,6 +44,15 @@ func benchSolver(b *testing.B, a *cmat.Matrix, opts ...Option) *Solver {
 	return s
 }
 
+func benchKronSolver(b *testing.B, g, s *cmat.Matrix, opts ...Option) *Solver {
+	b.Helper()
+	sv, err := NewKronSolver(g, s, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sv
+}
+
 // BenchmarkADMMCold measures one full cold ADMM solve at the batch
 // benchmark's joint-dictionary dimensions (90 x 920, 2 fused snapshots,
 // 150-iteration cap) — the unit of work behind core.solve.seconds.
@@ -90,12 +99,12 @@ func benchKronProblem(ll, tt, mm, cc, k int) (g, s, dense, y *cmat.Matrix) {
 	return g, s, dense, y
 }
 
-// BenchmarkADMMKron is BenchmarkADMMCold with the dictionary's Kronecker
-// structure declared (30 x 20 delay factor, 3 x 46 AoA factor — the paper's
+// BenchmarkADMMKron is BenchmarkADMMCold on a Kronecker solver built from
+// the dictionary's factors (30 x 20 delay factor, 3 x 46 AoA factor — the paper's
 // dimensions) — the per-iteration configuration of the serving profile.
 func BenchmarkADMMKron(b *testing.B) {
-	g, s, dense, y := benchKronProblem(30, 20, 3, 46, 2)
-	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
+	g, s, _, y := benchKronProblem(30, 20, 3, 46, 2)
+	sv := benchKronSolver(b, g, s, WithMaxIters(150))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sv.SolveMulti(y, 0.1); err != nil {
@@ -107,8 +116,8 @@ func BenchmarkADMMKron(b *testing.B) {
 // BenchmarkADMMKronK1 measures the single-snapshot case (k=1), the shape of
 // the median solve in the batch benchmark.
 func BenchmarkADMMKronK1(b *testing.B) {
-	g, s, dense, y := benchKronProblem(30, 20, 3, 46, 1)
-	sv := benchSolver(b, dense, WithMaxIters(150), WithKronecker(g, s))
+	g, s, _, y := benchKronProblem(30, 20, 3, 46, 1)
+	sv := benchKronSolver(b, g, s, WithMaxIters(150))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sv.SolveMulti(y, 0.1); err != nil {
@@ -123,7 +132,7 @@ func BenchmarkADMMKronK1(b *testing.B) {
 // gap stop, with kappa at the estimator's default 0.25 of max_i ||(AᴴY)_i||.
 func BenchmarkADMMKronSmoke(b *testing.B) {
 	g, s, dense, y := benchKronProblem(8, 8, 3, 19, 1)
-	sv := benchSolver(b, dense, WithMaxIters(60), WithGapStop(0.02), WithKronecker(g, s))
+	sv := benchKronSolver(b, g, s, WithMaxIters(60), WithGapStop(0.02))
 	kappa := 0.25 * kappaScale(dense, y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,7 +149,7 @@ func BenchmarkADMMKronSmoke(b *testing.B) {
 // iterations per solve are reported alongside.
 func BenchmarkADMMKronGapStop(b *testing.B) {
 	g, s, dense, _ := benchKronProblem(8, 8, 3, 19, 1)
-	sv := benchSolver(b, dense, WithMaxIters(60), WithGapStop(0.02), WithKronecker(g, s))
+	sv := benchKronSolver(b, g, s, WithMaxIters(60), WithGapStop(0.02))
 	rng := rand.New(rand.NewSource(17))
 	n := dense.Cols()
 	var ys []*cmat.Matrix
@@ -181,7 +190,7 @@ func BenchmarkADMMKronGapStop(b *testing.B) {
 // single snapshot column.
 func BenchmarkKronWoodbury(b *testing.B) {
 	g, s, dense, y := benchKronProblem(8, 8, 3, 19, 1)
-	sv := benchSolver(b, dense, WithKronecker(g, s))
+	sv := benchKronSolver(b, g, s)
 	scratch := make([]complex128, sv.kron.scratchLen(1))
 	v := cmat.New(dense.Cols(), 1)
 	sv.kron.mulHInto(y, v, scratch)

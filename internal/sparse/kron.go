@@ -24,8 +24,10 @@ import (
 // took BenchmarkKronWoodbury from a median 3.7 to 3.0 µs per column at the
 // serving shape. The factored results are numerically equivalent but not
 // bit-identical to the dense kernels (the products associate differently),
-// so the structure is declared explicitly (WithKronecker); core declares it
-// for every joint space-delay solver.
+// so a Kronecker solver is built explicitly, from the factors alone
+// (NewKronSolver); core builds every joint space-delay solver that way. Its
+// construction never forms A either: the default rho comes from frobNorm and
+// the FISTA Lipschitz constant from sigma.
 type kronOps struct {
 	ll, tt int // row factor shape (L x T)
 	mm, cc int // column factor shape (M x C)
@@ -61,6 +63,32 @@ func newKronOps(g, s *cmat.Matrix) *kronOps {
 	return k
 }
 
+// frobNorm returns ||A||_F without forming A: it sums |G[l][t]·S[m][i]|² in
+// A's row-major order (l, m, t, i), the order cmat.FrobNorm sums the entries
+// of cmat.Kron(G, S) in, so it has the same bits.
+func (k *kronOps) frobNorm() float64 {
+	var sum float64
+	for l := 0; l < k.ll; l++ {
+		for m := 0; m < k.mm; m++ {
+			for _, gv := range k.g[l*k.tt : (l+1)*k.tt] {
+				for _, sv := range k.s[m*k.cc : (m+1)*k.cc] {
+					v := gv * sv
+					sum += real(v)*real(v) + imag(v)*imag(v)
+				}
+			}
+		}
+	}
+	return math.Sqrt(sum)
+}
+
+// sigma returns the largest singular value of A = G ⊗ S, which is exactly
+// σ_max(G)·σ_max(S): the singular values of a Kronecker product are the
+// pairwise products of its factors'. Each factor takes one power iteration.
+func (k *kronOps) sigma() float64 {
+	g, s := cmat.Wrap(k.ll, k.tt, k.g), cmat.Wrap(k.mm, k.cc, k.s)
+	return cmat.PowerIterationLargestSingular(&g, 60) * cmat.PowerIterationLargestSingular(&s, 60)
+}
+
 // scratchLen is the scratch length the kernels need for operands with nc
 // columns: mulInto and mulHInto use M·T entries, woodburyInto 2·M·T plus,
 // when nc > 1, T·C to gather one column contiguously.
@@ -73,11 +101,10 @@ func (k *kronOps) scratchLen(nc int) int {
 }
 
 // factorWoodbury precomputes the block-diagonal form of the ADMM ridge
-// operator Aᴴ(rho I + A Aᴴ)⁻¹A for the factors g and s this kronOps was
-// built from. Row (l*M+m) of A = G ⊗ S pairs delay row l with antenna m, so
-// A Aᴴ = G Gᴴ ⊗ S Sᴴ. With S Sᴴ = V Σ Vᴴ, rotating the antenna axis by V
-// turns rho I + A Aᴴ into M independent L x L blocks rho I_L + sigma_m G Gᴴ,
-// hence
+// operator Aᴴ(rho I + A Aᴴ)⁻¹A from the factors. Row (l*M+m) of A = G ⊗ S
+// pairs delay row l with antenna m, so A Aᴴ = G Gᴴ ⊗ S Sᴴ. With
+// S Sᴴ = V Σ Vᴴ, rotating the antenna axis by V turns rho I + A Aᴴ into M
+// independent L x L blocks rho I_L + sigma_m G Gᴴ, hence
 //
 //	Aᴴ(rho I + A Aᴴ)⁻¹A = (G ⊗ S')ᴴ blockdiag_m((rho I_L + sigma_m G Gᴴ)⁻¹) (G ⊗ S')
 //	                    = S'ᴴ · blockdiag_m(H_m) · S'  (acting on the delay and antenna axes)
@@ -85,7 +112,9 @@ func (k *kronOps) scratchLen(nc int) int {
 // with S' = Vᴴ S and H_m = Gᴴ(rho I_L + sigma_m G Gᴴ)⁻¹G. The eigenvalues
 // are clamped at zero: S Sᴴ is positive semidefinite, and a rank-deficient
 // one can come back from the eigensolver a rounding error below zero.
-func (k *kronOps) factorWoodbury(g, s *cmat.Matrix, rho float64) error {
+func (k *kronOps) factorWoodbury(rho float64) error {
+	gv, sv := cmat.Wrap(k.ll, k.tt, k.g), cmat.Wrap(k.mm, k.cc, k.s)
+	g, s := &gv, &sv
 	eig, err := cmat.EigHermitian(cmat.Mul(s, s.H()))
 	if err != nil {
 		return fmt.Errorf("sparse: eigendecompose Kronecker column Gram: %w", err)
@@ -323,33 +352,4 @@ func (k *kronOps) mulHInto(w, out *cmat.Matrix, scratch []complex128) {
 			}
 		}
 	}
-}
-
-// validateKron checks that the dense dictionary a really is the Kronecker
-// product of the declared factors, elementwise within tol. The full check is
-// one pass over a (construction-time only).
-func validateKron(a, g, s *cmat.Matrix, tol float64) error {
-	mm, cc := s.Rows(), s.Cols()
-	ll, tt := g.Rows(), g.Cols()
-	if a.Rows() != ll*mm || a.Cols() != tt*cc {
-		return fmt.Errorf("sparse: Kronecker factors (%dx%d)x(%dx%d) do not tile the %dx%d dictionary",
-			ll, tt, mm, cc, a.Rows(), a.Cols())
-	}
-	for l := 0; l < ll; l++ {
-		for m := 0; m < mm; m++ {
-			arow := a.RowView(l*mm + m)
-			grow := g.RowView(l)
-			srow := s.RowView(m)
-			for t := 0; t < tt; t++ {
-				for i := 0; i < cc; i++ {
-					want := grow[t] * srow[i]
-					if d := cmplx.Abs(arow[t*cc+i] - want); d > tol*(1+cmplx.Abs(want)) {
-						return fmt.Errorf("sparse: dictionary entry (%d,%d) deviates from Kronecker factors by %.3g",
-							l*mm+m, t*cc+i, d)
-					}
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -62,8 +62,6 @@ type options struct {
 	hook     IterationHook
 	metrics  *obs.Registry
 	gapEps   float64
-	kronRow  *cmat.Matrix
-	kronCol  *cmat.Matrix
 
 	// gapHook, set only by tests, observes every duality-gap evaluation of
 	// a gap-stopped solve: the iterate the primal value was taken at, its
@@ -77,7 +75,7 @@ func defaultOptions() options {
 		maxIters: 400,
 		absTol:   1e-6,
 		relTol:   1e-5,
-		rho:      0, // 0 selects the scale-adaptive default in NewSolver
+		rho:      0, // 0 selects the scale-adaptive default at construction
 	}
 }
 
@@ -118,33 +116,13 @@ func WithIterationHook(h IterationHook) Option { return func(o *options) { o.hoo
 // this rule reports Converged with Result.EarlyStopped set.
 func WithGapStop(eps float64) Option { return func(o *options) { o.gapEps = eps } }
 
-// WithKronecker declares that the dictionary has Kronecker (separable)
-// structure: entry ((l*M+m), (t*C+i)) equals rowFactor[l][t] * colFactor[m][i]
-// for a rowFactor of shape L x T and a colFactor of shape M x C. The joint
-// space-delay steering dictionary has exactly this form — each atom is the
-// outer product of a delay response over subcarriers and an array response
-// over antennas — and declaring it lets the iteration loops run on the small
-// factors instead of the dense L*M x T*C matrix: the matvecs factor into two
-// small contractions, and the ADMM ridge step into M blocks of size T x T
-// without ever forming the dense (L*M)² factorization (6,720 instead of
-// 173,700 complex multiply-adds per x-update and snapshot at the paper's
-// 90 x 920). NewSolver verifies the factorization against the dense
-// dictionary and fails construction on mismatch; once built, the solver
-// drops the dense matrix, which its iterations never read. The factored
-// products are numerically equivalent but not bit-identical to the dense
-// kernels (sums associate differently), so this is opt-in; core declares it
-// for every joint space-delay solver, serving and figure pipeline alike.
-func WithKronecker(rowFactor, colFactor *cmat.Matrix) Option {
-	return func(o *options) { o.kronRow, o.kronCol = rowFactor, colFactor }
-}
-
 // WithMetrics records solver telemetry into reg: a "sparse.solve.total"
 // counter, "sparse.solve.iterations" and "sparse.solve.gap" (the final
 // relative duality gap) histograms, a "sparse.solve.nonconverged_total"
 // counter incremented whenever a solve exhausts its iteration cap without
 // meeting the residual criterion or the gap certificate, and a
 // "sparse.solve.earlystop_total" counter of solves that stopped on the
-// certificate. Metric handles are resolved once at NewSolver, so the
+// certificate. Metric handles are resolved once at construction, so the
 // per-solve cost is a few atomic updates; a nil registry disables recording
 // entirely.
 func WithMetrics(reg *obs.Registry) Option { return func(o *options) { o.metrics = reg } }

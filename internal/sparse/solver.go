@@ -16,19 +16,17 @@ import (
 // vectors, which is how ROArray amortizes cost across packets that share a
 // steering dictionary.
 //
-// A Kronecker solver (WithKronecker) reads the dense dictionary only while it
-// is built — for the default rho, the FISTA Lipschitz constant and the
-// factorization check — and then drops it, keeping only its shape: its
-// iterations run on the factors alone.
+// A Kronecker solver (NewKronSolver) never holds the dense dictionary: it is
+// built from the factors, and its iterations run on them alone.
 type Solver struct {
-	a          *cmat.Matrix // dense dictionary; nil for a Kronecker solver once built
+	a          *cmat.Matrix // dense dictionary; nil for a Kronecker solver
 	rows, cols int          // the dictionary's shape
 	opts       options
 	tele       *solverTelemetry // nil when no metrics registry is configured
 
 	chol *cmat.Cholesky // dense ADMM: factor of (rho I + A Aᴴ), size m x m
 	lip  float64        // FISTA: ||A||_2^2
-	kron *kronOps       // non-nil when WithKronecker declared factor structure
+	kron *kronOps       // non-nil for a Kronecker solver
 
 	// pool holds *workspace iteration state. Solvers are shared across
 	// goroutines, so no solve's scratch is stored on the Solver itself:
@@ -78,6 +76,36 @@ func (t *solverTelemetry) record(res *Result) {
 
 // NewSolver prepares a solver for the m x n dictionary a.
 func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
+	return newSolver(&Solver{a: a, rows: a.Rows(), cols: a.Cols()}, opts)
+}
+
+// NewKronSolver prepares a solver for the dictionary A = G ⊗ S, entry
+// ((l*M+m), (t*C+i)) = g[l][t] * s[m][i], from its L x T row factor g and
+// M x C column factor s alone: the joint space-delay steering dictionary,
+// whose atoms are outer products of a delay and an array response, has this
+// form. Neither construction (see kronOps) nor the iterations ever form the
+// dense L*M x T*C matrix. The factored products are numerically equivalent
+// but not bit-identical to the dense kernels (sums associate differently).
+func NewKronSolver(g, s *cmat.Matrix, opts ...Option) (*Solver, error) {
+	for _, f := range []*cmat.Matrix{g, s} {
+		if f == nil || len(f.Data()) == 0 {
+			return nil, fmt.Errorf("sparse: Kronecker factors must be non-empty")
+		}
+		for _, v := range f.Data() {
+			if !isFinite(real(v)) || !isFinite(imag(v)) {
+				return nil, fmt.Errorf("sparse: Kronecker factor entry %v is not finite", v)
+			}
+		}
+	}
+	return newSolver(&Solver{
+		rows: g.Rows() * s.Rows(), cols: g.Cols() * s.Cols(),
+		kron: newKronOps(g, s),
+	}, opts)
+}
+
+// newSolver applies opts to s, whose dictionary (dense or factored) and shape
+// are set, and runs the configured method's construction-time work.
+func newSolver(s *Solver, opts []Option) (*Solver, error) {
 	o := defaultOptions()
 	for _, fn := range opts {
 		fn(&o)
@@ -95,16 +123,7 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 			return nil, fmt.Errorf("sparse: %s must be finite, got %v", p.name, p.v)
 		}
 	}
-	s := &Solver{a: a, rows: a.Rows(), cols: a.Cols(), opts: o, tele: newSolverTelemetry(o.metrics)}
-	if (o.kronRow == nil) != (o.kronCol == nil) {
-		return nil, fmt.Errorf("sparse: Kronecker structure needs both a row and a column factor")
-	}
-	if o.kronRow != nil {
-		if err := validateKron(a, o.kronRow, o.kronCol, 1e-9); err != nil {
-			return nil, err
-		}
-		s.kron = newKronOps(o.kronRow, o.kronCol)
-	}
+	s.tele = newSolverTelemetry(o.metrics)
 	switch o.method {
 	case MethodADMM:
 		if o.rho < 0 {
@@ -114,23 +133,26 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 			// Scale-adaptive default: the mean squared column norm, i.e.
 			// trace(AᴴA)/n. This is 1 for unit-norm dictionaries and M*L for
 			// steering dictionaries, keeping the ADMM splitting balanced.
-			fn := a.FrobNorm()
-			o.rho = fn * fn / float64(a.Cols())
+			var fn float64
+			if s.kron != nil {
+				fn = s.kron.frobNorm()
+			} else {
+				fn = s.a.FrobNorm()
+			}
+			o.rho = fn * fn / float64(s.cols)
 			if o.rho == 0 {
 				return nil, fmt.Errorf("sparse: dictionary has zero norm")
 			}
-			s.opts.rho = o.rho
 		}
 		if s.kron != nil {
-			if err := s.kron.factorWoodbury(o.kronRow, o.kronCol, o.rho); err != nil {
+			if err := s.kron.factorWoodbury(o.rho); err != nil {
 				return nil, err
 			}
 			break
 		}
-		m := a.Rows()
 		// rho I + A Aᴴ is Hermitian positive definite for rho > 0.
-		g := cmat.Mul(a, a.H())
-		for i := 0; i < m; i++ {
+		g := cmat.Mul(s.a, s.a.H())
+		for i := 0; i < s.rows; i++ {
 			g.Set(i, i, g.At(i, i)+complex(o.rho, 0))
 		}
 		chol, err := cmat.CholeskyDecompose(g)
@@ -139,7 +161,12 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 		}
 		s.chol = chol
 	case MethodFISTA:
-		sigma := cmat.PowerIterationLargestSingular(a, 60)
+		var sigma float64
+		if s.kron != nil {
+			sigma = s.kron.sigma()
+		} else {
+			sigma = cmat.PowerIterationLargestSingular(s.a, 60)
+		}
 		if sigma == 0 {
 			return nil, fmt.Errorf("sparse: dictionary has zero norm")
 		}
@@ -147,18 +174,12 @@ func NewSolver(a *cmat.Matrix, opts ...Option) (*Solver, error) {
 	default:
 		return nil, fmt.Errorf("sparse: unknown method %v", o.method)
 	}
-	// kronOps holds its own copies of the Kronecker factors; dropping the
-	// caller's keeps them from staying resident twice. A Kronecker solver's
-	// iterations never read the dense dictionary, so it is dropped too.
-	s.opts.kronRow, s.opts.kronCol = nil, nil
-	if s.kron != nil {
-		s.a = nil
-	}
+	s.opts = o
 	return s, nil
 }
 
 // Dict returns the dense dictionary a non-Kronecker solver iterates on, and
-// nil for a Kronecker solver, which drops the dense matrix once built.
+// nil for a Kronecker solver, which never holds it.
 func (s *Solver) Dict() *cmat.Matrix { return s.a }
 
 // Solve recovers a sparse coefficient vector for a single measurement y,

@@ -489,11 +489,13 @@ func TestSolverRejectsBadShape(t *testing.T) {
 	}
 	for _, method := range []Method{MethodADMM, MethodFISTA} {
 		for _, kron := range []bool{false, true} {
-			opts := []Option{WithMethod(method), WithMaxIters(20)}
+			var sv *Solver
+			var err error
 			if kron {
-				opts = append(opts, WithKronecker(g, s))
+				sv, err = NewKronSolver(g, s, WithMethod(method), WithMaxIters(20))
+			} else {
+				sv, err = NewSolver(dense, WithMethod(method), WithMaxIters(20))
 			}
-			sv, err := NewSolver(dense, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -278,8 +278,8 @@ func TestADMMSweepMatchesMultiPassKron(t *testing.T) {
 	gw, sw := scaleCols(g, wg), scaleCols(s, ws)
 	a := cmat.Kron(g, s)
 	requireSweepMatchesMultiPass(t, rng, a, xTrue,
-		sweepArm{a: a, opts: []Option{WithKronecker(g, s)}},
-		sweepArm{a: cmat.Kron(gw, sw), opts: []Option{WithKronecker(gw, sw)}})
+		sweepArm{a: a, g: g, s: s},
+		sweepArm{a: cmat.Kron(gw, sw), g: gw, s: sw})
 }
 
 // scaleCols returns a·diag(1/w). An unweighted solve over it is the weighted
@@ -298,11 +298,9 @@ func scaleCols(a *cmat.Matrix, w []float64) *cmat.Matrix {
 }
 
 // sweepArm is one problem requireSweepMatchesMultiPass solves: a dictionary
-// and the options selecting its solver path (WithKronecker, or none for the
-// dense path).
+// and, for the Kronecker path, its factors (nil for the dense path).
 type sweepArm struct {
-	a    *cmat.Matrix
-	opts []Option
+	a, g, s *cmat.Matrix
 }
 
 // requireSweepMatchesMultiPass runs solveADMM and admmMultiPass side by side
@@ -328,7 +326,7 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 	for _, cfg := range configs {
 		for k := 1; k <= 3; k++ {
 			for _, arm := range []sweepArm{plain, weighted} {
-				opts := append(arm.opts[:len(arm.opts):len(arm.opts)], cfg.opts...)
+				opts := cfg.opts[:len(cfg.opts):len(cfg.opts)]
 				burst := burstMeasurements(rng, a, xTrue, 4, 0.05)
 				var ys []*cmat.Matrix
 				for _, b := range burst {
@@ -347,11 +345,11 @@ func requireSweepMatchesMultiPass(t *testing.T, rng *rand.Rand, a *cmat.Matrix, 
 				record := func(dst *[][]float64) IterationHook {
 					return func(_ int, mags []float64) { *dst = append(*dst, append([]float64(nil), mags...)) }
 				}
-				fused, err := NewSolver(arm.a, append(opts, WithIterationHook(record(&hookGot)))...)
+				fused, err := solverFor(arm.a, arm.g, arm.s, append(opts, WithIterationHook(record(&hookGot)))...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := NewSolver(arm.a, append(opts, WithIterationHook(record(&hookWant)))...)
+				ref, err := solverFor(arm.a, arm.g, arm.s, append(opts, WithIterationHook(record(&hookWant)))...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -505,7 +503,7 @@ func TestKronWoodburyBlockedMatchesPerColumn(t *testing.T) {
 	} {
 		g, s := randKronFactors(int64(500+ci), sh[0], sh[1], sh[2], sh[3])
 		dense := cmat.Kron(g, s)
-		sv, err := NewSolver(dense, WithRho(0.7+float64(ci)), WithKronecker(g, s))
+		sv, err := NewKronSolver(g, s, WithRho(0.7+float64(ci)))
 		if err != nil {
 			t.Fatalf("shape %v: %v", sh, err)
 		}

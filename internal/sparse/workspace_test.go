@@ -41,7 +41,7 @@ func servingProblems(count int) (g, s, dense *cmat.Matrix, ys []*cmat.Matrix) {
 // 2% gap stop, Kronecker factors) with the given method.
 func servingSolver(t testing.TB, method Method, g, s, dense *cmat.Matrix) *Solver {
 	t.Helper()
-	sv, err := NewSolver(dense, WithMethod(method), WithMaxIters(60), WithGapStop(0.02), WithKronecker(g, s))
+	sv, err := NewKronSolver(g, s, WithMethod(method), WithMaxIters(60), WithGapStop(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,13 @@ func TestSolveMultiRatioMatchesSolveMulti(t *testing.T) {
 	g, s, dense, ys := servingProblems(6)
 	for _, kron := range []bool{false, true} {
 		for _, method := range []Method{MethodADMM, MethodFISTA} {
-			opts := []Option{WithMethod(method), WithMaxIters(60), WithGapStop(0.02)}
+			var sv *Solver
+			var err error
 			if kron {
-				opts = append(opts, WithKronecker(g, s))
+				sv, err = NewKronSolver(g, s, WithMethod(method), WithMaxIters(60), WithGapStop(0.02))
+			} else {
+				sv, err = NewSolver(dense, WithMethod(method), WithMaxIters(60), WithGapStop(0.02))
 			}
-			sv, err := NewSolver(dense, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
