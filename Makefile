@@ -89,8 +89,12 @@ bench-wire:
 # allocations reported. Each request pays the 2 ms batch linger, so ns/op
 # is dominated by it; allocs/op and B/op are the request arena's figures
 # (TestServeLocalizeAllocs and TestServeTrackAllocs gate the counts).
+# BenchmarkStartSpan opens and ends a root span and one child on a tracer
+# mirrored into a flight recorder, the serving stack's tracing (DESIGN.md
+# §9, Spans); pooled spans allocate nothing (TestSpanAllocatesNothing).
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkServeLocalize$$|BenchmarkServeTrack$$' -benchmem -benchtime 500x ./internal/serve/
+	$(GO) test -run XXX -bench 'BenchmarkStartSpan$$' -benchmem ./internal/obs/
 
 # CPU and memory profiles of the parallel batch engine, written to
 # ./profiles/ (gitignored). Inspect with `go tool pprof profiles/cpu.pprof`.

@@ -268,37 +268,41 @@ func (m *engineMetrics) recordSanitize(rep BurstReport) {
 // and a "localize.grid" span around the Eq. 19 search. See localize for the
 // cancellation contract.
 func (e *Engine) Localize(ctx context.Context, req *LocalizeRequest) (*LocalizeResult, error) {
-	return e.localize(ctx, req, e.workers)
+	return e.localize(ctx, req, e.workers, nil)
 }
 
-// estimateLinks runs the per-AP estimation half of a request — validation,
-// the sanitize/solve/peak pipeline fanned over the worker pool — and
-// assembles the Eq. 19 observations. It is shared by the stateless and
-// tracked localization paths, which differ only in how they run the grid
-// search on the returned observations.
-func (e *Engine) estimateLinks(ctx context.Context, req *LocalizeRequest, workers int) (*LocalizeResult, []APObservation, error) {
+// estimateLinks runs the per-AP estimation half of a request into out —
+// validation, then the sanitize/solve/peak pipeline, fanned over the worker
+// pool when workers > 1 and in a plain loop otherwise — and assembles the
+// Eq. 19 observations in ob. It overwrites every field of out and reuses
+// the capacity of out.Links. It is shared by the stateless and tracked
+// localization paths, which differ only in how they run the grid search on
+// the observations.
+func (e *Engine) estimateLinks(ctx context.Context, req *LocalizeRequest, workers int, out *LocalizeResult, ob *observations) error {
 	if err := req.validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: localize: %w", err)
+		return fmt.Errorf("core: localize: %w", err)
 	}
-	out := &LocalizeResult{Links: make([]LinkResult, len(req.Links))}
-	inner := *e
-	inner.workers = workers
-	inner.Map(len(req.Links), func(i int) {
-		lctx, lsp := obs.StartSpanf(ctx, "estimate.ap%d", i)
-		out.Links[i] = e.estimateLink(lctx, &req.Links[i])
-		lsp.End()
-	})
+	*out = LocalizeResult{Links: grow(out.Links, len(req.Links))}
+	if workers <= 1 {
+		for i := range req.Links {
+			e.estimateLinkSpan(ctx, req, out, i)
+		}
+	} else {
+		inner := *e
+		inner.workers = workers
+		inner.Map(len(req.Links), func(i int) { e.estimateLinkSpan(ctx, req, out, i) })
+	}
 	// Fail the request rather than localizing from whatever links finished
 	// before the context died.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: localize estimation aborted: %w", err)
+		return fmt.Errorf("core: localize estimation aborted: %w", err)
 	}
-	aps := make([]APObservation, len(req.Links))
+	ob.aps = grow(ob.aps, len(req.Links))
 	for i, in := range req.Links {
-		aps[i] = APObservation{
+		ob.aps[i] = APObservation{
 			Pos:        in.Pos,
 			AxisDeg:    in.AxisDeg,
 			AoADeg:     out.Links[i].AoADeg,
@@ -306,28 +310,41 @@ func (e *Engine) estimateLinks(ctx context.Context, req *LocalizeRequest, worker
 			Confidence: out.Links[i].Confidence,
 		}
 	}
-	return out, aps, nil
+	return nil
 }
 
-// localize runs one request with the given degree of internal parallelism.
+// estimateLinkSpan estimates link i of req into out.Links[i] under an
+// "estimate.ap<i>" span.
+func (e *Engine) estimateLinkSpan(ctx context.Context, req *LocalizeRequest, out *LocalizeResult, i int) {
+	lctx, lsp := obs.StartSpanf(ctx, "estimate.ap%d", i)
+	out.Links[i] = e.estimateLink(lctx, &req.Links[i])
+	lsp.End()
+}
+
+// localize runs one request with the given degree of internal parallelism,
+// writing its result into out (a fresh result when out is nil).
 // Cancellation contract: when ctx dies the call returns promptly with an
 // error wrapping ctx.Err() — before scheduling work if already dead, at the
 // next stage boundary during estimation, and within one branch-and-bound
 // node (one grid column in a flat scan) during the Eq. 19 search. A
 // timed-out request never yields a position.
-func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, workers int) (*LocalizeResult, error) {
+func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, workers int, out *LocalizeResult) (*LocalizeResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "localize")
 	defer sp.End()
 	var t0 time.Time
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	out, aps, err := e.estimateLinks(ctx, req, workers)
-	if err != nil {
+	if out == nil {
+		out = new(LocalizeResult)
+	}
+	ob := takeObservations()
+	defer ob.release()
+	if err := e.estimateLinks(ctx, req, workers, out, ob); err != nil {
 		return nil, err
 	}
 	_, gsp := obs.StartSpan(ctx, "localize.grid")
-	pos, stats, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, workers, e.est.cfg.Search)
+	pos, stats, err := LocalizeSearchCtx(ctx, ob.aps, req.Bounds, req.Step, workers, e.est.cfg.Search)
 	gsp.End()
 	if err != nil {
 		return nil, err
@@ -381,10 +398,12 @@ type TrackResult struct {
 // absorbs the fix. The tracker is mutated by the absorbed fix; on any error
 // it is left untouched.
 func (e *Engine) LocalizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
-	return e.localizeTracked(ctx, req, tr, t, e.workers)
+	return e.localizeTracked(ctx, req, tr, t, e.workers, nil, nil)
 }
 
-func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64, workers int) (*TrackResult, error) {
+// localizeTracked runs one tracked epoch, writing its result into res and
+// the fix into fix (fresh values for whichever is nil).
+func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64, workers int, res *TrackResult, fix *LocalizeResult) (*TrackResult, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: tracked localize needs a tracker")
 	}
@@ -394,12 +413,20 @@ func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	fix, aps, err := e.estimateLinks(ctx, req, workers)
-	if err != nil {
+	if fix == nil {
+		fix = new(LocalizeResult)
+	}
+	ob := takeObservations()
+	defer ob.release()
+	if err := e.estimateLinks(ctx, req, workers, fix, ob); err != nil {
 		return nil, err
 	}
+	aps := ob.aps
 	scfg := e.est.cfg.Search
-	res := &TrackResult{}
+	if res == nil {
+		res = new(TrackResult)
+	}
+	*res = TrackResult{}
 	var pos Point
 	var stats SearchStats
 	accepted := false
@@ -510,12 +537,12 @@ func (m *engineMetrics) recordSearch(stats SearchStats) {
 }
 
 // BatchItem is one slot of a mixed micro-batch: a localization request plus
-// an optional per-slot context and an optional tracking op. When Tracker is
-// non-nil the slot runs the tracked pipeline (prediction-shrunk search with
-// verified fallback, then a filter update at time T) instead of the
-// stateless one. The tracker must not be shared between concurrent slots;
-// the serving layer guarantees this by holding the session lock across the
-// epoch.
+// an optional per-slot context, an optional tracking op and optional
+// destinations for its result. When Tracker is non-nil the slot runs the
+// tracked pipeline (prediction-shrunk search with verified fallback, then a
+// filter update at time T) instead of the stateless one. The tracker must
+// not be shared between concurrent slots; the serving layer guarantees this
+// by holding the session lock across the epoch.
 type BatchItem struct {
 	Req *LocalizeRequest
 	// Ctx, when non-nil, replaces the batch context for this slot: its
@@ -527,11 +554,25 @@ type BatchItem struct {
 	Tracker *Tracker
 	// T is the epoch timestamp handed to the tracker (seconds).
 	T float64
+	// Res, when non-nil, is where the slot writes its LocalizeResult (a
+	// tracked slot's fix): it overwrites every field and reuses the
+	// capacity of Res.Links, and the outcome's Res is Res. Otherwise the
+	// slot returns a fresh result.
+	Res *LocalizeResult
+	// Track, when non-nil on a tracked slot, is where it writes its
+	// TrackResult, overwriting every field; the outcome's Track is Track.
+	// Stateless slots ignore it.
+	//
+	// The caller owns both destinations. It must not read or reuse them
+	// until the slot's outcome is delivered, and after a failed slot their
+	// contents are unspecified.
+	Track *TrackResult
 }
 
 // BatchOutcome is the per-slot result of LocalizeBatchItems. Stateless
 // slots fill Res; tracked slots fill both Track and Res (Res aliases
-// Track.Fix, so either view works).
+// Track.Fix, so either view works). A slot with destinations points them at
+// its BatchItem's Res and Track.
 type BatchOutcome struct {
 	Res   *LocalizeResult
 	Track *TrackResult
@@ -546,8 +587,9 @@ type BatchOutcome struct {
 //     those that have not finished. When ctx carries an obs.Tracer the
 //     batch emits a "localize.batch" root span with a "localize.req<i>"
 //     child for each such slot, wrapping that request's full stage tree.
-//     Span emission is mutex-serialized in the tracer, so tracing a parallel
-//     batch is race-safe.
+//     Tracing a parallel batch is race-safe: spans are recycled only once
+//     every span under them has ended, and the tracer serializes its JSONL
+//     writes.
 //   - Each slot runs panic-isolated: a panic inside one request's pipeline is
 //     recovered into that slot's error instead of crashing the process — a
 //     batch server must not be taken down by one poisoned request.
@@ -566,10 +608,23 @@ func (e *Engine) LocalizeBatchItems(ctx context.Context, items []BatchItem) []Ba
 // its batchmates. done is called once per slot, possibly concurrently for
 // different slots; it must not retain items. The call returns after every
 // done has returned.
+//
+// A slot whose item names destinations (BatchItem.Res and Track) writes its
+// result there instead of allocating one, and its outcome points at them:
+// a server that owns one result per request answers it without allocating,
+// bit-identical to Localize and LocalizeTracked. Once done(i, ...) is
+// called, the engine no longer touches slot i's destinations.
 func (e *Engine) LocalizeBatchEach(ctx context.Context, items []BatchItem, done func(i int, out BatchOutcome)) {
 	ctx, sp := obs.StartSpan(ctx, "localize.batch")
 	defer sp.End()
-	e.Map(len(items), func(i int) { done(i, e.localizeSlot(ctx, i, &items[i])) })
+	if min(e.workers, len(items)) <= 1 {
+		// Inline, so a one-slot batch allocates no Map closure.
+		for i := range items {
+			done(i, e.localizeSlot(ctx, i, &items[i]))
+		}
+	} else {
+		e.Map(len(items), func(i int) { done(i, e.localizeSlot(ctx, i, &items[i])) })
+	}
 	if e.met != nil {
 		e.met.batches.Inc()
 	}
@@ -591,12 +646,12 @@ func (e *Engine) localizeSlot(ctx context.Context, i int, item *BatchItem) (out 
 		}
 	}()
 	if item.Tracker != nil {
-		tr, err := e.localizeTracked(ctx, item.Req, item.Tracker, item.T, 1)
+		tr, err := e.localizeTracked(ctx, item.Req, item.Tracker, item.T, 1, item.Track, item.Res)
 		if err != nil {
 			return BatchOutcome{Err: err}
 		}
 		return BatchOutcome{Res: tr.Fix, Track: tr}
 	}
-	out.Res, out.Err = e.localize(ctx, item.Req, 1)
+	out.Res, out.Err = e.localize(ctx, item.Req, 1, item.Res)
 	return out
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"roarray/internal/sparse"
@@ -305,5 +307,111 @@ func TestEngineMapOrdering(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, i+1)
 			}
 		}
+	}
+}
+
+// TestLocalizeBatchEachDestinations: slots that name destinations answer
+// bit for bit like Localize and LocalizeTracked, at workers 1 and 2, while
+// writing into the caller's values. The destinations are reused across
+// batches and start out scribbled over, with more link capacity than a
+// request needs, as a server's pooled per-request storage would.
+func TestLocalizeBatchEachDestinations(t *testing.T) {
+	est := engineTestEstimator(t)
+	reqs := engineTestRequests(t, 5, 3, 7300)
+	const epochs = 4
+	for _, workers := range []int{1, 2} {
+		eng, err := NewEngine(est, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTr, _ := NewTracker(0, 0, 0)
+		tr, _ := NewTracker(0, 0, 0)
+		// Slot 1 of every batch is one tracked epoch of a stationary target
+		// (so later epochs search a prediction window); slots 0 and 2 are
+		// stateless.
+		var res [3]LocalizeResult
+		var track TrackResult
+		for k := range res {
+			res[k].Links = make([]LinkResult, 8)
+			for i := range res[k].Links {
+				res[k].Links[i] = LinkResult{AoADeg: math.NaN(), Err: errors.New("stale"), Sanitize: &BurstReport{Repaired: 9}}
+			}
+			res[k].Position = Point{X: math.NaN()}
+		}
+		track = TrackResult{Windowed: true, FallbackCause: "stale", Fix: &LocalizeResult{}}
+		windowed := 0
+		for e := range epochs {
+			items := []BatchItem{
+				{Req: reqs[(2*e)%len(reqs)], Res: &res[0], Track: &track},
+				{Req: reqs[4], Tracker: tr, T: float64(e), Res: &res[1], Track: &track},
+				{Req: reqs[(2*e+1)%len(reqs)], Res: &res[2]},
+			}
+			backing := &res[1].Links[:1][0]
+			var outs [3]BatchOutcome
+			eng.LocalizeBatchEach(context.Background(), items, func(i int, out BatchOutcome) { outs[i] = out })
+			for i, item := range items {
+				out := outs[i]
+				if out.Err != nil {
+					t.Fatalf("workers=%d epoch %d slot %d: %v", workers, e, i, out.Err)
+				}
+				if out.Res != item.Res {
+					t.Fatalf("workers=%d epoch %d slot %d: result not written to its destination", workers, e, i)
+				}
+				if item.Tracker == nil {
+					if out.Track != nil {
+						t.Fatalf("workers=%d epoch %d slot %d: stateless slot returned a track", workers, e, i)
+					}
+					want, err := eng.Localize(context.Background(), item.Req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, workers, e, i, out.Res, want)
+					continue
+				}
+				if out.Track != &track || track.Fix != &res[1] {
+					t.Fatalf("workers=%d epoch %d: tracked result not written to its destinations", workers, e)
+				}
+				if &res[1].Links[0] != backing {
+					t.Fatalf("workers=%d epoch %d: destination links reallocated", workers, e)
+				}
+				want, err := eng.LocalizeTracked(context.Background(), item.Req, refTr, item.T)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, workers, e, i, out.Res, want.Fix)
+				if want.Windowed || want.Fallback {
+					windowed++
+				}
+				got := *out.Track
+				got.Fix, want.Fix = nil, nil
+				if !reflect.DeepEqual(got, *want) {
+					t.Fatalf("workers=%d epoch %d: tracked outcome %+v, LocalizeTracked %+v", workers, e, got, *want)
+				}
+			}
+		}
+		if tr.State() != refTr.State() {
+			t.Fatalf("workers=%d: tracker state %+v, reference %+v", workers, tr.State(), refTr.State())
+		}
+		if windowed == 0 {
+			t.Fatalf("workers=%d: no tracked epoch searched a prediction window", workers)
+		}
+	}
+}
+
+// requireSameResult fails t unless got equals want bit for bit.
+func requireSameResult(t *testing.T, workers, epoch, slot int, got, want *LocalizeResult) {
+	t.Helper()
+	same := math.Float64bits(got.Position.X) == math.Float64bits(want.Position.X) &&
+		math.Float64bits(got.Position.Y) == math.Float64bits(want.Position.Y) &&
+		got.Search == want.Search && len(got.Links) == len(want.Links)
+	for i := 0; same && i < len(got.Links); i++ {
+		g, w := got.Links[i], want.Links[i]
+		same = math.Float64bits(g.AoADeg) == math.Float64bits(w.AoADeg) &&
+			math.Float64bits(g.Confidence) == math.Float64bits(w.Confidence) &&
+			g.Peak == w.Peak && g.Solve == w.Solve &&
+			(g.Err == nil) == (w.Err == nil) && reflect.DeepEqual(g.Sanitize, w.Sanitize)
+	}
+	if !same {
+		t.Fatalf("workers=%d epoch %d slot %d: batch result %+v, direct %+v", workers, epoch, slot, got, want)
 	}
 }

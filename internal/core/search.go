@@ -159,6 +159,17 @@ func (g *gridSearch) release() {
 	searchPool.Put(g)
 }
 
+// observations is the Eq. 19 input a request's estimation hands its grid
+// searches, pooled so assembling it allocates nothing once warm.
+type observations struct{ aps []APObservation }
+
+var observationsPool = sync.Pool{New: func() any { return new(observations) }}
+
+func takeObservations() *observations { return observationsPool.Get().(*observations) }
+
+// release returns o to observationsPool.
+func (o *observations) release() { observationsPool.Put(o) }
+
 // apTerm holds one AP's per-search constants: its Eq. 19 weight and the unit
 // vector of its array axis.
 type apTerm struct{ w, ux, uy float64 }

@@ -35,22 +35,32 @@ type SpanEvent struct {
 }
 
 // Tracer assigns span ids and streams completed spans as JSONL to a writer.
-// It is safe for concurrent use: each event is encoded and written under one
-// lock, so lines never interleave. A nil *Tracer disables tracing (StartSpan
-// returns a nil no-op span).
+// It is safe for concurrent use: each event is encoded outside any lock and
+// written under one, so lines never interleave. A nil *Tracer disables
+// tracing (StartSpan returns a nil no-op span).
 type Tracer struct {
+	// mu serializes JSONL writes.
 	mu     sync.Mutex
-	w      io.Writer
-	mirror func(SpanEvent)
+	sinks  atomic.Pointer[sinks]
 	nextID atomic.Uint64
 	errs   atomic.Int64
+}
+
+// sinks is where a tracer delivers ended spans: the in-process mirror and
+// the JSONL writer. Mirror swaps the whole value, so ending a span reads
+// both with one atomic load and takes no lock unless it writes JSON.
+type sinks struct {
+	mirror func(SpanEvent)
+	w      io.Writer
 }
 
 // NewTracer returns a tracer streaming JSONL span events to w. A nil w is
 // allowed: spans are then delivered only to the Mirror hook (no JSON is even
 // encoded), which is how the flight recorder runs without a trace file.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w}
+	t := &Tracer{}
+	t.sinks.Store(&sinks{w: w})
+	return t
 }
 
 // Mirror registers fn to receive every completed span event in-process, in
@@ -62,9 +72,11 @@ func (t *Tracer) Mirror(fn func(SpanEvent)) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.mirror = fn
-	t.mu.Unlock()
+	var w io.Writer
+	if old := t.sinks.Load(); old != nil {
+		w = old.w
+	}
+	t.sinks.Store(&sinks{mirror: fn, w: w})
 }
 
 // WriteErrors reports how many span events failed to serialize or write
@@ -77,13 +89,14 @@ func (t *Tracer) WriteErrors() int64 {
 }
 
 func (t *Tracer) emit(ev SpanEvent) {
-	t.mu.Lock()
-	mirror, w := t.mirror, t.w
-	t.mu.Unlock()
-	if mirror != nil {
-		mirror(ev)
+	sk := t.sinks.Load()
+	if sk == nil {
+		return
 	}
-	if w == nil {
+	if sk.mirror != nil {
+		sk.mirror(ev)
+	}
+	if sk.w == nil {
 		return
 	}
 	line, err := json.Marshal(ev)
@@ -93,7 +106,7 @@ func (t *Tracer) emit(ev SpanEvent) {
 	}
 	line = append(line, '\n')
 	t.mu.Lock()
-	_, err = w.Write(line)
+	_, err = sk.w.Write(line)
 	t.mu.Unlock()
 	if err != nil {
 		t.errs.Add(1)
@@ -104,32 +117,62 @@ func (t *Tracer) emit(ev SpanEvent) {
 // untraced fast path) makes End a no-op.
 //
 // A span is also the context its nested stages start under: it embeds the
-// context it was started in and answers the span key itself, so opening a
-// span costs one allocation. The request and venue ids its event carries
-// are read from that context when the span ends.
+// context it was started in and answers the span key itself. The request
+// and venue ids its event carries are read from that context when the span
+// ends.
+//
+// Spans are recycled, so opening one allocates nothing once the pool is
+// warm. A span goes back to the pool only when it has ended and every span
+// started under it has ended too: a span holds one reference on itself
+// until End and one on its parent until it is released, so a child can
+// always walk up through its parent's Value, and a long-lived root recycles
+// each of its sequential children as it ends. The contract: neither a span
+// nor the context StartSpan returned with it may be used after End. In
+// -race builds a released span is poisoned instead of reused, so Value,
+// Done, Err, Deadline or End on it panics with "span used after End".
 type Span struct {
 	context.Context
-	tracer  *Tracer
+	tracer *Tracer
+	// up is the span s was started under (nil for a root), on which s holds
+	// a reference until s is released.
+	up      *Span
 	traceID uint64
 	id      uint64
 	parent  uint64
 	name    string
 	start   time.Time
-	ended   atomic.Bool
+	// refs counts what keeps s from the pool: one for s itself until End,
+	// plus one per span started under s that has not been released.
+	refs  atomic.Int32
+	ended atomic.Bool
 }
+
+// spanPool recycles spans once they and all their descendants have ended.
+var spanPool = sync.Pool{New: func() any { return new(Span) }}
+
+// errUsedAfterEnd is the panic value of a poisoned span (-race builds).
+const errUsedAfterEnd = "obs: span used after End"
 
 // Value answers the span key with s and every other key from the context s
 // was started in.
 func (s *Span) Value(key any) any {
-	if key == spanKey {
+	if key == spanKey && s.tracer != nil {
 		return s
 	}
 	return s.Context.Value(key)
 }
 
-// End completes the span and emits its event. Idempotent and nil-safe.
+// End completes the span and emits its event. Nil-safe, and idempotent
+// while the span is live (until it and every span started under it have
+// ended).
 func (s *Span) End() {
-	if s == nil || s.ended.Swap(true) {
+	if s == nil {
+		return
+	}
+	if s.ended.Swap(true) {
+		if raceEnabled && s.tracer == nil {
+			panic(errUsedAfterEnd)
+		}
 		return
 	}
 	s.tracer.emit(SpanEvent{
@@ -142,7 +185,39 @@ func (s *Span) End() {
 		StartUnixNs: s.start.UnixNano(),
 		DurNs:       time.Since(s.start).Nanoseconds(),
 	})
+	s.release()
 }
+
+// release drops one reference on s; the last one recycles s and releases
+// its parent in turn.
+func (s *Span) release() {
+	for s != nil && s.refs.Add(-1) == 0 {
+		up := s.up
+		s.recycle()
+		s = up
+	}
+}
+
+// recycle returns an unreferenced span to the pool, still marked ended so
+// a stray second End on it does nothing until it is reused. In -race builds
+// it is poisoned instead: its context panics on every call and End panics.
+func (s *Span) recycle() {
+	if raceEnabled {
+		s.Context, s.tracer, s.up = usedAfterEnd{}, nil, nil
+		return
+	}
+	*s = Span{}
+	s.ended.Store(true)
+	spanPool.Put(s)
+}
+
+// usedAfterEnd is a poisoned span's context (-race builds).
+type usedAfterEnd struct{}
+
+func (usedAfterEnd) Deadline() (time.Time, bool) { panic(errUsedAfterEnd) }
+func (usedAfterEnd) Done() <-chan struct{}       { panic(errUsedAfterEnd) }
+func (usedAfterEnd) Err() error                  { panic(errUsedAfterEnd) }
+func (usedAfterEnd) Value(any) any               { panic(errUsedAfterEnd) }
 
 type ctxKey int
 
@@ -170,6 +245,8 @@ func TracerFrom(ctx context.Context) *Tracer {
 // root if there is none) and returns a context carrying it as the parent for
 // nested stages. Without a tracer in ctx it returns (ctx, nil) and does no
 // work; the nil span's End is a no-op, so call sites need no conditionals.
+// The span comes from a pool: neither it nor the returned context may be
+// used after End (see Span).
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	t := TracerFrom(ctx)
 	if t == nil {
@@ -180,10 +257,13 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 func startSpan(ctx context.Context, t *Tracer, name string) (context.Context, *Span) {
 	id := t.nextID.Add(1)
-	s := &Span{Context: ctx, tracer: t, id: id, name: name, start: time.Now()}
-	if parent, _ := ctx.Value(spanKey).(*Span); parent != nil {
-		s.parent = parent.id
-		s.traceID = parent.traceID
+	s := spanPool.Get().(*Span)
+	s.Context, s.tracer, s.id, s.name, s.start = ctx, t, id, name, time.Now()
+	s.refs.Store(1)
+	s.ended.Store(false)
+	if up, _ := ctx.Value(spanKey).(*Span); up != nil {
+		up.refs.Add(1)
+		s.up, s.parent, s.traceID = up, up.id, up.traceID
 	} else {
 		s.traceID = id
 	}

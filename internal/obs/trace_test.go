@@ -93,19 +93,22 @@ func TestNoTracerFastPath(t *testing.T) {
 	}
 }
 
-// TestSpanEndIdempotent: double End emits exactly one event.
+// TestSpanEndIdempotent: a second End on a live span — one ended while a
+// child it started is still open — emits nothing.
 func TestSpanEndIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := WithTracer(context.Background(), NewTracer(&buf))
-	_, sp := StartSpan(ctx, "once")
+	ctx, sp := StartSpan(ctx, "once")
+	_, child := StartSpan(ctx, "child")
 	sp.End()
 	sp.End()
+	child.End()
 	events, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("double End emitted %d events, want 1", len(events))
+	if len(events) != 2 {
+		t.Fatalf("double End emitted %d events with its child, want 2", len(events))
 	}
 }
 
@@ -141,36 +144,55 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanOneAllocation pins the cost of a span on the serving path, where
-// the flight recorder's mirror is always installed: StartSpan plus End is one
-// allocation, and so is StartSpanf with an index from the precomputed name
-// table. The mirrored events keep their names, parents, trace ids, request
-// id and venue.
-func TestSpanOneAllocation(t *testing.T) {
+// TestSpanAllocatesNothing pins the cost of a span on the serving path,
+// where the flight recorder's mirror is always installed: once the span
+// pool is warm, StartSpan plus End allocates nothing under a live root, nor
+// does StartSpanf with an index from the precomputed name table, nor a
+// fresh root per iteration. The mirrored events keep their names, parents,
+// trace ids, request id and venue.
+func TestSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds poison ended spans instead of pooling them")
+	}
 	r := NewFlightRecorder(8, 8)
 	tr := NewTracer(nil)
 	tr.Mirror(r.RecordSpan)
-	ctx := WithVenue(WithRequestID(WithTracer(context.Background(), tr), "alloc-probe"), "hq")
-	ctx, root := StartSpan(ctx, "localize")
+	base := WithVenue(WithRequestID(WithTracer(context.Background(), tr), "alloc-probe"), "hq")
+	ctx, root := StartSpan(base, "localize")
 	defer root.End()
+	rootID, rootTrace := root.id, root.traceID
 	if allocs := testing.AllocsPerRun(200, func() {
 		_, sp := StartSpan(ctx, "localize.grid")
 		sp.End()
-	}); allocs != 1 {
-		t.Fatalf("StartSpan+End allocates %.1f objects, want 1", allocs)
+	}); allocs != 0 {
+		t.Fatalf("StartSpan+End allocates %.1f objects, want 0", allocs)
 	}
 	i := 5
 	if allocs := testing.AllocsPerRun(200, func() {
 		_, sp := StartSpanf(ctx, "estimate.ap%d", i)
 		sp.End()
-	}); allocs != 1 {
-		t.Fatalf("StartSpanf+End allocates %.1f objects, want 1", allocs)
+	}); allocs != 0 {
+		t.Fatalf("StartSpanf+End allocates %.1f objects, want 0", allocs)
 	}
 	spans := r.Spans()
 	last := spans[len(spans)-1]
-	if last.Name != "estimate.ap5" || last.Parent != root.id || last.Trace != root.traceID ||
+	if last.Name != "estimate.ap5" || last.Parent != rootID || last.Trace != rootTrace ||
 		last.Req != "alloc-probe" || last.Venue != "hq" {
-		t.Fatalf("mirrored span %+v, want estimate.ap5 under root %d with req and venue", last, root.id)
+		t.Fatalf("mirrored span %+v, want estimate.ap5 under root %d with req and venue", last, rootID)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		rctx, fresh := StartSpan(base, "localize")
+		_, sp := StartSpan(rctx, "localize.grid")
+		sp.End()
+		fresh.End()
+	}); allocs != 0 {
+		t.Fatalf("fresh root with a child allocates %.1f objects, want 0", allocs)
+	}
+	spans = r.Spans()
+	child, top := spans[len(spans)-2], spans[len(spans)-1]
+	if top.Name != "localize" || top.Parent != 0 || top.Trace != top.Span || top.Req != "alloc-probe" ||
+		child.Name != "localize.grid" || child.Parent != top.Span || child.Trace != top.Span || child.Venue != "hq" {
+		t.Fatalf("mirrored root %+v with child %+v, want a fresh tree with req and venue", top, child)
 	}
 	// An index past the table still formats its name.
 	_, sp := StartSpanf(ctx, "localize.req%d", indexedSpanNames+1)
@@ -178,6 +200,23 @@ func TestSpanOneAllocation(t *testing.T) {
 	spans = r.Spans()
 	if got, want := spans[len(spans)-1].Name, fmt.Sprintf("localize.req%d", indexedSpanNames+1); got != want {
 		t.Fatalf("span name %q, want %q", got, want)
+	}
+}
+
+// BenchmarkStartSpan opens and ends a root span and one child under it on
+// a tracer whose only sink is the flight recorder's mirror, the serving
+// stack's configuration.
+func BenchmarkStartSpan(b *testing.B) {
+	r := NewFlightRecorder(64, 1024)
+	tr := NewTracer(nil)
+	tr.Mirror(r.RecordSpan)
+	base := WithRequestID(WithTracer(context.Background(), tr), "bench")
+	b.ReportAllocs()
+	for range b.N {
+		ctx, root := StartSpan(base, "localize")
+		_, sp := StartSpan(ctx, "localize.grid")
+		sp.End()
+		root.End()
 	}
 }
 
@@ -212,6 +251,55 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if tr.WriteErrors() != 0 {
 		t.Fatalf("tracer reported %d write errors", tr.WriteErrors())
+	}
+}
+
+// TestSpanConcurrentChildren: a root ended while its children are still
+// open on other goroutines, each opening and ending a grandchild, stays
+// live until the last child ends; every event keeps its parent, trace and
+// request id. Its value is under -race, where a span released too early
+// is poisoned and a child's End through it panics.
+func TestSpanConcurrentChildren(t *testing.T) {
+	var buf syncBuffer
+	ctx := WithRequestID(WithTracer(context.Background(), NewTracer(&buf)), "fan")
+	ctx, root := StartSpan(ctx, "batch")
+	const children = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range children {
+		cctx, child := StartSpanf(ctx, "localize.req%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, grand := StartSpan(cctx, "localize")
+			grand.End()
+			child.End()
+		}()
+	}
+	root.End()
+	close(start)
+	wg.Wait()
+	events, err := ReadEvents(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1+2*children {
+		t.Fatalf("got %d events, want %d", len(events), 1+2*children)
+	}
+	rootEv := events[0]
+	parents := map[uint64]uint64{}
+	for _, ev := range events {
+		parents[ev.Span] = ev.Parent
+		if ev.Trace != rootEv.Span || ev.Req != "fan" {
+			t.Fatalf("event %+v left the root's trace %d or lost its request id", ev, rootEv.Span)
+		}
+	}
+	for _, ev := range events[1:] {
+		up := parents[ev.Parent]
+		if (ev.Name == "localize" && up != rootEv.Span) || (ev.Name != "localize" && ev.Parent != rootEv.Span) {
+			t.Fatalf("event %+v has the wrong parent", ev)
+		}
 	}
 }
 

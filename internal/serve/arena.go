@@ -5,21 +5,25 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+
+	"roarray/internal/core"
 )
 
 // arena owns every buffer one /v1/localize or /v1/track call fills, from the
 // body bytes to the encoded response: the call itself, the body, the decoded
 // wire request and the slabs its links, packets, rows and values are carved
 // from, the engine request ToCore builds with its CSI slabs, the pending
-// slot and its done channel, and the response with its encode buffer.
+// slot and its done channel, the engine's result (the core.LocalizeResult
+// and, for a tracked epoch, the core.TrackResult the batch slot writes in
+// place), and the response with its encode buffer.
 //
 // A call takes its arena from arenaPool in newCall and gives it back in
 // end. That is safe because submit always waits for the dispatcher's
 // outcome, so no engine work on the request outlives its handler. Nothing
 // that outlives the reply may point into an arena: the event log, the
-// flight ring, sessions, exemplars and every core.LocalizeResult hold copies
-// or their own allocations. Buffers only grow; an arena whose buffers
-// outgrow pooledBodyBytes is left to the garbage collector.
+// flight ring, sessions and exemplars hold copies or their own
+// allocations. Buffers only grow; an arena whose buffers outgrow
+// pooledBodyBytes is left to the garbage collector.
 type arena struct {
 	call call
 	body bytes.Buffer
@@ -29,6 +33,10 @@ type arena struct {
 	wire wireSlabs
 	csi  csiSlabs
 	p    pending
+	// res and track are the engine's answer, written by the batch slot;
+	// res.Links keeps its capacity across calls.
+	res   core.LocalizeResult
+	track core.TrackResult
 	// resp is the answer: a /v1/localize call encodes its embedded
 	// Response, a /v1/track call the whole value. links backs its Links.
 	resp  TrackResponse
@@ -45,6 +53,9 @@ func (a *arena) release(hook func(*arena)) {
 	a.call = call{}
 	a.req = TrackRequest{}
 	a.p = pending{done: a.p.done}
+	clear(a.res.Links)
+	a.res = core.LocalizeResult{Links: a.res.Links[:0]}
+	a.track = core.TrackResult{}
 	a.resp = TrackResponse{}
 	if hook != nil {
 		hook(a)

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -29,6 +31,15 @@ func scribble(a *arena) {
 	fill(a.wire.links[:cap(a.wire.links)], Link{X: nan})
 	fill(a.links[:cap(a.links)], LinkResult{AoADeg: nan, Error: "scribbled"})
 	a.csi.req = core.LocalizeRequest{Step: nan}
+	fill(a.res.Links[:cap(a.res.Links)], core.LinkResult{
+		AoADeg: nan, Confidence: nan, Err: errors.New("scribbled"), Sanitize: &core.BurstReport{Repaired: -1},
+	})
+	a.res.Position, a.res.Search = core.Point{X: nan, Y: nan}, core.SearchStats{Mode: "scribbled"}
+	a.track = core.TrackResult{
+		Fix:   &core.LocalizeResult{Position: core.Point{X: nan}},
+		Track: core.TrackFix{Smoothed: core.Point{X: nan, Y: nan}, NIS: nan},
+		State: core.TrackState{Pos: core.Point{X: nan}, Updates: -1}, FallbackCause: "scribbled",
+	}
 }
 
 func fill[T any](s []T, v T) {
@@ -68,11 +79,14 @@ func isolationRequest(t *testing.T, links, packets int, seed int64) *core.Locali
 // overwrites each released arena. Every answer must equal, bit for bit, a
 // direct engine call on the same input, and nothing the server keeps after
 // a reply may change when the arena it came from is overwritten: earlier
-// responses, the flight ring's request events, and the session's tracker.
+// responses, the flight ring's request events, the latency exemplars, and
+// the session's tracker. The engine writes each result into its request's
+// arena, so the scribble covers the LocalizeResult and TrackResult too.
 func TestArenaIsolation(t *testing.T) {
 	eng := serveTestEngine(t, 2)
 	rec := obs.NewFlightRecorder(64, 64)
-	srv, err := New(Config{Engine: eng, Recorder: rec, BatchLinger: time.Millisecond})
+	reg := obs.NewRegistry()
+	srv, err := New(Config{Engine: eng, Recorder: rec, Metrics: reg, BatchLinger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +111,7 @@ func TestArenaIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sid = "isolation-walker"
+	exemplars := 0
 	shapes := []struct{ links, packets int }{{3, 2}, {4, 4}, {3, 4}, {4, 2}}
 	seq := 0
 	for i := 0; i < 12; i++ {
@@ -114,6 +129,7 @@ func TestArenaIsolation(t *testing.T) {
 			body = mustMarshal(t, wire)
 		}
 		r := httptest.NewRequest(http.MethodPost, path, nil)
+		r.Header.Set("X-Request-Id", fmt.Sprintf("isolation-%d", i))
 		r.Body = &bodyReader{}
 		r.Body.(*bodyReader).Reset(body)
 		w := httptest.NewRecorder()
@@ -178,6 +194,21 @@ func TestArenaIsolation(t *testing.T) {
 				t.Fatalf("after request %d: ring event %d est %v, answer %v", i, k, ev.Est, a.est)
 			}
 		}
+		// Every exemplar names a request served so far: none reads from a
+		// released arena.
+		for name, v := range reg.Snapshot() {
+			h, ok := v.(obs.HistogramSnapshot)
+			if !ok {
+				continue
+			}
+			for _, id := range h.Exemplars {
+				exemplars += len(id)
+				var k int
+				if n, err := fmt.Sscanf(id, "isolation-%d", &k); id != "" && (n != 1 || err != nil || k > i || id != fmt.Sprintf("isolation-%d", k)) {
+					t.Fatalf("after request %d: %s exemplar %q", i, name, id)
+				}
+			}
+		}
 		if seq > 0 {
 			sess, _, err := srv.sessions.acquire(sid, "", time.Now())
 			if err != nil {
@@ -189,5 +220,8 @@ func TestArenaIsolation(t *testing.T) {
 				t.Fatalf("after request %d: session state %+v, reference %+v", i, state, ref.State())
 			}
 		}
+	}
+	if exemplars == 0 {
+		t.Fatal("no latency exemplar recorded")
 	}
 }

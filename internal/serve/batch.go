@@ -27,6 +27,10 @@ type pending struct {
 	// concurrent slots.
 	tracker *core.Tracker
 	t       float64
+	// res and track are where the engine writes the request's result: the
+	// request's arena owns them.
+	res   *core.LocalizeResult
+	track *core.TrackResult
 	// done receives exactly one outcome; buffered so the dispatcher never
 	// blocks on a handler that is slow to collect.
 	done     chan outcome
@@ -35,6 +39,7 @@ type pending struct {
 
 // outcome is the dispatcher's answer to one pending request.
 type outcome struct {
+	// res is the request's result, in its arena once the engine ran it.
 	res *core.LocalizeResult
 	// track is the tracked-pipeline outcome; nil for stateless slots. Its
 	// Fix aliases res.
@@ -203,7 +208,9 @@ func (s *Server) flushGroup(l *lane, group []*pending, dequeued time.Time) {
 	s.met.batchSize.Observe(float64(len(group)))
 	l.items = l.items[:0]
 	for _, p := range group {
-		l.items = append(l.items, core.BatchItem{Req: p.req, Ctx: p.ctx, Tracker: p.tracker, T: p.t})
+		l.items = append(l.items, core.BatchItem{
+			Req: p.req, Ctx: p.ctx, Tracker: p.tracker, T: p.t, Res: p.res, Track: p.track,
+		})
 	}
 	l.group = group
 	l.answered = grow(l.answered, len(group))

@@ -692,7 +692,7 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 	}
 	*p = pending{
 		req: creq, eng: c.eng, venue: c.venue, ctx: c.ctx,
-		tracker: tracker, t: t,
+		tracker: tracker, t: t, res: &c.a.res, track: &c.a.track,
 		done: p.done, enqueued: enq,
 	}
 	// Lane selection: consistent hashing on venue id, so one venue's traffic

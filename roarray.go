@@ -142,7 +142,8 @@ type (
 	Metrics = obs.Registry
 	// Tracer streams span events as JSON Lines.
 	Tracer = obs.Tracer
-	// Span is one in-flight traced operation.
+	// Span is one in-flight traced operation, recycled once it and its
+	// children have ended.
 	Span = obs.Span
 	// SpanEvent is the decoded form of one emitted span.
 	SpanEvent = obs.SpanEvent
@@ -162,6 +163,8 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context { return obs.Wit
 
 // StartSpan opens a span named name as a child of the span in ctx (if any).
 // Without a tracer in ctx it returns (ctx, nil); a nil span's End is a no-op.
+// Spans are recycled: neither the span nor the returned context may be used
+// after End.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return obs.StartSpan(ctx, name)
 }
