@@ -86,9 +86,10 @@ bench-wire:
 # Whole-request benchmarks (see DESIGN.md §11, Request memory): warm
 # smoke-preset /v1/localize and /v1/track bodies served one at a time
 # through Server.ServeHTTP on the production observability stack, with
-# allocations reported. Each request pays the 2 ms batch linger, so ns/op
-# is dominated by it; allocs/op and B/op are the request arena's figures
-# (TestServeLocalizeAllocs and TestServeTrackAllocs gate the counts).
+# allocations reported. A lone request is flushed as soon as it is queued,
+# so ns/op is one request's whole serving time; allocs/op and B/op are the
+# request arena's figures (TestServeLocalizeAllocs and TestServeTrackAllocs
+# gate the counts).
 # BenchmarkStartSpan opens and ends a root span and one child on a tracer
 # mirrored into a flight recorder, the serving stack's tracing (DESIGN.md
 # §9, Spans); pooled spans allocate nothing (TestSpanAllocatesNothing).

@@ -252,8 +252,8 @@ func benchLocalizeBatch(b *testing.B, workers int, reg *roarray.Metrics) {
 }
 
 // batchItems wraps stateless requests as batch slots.
-func batchItems(reqs []*core.LocalizeRequest) []core.BatchItem {
-	items := make([]core.BatchItem, len(reqs))
+func batchItems(reqs []*roarray.LocalizeRequest) []roarray.BatchItem {
+	items := make([]roarray.BatchItem, len(reqs))
 	for i, req := range reqs {
 		items[i].Req = req
 	}
@@ -287,7 +287,7 @@ func BenchmarkLocalizeBatchSerialMetrics(b *testing.B) {
 // event logged per request, and SLO window observation.
 type obsBatchBench struct {
 	eng    *roarray.Engine
-	items  []core.BatchItem
+	items  []roarray.BatchItem
 	ids    []string
 	reg    *roarray.Metrics
 	events *roarray.EventLog

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"roarray/internal/core"
 	"roarray/internal/serve"
@@ -31,7 +30,7 @@ func startTestServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Engine: eng, BatchLinger: 2 * time.Millisecond})
+	srv, err := serve.New(serve.Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,13 @@
 //	GET  /healthz     — liveness
 //	GET  /readyz      — readiness (503 once draining)
 //
-// Concurrent requests are collected into micro-batches (up to -batch-size,
-// waiting at most -batch-linger for the batch to fill) and flushed through
+// Concurrent requests are coalesced into micro-batches and flushed through
 // the engine together, so dictionary and factorization reuse amortizes
-// across clients. When the bounded admission queue (-queue-depth) is full,
-// requests are rejected immediately with 429 + Retry-After rather than
-// queueing without bound.
+// across clients: each flush takes every request already queued, up to
+// -batch-size, without waiting for more, and requests that arrive during a
+// flush form the next batch. When the bounded admission queue
+// (-queue-depth) is full, requests are rejected immediately with 429 +
+// Retry-After rather than queueing without bound.
 //
 // On SIGINT/SIGTERM the server drains: admission stops (503), every accepted
 // request completes (bounded by -drain-timeout, after which in-flight work
@@ -83,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	preset := fs.String("preset", "smoke", `estimator preset: "paper" (faithful, slow) or "smoke" (small grids, fast)`)
 	workers := fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	batchSize := fs.Int("batch-size", 8, "max requests coalesced into one engine flush")
-	batchLinger := fs.Duration("batch-linger", 2*time.Millisecond, "max time the dispatcher waits for a batch to fill")
 	queueDepth := fs.Int("queue-depth", 64, "admission queue bound; overflow answers 429")
 	requestTimeout := fs.Duration("request-timeout", 0, "server-side per-request budget (0 = none)")
 	trackTTL := fs.Duration("track-ttl", 0, "idle /v1/track session lifetime before eviction (0 = 5m default)")
@@ -216,7 +216,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		Venues:             venues,
 		Shards:             *shards,
 		BatchSize:          *batchSize,
-		BatchLinger:        *batchLinger,
 		QueueDepth:         *queueDepth,
 		RequestTimeout:     *requestTimeout,
 		Metrics:            reg,
@@ -281,11 +280,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 	if venues != nil {
-		fmt.Fprintf(stderr, "roaserve: %d venues (budget %d bytes, %d shards), %d workers, batch <= %d within %v, queue %d, serving on http://%s\n",
-			len(venues.IDs()), venues.Budget(), *shards, w, *batchSize, *batchLinger, *queueDepth, bound)
+		fmt.Fprintf(stderr, "roaserve: %d venues (budget %d bytes, %d shards), %d workers, batch <= %d, queue %d, serving on http://%s\n",
+			len(venues.IDs()), venues.Budget(), *shards, w, *batchSize, *queueDepth, bound)
 	} else {
-		fmt.Fprintf(stderr, "roaserve: preset %s, %d workers, batch <= %d within %v, queue %d, serving on http://%s\n",
-			ps.Name, w, *batchSize, *batchLinger, *queueDepth, bound)
+		fmt.Fprintf(stderr, "roaserve: preset %s, %d workers, batch <= %d, queue %d, serving on http://%s\n",
+			ps.Name, w, *batchSize, *queueDepth, bound)
 	}
 
 	httpSrv := &http.Server{Handler: srv}

@@ -34,7 +34,6 @@ func TestRunServesAndDrains(t *testing.T) {
 			"-addr-file", addrFile,
 			"-preset", "smoke",
 			"-workers", "2",
-			"-batch-linger", "1ms",
 			"-events", eventsFile,
 		}, &stdout, &stderr, stop)
 	}()

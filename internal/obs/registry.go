@@ -68,16 +68,26 @@ func (g *Gauge) Value() float64 {
 // Histogram counts observations into fixed buckets. Bucket i holds
 // observations v with v <= Bounds[i] (and v > Bounds[i-1]); one implicit
 // overflow bucket catches everything above the last bound. All methods are
-// lock-free and safe for concurrent use.
+// safe for concurrent use; only the exemplar ids sit behind locks.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds
 	counts  []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64
 	// exemplars[i] names the most recent request whose observation landed
-	// in bucket i (nil until a request-attributed observation arrives), so
+	// in bucket i (empty until a request-attributed observation arrives), so
 	// a slow bucket in /metrics points at a concrete trace to pull.
-	exemplars []atomic.Pointer[string]
+	exemplars []exemplar
+}
+
+// exemplar is one bucket's most recent request id, copied under the
+// bucket's own lock into a fixed slot so that recording it allocates
+// nothing. The slot is allocated at the bucket's first attributed
+// observation, so buckets that never get one cost no more than the lock.
+type exemplar struct {
+	mu  sync.Mutex
+	n   int // length of the id in buf
+	buf *[MaxRequestIDLen]byte
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -86,7 +96,7 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bs,
 		counts:    make([]atomic.Int64, len(bs)+1),
-		exemplars: make([]atomic.Pointer[string], len(bs)+1),
+		exemplars: make([]exemplar, len(bs)+1),
 	}
 }
 
@@ -109,18 +119,33 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveExemplar is Observe plus exemplar attribution: when id is non-empty
-// the bucket the value lands in retains id as its most recent exemplar
-// (last-writer-wins, lock-free). With an empty id it is exactly Observe, so
-// call sites can pass RequestIDFrom(ctx) unconditionally.
+// the bucket the value lands in retains id, cut to MaxRequestIDLen bytes, as
+// its most recent exemplar (last-writer-wins). With an empty id it is
+// exactly Observe, so call sites can pass RequestIDFrom(ctx) unconditionally.
 func (h *Histogram) ObserveExemplar(v float64, id string) {
 	if h == nil {
 		return
 	}
 	if id != "" {
-		i := sort.SearchFloat64s(h.bounds, v)
-		h.exemplars[i].Store(&id)
+		ex := &h.exemplars[sort.SearchFloat64s(h.bounds, v)]
+		ex.mu.Lock()
+		if ex.buf == nil {
+			ex.buf = new([MaxRequestIDLen]byte)
+		}
+		ex.n = copy(ex.buf[:], id)
+		ex.mu.Unlock()
 	}
 	h.Observe(v)
+}
+
+// id returns the exemplar's request id ("" = none).
+func (ex *exemplar) id() string {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.buf == nil {
+		return ""
+	}
+	return string(ex.buf[:ex.n])
 }
 
 // Count returns the total number of observations (0 for nil).
@@ -204,19 +229,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count:  h.count.Load(),
 		Sum:    h.Sum(),
 	}
-	any := false
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		if h.exemplars[i].Load() != nil {
-			any = true
-		}
-	}
-	if any {
-		s.Exemplars = make([]string, len(h.counts))
-		for i := range h.counts {
-			if p := h.exemplars[i].Load(); p != nil {
-				s.Exemplars[i] = *p
+		if id := h.exemplars[i].id(); id != "" {
+			if s.Exemplars == nil {
+				s.Exemplars = make([]string, len(h.counts))
 			}
+			s.Exemplars[i] = id
 		}
 	}
 	// NaN is not valid JSON; an empty histogram snapshots quantiles as 0.

@@ -174,6 +174,23 @@ func TestHistogramExemplars(t *testing.T) {
 	nilH.ObserveExemplar(1, "x") // must not panic
 }
 
+// TestHistogramExemplarAllocatesNothing pins that attributing an
+// observation to a request keeps the id without a heap allocation once the
+// bucket has its slot (AllocsPerRun's warm-up call makes it), and that an id
+// longer than MaxRequestIDLen is kept cut to that length.
+func TestHistogramExemplarAllocatesNothing(t *testing.T) {
+	h := newHistogramForTest(1, 10)
+	id := NewRequestID()
+	if allocs := testing.AllocsPerRun(200, func() { h.ObserveExemplar(0.5, id) }); allocs != 0 {
+		t.Fatalf("ObserveExemplar allocates %.1f objects, want 0", allocs)
+	}
+	long := strings.Repeat("r", MaxRequestIDLen+10)
+	h.ObserveExemplar(5, long)
+	if got := h.Snapshot().Exemplars; got[0] != id || got[1] != long[:MaxRequestIDLen] || got[2] != "" {
+		t.Fatalf("exemplars %q, want %q, the long id cut to %d bytes, and none", got, id, MaxRequestIDLen)
+	}
+}
+
 func TestHistogramSnapshotQuantileMatchesLive(t *testing.T) {
 	h := newHistogramForTest(1, 2, 4, 8, 16)
 	vals := []float64{0.5, 1.5, 1.6, 3, 3, 7, 12, 40}

@@ -86,7 +86,7 @@ func TestArenaIsolation(t *testing.T) {
 	eng := serveTestEngine(t, 2)
 	rec := obs.NewFlightRecorder(64, 64)
 	reg := obs.NewRegistry()
-	srv, err := New(Config{Engine: eng, Recorder: rec, Metrics: reg, BatchLinger: time.Millisecond})
+	srv, err := New(Config{Engine: eng, Recorder: rec, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

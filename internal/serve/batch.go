@@ -52,15 +52,13 @@ type outcome struct {
 	dequeued time.Time
 }
 
-// lane is one dispatcher's reusable state: its admission queue, its linger
-// timer, and the scratch a flush groups and answers its batch with. Only
-// the lane's dispatcher goroutine touches it, apart from the answer
-// callback, which the engine's workers call for distinct slots of the
-// group being flushed.
+// lane is one dispatcher's reusable state: its admission queue and the
+// scratch a flush groups and answers its batch with. Only the lane's
+// dispatcher goroutine touches it, apart from the answer callback, which the
+// engine's workers call for distinct slots of the group being flushed.
 type lane struct {
-	queue  chan *pending
-	linger *time.Timer
-	batch  []*pending
+	queue chan *pending
+	batch []*pending
 	// grouped is the batch reordered into engine groups; ends marks where
 	// each group ends in it.
 	grouped []*pending
@@ -75,92 +73,30 @@ type lane struct {
 	answer   func(i int, out core.BatchOutcome)
 }
 
-// dispatch is one lane's batching goroutine: it blocks for the first queued
-// request, collects more until the batch cap or the linger deadline, flushes
-// the batch through the engine(s), and repeats until the queue closes
-// (Drain). Each lane runs its own dispatcher, so a slow flush on one lane
-// never delays collection on another.
+// dispatch is one lane's batching goroutine (continuous batching): it blocks
+// for the first queued request, takes whatever else is already queued, up to
+// the batch cap, and flushes at once. Requests that queue up during a flush
+// form the next batch, so an idle lane answers a lone request with no added
+// wait and a busy one batches as deep as its backlog. The loop ends once
+// Drain has closed the queue and everything queued before the close is
+// flushed. Each lane runs its own dispatcher, so a slow flush on one lane
+// never delays another.
 func (s *Server) dispatch(l *lane) {
 	l.answer = l.answerSlot
-	for {
-		p, ok := <-l.queue
-		if !ok {
-			return
+	for p := range l.queue {
+		// The dispatcher is the queue's only receiver, so a non-empty
+		// queue never blocks this receive, closed or not.
+		batch := append(l.batch[:0], p)
+		for len(batch) < s.cfg.BatchSize && len(l.queue) > 0 {
+			batch = append(batch, <-l.queue)
 		}
-		batch, closed := s.collect(l, p)
+		l.batch = batch
 		s.flush(l, batch)
-		if closed {
-			// Drain closed the queue mid-collect; take whatever arrived
-			// before the close and exit after flushing it.
-			for q := range l.queue {
-				s.flush(l, s.collectClosed(l, q))
-			}
-			return
-		}
 	}
-}
-
-// collect grows a batch from first until it reaches the size cap, the linger
-// timer fires, or the queue closes (reported via closed so dispatch can wind
-// down). The lane's one timer is armed per batch and stopped again before
-// collect returns.
-func (s *Server) collect(l *lane, first *pending) (batch []*pending, closed bool) {
-	batch = append(l.batch[:0], first)
-	defer func() { l.batch = batch }()
-	if s.cfg.BatchSize == 1 {
-		return batch, false
-	}
-	if l.linger == nil {
-		l.linger = time.NewTimer(s.cfg.BatchLinger)
-	} else {
-		stopTimer(l.linger)
-		l.linger.Reset(s.cfg.BatchLinger)
-	}
-	defer stopTimer(l.linger)
-	for len(batch) < s.cfg.BatchSize {
-		select {
-		case p, ok := <-l.queue:
-			if !ok {
-				return batch, true
-			}
-			batch = append(batch, p)
-		case <-l.linger.C:
-			return batch, false
-		}
-	}
-	return batch, false
-}
-
-// stopTimer stops t and discards an expiry already delivered to t.C. Under
-// the asynchronous timer channels of go 1.22 modules an expiry can land just
-// after Stop reports it, so collect also stops the timer before each Reset:
-// by then any such value has arrived and is discarded there.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// collectClosed drains the already-closed queue into one final batch,
-// starting from first, bounded only by the batch size cap.
-func (s *Server) collectClosed(l *lane, first *pending) []*pending {
-	batch := append(l.batch[:0], first)
-	for len(batch) < s.cfg.BatchSize {
-		p, ok := <-l.queue
-		if !ok {
-			break
-		}
-		batch = append(batch, p)
-	}
-	l.batch = batch
-	return batch
 }
 
 // flush answers one collected batch, grouped by engine (arrival order kept
-// within each group): a lane can collect venues of different estimation
+// within each group): one batch can mix venues of different estimation
 // shapes, which must never share dictionaries. Venues of one shape share an
 // engine and so a group; each request carries its own geometry, so no
 // answer changes. With a single engine this is one group, bit-identical.

@@ -108,7 +108,6 @@ func TestServeChaos(t *testing.T) {
 	srv, err := New(Config{
 		Engine:         eng,
 		BatchSize:      4,
-		BatchLinger:    time.Millisecond,
 		QueueDepth:     64,
 		RequestTimeout: 400 * time.Millisecond,
 		Disturb:        inj.Disturb,

@@ -66,13 +66,12 @@ func TestDiagBundleEndToEnd(t *testing.T) {
 	slo.Bind(reg)
 
 	srv, err := New(Config{
-		Engine:      eng,
-		BatchLinger: time.Millisecond,
-		Metrics:     reg,
-		Tracer:      tracer,
-		Events:      events,
-		Recorder:    recorder,
-		SLO:         slo,
+		Engine:   eng,
+		Metrics:  reg,
+		Tracer:   tracer,
+		Events:   events,
+		Recorder: recorder,
+		SLO:      slo,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,9 @@ func TestServeHammer(t *testing.T) {
 	}
 
 	srv, err := New(Config{
-		Engine:      eng,
-		BatchSize:   8,
-		BatchLinger: 5 * time.Millisecond,
-		QueueDepth:  2 * clients,
+		Engine:     eng,
+		BatchSize:  8,
+		QueueDepth: 2 * clients,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +153,9 @@ func TestServeDrainLosesNothing(t *testing.T) {
 	body := mustMarshal(t, FromCore(serveTestRequests(t, 1, 2, 777)[0]))
 
 	srv, err := New(Config{
-		Engine:      eng,
-		BatchSize:   4,
-		BatchLinger: 2 * time.Millisecond,
-		QueueDepth:  clients,
+		Engine:     eng,
+		BatchSize:  4,
+		QueueDepth: clients,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,12 +52,11 @@ func TestRequestIDEndToEnd(t *testing.T) {
 	slo.Bind(reg)
 
 	srv, err := New(Config{
-		Engine:      eng,
-		BatchLinger: time.Millisecond,
-		Metrics:     reg,
-		Tracer:      tracer,
-		Events:      events,
-		SLO:         slo,
+		Engine:  eng,
+		Metrics: reg,
+		Tracer:  tracer,
+		Events:  events,
+		SLO:     slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ func TestRequestIDEndToEnd(t *testing.T) {
 func TestRequestIDMintedAndSanitized(t *testing.T) {
 	eng := serveTestEngine(t, 1)
 	req := serveTestRequests(t, 1, 1, 72)[0]
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,16 +493,6 @@ func requestLedgerRun(t *testing.T, reg *obs.Registry) Stats {
 	// queue's only slot, then overflow on each path. The wedge and the
 	// filler complete while the overflow is turned away, so the phase moves
 	// the ledger by two completions and the two rejections.
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	statuses := make(chan int, 2)
 	post := func(b []byte) {
 		resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(b))
@@ -521,9 +510,9 @@ func requestLedgerRun(t *testing.T, reg *obs.Registry) Stats {
 	ledgerCounts{acc: 1, ok: 1, vOK: 1, slo: 1, sloOK: 1}.add(want, false) // the filler
 	accepted := before["Accepted"]
 	go post(mustMarshal(t, FromCore(serveTestRequests(t, 1, 96, 323)[0])))
-	await("wedge pickup", func() bool { return srv.Stats().Accepted == accepted+1 && srv.queuedTotal() == 0 })
+	await(t, "wedge pickup", func() bool { return srv.Stats().Accepted == accepted+1 && srv.queuedTotal() == 0 })
 	go post(body("/v1/localize", nil, nil))
-	await("filler admission", func() bool { return srv.Stats().Accepted == accepted+2 })
+	await(t, "filler admission", func() bool { return srv.Stats().Accepted == accepted+2 })
 	each(cases[n-2:n-1], func(tc ledgerCase, path string, b []byte) {
 		send(tc, path, b)
 		tc.counts.add(want, path == "/v1/track")
@@ -571,7 +560,7 @@ func TestServeObservedMatchesPlain(t *testing.T) {
 
 	run := func(observed bool) Response {
 		eng := serveTestEngine(t, 2)
-		cfg := Config{Engine: eng, BatchLinger: time.Millisecond}
+		cfg := Config{Engine: eng}
 		if observed {
 			reg := obs.NewRegistry()
 			cfg.Metrics = reg

@@ -101,16 +101,6 @@ func TestRetryAfterHeader429QueueFull(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain(context.Background())
 
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	statuses := make(chan int, 2)
 	post := func(body []byte) {
 		resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(body))
@@ -126,9 +116,9 @@ func TestRetryAfterHeader429QueueFull(t *testing.T) {
 	// Wedge the dispatcher behind a heavy solve, then occupy the queue's only
 	// slot, exactly as TestServeQueueFull429 does.
 	go post(mustMarshal(t, FromCore(serveTestRequests(t, 1, 96, 323)[0])))
-	await("wedge pickup", func() bool { return srv.Stats().Accepted == 1 && srv.queuedTotal() == 0 })
+	await(t, "wedge pickup", func() bool { return srv.Stats().Accepted == 1 && srv.queuedTotal() == 0 })
 	go post(mustMarshal(t, FromCore(serveTestRequests(t, 1, 2, 324)[0])))
-	await("filler admission", func() bool { return srv.Stats().Accepted == 2 })
+	await(t, "filler admission", func() bool { return srv.Stats().Accepted == 2 })
 
 	overflow := mustMarshal(t, FromCore(serveTestRequests(t, 1, 2, 325)[0]))
 	resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(overflow))

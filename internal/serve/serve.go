@@ -3,11 +3,12 @@
 // way an inference server does.
 //
 // The request path is: admission control (a bounded queue; a full queue
-// answers 429 immediately instead of stacking goroutines), then dynamic
-// micro-batching (a dispatcher collects queued requests until either the
-// batch size cap or the max-linger deadline is hit, then flushes them
-// through Engine.LocalizeBatchItems so dictionary and factorization reuse
-// amortizes across the batch), then per-request response fan-back. Each
+// answers 429 immediately instead of stacking goroutines), then continuous
+// micro-batching (a dispatcher takes the first queued request plus whatever
+// else is already queued, up to the batch size cap, and flushes them at
+// once through Engine.LocalizeBatchEach, so dictionary and factorization
+// reuse amortizes across the batch; requests that arrive during a flush
+// form the next batch), then per-request response fan-back. Each
 // request carries its own context — the HTTP request context bounded by the
 // per-request deadline and wired to the server's hard-stop — so a deadline
 // or disconnect aborts exactly one slot of a flush.
@@ -53,10 +54,6 @@ type Config struct {
 	// BatchSize caps how many requests one flush may coalesce; <= 0 selects
 	// 8. 1 disables batching.
 	BatchSize int
-	// BatchLinger is how long the dispatcher waits for a batch to fill after
-	// the first request arrives; <= 0 selects 2 ms. A lone request therefore
-	// costs at most one linger of added latency.
-	BatchLinger time.Duration
 	// QueueDepth bounds each dispatch lane's admission queue; <= 0 selects
 	// 64. The depth is per lane, so total admission capacity (and the
 	// worst-case queued memory) is Shards * QueueDepth — size it per lane
@@ -115,9 +112,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
-	}
-	if c.BatchLinger <= 0 {
-		c.BatchLinger = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64

@@ -221,7 +221,7 @@ func TestServeSingleRequestMatchesEngine(t *testing.T) {
 	eng := serveTestEngine(t, 2)
 	reqs := serveTestRequests(t, 2, 2, 500)
 
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,17 +427,6 @@ func TestServeQueueFull429(t *testing.T) {
 	defer ts.Close()
 	defer srv.Drain(context.Background())
 
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
 	// Wedge: a 96-packet request keeps the dispatcher solving for well over
 	// 100 ms; wait until the dispatcher has pulled it off the queue.
 	wedgeBody := mustMarshal(t, FromCore(serveTestRequests(t, 1, 96, 321)[0]))
@@ -453,12 +442,12 @@ func TestServeQueueFull429(t *testing.T) {
 		statuses <- resp.StatusCode
 	}
 	go post(wedgeBody)
-	await("wedge pickup", func() bool { return srv.Stats().Accepted == 1 && srv.queuedTotal() == 0 })
+	await(t, "wedge pickup", func() bool { return srv.Stats().Accepted == 1 && srv.queuedTotal() == 0 })
 
 	// Filler: occupies the queue's only slot.
 	fillerBody := mustMarshal(t, FromCore(serveTestRequests(t, 1, 2, 322)[0]))
 	go post(fillerBody)
-	await("filler admission", func() bool { return srv.Stats().Accepted == 2 })
+	await(t, "filler admission", func() bool { return srv.Stats().Accepted == 2 })
 
 	// Overflow: dispatcher busy, queue full — must 429 right now.
 	resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(fillerBody))

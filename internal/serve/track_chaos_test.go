@@ -55,7 +55,6 @@ func TestTrackChaos(t *testing.T) {
 	srv, err := New(Config{
 		Engine:         eng,
 		BatchSize:      4,
-		BatchLinger:    time.Millisecond,
 		RequestTimeout: 400 * time.Millisecond,
 		Disturb:        disturb.Disturb,
 	})

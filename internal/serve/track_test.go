@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"roarray/internal/obs"
 )
@@ -37,7 +36,7 @@ func postTrack(t testing.TB, client *http.Client, url string, wreq *TrackRequest
 // passing the raw fix through the filter unchanged.
 func TestTrackFreshSessionMatchesLocalize(t *testing.T) {
 	eng := serveTestEngine(t, 2)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestTrackFreshSessionMatchesLocalize(t *testing.T) {
 func TestTrackStickySessionWalk(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := serveTestEngine(t, 2)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond, Metrics: reg})
+	srv, err := New(Config{Engine: eng, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestTrackOutOfOrderAndBadTime(t *testing.T) {
 	eng := serveTestEngine(t, 1)
 	var eventBuf obsSyncBuffer
 	events := obs.NewEventLog(&eventBuf, 64)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond, Events: events})
+	srv, err := New(Config{Engine: eng, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestTrackOutOfOrderAndBadTime(t *testing.T) {
 // sessions keep serving.
 func TestTrackSessionCapacity429(t *testing.T) {
 	eng := serveTestEngine(t, 1)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond, TrackMaxSessions: 2})
+	srv, err := New(Config{Engine: eng, TrackMaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +358,7 @@ func TestTrackDrainRejects(t *testing.T) {
 // position — the window only skips cells that provably cannot win.
 func TestTrackWindowedBitIdentity(t *testing.T) {
 	eng := serveTestEngine(t, 2)
-	srv, err := New(Config{Engine: eng, BatchLinger: time.Millisecond})
+	srv, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,15 +193,19 @@ func TestMixedVenueFlushBitIdentical(t *testing.T) {
 	if _, err := venues.Get(context.Background(), "hq"); err != nil {
 		t.Fatal(err)
 	}
-	// The linger is long enough that only a full batch flushes.
-	srv, err := New(Config{Venues: venues, BatchSize: 4, BatchLinger: 10 * time.Second})
+	srv, err := New(Config{Venues: venues, BatchSize: 4, Disturb: armGate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Drain(context.Background())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { srv.Drain(context.Background()) })
 
+	// The four requests queue up behind a parked dispatcher, so they
+	// flush together once it is released.
+	wedge := FromCore(serveTestRequests(t, 1, 2, 914)[0])
+	wedge.VenueID = "hq"
+	park, parked := parkDispatcher(t, srv, mustMarshal(t, wedge))
 	reqs := serveTestRequests(t, 4, 2, 915)
 	ids := []string{"hq", "lab", "hq", "lab"}
 	resps := make([]Response, len(reqs))
@@ -231,6 +235,9 @@ func TestMixedVenueFlushBitIdentical(t *testing.T) {
 			}
 		}(i)
 	}
+	waitAccepted(t, srv, int64(1+len(reqs)))
+	park.open()
+	decodeOK(t, "parking request", <-parked)
 	wg.Wait()
 	if t.Failed() {
 		return

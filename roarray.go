@@ -104,6 +104,11 @@ type (
 	LocalizeResult = core.LocalizeResult
 	// LinkResult is the per-AP outcome within a LocalizeResult.
 	LinkResult = core.LinkResult
+	// BatchItem is one slot of an Engine.LocalizeBatchItems batch: a
+	// stateless request, or a tracked epoch when Tracker is set.
+	BatchItem = core.BatchItem
+	// BatchOutcome is one slot's result or error in a batch.
+	BatchOutcome = core.BatchOutcome
 )
 
 // Simulation testbed types (the paper's deployment, for users without CSI

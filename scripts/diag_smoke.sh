@@ -32,7 +32,7 @@ go build -o "$TMP/roastat" ./cmd/roastat
 # bundle for the whole run. -queue-depth 4 lets the spike also saturate
 # admission, exercising shed (429) paths while the bundle is captured.
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke \
-    -batch-linger 2ms -queue-depth 4 -metrics-addr 127.0.0.1:0 \
+    -queue-depth 4 -metrics-addr 127.0.0.1:0 \
     -slo-latency-ms 0.001 \
     -diag-dir "$TMP/diag" -diag-interval 100ms -diag-cooldown 5m \
     -diag-cpu-profile 500ms \

@@ -29,7 +29,7 @@ go build -o "$TMP/roaload" ./cmd/roaload
 go build -o "$TMP/roastat" ./cmd/roastat
 
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke -warm \
-    -batch-linger 2ms -metrics-addr 127.0.0.1:0 \
+    -metrics-addr 127.0.0.1:0 \
     -events "$TMP/events.jsonl" -trace "$TMP/trace.jsonl" \
     2>"$TMP/serve.log" &
 SERVE_PID=$!

@@ -28,8 +28,7 @@ trap cleanup EXIT INT TERM
 go build -o "$TMP/roaserve" ./cmd/roaserve
 go build -o "$TMP/roaload" ./cmd/roaload
 
-"$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke \
-    -batch-linger 2ms 2>"$TMP/serve.log" &
+"$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
 i=0

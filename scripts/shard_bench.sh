@@ -47,7 +47,7 @@ go build -o "$TMP/roastat" ./cmd/roastat
 leg() {
     shards=$1
     "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr.$shards" \
-        -preset smoke -shards "$shards" -batch-linger 2ms 2>"$TMP/serve.$shards.log" &
+        -preset smoke -shards "$shards" 2>"$TMP/serve.$shards.log" &
     SERVE_PID=$!
     echo "$SERVE_PID" > "$TMP/pid.$shards"
     i=0
@@ -102,7 +102,7 @@ EOF
 echo "shard_bench: leg 3/3 — cache churn (4 shapes, 2-shape budget)" >&2
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr.churn" \
     -venues "$TMP/venues.json" -venue-budget-kb "$BUDGET_KB" -shards 2 \
-    -batch-linger 2ms -metrics-addr 127.0.0.1:0 2>"$TMP/serve.churn.log" &
+    -metrics-addr 127.0.0.1:0 2>"$TMP/serve.churn.log" &
 SERVE_PID=$!
 i=0
 while [ ! -s "$TMP/addr.churn" ]; do

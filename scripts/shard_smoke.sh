@@ -82,7 +82,7 @@ EOF
 
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" \
     -venues "$TMP/venues.json" -venue-budget-kb "$BUDGET_KB" -shards "$SHARDS" \
-    -batch-linger 2ms -metrics-addr 127.0.0.1:0 2>"$TMP/serve.log" &
+    -metrics-addr 127.0.0.1:0 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
 i=0

@@ -31,7 +31,7 @@ go build -o "$TMP/roaload" ./cmd/roaload
 go build -o "$TMP/roastat" ./cmd/roastat
 
 "$TMP/roaserve" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -preset smoke \
-    -batch-linger 2ms -metrics-addr 127.0.0.1:0 \
+    -metrics-addr 127.0.0.1:0 \
     -track-ttl 1m -track-max-sessions 64 -events "$TMP/events.jsonl" 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
