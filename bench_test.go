@@ -20,6 +20,7 @@ import (
 	"roarray/internal/core"
 	"roarray/internal/experiments"
 	"roarray/internal/music"
+	"roarray/internal/obs"
 	"roarray/internal/sparse"
 	"roarray/internal/testbed"
 	"roarray/internal/wireless"
@@ -290,14 +291,14 @@ type obsBatchBench struct {
 	items  []roarray.BatchItem
 	ids    []string
 	reg    *roarray.Metrics
-	events *roarray.EventLog
-	slo    *roarray.SLO
+	events *obs.EventLog
+	slo    *obs.SLO
 
 	// Self-diagnosis layer (enableDiag): the flight-recorder ring receives a
 	// copy of every request event, the runtime collector samples on scrapes,
 	// and a trigger engine ticks in the background without firing.
-	recorder *roarray.FlightRecorder
-	trig     *roarray.TriggerEngine
+	recorder *obs.FlightRecorder
+	trig     *obs.TriggerEngine
 }
 
 // lightBatchWorkload is a scaled-down batchWorkload for timing tests: the
@@ -347,8 +348,8 @@ func newObsBatchBench(tb testing.TB, full, light bool) *obsBatchBench {
 			bb.ids[i] = roarray.NewRequestID()
 			bb.items[i].Ctx = roarray.WithRequestID(context.Background(), bb.ids[i])
 		}
-		bb.events = roarray.NewEventLog(io.Discard, 4096)
-		bb.slo = roarray.NewSLO(roarray.SLOConfig{})
+		bb.events = obs.NewEventLog(io.Discard, 4096)
+		bb.slo = obs.NewSLO(obs.SLOConfig{})
 		bb.slo.Bind(reg)
 	}
 	// Warm the dictionary/factorization caches outside any timer.
@@ -370,7 +371,7 @@ func (bb *obsBatchBench) run(tb testing.TB) {
 			continue
 		}
 		res := out.Res
-		ev := roarray.RequestEvent{
+		ev := obs.RequestEvent{
 			ID: bb.ids[i], Outcome: "ok", Status: 200,
 			TotalMillis:    elapsed.Seconds() * 1e3,
 			BatchSize:      len(bb.items),
@@ -392,11 +393,11 @@ func (bb *obsBatchBench) run(tb testing.TB) {
 // at the serving default cadence with signals that never fire.
 func (bb *obsBatchBench) enableDiag(tb testing.TB) {
 	tb.Helper()
-	bb.recorder = roarray.NewFlightRecorder(256, 1024)
+	bb.recorder = obs.NewFlightRecorder(256, 1024)
 	bb.recorder.Bind(bb.reg)
-	collector := roarray.NewRuntimeCollector(bb.reg, 100*time.Millisecond)
-	bb.trig = roarray.NewTriggerEngine(roarray.TriggerConfig{Interval: time.Second},
-		roarray.TriggerSignal{Name: "goroutines", Check: func() (bool, string) {
+	collector := obs.NewRuntimeCollector(bb.reg, 100*time.Millisecond)
+	bb.trig = obs.NewTriggerEngine(obs.TriggerConfig{Interval: time.Second},
+		obs.TriggerSignal{Name: "goroutines", Check: func() (bool, string) {
 			return collector.Sample().Goroutines >= 1<<30, ""
 		}})
 	bb.trig.Start()

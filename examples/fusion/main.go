@@ -76,6 +76,6 @@ func run() error {
 	for i, p := range burst[:5] {
 		fmt.Printf("  packet %d: %.0f ns\n", i, p.DetectionDelay*1e9)
 	}
-	fmt.Println("Fusion aligns these internally before the SVD; see core.AlignToReference.")
+	fmt.Println("Fusion aligns these internally before the SVD.")
 	return nil
 }

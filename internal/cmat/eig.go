@@ -209,3 +209,24 @@ func (e *Eigen) NoiseSubspace(k int) *Matrix {
 	}
 	return en
 }
+
+// LargestSingular returns ‖a‖₂, the largest singular value of a: the square
+// root of the top eigenvalue of the smaller of the Gram matrices aaᴴ and
+// aᴴa. Both are Hermitian by construction, so the eigensolve cannot reject
+// them.
+func LargestSingular(a *Matrix) float64 {
+	if a.rows == 0 || a.cols == 0 {
+		return 0
+	}
+	var g *Matrix
+	if a.rows < a.cols {
+		g = Mul(a, a.H())
+	} else {
+		g = MulH(a, a)
+	}
+	e, err := EigHermitian(g)
+	if err != nil {
+		panic("cmat: Gram matrix rejected: " + err.Error())
+	}
+	return math.Sqrt(math.Max(e.Values[len(e.Values)-1], 0))
+}

@@ -59,30 +59,6 @@ func (m *Matrix) Reset(rows, cols int) {
 	m.rows, m.cols = rows, cols
 }
 
-// FromRows builds a matrix from a slice of equal-length rows. The data is
-// copied.
-func FromRows(rows [][]complex128) (*Matrix, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("cmat: ragged row %d: got %d columns, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	setIdentity(m)
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -114,17 +90,9 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []complex128 {
-	out := make([]complex128, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice sharing the matrix's backing storage —
 // writes through the view mutate the matrix. It exists for allocation-free
-// inner loops (the sparse solvers' iteration kernels); use Row when an
-// independent copy is wanted.
+// inner loops (the sparse solvers' iteration kernels).
 func (m *Matrix) RowView(i int) []complex128 {
 	if i < 0 || i >= m.rows {
 		panicRowView(i, m.rows, m.cols)
@@ -154,14 +122,6 @@ func (m *Matrix) Col(j int) []complex128 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []complex128) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("cmat: SetRow length %d != cols %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // SetCol copies v into column j.
 func (m *Matrix) SetCol(j int, v []complex128) {
 	if len(v) != m.rows {
@@ -170,17 +130,6 @@ func (m *Matrix) SetCol(j int, v []complex128) {
 	for i := 0; i < m.rows; i++ {
 		m.data[i*m.cols+j] = v[i]
 	}
-}
-
-// T returns the (non-conjugated) transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
 }
 
 // H returns the conjugate (Hermitian) transpose of m.
@@ -192,16 +141,6 @@ func (m *Matrix) H() *Matrix {
 		}
 	}
 	return t
-}
-
-// Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
-	mustSameShape("Add", a, b)
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out
 }
 
 // Sub returns a - b.

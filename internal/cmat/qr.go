@@ -100,9 +100,6 @@ func householder(x []complex128) (v []complex128, beta float64, alpha complex128
 	return v, 2 / vn2, alpha
 }
 
-// R returns the upper-triangular factor.
-func (f *QRFactors) R() *Matrix { return f.r.Clone() }
-
 // QMulH applies Qᴴ to a vector of length m, returning Qᴴ b.
 func (f *QRFactors) QMulH(b []complex128) []complex128 {
 	if len(b) != f.m {
@@ -110,31 +107,6 @@ func (f *QRFactors) QMulH(b []complex128) []complex128 {
 	}
 	out := CloneVec(b)
 	for k := 0; k < f.n; k++ {
-		beta, v := f.betas[k], f.vs[k]
-		if beta == 0 {
-			continue
-		}
-		var dot complex128
-		for i := k; i < f.m; i++ {
-			dot += cmplx.Conj(v[i-k]) * out[i]
-		}
-		scale := complex(beta, 0) * dot
-		for i := k; i < f.m; i++ {
-			out[i] -= scale * v[i-k]
-		}
-	}
-	return out
-}
-
-// QMul applies Q to a vector of length m, returning Q b.
-func (f *QRFactors) QMul(b []complex128) []complex128 {
-	if len(b) != f.m {
-		panic(fmt.Sprintf("cmat: QMul length %d != rows %d", len(b), f.m))
-	}
-	out := CloneVec(b)
-	// Q = H_0 H_1 ... H_{n-1}; each H is Hermitian and its own inverse, so Q
-	// is applied by running the reflectors in reverse order.
-	for k := f.n - 1; k >= 0; k-- {
 		beta, v := f.betas[k], f.vs[k]
 		if beta == 0 {
 			continue

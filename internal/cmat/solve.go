@@ -51,9 +51,6 @@ func realSqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
 // Solve solves A x = b using the factorization (forward then backward
 // substitution).
 func (c *Cholesky) Solve(b []complex128) []complex128 {
@@ -218,71 +215,4 @@ func SolveLinear(a *Matrix, b []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A^{-1} for a square nonsingular matrix. Prefer the solve
-// methods when only A^{-1}b is needed.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := LUDecompose(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := New(n, n)
-	e := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		inv.SetCol(j, col)
-	}
-	return inv, nil
-}
-
-// PowerIterationLargestSingular estimates the largest singular value of a
-// using power iteration on AᴴA with deterministic start. iters of ~50 gives
-// ample accuracy for Lipschitz-constant estimation in FISTA.
-func PowerIterationLargestSingular(a *Matrix, iters int) float64 {
-	n := a.Cols()
-	if n == 0 || a.Rows() == 0 {
-		return 0
-	}
-	v := make([]complex128, n)
-	for i := range v {
-		// Deterministic pseudo-random start avoids pathological alignment
-		// with a null direction.
-		v[i] = complex(1+0.31*float64(i%7), 0.17*float64(i%5))
-	}
-	normalize(v)
-	var sigma float64
-	for it := 0; it < iters; it++ {
-		av := a.MulVec(v)
-		w := a.MulVecH(av)
-		nrm := Norm2(w)
-		if nrm == 0 {
-			return 0
-		}
-		inv := complex(1/nrm, 0)
-		for i := range w {
-			v[i] = w[i] * inv
-		}
-		sigma = math.Sqrt(nrm)
-	}
-	return sigma
-}
-
-func normalize(v []complex128) {
-	n := Norm2(v)
-	if n == 0 {
-		return
-	}
-	inv := complex(1/n, 0)
-	for i := range v {
-		v[i] *= inv
-	}
 }

@@ -15,16 +15,11 @@ type SVD struct {
 	V *Matrix
 }
 
-// SVDecompose computes a thin SVD of a via the eigendecomposition of the
-// smaller Gram matrix. This is accurate for the well-conditioned,
-// moderate-size problems in this repository (snapshot fusion and subspace
-// estimation) and avoids a full Golub-Kahan implementation.
-func SVDecompose(a *Matrix) (*SVD, error) {
-	return new(SVDWork).Decompose(a)
-}
-
-// SVDWork is reusable working storage for SVDecompose: once it has grown to
-// a shape, decomposing a matrix up to that shape allocates nothing. The SVD
+// SVDWork computes thin SVDs via the eigendecomposition of the smaller Gram
+// matrix, which is accurate for the well-conditioned, moderate-size problems
+// in this repository (snapshot fusion) and avoids a full Golub-Kahan
+// implementation. It is reusable working storage: once it has grown to a
+// shape, decomposing a matrix up to that shape allocates nothing. The SVD
 // that Decompose returns aliases the storage and stays valid until the next
 // Decompose. An SVDWork must not be used by two goroutines at once.
 type SVDWork struct {
@@ -37,7 +32,7 @@ type SVDWork struct {
 	svd  SVD
 }
 
-// Decompose is SVDecompose into the work's storage.
+// Decompose computes a thin SVD of a into the work's storage.
 func (w *SVDWork) Decompose(a *Matrix) (*SVD, error) {
 	m, n := a.Rows(), a.Cols()
 	if m == 0 || n == 0 {
@@ -135,32 +130,10 @@ func (w *SVDWork) orthoFill(k int) {
 	u.data[k] = 1
 }
 
-// Rank returns the numerical rank implied by the singular values at the
-// given relative tolerance.
-func (s *SVD) Rank(rtol float64) int {
-	if len(s.S) == 0 || s.S[0] == 0 {
-		return 0
-	}
-	r := 0
-	for _, v := range s.S {
-		if v > rtol*s.S[0] {
-			r++
-		}
-	}
-	return r
-}
-
-// TruncateLeft returns U_k * diag(S_k), the rank-k compression of A's column
-// space used by the l1-SVD multi-snapshot fusion (Malioutov et al.). k is
-// clamped to the available number of singular values.
-func (s *SVD) TruncateLeft(k int) *Matrix {
-	out := new(Matrix)
-	s.TruncateLeftInto(out, k)
-	return out
-}
-
-// TruncateLeftInto is TruncateLeft into out, re-shaping it (see Reset) and
-// reusing its storage.
+// TruncateLeftInto writes U_k * diag(S_k), the rank-k compression of A's
+// column space used by the l1-SVD multi-snapshot fusion (Malioutov et al.),
+// into out, re-shaping it (see Reset) and reusing its storage. k is clamped
+// to the available number of singular values.
 func (s *SVD) TruncateLeftInto(out *Matrix, k int) {
 	if k > len(s.S) {
 		k = len(s.S)

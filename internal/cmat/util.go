@@ -1,53 +1,5 @@
 package cmat
 
-import (
-	"fmt"
-	"math/cmplx"
-)
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(a *Matrix) complex128 {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("cmat: Trace of non-square %dx%d matrix", a.rows, a.cols))
-	}
-	var t complex128
-	for i := 0; i < a.rows; i++ {
-		t += a.At(i, i)
-	}
-	return t
-}
-
-// Diag returns the main diagonal of a as a new slice.
-func Diag(a *Matrix) []complex128 {
-	n := a.rows
-	if a.cols < n {
-		n = a.cols
-	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = a.At(i, i)
-	}
-	return out
-}
-
-// DiagMatrix builds a square matrix with v on its diagonal.
-func DiagMatrix(v []complex128) *Matrix {
-	m := New(len(v), len(v))
-	for i, x := range v {
-		m.Set(i, i, x)
-	}
-	return m
-}
-
-// Conj returns the element-wise complex conjugate of a.
-func Conj(a *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = cmplx.Conj(a.data[i])
-	}
-	return out
-}
-
 // Kron returns the Kronecker product a ⊗ b, of size
 // (a.rows*b.rows) x (a.cols*b.cols). The joint space-delay steering
 // vector of paper Eq. 13 is exactly kron(gamma(tau), lambda(theta)), so

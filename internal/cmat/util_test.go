@@ -7,47 +7,11 @@ import (
 	"testing/quick"
 )
 
-func TestTraceAndDiag(t *testing.T) {
-	a, _ := FromRows([][]complex128{{1, 2}, {3, 4i}})
-	if got := Trace(a); got != 1+4i {
-		t.Fatalf("Trace = %v, want 1+4i", got)
-	}
-	d := Diag(a)
-	if len(d) != 2 || d[0] != 1 || d[1] != 4i {
-		t.Fatalf("Diag = %v", d)
-	}
-	wide, _ := FromRows([][]complex128{{1, 2, 3}, {4, 5, 6}})
-	if got := Diag(wide); len(got) != 2 || got[1] != 5 {
-		t.Fatalf("Diag of wide matrix = %v", got)
-	}
-	m := DiagMatrix([]complex128{2, 3i})
-	if m.At(0, 0) != 2 || m.At(1, 1) != 3i || m.At(0, 1) != 0 {
-		t.Fatalf("DiagMatrix wrong: %v", m)
-	}
-}
-
-func TestTracePanicsNonSquare(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Trace(New(2, 3))
-}
-
-func TestConj(t *testing.T) {
-	a, _ := FromRows([][]complex128{{1 + 2i, -3i}})
-	c := Conj(a)
-	if c.At(0, 0) != 1-2i || c.At(0, 1) != 3i {
-		t.Fatalf("Conj wrong: %v", c)
-	}
-}
-
 func TestKronSmall(t *testing.T) {
-	a, _ := FromRows([][]complex128{{1, 2}})
-	b, _ := FromRows([][]complex128{{0, 3}, {4, 0}})
+	a, _ := fromRows([][]complex128{{1, 2}})
+	b, _ := fromRows([][]complex128{{0, 3}, {4, 0}})
 	k := Kron(a, b)
-	want, _ := FromRows([][]complex128{
+	want, _ := fromRows([][]complex128{
 		{0, 3, 0, 6},
 		{4, 0, 8, 0},
 	})
@@ -80,18 +44,5 @@ func TestKronVec(t *testing.T) {
 		if cmplx.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("KronVec = %v, want %v", got, want)
 		}
-	}
-}
-
-// Trace is invariant under cyclic permutation: tr(AB) = tr(BA).
-func TestPropTraceCyclic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randMatrix(rng, 3, 4)
-		b := randMatrix(rng, 4, 3)
-		return cmplx.Abs(Trace(Mul(a, b))-Trace(Mul(b, a))) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,18 +6,6 @@ import (
 	"math/cmplx"
 )
 
-// Dot returns the Hermitian inner product <a, b> = sum conj(a_i) * b_i.
-func Dot(a, b []complex128) complex128 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("cmat: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s complex128
-	for i := range a {
-		s += cmplx.Conj(a[i]) * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []complex128) float64 {
 	var s float64
@@ -36,35 +24,6 @@ func Norm2Sq(v []complex128) float64 {
 	return s
 }
 
-// Norm1 returns the sum of element magnitudes of v.
-func Norm1(v []complex128) float64 {
-	var s float64
-	for _, x := range v {
-		s += cmplx.Abs(x)
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place and returns y.
-func AXPY(alpha complex128, x, y []complex128) []complex128 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("cmat: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-	return y
-}
-
-// ScaleVec returns alpha*x as a new slice.
-func ScaleVec(alpha complex128, x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = alpha * x[i]
-	}
-	return out
-}
-
 // SubVec returns a - b as a new slice.
 func SubVec(a, b []complex128) []complex128 {
 	if len(a) != len(b) {
@@ -73,18 +32,6 @@ func SubVec(a, b []complex128) []complex128 {
 	out := make([]complex128, len(a))
 	for i := range a {
 		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a + b as a new slice.
-func AddVec(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("cmat: AddVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
 	}
 	return out
 }

@@ -133,36 +133,6 @@ func CalibratePhases(packets []*wireless.CSI, sharpness SharpnessFunc, coarseSte
 	return refined, nil
 }
 
-// ROArraySharpness returns a SharpnessFunc backed by the estimator's sparse
-// AoA spectrum (the paper's own calibration scheme, Fig. 8b "Calibration
-// using ROArray"). Only the first packet is used, which suffices because the
-// offsets are common to all packets.
-func ROArraySharpness(est *Estimator) SharpnessFunc {
-	return func(packets []*wireless.CSI) (float64, error) {
-		spec, _, err := est.EstimateAoA(context.Background(), packets[0])
-		if err != nil {
-			return 0, err
-		}
-		return spec.Sharpness(), nil
-	}
-}
-
-// MUSICSharpness returns a SharpnessFunc backed by a spatial MUSIC
-// pseudospectrum (the Phaser scheme, Fig. 8b "Calibration using MUSIC").
-func MUSICSharpness(arr wireless.Array, thetaGrid []float64, numPaths int) SharpnessFunc {
-	return func(packets []*wireless.CSI) (float64, error) {
-		spec, err := music.SpatialSpectrum(&music.SpatialConfig{
-			Array:     arr,
-			ThetaGrid: thetaGrid,
-			NumPaths:  numPaths,
-		}, packets[0])
-		if err != nil {
-			return 0, err
-		}
-		return spec.Sharpness(), nil
-	}
-}
-
 // Pure sharpness cannot resolve the phase-offset component that is linear in
 // the antenna index: such offsets translate every beam in cos(theta) while
 // leaving the spectrum exactly as sharp. Real calibration (Phaser, and the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -39,7 +40,8 @@ func TestEstimatorConcurrentUse(t *testing.T) {
 	// Distinct per-goroutine measurements from private seeded generators.
 	csis := make([]*wireless.CSI, goroutines)
 	for g := range csis {
-		gen, err := wireless.NewGenerator(&wireless.ChannelConfig{
+		var err error
+		csis[g], err = wireless.Generate(&wireless.ChannelConfig{
 			Array: wireless.Intel5300Array(),
 			OFDM:  ofdm,
 			Paths: []wireless.Path{
@@ -47,11 +49,7 @@ func TestEstimatorConcurrentUse(t *testing.T) {
 				{AoADeg: 160 - 100*float64(g)/goroutines, ToA: 220e-9, Gain: 0.5},
 			},
 			SNRdB: 12,
-		}, int64(1000+g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		csis[g], err = gen.Packet()
+		}, rand.New(rand.NewSource(int64(1000+g))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +138,8 @@ func TestEstimatorConcurrentUseWithObservability(t *testing.T) {
 
 	csis := make([]*wireless.CSI, goroutines)
 	for g := range csis {
-		gen, err := wireless.NewGenerator(&wireless.ChannelConfig{
+		var err error
+		csis[g], err = wireless.Generate(&wireless.ChannelConfig{
 			Array: wireless.Intel5300Array(),
 			OFDM:  ofdm,
 			Paths: []wireless.Path{
@@ -148,11 +147,7 @@ func TestEstimatorConcurrentUseWithObservability(t *testing.T) {
 				{AoADeg: 160 - 100*float64(g)/goroutines, ToA: 220e-9, Gain: 0.5},
 			},
 			SNRdB: 12,
-		}, int64(2000+g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		csis[g], err = gen.Packet()
+		}, rand.New(rand.NewSource(int64(2000+g))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,20 +9,6 @@ import (
 	"roarray/internal/wireless"
 )
 
-// EstimateRelativeDelay estimates the packet-detection-delay difference
-// (pkt minus ref, seconds) between two measurements of the same static
-// channel. The per-subcarrier cross product r[l] = sum_m ref[m][l] *
-// conj(pkt[m][l]) cancels the common channel and leaves a pure phase ramp
-// exp(+j 2 pi f_delta l * delta); the delay is recovered by a matched-filter
-// search (the ML estimator under white noise, far more noise-robust than a
-// phase-slope fit) over [-1/(2 f_delta), +1/(2 f_delta)] with parabolic
-// refinement. That range is 400 ns on the Intel 5300, comfortably above
-// real detection-delay spreads.
-func EstimateRelativeDelay(ref, pkt *wireless.CSI, ofdm wireless.OFDM) float64 {
-	delta, _ := delayMatch(ref, pkt, sharedDelayTable(ofdm.SubcarrierSpacing, ref.NumSubcarriers))
-	return delta
-}
-
 // delaySteps is the matched-filter search grid: delaySteps+1 candidate
 // delays spanning [-1/(2 f_delta), +1/(2 f_delta)].
 const delaySteps = 256
@@ -86,11 +72,18 @@ func gridDelay(half float64, i int) float64 {
 	return -half + 2*half*float64(i)/delaySteps
 }
 
-// delayMatch runs the matched-filter delay search and additionally returns a
-// normalized correlation score in [0,1]: how much of the two packets' energy
-// is explained by a common channel at the best delay. Interfered or
-// unrelated packets score low, which AlignAndFilter uses for outlier
-// rejection. tab supplies the filter's phasors; a table built for another
+// delayMatch estimates the packet-detection-delay difference delta (pkt
+// minus ref, seconds) between two measurements of the same static channel.
+// The per-subcarrier cross product r[l] = sum_m ref[m][l] * conj(pkt[m][l])
+// cancels the common channel and leaves a pure phase ramp
+// exp(+j 2 pi f_delta l * delta); the delay is recovered by a matched-filter
+// search (the ML estimator under white noise, far more noise-robust than a
+// phase-slope fit) over [-1/(2 f_delta), +1/(2 f_delta)] with parabolic
+// refinement. That range is 400 ns on the Intel 5300, comfortably above real
+// detection-delay spreads. It also returns a normalized correlation score in
+// [0,1]: how much of the two packets' energy is explained by a common channel
+// at the best delay. Interfered or unrelated packets score low, which the
+// alignment's outlier filter uses. tab supplies the filter's phasors; a table built for another
 // subcarrier count is replaced by the shared one for the packets' own.
 func delayMatch(ref, pkt *wireless.CSI, tab *delayTable) (delta, score float64) {
 	l := ref.NumSubcarriers
@@ -158,15 +151,6 @@ func delayMatch(ref, pkt *wireless.CSI, tab *delayTable) (delta, score float64) 
 	return best, score
 }
 
-// CompensateDelay removes a known extra delay delta from a measurement by
-// counter-rotating the subcarrier phase ramp: subcarrier l is multiplied by
-// exp(+j 2 pi f_delta l delta).
-func CompensateDelay(csi *wireless.CSI, delta float64, ofdm wireless.OFDM) *wireless.CSI {
-	v := make([]complex128, csi.NumAntennas*csi.NumSubcarriers)
-	compensateInto(v, csi, delta, ofdm)
-	return unstack(v, csi, delta)
-}
-
 // compensateInto writes the delay-compensated measurement into dst as its
 // stacked vector (paper Eq. 15, antenna-major within each subcarrier).
 // Subcarrier l is multiplied by exp(+j 2 pi f_delta l delta), formed as the
@@ -182,62 +166,6 @@ func compensateInto(dst []complex128, csi *wireless.CSI, delta float64, ofdm wir
 		}
 		cur *= rot
 	}
-}
-
-// unstack returns the measurement whose stacked vector is v, shaped like
-// src, with src's detection delay less delta.
-func unstack(v []complex128, src *wireless.CSI, delta float64) *wireless.CSI {
-	out := wireless.NewCSI(src.NumAntennas, src.NumSubcarriers)
-	out.DetectionDelay = src.DetectionDelay - delta
-	idx := 0
-	for l := 0; l < out.NumSubcarriers; l++ {
-		for m := 0; m < out.NumAntennas; m++ {
-			out.Data[m][l] = v[idx]
-			idx++
-		}
-	}
-	return out
-}
-
-// AlignToReference compensates every packet's detection delay onto the first
-// packet's reference using EstimateRelativeDelay — the delay-estimation step
-// the paper applies before multi-packet fusion (Fig. 4). The first packet is
-// returned as is.
-func AlignToReference(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
-	return alignPackets(packets, ofdm, false)
-}
-
-// AlignAndFilter is the robust variant of AlignToReference used by fusion:
-// it picks the reference packet by cross-packet consensus (the packet whose
-// matched-filter correlation with the others is highest) and drops outlier
-// packets — those whose correlation with the reference falls well below the
-// burst's median — before aligning. Sporadic co-channel interference lands
-// on individual packets; consensus selection keeps an interfered packet from
-// becoming the reference, and the filter keeps interfered packets from
-// polluting the fused block.
-func AlignAndFilter(packets []*wireless.CSI, ofdm wireless.OFDM) []*wireless.CSI {
-	return alignPackets(packets, ofdm, true)
-}
-
-// alignPackets runs the estimator's alignment (alignment.align) on a fresh
-// workspace and returns the kept packets as measurements: the reference as
-// is, every other one a compensated copy.
-func alignPackets(packets []*wireless.CSI, ofdm wireless.OFDM, filter bool) []*wireless.CSI {
-	if len(packets) == 0 {
-		return nil
-	}
-	var al alignment
-	al.align(packets, ofdm, sharedDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers), filter)
-	out := make([]*wireless.CSI, len(al.kept))
-	ml := packets[0].NumAntennas * packets[0].NumSubcarriers
-	for c, j := range al.kept {
-		if j == al.ref {
-			out[c] = packets[j]
-		} else {
-			out[c] = unstack(al.stack[j*ml:(j+1)*ml], packets[j], al.applied[j])
-		}
-	}
-	return out
 }
 
 // alignment is the delay-alignment stage of a link estimate and its scratch,
@@ -258,11 +186,16 @@ type alignment struct {
 	mean           []complex128
 }
 
-// align compensates every packet's detection delay onto a reference and,
-// with filter set and more than two packets, picks the reference by
-// consensus and drops outliers (AlignAndFilter); otherwise the first packet
-// is the reference and every packet is kept (AlignToReference). packets
-// must be non-empty and share one shape.
+// align compensates every packet's detection delay onto a reference, the
+// delay-estimation step the paper applies before multi-packet fusion
+// (Fig. 4). With filter set and more than two packets it picks the reference
+// by cross-packet consensus (the packet whose matched-filter correlation
+// with the others is highest) and drops outliers, the packets whose
+// correlation with the reference falls well below the burst's median:
+// sporadic co-channel interference lands on individual packets, so an
+// interfered packet neither becomes the reference nor pollutes the fused
+// block. Otherwise the first packet is the reference and every packet is
+// kept. packets must be non-empty and share one shape.
 func (al *alignment) align(packets []*wireless.CSI, ofdm wireless.OFDM, tab *delayTable, filter bool) {
 	n := len(packets)
 	ml := packets[0].NumAntennas * packets[0].NumSubcarriers

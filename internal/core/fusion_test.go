@@ -10,6 +10,57 @@ import (
 	"roarray/internal/wireless"
 )
 
+// relativeDelay is delayMatch's delay estimate on the shared filter table.
+func relativeDelay(ref, pkt *wireless.CSI, ofdm wireless.OFDM) float64 {
+	delta, _ := delayMatch(ref, pkt, sharedDelayTable(ofdm.SubcarrierSpacing, ref.NumSubcarriers))
+	return delta
+}
+
+// compensateDelay removes a known extra delay delta from a measurement by
+// counter-rotating the subcarrier phase ramp (compensateInto).
+func compensateDelay(csi *wireless.CSI, delta float64, ofdm wireless.OFDM) *wireless.CSI {
+	v := make([]complex128, csi.NumAntennas*csi.NumSubcarriers)
+	compensateInto(v, csi, delta, ofdm)
+	return unstack(v, csi, delta)
+}
+
+// unstack returns the measurement whose stacked vector is v, shaped like
+// src, with src's detection delay less delta.
+func unstack(v []complex128, src *wireless.CSI, delta float64) *wireless.CSI {
+	out := wireless.NewCSI(src.NumAntennas, src.NumSubcarriers)
+	out.DetectionDelay = src.DetectionDelay - delta
+	idx := 0
+	for l := 0; l < out.NumSubcarriers; l++ {
+		for m := 0; m < out.NumAntennas; m++ {
+			out.Data[m][l] = v[idx]
+			idx++
+		}
+	}
+	return out
+}
+
+// alignPackets runs the estimator's alignment (alignment.align) on a fresh
+// workspace and returns the kept packets as measurements: the reference as
+// is, every other one a compensated copy. filter selects the consensus
+// reference and outlier filter that fusion runs.
+func alignPackets(packets []*wireless.CSI, ofdm wireless.OFDM, filter bool) []*wireless.CSI {
+	if len(packets) == 0 {
+		return nil
+	}
+	var al alignment
+	al.align(packets, ofdm, sharedDelayTable(ofdm.SubcarrierSpacing, ofdm.NumSubcarriers), filter)
+	out := make([]*wireless.CSI, len(al.kept))
+	ml := packets[0].NumAntennas * packets[0].NumSubcarriers
+	for c, j := range al.kept {
+		if j == al.ref {
+			out[c] = packets[j]
+		} else {
+			out[c] = unstack(al.stack[j*ml:(j+1)*ml], packets[j], al.applied[j])
+		}
+	}
+	return out
+}
+
 func TestEstimateRelativeDelayNoiseFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
 	ofdm := wireless.Intel5300OFDM()
@@ -23,7 +74,7 @@ func TestEstimateRelativeDelayNoiseFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(pkts); i++ {
-		got := EstimateRelativeDelay(pkts[0], pkts[i], ofdm)
+		got := relativeDelay(pkts[0], pkts[i], ofdm)
 		want := pkts[i].DetectionDelay - pkts[0].DetectionDelay
 		if math.Abs(got-want) > 2e-9 {
 			t.Fatalf("packet %d: delay %.1f ns, want %.1f ns", i, got*1e9, want*1e9)
@@ -48,7 +99,7 @@ func TestEstimateRelativeDelayLowSNR(t *testing.T) {
 	// within ~10 ns, occasional noise-draw outliers tolerated up to 60 ns.
 	var errsNs []float64
 	for i := 1; i < len(pkts); i++ {
-		got := EstimateRelativeDelay(pkts[0], pkts[i], ofdm)
+		got := relativeDelay(pkts[0], pkts[i], ofdm)
 		want := pkts[i].DetectionDelay - pkts[0].DetectionDelay
 		e := math.Abs(got-want) * 1e9
 		if e > 60 {
@@ -67,10 +118,10 @@ func TestEstimateRelativeDelayLowSNR(t *testing.T) {
 
 func TestEstimateRelativeDelayDegenerateInputs(t *testing.T) {
 	ofdm := wireless.Intel5300OFDM()
-	if got := EstimateRelativeDelay(wireless.NewCSI(3, 30), wireless.NewCSI(2, 30), ofdm); got != 0 {
+	if got := relativeDelay(wireless.NewCSI(3, 30), wireless.NewCSI(2, 30), ofdm); got != 0 {
 		t.Fatal("antenna mismatch should return 0")
 	}
-	if got := EstimateRelativeDelay(wireless.NewCSI(3, 1), wireless.NewCSI(3, 1), ofdm); got != 0 {
+	if got := relativeDelay(wireless.NewCSI(3, 1), wireless.NewCSI(3, 1), ofdm); got != 0 {
 		t.Fatal("single subcarrier should return 0")
 	}
 }
@@ -88,7 +139,7 @@ func TestCompensateDelayInvertsChannelDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := CompensateDelay(delayed, 50e-9, ofdm)
+	fixed := compensateDelay(delayed, 50e-9, ofdm)
 	for m := 0; m < 3; m++ {
 		for l := 0; l < 30; l++ {
 			d := fixed.Data[m][l] - base.Data[m][l]
@@ -108,7 +159,7 @@ func TestAlignToReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligned := AlignToReference(pkts, ofdm)
+	aligned := alignPackets(pkts, ofdm, false)
 	if len(aligned) != 5 {
 		t.Fatalf("got %d aligned packets", len(aligned))
 	}
@@ -117,12 +168,12 @@ func TestAlignToReference(t *testing.T) {
 	}
 	// After alignment the residual delay spread must be small.
 	for i := 1; i < 5; i++ {
-		resid := EstimateRelativeDelay(aligned[0], aligned[i], ofdm)
+		resid := relativeDelay(aligned[0], aligned[i], ofdm)
 		if math.Abs(resid) > 5e-9 {
 			t.Fatalf("aligned packet %d still has %.1f ns residual delay", i, resid*1e9)
 		}
 	}
-	if AlignToReference(nil, ofdm) != nil {
+	if alignPackets(nil, ofdm, false) != nil {
 		t.Fatal("empty input should return nil")
 	}
 }

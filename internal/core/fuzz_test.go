@@ -143,8 +143,11 @@ func FuzzSanitizeBurst(f *testing.F) {
 		}
 		// Every surviving packet is finite and correctly shaped.
 		for i, c := range out {
-			if err := CheckCSI(c, wantM, wantL); err != nil {
-				t.Fatalf("kept packet %d fails CheckCSI: %v", i, err)
+			if p := dimensionProblem(c, wantM, wantL); p != "" {
+				t.Fatalf("kept packet %d is misshapen: %s", i, p)
+			}
+			if n := nonFiniteCount(c); n > 0 {
+				t.Fatalf("kept packet %d has %d non-finite entries", i, n)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"roarray/internal/sparse"
@@ -115,7 +116,7 @@ func TestJointSolveMatchesDenseReference(t *testing.T) {
 			ctx := context.Background()
 			differs := false
 			for seed := int64(1); seed <= 3; seed++ {
-				gen, err := wireless.NewGenerator(&wireless.ChannelConfig{
+				burst, err := wireless.GenerateBurst(&wireless.ChannelConfig{
 					Array: wireless.Intel5300Array(),
 					OFDM:  tc.ofdm,
 					Paths: []wireless.Path{
@@ -123,15 +124,9 @@ func TestJointSolveMatchesDenseReference(t *testing.T) {
 						{AoADeg: 150 - 10*float64(seed), ToA: 190e-9, Gain: 0.6},
 					},
 					SNRdB: 12,
-				}, 9000+seed)
+				}, tc.burstDepth, rand.New(rand.NewSource(9000+seed)))
 				if err != nil {
 					t.Fatal(err)
-				}
-				burst := make([]*wireless.CSI, tc.burstDepth)
-				for i := range burst {
-					if burst[i], err = gen.Packet(); err != nil {
-						t.Fatal(err)
-					}
 				}
 
 				got, _, err := est.EstimateJoint(ctx, burst[0])

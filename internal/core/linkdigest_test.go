@@ -16,8 +16,8 @@ import (
 )
 
 // linkPipelineDigest pins the bits of every stage of the per-link pipeline
-// (see TestLinkPipelineDigest): the aligned packets of AlignToReference and
-// AlignAndFilter, the spectra of EstimateJoint and EstimateJointFusedInfoCtx,
+// (see TestLinkPipelineDigest): the aligned packets of the delay alignment
+// with and without its outlier filter, the spectra of EstimateJoint and EstimateJointFusedInfoCtx,
 // and the peaks of DirectPath and EstimateDirectAoA with their SolveInfo.
 const linkPipelineDigest = "6741258f400ab6ebaa7730616cb4e54c3a5d27354d6989a973e3f40e35b7e50e"
 
@@ -80,8 +80,8 @@ func TestLinkPipelineDigest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hashPackets(h, AlignToReference(burst, cfg.OFDM))
-				kept := AlignAndFilter(burst, cfg.OFDM)
+				hashPackets(h, alignPackets(burst, cfg.OFDM, false))
+				kept := alignPackets(burst, cfg.OFDM, true)
 				hashPackets(h, kept)
 				if len(kept) < n {
 					dropped++

@@ -59,7 +59,7 @@ func TestDirectPathAllEndfireIsError(t *testing.T) {
 	}
 }
 
-// AlignAndFilter must reject sporadically interfered packets: with a third
+// The alignment's outlier filter must reject sporadically interfered packets: with a third
 // of the burst carrying a strong independent interferer, the kept set
 // should be dominated by clean packets.
 func TestAlignAndFilterRejectsInterferedPackets(t *testing.T) {
@@ -92,7 +92,7 @@ func TestAlignAndFilterRejectsInterferedPackets(t *testing.T) {
 		p.DetectionDelay = float64(i) // sentinel, not used by the filter
 		packets = append(packets, p)
 	}
-	kept := AlignAndFilter(packets, ofdm)
+	kept := alignPackets(packets, ofdm, true)
 	if len(kept) < 6 {
 		t.Fatalf("filter too aggressive: kept %d of 12", len(kept))
 	}

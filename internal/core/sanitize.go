@@ -10,11 +10,9 @@ import (
 
 // Typed admission errors. Callers branch on these with errors.Is to decide
 // between rejecting a request (dimension breakage is a caller bug) and
-// degrading a link (non-finite bursts are a hardware/driver fault).
+// degrading a link (a burst with no usable packet is a hardware/driver
+// fault).
 var (
-	// ErrCSINonFinite marks a measurement carrying NaN or Inf entries beyond
-	// what zero-repair is allowed to patch.
-	ErrCSINonFinite = errors.New("core: CSI contains non-finite values")
 	// ErrCSIDimension marks a measurement whose shape does not match the
 	// estimator configuration (wrong antenna count, truncated subcarriers,
 	// ragged rows).
@@ -116,20 +114,6 @@ func nonFiniteCount(c *wireless.CSI) int {
 		}
 	}
 	return n
-}
-
-// CheckCSI validates one measurement against the configured shape, returning
-// an error wrapping ErrCSIDimension or ErrCSINonFinite (any non-finite entry
-// fails the check; CheckCSI never repairs). wantM/wantL <= 0 skip the
-// corresponding shape comparison.
-func CheckCSI(c *wireless.CSI, wantM, wantL int) error {
-	if p := dimensionProblem(c, wantM, wantL); p != "" {
-		return fmt.Errorf("%w: %s", ErrCSIDimension, p)
-	}
-	if n := nonFiniteCount(c); n > 0 {
-		return fmt.Errorf("%w: %d entries", ErrCSINonFinite, n)
-	}
-	return nil
 }
 
 // SanitizeBurst screens a packet burst before estimation. Packets with shape

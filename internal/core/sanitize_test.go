@@ -29,27 +29,31 @@ func sanitizeTestBurst(t *testing.T, n int, seed int64) []*wireless.CSI {
 	return burst
 }
 
-func TestCheckCSITypedErrors(t *testing.T) {
+func TestCSIShapeAndFiniteChecks(t *testing.T) {
 	clean := sanitizeTestBurst(t, 1, 1)[0]
 	m, l := clean.NumAntennas, clean.NumSubcarriers
-	if err := CheckCSI(clean, m, l); err != nil {
-		t.Fatalf("clean packet: %v", err)
+	if p := dimensionProblem(clean, m, l); p != "" {
+		t.Fatalf("clean packet: %s", p)
 	}
-	if err := CheckCSI(nil, m, l); !errors.Is(err, ErrCSIDimension) {
-		t.Fatalf("nil packet: %v, want ErrCSIDimension", err)
+	if n := nonFiniteCount(clean); n != 0 {
+		t.Fatalf("clean packet: %d non-finite entries", n)
 	}
-	if err := CheckCSI(clean, m+1, l); !errors.Is(err, ErrCSIDimension) {
-		t.Fatalf("antenna mismatch: %v, want ErrCSIDimension", err)
+	if dimensionProblem(nil, m, l) == "" {
+		t.Fatal("nil packet passed the shape check")
+	}
+	if dimensionProblem(clean, m+1, l) == "" {
+		t.Fatal("antenna mismatch passed the shape check")
 	}
 	ragged := clean.Clone()
 	ragged.Data[1] = ragged.Data[1][:l-1]
-	if err := CheckCSI(ragged, m, l); !errors.Is(err, ErrCSIDimension) {
-		t.Fatalf("ragged rows: %v, want ErrCSIDimension", err)
+	if dimensionProblem(ragged, m, l) == "" {
+		t.Fatal("ragged rows passed the shape check")
 	}
 	poisoned := clean.Clone()
 	poisoned.Data[0][0] = complex(math.NaN(), 0)
-	if err := CheckCSI(poisoned, m, l); !errors.Is(err, ErrCSINonFinite) {
-		t.Fatalf("NaN entry: %v, want ErrCSINonFinite", err)
+	poisoned.Data[2][3] = complex(0, math.Inf(-1))
+	if n := nonFiniteCount(poisoned); n != 2 {
+		t.Fatalf("poisoned packet: %d non-finite entries, want 2", n)
 	}
 }
 

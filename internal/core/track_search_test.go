@@ -235,7 +235,7 @@ func TestLocalizeTrackedOutOfGateFallsBackBitIdentical(t *testing.T) {
 		if prev.Dist(stateless.Position) > 3 {
 			t.Fatalf("cross-room jump accepted from the window: %+v", tracked)
 		}
-	} else if !tracked.Fallback && tr.Updates() >= 2 {
+	} else if !tracked.Fallback && tr.State().Updates >= 2 {
 		// No window ran at all — only legitimate if the tracker had no
 		// prediction, which cannot happen after three updates.
 		t.Fatalf("no windowed attempt before the fallback: %+v", tracked)
@@ -314,8 +314,8 @@ func TestLocalizeBatchItemsMixed(t *testing.T) {
 		t.Fatal("stateless slots grew track results")
 	}
 	// The tracked slot must have updated the tracker.
-	if tr.Updates() != 1 {
-		t.Fatalf("tracker absorbed %d fixes, want 1", tr.Updates())
+	if tr.State().Updates != 1 {
+		t.Fatalf("tracker absorbed %d fixes, want 1", tr.State().Updates)
 	}
 	// Bit-identity with the serial paths.
 	serialA, err := eng.Localize(context.Background(), reqs[0])

@@ -14,13 +14,9 @@ var (
 	ErrTrackTime = errors.New("core: tracker time must strictly increase")
 	// ErrTrackNonFinite reports a fix or timestamp containing NaN or Inf.
 	ErrTrackNonFinite = errors.New("core: tracker rejected non-finite input")
-	// ErrTrackState reports a snapshot that cannot be restored.
-	ErrTrackState = errors.New("core: invalid tracker state snapshot")
 )
 
-// TrackState is the full serializable filter state: everything a serving
-// layer must persist between epochs to resume a track exactly where it left
-// off. Snapshot with Tracker.State, resume with Tracker.Restore.
+// TrackState is the full filter state, as Tracker.State snapshots it.
 type TrackState struct {
 	// Initialized reports whether any fix has been absorbed.
 	Initialized bool `json:"initialized,omitempty"`
@@ -40,19 +36,6 @@ type TrackState struct {
 	// outlier; a second consecutive miss re-anchors the track
 	// (re-acquisition).
 	Misses int `json:"misses,omitempty"`
-}
-
-func (s TrackState) valid() bool {
-	if !isFinitePoint(s.Pos) || !isFinitePoint(s.Vel) {
-		return false
-	}
-	if math.IsNaN(s.PVar) || math.IsInf(s.PVar, 0) || s.PVar < 0 {
-		return false
-	}
-	if math.IsNaN(s.LastT) || math.IsInf(s.LastT, 0) {
-		return false
-	}
-	return s.Updates >= 0 && s.Misses >= 0 && (s.Initialized || s.Updates == 0)
 }
 
 // TrackFix is the outcome of absorbing one position fix.
@@ -158,14 +141,6 @@ func (k *Tracker) predictAt(t float64) (pred Point, s float64, ok bool) {
 	drift := k.ProcessStd * dt
 	s = k.state.PVar + drift*drift + k.MeasStd*k.MeasStd
 	return pred, s, true
-}
-
-// Predict extrapolates the smoothed track to time t without mutating the
-// filter. ok is false before the first update or when t does not advance
-// the clock.
-func (k *Tracker) Predict(t float64) (Point, bool) {
-	pred, _, ok := k.predictAt(t)
-	return pred, ok
 }
 
 // NISAt returns the normalized innovation squared a fix at time t would
@@ -300,24 +275,3 @@ func clampSpeed(v Point, maxSpeed float64) Point {
 
 // State snapshots the filter for persistence between epochs.
 func (k *Tracker) State() TrackState { return k.state }
-
-// Restore resumes the filter from a snapshot taken with State. Invalid
-// snapshots (non-finite fields, negative variance) are rejected with
-// ErrTrackState, leaving the current state untouched.
-func (k *Tracker) Restore(st TrackState) error {
-	if !st.valid() {
-		return fmt.Errorf("%w: %+v", ErrTrackState, st)
-	}
-	k.state = st
-	return nil
-}
-
-// Position returns the current smoothed estimate (zero before the first
-// update).
-func (k *Tracker) Position() Point { return k.state.Pos }
-
-// Velocity returns the current velocity estimate in m/s.
-func (k *Tracker) Velocity() Point { return k.state.Vel }
-
-// Updates returns the number of fixes absorbed so far.
-func (k *Tracker) Updates() int { return k.state.Updates }

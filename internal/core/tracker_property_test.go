@@ -117,7 +117,7 @@ func TestTrackerNISMonotonicity(t *testing.T) {
 		tr, _ := NewTracker(0, 0, 0)
 		trackAll(t, tr, fixes)
 		tNext := fixes[len(fixes)-1].t + 1
-		pred, ok := tr.Predict(tNext)
+		pred, _, ok := tr.predictAt(tNext)
 		if !ok {
 			t.Fatalf("seed %d: no prediction after %d fixes", seed, len(fixes))
 		}
@@ -240,50 +240,7 @@ func TestTrackerNaNFixDoesNotPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.IsNaN(got.Smoothed.X) || math.IsNaN(got.Smoothed.Y) ||
-		math.IsNaN(tr.Velocity().X) || math.IsNaN(tr.Velocity().Y) {
-		t.Fatalf("NaN leaked into the track: %+v vel %+v", got.Smoothed, tr.Velocity())
-	}
-}
-
-// Snapshot/restore must resume a track exactly: splitting a fix sequence
-// across two Tracker instances through State/Restore gives bit-identical
-// results to one uninterrupted instance.
-func TestTrackerSnapshotRestoreBitIdentical(t *testing.T) {
-	for seed := int64(0); seed < propertyTrajectories; seed++ {
-		rng := rand.New(rand.NewSource(5000 + seed))
-		fixes := propertyWalk(rng, 24)
-		solo, _ := NewTracker(0, 0, 0)
-		want := trackAll(t, solo, fixes)
-
-		first, _ := NewTracker(0, 0, 0)
-		cut := 8 + rng.Intn(8)
-		got := trackAll(t, first, fixes[:cut])
-		resumed, _ := NewTracker(0, 0, 0)
-		if err := resumed.Restore(first.State()); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, trackAll(t, resumed, fixes[cut:])...)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d fix %d: resumed track diverged: %+v vs %+v", seed, i, want[i], got[i])
-			}
-		}
-	}
-}
-
-func TestTrackerRestoreRejectsInvalid(t *testing.T) {
-	tr, _ := NewTracker(0, 0, 0)
-	bad := []TrackState{
-		{Initialized: true, Updates: 1, PVar: math.NaN()},
-		{Initialized: true, Updates: 1, PVar: -1},
-		{Initialized: true, Updates: -1},
-		{Initialized: true, Updates: 1, Pos: Point{X: math.Inf(1)}},
-		{Initialized: true, Updates: 1, LastT: math.NaN()},
-		{Initialized: false, Updates: 3},
-	}
-	for i, st := range bad {
-		if err := tr.Restore(st); !errors.Is(err, ErrTrackState) {
-			t.Fatalf("bad state %d accepted: %v", i, err)
-		}
+		math.IsNaN(tr.State().Vel.X) || math.IsNaN(tr.State().Vel.Y) {
+		t.Fatalf("NaN leaked into the track: %+v vel %+v", got.Smoothed, tr.State().Vel)
 	}
 }

@@ -73,7 +73,7 @@ func TestTrackerSmoothsNoisyWalk(t *testing.T) {
 		t.Fatalf("tracker (%.2f m) did not beat raw fixes (%.2f m)", smoothErr, rawErr)
 	}
 	// Velocity estimate should approximate the true walk speed.
-	sp := math.Hypot(tr.Velocity().X, tr.Velocity().Y)
+	sp := math.Hypot(tr.State().Vel.X, tr.State().Vel.Y)
 	want := math.Hypot(0.5, 0.25)
 	if math.Abs(sp-want) > 0.3 {
 		t.Fatalf("velocity %.2f m/s, want ~%.2f", sp, want)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func warmTestConfig(warm bool) Config {
 // measurements with neighbouring solutions.
 func warmBurst(t *testing.T, seed int64, packets int) []*wireless.CSI {
 	t.Helper()
-	gen, err := wireless.NewGenerator(&wireless.ChannelConfig{
+	out, err := wireless.GenerateBurst(&wireless.ChannelConfig{
 		Array: wireless.Intel5300Array(),
 		OFDM:  wireless.Intel5300OFDM(),
 		Paths: []wireless.Path{
@@ -38,15 +39,9 @@ func warmBurst(t *testing.T, seed int64, packets int) []*wireless.CSI {
 			{AoADeg: 128, ToA: 180e-9, Gain: 0.6},
 		},
 		SNRdB: 15,
-	}, seed)
+	}, packets, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := make([]*wireless.CSI, packets)
-	for i := range out {
-		if out[i], err = gen.Packet(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return out
 }

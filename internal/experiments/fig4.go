@@ -90,8 +90,7 @@ func RunFig4(w io.Writer, opt Options) error {
 		return err
 	}
 	// Fusion requires a common delay reference; EstimateJointFusedInfoCtx
-	// performs the paper's delay-estimation step internally
-	// (core.AlignToReference).
+	// performs the paper's delay-estimation step internally.
 	specC, _, err := est.EstimateJointFusedInfoCtx(ctx, pkts)
 	if err != nil {
 		return err

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,24 +53,6 @@ const (
 	// Plan.StuckProb, parks until the context dies) to wedge serving paths.
 	KindSlowRequest Kind = "slow-request"
 )
-
-// Kinds lists every fault mode in a stable order (for CLI sweeps and docs).
-func Kinds() []Kind {
-	return []Kind{
-		KindNone, KindAntennaDropout, KindSubcarrierErasure, KindNaNBurst,
-		KindPhaseJump, KindTruncatedPacket, KindSolverBudget, KindSlowRequest,
-	}
-}
-
-// ParseKind resolves a CLI token ("nan-burst") to its Kind.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds() {
-		if strings.EqualFold(s, string(k)) {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("fault: unknown kind %q (want one of %v)", s, Kinds())
-}
 
 // Plan describes one fault mode and its knobs. Zero-valued knobs take the
 // documented defaults so a bare {Kind: ...} plan is already usable.
@@ -112,14 +93,13 @@ func (p *Plan) fires(rng *rand.Rand) bool {
 // Injector applies one Plan to a CSI stream from a private seeded RNG.
 // Methods are safe for concurrent use (a mutex serializes the RNG), but for
 // reproducible parallel workloads give each link its own injector, exactly as
-// each link owns its own wireless.Generator.
+// each link owns its own RNG stream.
 type Injector struct {
 	mu   sync.Mutex
 	plan Plan
 	rng  *rand.Rand
 
 	injected int64
-	byKind   map[Kind]int64
 }
 
 // New validates the plan and returns an injector seeded with seed.
@@ -148,12 +128,8 @@ func New(plan Plan, seed int64) (*Injector, error) {
 	if plan.StuckProb < 0 || plan.StuckProb > 1 {
 		return nil, fmt.Errorf("fault: stuck probability %v outside [0,1]", plan.StuckProb)
 	}
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed)), byKind: map[Kind]int64{}}, nil
+	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}, nil
 }
-
-// Plan returns a copy of the injector's plan (so consumers can read knobs
-// like SolverIters without reaching into the struct).
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Injected returns how many packets (or requests, for KindSlowRequest) have
 // actually been corrupted so far.
@@ -164,31 +140,6 @@ func (in *Injector) Injected() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
-}
-
-// Counts returns a per-kind snapshot of injections, keys sorted for stable
-// iteration.
-func (in *Injector) Counts() map[Kind]int64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Kind]int64, len(in.byKind))
-	keys := make([]string, 0, len(in.byKind))
-	for k := range in.byKind {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out[Kind(k)] = in.byKind[Kind(k)]
-	}
-	return out
-}
-
-func (in *Injector) note(k Kind) {
-	in.injected++
-	in.byKind[k]++
 }
 
 // Transform applies the plan to one measurement. The input is never mutated:
@@ -257,7 +208,7 @@ func (in *Injector) Transform(c *wireless.CSI) *wireless.CSI {
 		}
 		out.NumSubcarriers = keep
 	}
-	in.note(in.plan.Kind)
+	in.injected++
 	return out
 }
 
@@ -314,7 +265,7 @@ func (in *Injector) Disturb(ctx context.Context) {
 	}
 	stuck := in.plan.StuckProb > 0 && in.rng.Float64() < in.plan.StuckProb
 	delay := in.plan.Delay
-	in.note(KindSlowRequest)
+	in.injected++
 	in.mu.Unlock()
 
 	if delay > 0 {

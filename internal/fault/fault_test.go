@@ -224,13 +224,3 @@ func TestDisturb(t *testing.T) {
 	var nilInj *Injector
 	nilInj.Disturb(context.Background()) // must not panic
 }
-
-func TestParseKind(t *testing.T) {
-	k, err := ParseKind("NaN-Burst")
-	if err != nil || k != KindNaNBurst {
-		t.Fatalf("ParseKind: %v %v", k, err)
-	}
-	if _, err := ParseKind("gamma-ray"); err == nil {
-		t.Fatal("unknown kind must error")
-	}
-}

@@ -156,39 +156,3 @@ func projectionEnergy(en *cmat.Matrix, s []complex128) float64 {
 	}
 	return e
 }
-
-// EstimateModelOrderAIC applies the Akaike Information Criterion to the
-// ascending eigenvalues of a covariance estimated from numSnaps snapshots.
-// AIC penalizes model complexity less than MDL, so it tends to report more
-// sources at low SNR — useful for studying MUSIC's sensitivity to K.
-func EstimateModelOrderAIC(eigAscending []float64, numSnaps int) int {
-	n := len(eigAscending)
-	if n < 2 || numSnaps < 1 {
-		return 0
-	}
-	lam := make([]float64, n)
-	for i := range lam {
-		v := eigAscending[n-1-i]
-		if v < 1e-18 {
-			v = 1e-18
-		}
-		lam[i] = v
-	}
-	best, bestVal := 0, math.Inf(1)
-	for k := 0; k < n; k++ {
-		m := n - k
-		var logSum, sum float64
-		for i := k; i < n; i++ {
-			logSum += math.Log(lam[i])
-			sum += lam[i]
-		}
-		arith := sum / float64(m)
-		geo := logSum / float64(m)
-		ll := float64(numSnaps*m) * (math.Log(arith) - geo)
-		pen := float64(k * (2*n - k))
-		if v := ll + pen; v < bestVal {
-			best, bestVal = k, v
-		}
-	}
-	return best
-}

@@ -307,19 +307,3 @@ func TestMUSICDegradesWithSNR(t *testing.T) {
 		t.Fatalf("MUSIC error did not grow at low SNR: high=%v low=%v", high, low)
 	}
 }
-
-func TestAICModelOrder(t *testing.T) {
-	// Two clear sources above a flat noise floor.
-	eig := []float64{0.1, 0.11, 0.09, 0.1, 5.0, 9.0}
-	if got := EstimateModelOrderAIC(eig, 100); got != 2 {
-		t.Fatalf("AIC = %d, want 2", got)
-	}
-	if got := EstimateModelOrderAIC([]float64{1}, 10); got != 0 {
-		t.Fatalf("AIC degenerate = %d, want 0", got)
-	}
-	// AIC's weaker penalty never reports fewer sources than MDL.
-	borderline := []float64{0.1, 0.1, 0.12, 0.3, 2.0, 6.0}
-	if EstimateModelOrderAIC(borderline, 50) < EstimateModelOrderMDL(borderline, 50) {
-		t.Fatal("AIC reported fewer sources than MDL")
-	}
-}

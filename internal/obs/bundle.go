@@ -73,8 +73,7 @@ type BundleConfig struct {
 
 // BundleWriter captures diagnostic bundles: a timestamped directory holding
 // CPU/heap/goroutine pprof profiles, the flight-recorder ring dump, the full
-// metrics snapshot, the runtime sample history, and the trigger reason. Its
-// Capture method is the natural TriggerConfig.OnTrigger target.
+// metrics snapshot, the runtime sample history, and the trigger reason.
 type BundleWriter struct {
 	cfg BundleConfig
 	mu  sync.Mutex // serializes captures; profiles cannot overlap anyway
@@ -96,14 +95,6 @@ func NewBundleWriter(cfg BundleConfig) (*BundleWriter, error) {
 		return nil, fmt.Errorf("obs: create bundle dir: %w", err)
 	}
 	return &BundleWriter{cfg: cfg}, nil
-}
-
-// Capture is Write with the error reduced to best effort — the
-// TriggerConfig.OnTrigger shape. A failed capture must not take the serving
-// process down with it; the error is visible via the returned path of Write
-// for callers that care.
-func (b *BundleWriter) Capture(reason TriggerReason) {
-	b.Write(reason) //nolint:errcheck // best effort by design
 }
 
 // Write captures one bundle and returns its directory path. The capture

@@ -33,8 +33,8 @@ func TestDiagConcurrencyHammer(t *testing.T) {
 	}
 	e := NewTriggerEngine(TriggerConfig{
 		Interval:  time.Millisecond,
-		Cooldown:  10 * time.Millisecond, // refire so captures overlap traffic
-		OnTrigger: w.Capture,
+		Cooldown:  10 * time.Millisecond,                // refire so captures overlap traffic
+		OnTrigger: func(r TriggerReason) { w.Write(r) }, //nolint:errcheck // best effort under the hammer
 	}, GoroutineSignal(col, 1)) // always fires: the hammer has many goroutines
 	e.Bind(reg)
 	e.Start()

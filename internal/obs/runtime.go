@@ -180,17 +180,6 @@ func (c *RuntimeCollector) Sample() RuntimeSample {
 	return s
 }
 
-// Last returns the most recent sample without reading the runtime (zero
-// before the first Sample, or on nil).
-func (c *RuntimeCollector) Last() RuntimeSample {
-	if c == nil {
-		return RuntimeSample{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
 // History returns the retained samples, oldest first — the runtime trend a
 // diagnostic bundle ships. Nil collector returns nil.
 func (c *RuntimeCollector) History() []RuntimeSample {

@@ -65,9 +65,6 @@ func TestRuntimeCollectorCoalescing(t *testing.T) {
 	if a.TimeUnixNs != b.TimeUnixNs {
 		t.Fatal("samples within minInterval were not coalesced")
 	}
-	if got := c.Last(); got.TimeUnixNs != a.TimeUnixNs {
-		t.Fatal("Last does not match the coalesced sample")
-	}
 	if h := c.History(); len(h) != 1 {
 		t.Fatalf("history has %d samples, want 1 (coalesced)", len(h))
 	}
@@ -94,9 +91,6 @@ func TestRuntimeCollectorNil(t *testing.T) {
 	var c *RuntimeCollector
 	if s := c.Sample(); s != (RuntimeSample{}) {
 		t.Fatal("nil Sample not zero")
-	}
-	if s := c.Last(); s != (RuntimeSample{}) {
-		t.Fatal("nil Last not zero")
 	}
 	if h := c.History(); h != nil {
 		t.Fatal("nil History not nil")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"expvar"
 	"fmt"
 	"net"
@@ -57,13 +56,5 @@ func Serve(addr string, reg *Registry) (*DebugServer, error) {
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
 // Close stops the server immediately: the listener and every open
-// connection are closed, cutting off in-flight scrapes mid-response. Use
-// Shutdown for a graceful stop.
+// connection are closed, cutting off in-flight scrapes mid-response.
 func (d *DebugServer) Close() error { return d.srv.Close() }
-
-// Shutdown stops the server gracefully: the listener closes first (the port
-// is released and can be rebound immediately), then idle connections are
-// closed while in-flight requests — a /metrics scrape, a multi-second pprof
-// profile — run to completion, bounded by ctx. It returns ctx's error if the
-// deadline expires with requests still active.
-func (d *DebugServer) Shutdown(ctx context.Context) error { return d.srv.Shutdown(ctx) }

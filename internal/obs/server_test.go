@@ -1,14 +1,11 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestDebugMuxEndpoints drives the handler tree through an httptest server
@@ -119,75 +116,4 @@ func TestServeLifecycle(t *testing.T) {
 	if _, err := http.Get("http://" + srv.Addr() + "/metrics"); err == nil {
 		t.Fatal("server still reachable after Close")
 	}
-}
-
-// TestShutdownDrainsInflightAndReleasesPort pins the graceful-stop contract:
-// Shutdown lets in-flight requests complete (a 1-second pprof trace started
-// before the shutdown, plus a concurrent /metrics scrape), returns nil, and
-// releases the listen port for immediate rebinding.
-func TestShutdownDrainsInflightAndReleasesPort(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("up").Inc()
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-
-	type fetch struct {
-		status int
-		body   []byte
-		err    error
-	}
-	get := func(path string, out chan<- fetch) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			out <- fetch{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		out <- fetch{status: resp.StatusCode, body: body, err: err}
-	}
-
-	// A request that is still running when Shutdown fires: the execution
-	// trace endpoint holds its connection active for a full second.
-	slow := make(chan fetch, 1)
-	go get("/debug/pprof/trace?seconds=1", slow)
-	// A scrape racing the shutdown.
-	scrape := make(chan fetch, 1)
-	go get("/metrics", scrape)
-	// Give both requests time to be accepted and enter their handlers.
-	time.Sleep(200 * time.Millisecond)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-
-	for name, ch := range map[string]chan fetch{"trace": slow, "metrics": scrape} {
-		select {
-		case f := <-ch:
-			if f.err != nil {
-				t.Fatalf("in-flight %s request failed across Shutdown: %v", name, f.err)
-			}
-			if f.status != http.StatusOK || len(f.body) == 0 {
-				t.Fatalf("in-flight %s request: status %d, %d body bytes; want a complete 200", name, f.status, len(f.body))
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("in-flight %s request never completed", name)
-		}
-	}
-
-	// New connections must be refused...
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("server still accepting after Shutdown")
-	}
-	// ...and the port must be free to rebind.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("port not released after Shutdown: %v", err)
-	}
-	ln.Close()
 }

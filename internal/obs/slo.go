@@ -79,15 +79,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 	return &SLO{cfg: cfg.withDefaults(), slots: make([]sloSlot, sloRingSeconds)}
 }
 
-// Config returns the effective (default-filled) configuration. The zero
-// SLOConfig is returned for a nil tracker.
-func (s *SLO) Config() SLOConfig {
-	if s == nil {
-		return SLOConfig{}
-	}
-	return s.cfg
-}
-
 // Observe records one request outcome. Safe on a nil receiver (no-op) and
 // for concurrent use.
 func (s *SLO) Observe(ok bool, latency time.Duration) {

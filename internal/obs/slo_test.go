@@ -84,7 +84,7 @@ func TestSLOWindowDecay(t *testing.T) {
 
 func TestSLODefaultsAndNil(t *testing.T) {
 	s := NewSLO(SLOConfig{})
-	cfg := s.Config()
+	cfg := s.cfg
 	if cfg.LatencyObjective != 250*time.Millisecond || cfg.Target != 0.99 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -93,9 +93,6 @@ func TestSLODefaultsAndNil(t *testing.T) {
 	nilSLO.Observe(true, time.Millisecond) // must not panic
 	if ws := nilSLO.Windows(); ws != nil {
 		t.Fatalf("nil SLO windows = %+v, want nil", ws)
-	}
-	if c := nilSLO.Config(); c != (SLOConfig{}) {
-		t.Fatalf("nil SLO config = %+v", c)
 	}
 	nilSLO.Bind(NewRegistry()) // must not panic
 }

@@ -55,17 +55,6 @@ func carve[T any](slab []T, start int) []T {
 	return slab[start:len(slab):len(slab)]
 }
 
-// decodeWire decodes one request body into v (a zero *Request or
-// *TrackRequest) over fresh slabs; see wireSlabs.decode.
-func decodeWire(b []byte, v any) error {
-	return new(wireSlabs).decode(b, v)
-}
-
-// scanWire is wireSlabs.scan over fresh slabs.
-func scanWire(b []byte, v any) bool {
-	return new(wireSlabs).scan(b, v)
-}
-
 // decode decodes one request body into v (a zero *Request or *TrackRequest)
 // with the result and error of json.NewDecoder(bytes.NewReader(b)).Decode(v).
 // A body in the canonical form json.Marshal emits for the wire types is

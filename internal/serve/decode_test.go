@@ -19,6 +19,17 @@ import (
 	"roarray/internal/testbed"
 )
 
+// decodeWire decodes one request body into v (a zero *Request or
+// *TrackRequest) over fresh slabs; see wireSlabs.decode.
+func decodeWire(b []byte, v any) error {
+	return new(wireSlabs).decode(b, v)
+}
+
+// scanWire is wireSlabs.scan over fresh slabs.
+func scanWire(b []byte, v any) bool {
+	return new(wireSlabs).scan(b, v)
+}
+
 // decodeBoth decodes b with decodeWire and with encoding/json's Decoder (the
 // handlers' reference semantics) and fails unless they agree: the same error
 // text, or no error and the same value down to every float64's bits, so -0

@@ -94,8 +94,8 @@ func TestDiagBundleEndToEnd(t *testing.T) {
 	}
 	trig := obs.NewTriggerEngine(obs.TriggerConfig{
 		Interval:  10 * time.Millisecond,
-		Cooldown:  10 * time.Minute, // sustained breach, exactly one capture
-		OnTrigger: bundles.Capture,
+		Cooldown:  10 * time.Minute,                               // sustained breach, exactly one capture
+		OnTrigger: func(r obs.TriggerReason) { bundles.Write(r) }, //nolint:errcheck // the bundle is checked on disk
 	},
 		obs.BurnRateSignal(slo, "1m", 10),
 		obs.SaturationSignal("queue_depth", srv.QueueFill, 0.9),

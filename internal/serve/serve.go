@@ -315,10 +315,7 @@ func New(cfg Config) (*Server, error) {
 		base = obs.WithTracer(base, cfg.Tracer)
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(base)
-	sessions, err := newTrackSessions(cfg.TrackSessionTTL, cfg.TrackMaxSessions)
-	if err != nil {
-		return nil, err
-	}
+	sessions := newTrackSessions(cfg.TrackSessionTTL, cfg.TrackMaxSessions)
 	sessions.evicted = s.met.trackEvicted
 	s.sessions = sessions
 	s.mux = http.NewServeMux()

@@ -12,9 +12,8 @@ import (
 )
 
 // trackSessionShards fixes the lock-striping width of the session store.
-// Sessions are assigned to shards by the same consistent-hash ring the
-// dispatcher uses for venue lanes, so the striping is stable across
-// processes and a hot session can only contend with its own shard.
+// A session's shard is its id's ringHash modulo the width, so a hot session
+// can only contend with its own shard.
 const trackSessionShards = 8
 
 // ErrSessionCapacity reports that the session store is at its configured
@@ -66,7 +65,6 @@ type trackShard struct {
 type trackSessions struct {
 	ttl    time.Duration
 	max    int
-	ring   *Ring
 	shards [trackSessionShards]trackShard
 	count  atomic.Int64
 
@@ -77,27 +75,19 @@ type trackSessions struct {
 	evicted *obs.Counter
 }
 
-func newTrackSessions(ttl time.Duration, max int) (*trackSessions, error) {
+func newTrackSessions(ttl time.Duration, max int) *trackSessions {
 	if ttl <= 0 {
 		ttl = 5 * time.Minute
 	}
 	if max <= 0 {
 		max = 4096
 	}
-	names := make([]string, trackSessionShards)
-	for i := range names {
-		names[i] = fmt.Sprintf("session-shard-%d", i)
-	}
-	ring, err := NewRing(names, 0)
-	if err != nil {
-		return nil, err
-	}
-	ts := &trackSessions{ttl: ttl, max: max, ring: ring}
+	ts := &trackSessions{ttl: ttl, max: max}
 	ts.newTracker = func() (*core.Tracker, error) { return core.NewTracker(0, 0, 0) }
 	for i := range ts.shards {
 		ts.shards[i].m = make(map[string]*trackSession)
 	}
-	return ts, nil
+	return ts
 }
 
 // Sessions returns the current live session count.
@@ -107,7 +97,7 @@ func (ts *trackSessions) Sessions() int64 { return ts.count.Load() }
 // touch, with the session lock HELD — the caller owns the epoch until it
 // calls sess.mu.Unlock. created reports a fresh session.
 func (ts *trackSessions) acquire(id, venue string, now time.Time) (sess *trackSession, created bool, err error) {
-	sh := &ts.shards[ts.ring.OwnerIndex(id)]
+	sh := &ts.shards[ringHash(id)%trackSessionShards]
 	sh.mu.Lock()
 	ts.sweepLocked(sh, now, false)
 	sess = sh.m[id]

@@ -9,17 +9,8 @@ import (
 	"roarray/internal/obs"
 )
 
-func sessionStore(t *testing.T, ttl time.Duration, max int) *trackSessions {
-	t.Helper()
-	ts, err := newTrackSessions(ttl, max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ts
-}
-
 func TestSessionStoreLifecycle(t *testing.T) {
-	ts := sessionStore(t, time.Minute, 10)
+	ts := newTrackSessions(time.Minute, 10)
 	now := time.Unix(1000, 0)
 
 	sess, created, err := ts.acquire("a", "v1", now)
@@ -57,7 +48,7 @@ func TestSessionStoreLifecycle(t *testing.T) {
 }
 
 func TestSessionStoreVenueBinding(t *testing.T) {
-	ts := sessionStore(t, time.Minute, 10)
+	ts := newTrackSessions(time.Minute, 10)
 	now := time.Unix(1000, 0)
 	sess, _, err := ts.acquire("a", "v1", now)
 	if err != nil {
@@ -76,7 +67,7 @@ func TestSessionStoreVenueBinding(t *testing.T) {
 }
 
 func TestSessionStoreTTLEviction(t *testing.T) {
-	ts := sessionStore(t, time.Minute, 100)
+	ts := newTrackSessions(time.Minute, 100)
 	now := time.Unix(1000, 0)
 	for i := 0; i < 10; i++ {
 		sess, _, err := ts.acquire(fmt.Sprintf("s%d", i), "", now)
@@ -116,7 +107,7 @@ func TestSessionStoreTTLEviction(t *testing.T) {
 }
 
 func TestSessionStoreCapacity(t *testing.T) {
-	ts := sessionStore(t, time.Minute, 3)
+	ts := newTrackSessions(time.Minute, 3)
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		sess, _, err := ts.acquire(fmt.Sprintf("c%d", i), "", now)

@@ -86,8 +86,3 @@ func (r *Ring) OwnerIndex(key string) int {
 func (r *Ring) Owner(key string) string {
 	return r.members[r.OwnerIndex(key)]
 }
-
-// Members returns the ring's member list in construction order.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
-}

@@ -76,7 +76,7 @@ func TestRingOwnerIndexMatchesMembers(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if got := r.Members()[r.OwnerIndex(key)]; got != r.Owner(key) {
+		if got := r.members[r.OwnerIndex(key)]; got != r.Owner(key) {
 			t.Fatalf("OwnerIndex and Owner disagree for %q", key)
 		}
 	}

@@ -128,12 +128,13 @@ func matToColumns(x *cmat.Matrix) [][]complex128 {
 // (k = 1..3, a 60-iteration cap and a tolerance tight enough to converge).
 // The Kronecker arms run on solvers built from the factors alone: ADMM's
 // default rho keeps the bits of the dense one, and FISTA's Lipschitz
-// constant is the product of the factors' power-iteration estimates.
+// constant comes from the product of the factors' norms
+// (cmat.LargestSingular).
 var coldSolveDigests = map[string]string{
 	"dense/admm":  "4a0c46b466831086726120b931cc25c7f60eed54cf4852a8f8fcb9c6c8337baf",
-	"dense/fista": "09a601e62ded50d60c961d06bbb3443598ef545b3122f5d6bce01bcea6ef0737",
+	"dense/fista": "e2896b3944f46656a1455f243d128f606c0f380261f91fa94d2e09e1b42be656",
 	"kron/admm":   "736b63dd60350f8c5a9a038f70831d696b9a2165bac87576f1dc74a7337f988f",
-	"kron/fista":  "a660e564a615e2e0b53f474102b7f83a5a45a3ba909a0af1e37f890fd99a5665",
+	"kron/fista":  "04de0e8ce381a592266588d4bdf89aa6c92b4492287670fa481992cc70a2e10b",
 }
 
 // TestColdSolveDigest: a solve that declares no early stop computes exactly

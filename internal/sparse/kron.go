@@ -83,10 +83,10 @@ func (k *kronOps) frobNorm() float64 {
 
 // sigma returns the largest singular value of A = G ⊗ S, which is exactly
 // σ_max(G)·σ_max(S): the singular values of a Kronecker product are the
-// pairwise products of its factors'. Each factor takes one power iteration.
+// pairwise products of its factors'.
 func (k *kronOps) sigma() float64 {
 	g, s := cmat.Wrap(k.ll, k.tt, k.g), cmat.Wrap(k.mm, k.cc, k.s)
-	return cmat.PowerIterationLargestSingular(&g, 60) * cmat.PowerIterationLargestSingular(&s, 60)
+	return cmat.LargestSingular(&g) * cmat.LargestSingular(&s)
 }
 
 // scratchLen is the scratch length the kernels need for operands with nc

@@ -58,7 +58,7 @@ type options struct {
 	maxIters int
 	absTol   float64
 	relTol   float64
-	rho      float64
+	rho      float64 // ADMM penalty; 0, unless a test sets it, selects the default
 	hook     IterationHook
 	metrics  *obs.Registry
 	gapEps   float64
@@ -75,7 +75,6 @@ func defaultOptions() options {
 		maxIters: 400,
 		absTol:   1e-6,
 		relTol:   1e-5,
-		rho:      0, // 0 selects the scale-adaptive default at construction
 	}
 }
 
@@ -92,12 +91,6 @@ func WithMaxIters(n int) Option { return func(o *options) { o.maxIters = n } }
 func WithTolerance(abs, rel float64) Option {
 	return func(o *options) { o.absTol, o.relTol = abs, rel }
 }
-
-// WithRho sets the ADMM penalty parameter explicitly. By default rho is
-// chosen as the mean squared column norm of the dictionary, which keeps the
-// splitting well scaled whether or not the dictionary columns are
-// normalized (steering dictionaries have column norm sqrt(M*L)).
-func WithRho(rho float64) Option { return func(o *options) { o.rho = rho } }
 
 // WithIterationHook registers a progress observer, used e.g. to snapshot the
 // AoA spectrum as it sharpens across iterations (paper Fig. 3).

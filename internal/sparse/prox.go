@@ -1,27 +1,6 @@
 package sparse
 
-import (
-	"math"
-	"math/cmplx"
-)
-
-// SoftThreshold applies the complex soft-thresholding (shrinkage) operator,
-// the proximal map of t*|.|: it shrinks the magnitude of v by t toward zero
-// while preserving its phase.
-func SoftThreshold(v complex128, t float64) complex128 {
-	a := cmplx.Abs(v)
-	if a <= t {
-		return 0
-	}
-	return v * complex(1-t/a, 0)
-}
-
-// softThresholdVec applies SoftThreshold elementwise, writing into dst.
-func softThresholdVec(dst, v []complex128, t float64) {
-	for i, x := range v {
-		dst[i] = SoftThreshold(x, t)
-	}
-}
+import "math"
 
 // GroupSoftThreshold shrinks a coefficient row (one atom across all
 // snapshots) by t in its l2 norm, the proximal map of the l2,1 mixed norm

@@ -118,7 +118,7 @@ func newSolver(s *Solver, opts []Option) (*Solver, error) {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"ADMM rho", o.rho}, {"absolute tolerance", o.absTol}, {"relative tolerance", o.relTol}, {"gap-stop tolerance", o.gapEps}} {
+	}{{"absolute tolerance", o.absTol}, {"relative tolerance", o.relTol}, {"gap-stop tolerance", o.gapEps}} {
 		if !isFinite(p.v) {
 			return nil, fmt.Errorf("sparse: %s must be finite, got %v", p.name, p.v)
 		}
@@ -126,13 +126,11 @@ func newSolver(s *Solver, opts []Option) (*Solver, error) {
 	s.tele = newSolverTelemetry(o.metrics)
 	switch o.method {
 	case MethodADMM:
-		if o.rho < 0 {
-			return nil, fmt.Errorf("sparse: ADMM rho must be positive, got %v", o.rho)
-		}
 		if o.rho == 0 {
 			// Scale-adaptive default: the mean squared column norm, i.e.
 			// trace(AᴴA)/n. This is 1 for unit-norm dictionaries and M*L for
-			// steering dictionaries, keeping the ADMM splitting balanced.
+			// steering dictionaries, keeping the ADMM splitting balanced
+			// whether or not the dictionary columns are normalized.
 			var fn float64
 			if s.kron != nil {
 				fn = s.kron.frobNorm()
@@ -165,7 +163,7 @@ func newSolver(s *Solver, opts []Option) (*Solver, error) {
 		if s.kron != nil {
 			sigma = s.kron.sigma()
 		} else {
-			sigma = cmat.PowerIterationLargestSingular(s.a, 60)
+			sigma = cmat.LargestSingular(s.a)
 		}
 		if sigma == 0 {
 			return nil, fmt.Errorf("sparse: dictionary has zero norm")

@@ -503,7 +503,7 @@ func TestKronWoodburyBlockedMatchesPerColumn(t *testing.T) {
 	} {
 		g, s := randKronFactors(int64(500+ci), sh[0], sh[1], sh[2], sh[3])
 		dense := cmat.Kron(g, s)
-		sv, err := NewKronSolver(g, s, WithRho(0.7+float64(ci)))
+		sv, err := NewKronSolver(g, s, withRho(0.7+float64(ci)))
 		if err != nil {
 			t.Fatalf("shape %v: %v", sh, err)
 		}

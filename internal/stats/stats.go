@@ -74,22 +74,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Series samples the CDF at n evenly spaced points over [0, max] and returns
-// (xs, ps), the rendering used by every CDF figure in the paper.
-func (c *CDF) Series(max float64, n int) (xs, ps []float64) {
-	if n < 2 {
-		n = 2
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := max * float64(i) / float64(n-1)
-		xs[i] = x
-		ps[i] = c.At(x)
-	}
-	return xs, ps
-}
-
 // Summary is a compact one-line report of a metric distribution.
 type Summary struct {
 	Name   string

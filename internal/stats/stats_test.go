@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,24 +62,6 @@ func TestMeanAndAt(t *testing.T) {
 	}
 	if c.At(0.5) != 0 || c.At(10) != 1 {
 		t.Fatal("At tails wrong")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	c, err := NewCDF([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs, ps := c.Series(4, 5)
-	if len(xs) != 5 || xs[0] != 0 || xs[4] != 4 {
-		t.Fatalf("xs wrong: %v", xs)
-	}
-	if ps[0] != 0 || ps[4] != 1 {
-		t.Fatalf("ps ends wrong: %v", ps)
-	}
-	// Monotone.
-	if !sort.Float64sAreSorted(ps) {
-		t.Fatalf("series not monotone: %v", ps)
 	}
 }
 

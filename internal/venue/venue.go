@@ -11,7 +11,6 @@ package venue
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"regexp"
@@ -134,14 +133,6 @@ func (s *Spec) ofdm() wireless.OFDM {
 	return o
 }
 
-// Step resolves the Eq. 19 grid resolution (0.1 m default).
-func (s *Spec) Step() float64 {
-	if s.GridStepMeters > 0 {
-		return s.GridStepMeters
-	}
-	return 0.1
-}
-
 // EstimatorConfig derives the core.Config the venue's engine runs: Intel
 // 5300 array, the spec's CSI layout, and grids sized by ThetaPoints/
 // TauPoints over the standard [0,180] degree and [0, tau_max] ranges.
@@ -224,15 +215,6 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		seen[id] = true
 	}
 	return &m, nil
-}
-
-// ReadManifest decodes a manifest from a stream.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("venue: read manifest: %w", err)
-	}
-	return DecodeManifest(data)
 }
 
 // LoadManifest reads and validates a manifest file.

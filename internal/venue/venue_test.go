@@ -93,9 +93,6 @@ func TestSpecDefaults(t *testing.T) {
 	if d.OFDM.NumSubcarriers != 30 {
 		t.Fatalf("default subcarriers = %d, want Intel 5300's 30", d.OFDM.NumSubcarriers)
 	}
-	if got := s.Step(); got != 0.1 {
-		t.Fatalf("default step = %v", got)
-	}
 	cfg := s.EstimatorConfig()
 	if cfg.ThetaGrid != nil || cfg.TauGrid != nil {
 		t.Fatal("zero grid points must defer to estimator defaults (nil grids)")

@@ -1,54 +1,8 @@
 package wireless
 
-import (
-	"fmt"
-	"math/rand"
+import "roarray/internal/obs"
 
-	"roarray/internal/obs"
-)
-
-// Generator emits CSI packets for one link from its own private RNG. Giving
-// every channel generator an explicit per-instance randomness source (rather
-// than sharing one *rand.Rand, whose consumption order would depend on
-// goroutine scheduling) is what makes parallel batch workloads reproducible:
-// two generators built from the same configuration and seed emit
-// byte-identical packet streams no matter what else is running.
-//
-// The configuration is deep-copied at construction, so later mutation of the
-// caller's ChannelConfig cannot leak into an in-flight generator.
-type Generator struct {
-	cfg ChannelConfig
-	rng *rand.Rand
-
-	packets   *obs.Counter    // nil unless Instrument was called
-	snr       *obs.Histogram  // nil unless Instrument was called
-	transform func(*CSI) *CSI // nil unless WithTransform was called
-}
-
-// NewGenerator validates cfg and returns a generator seeded with seed.
-func NewGenerator(cfg *ChannelConfig, seed int64) (*Generator, error) {
-	if cfg == nil {
-		return nil, fmt.Errorf("wireless: nil channel config")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := *cfg
-	c.Paths = append([]Path(nil), cfg.Paths...)
-	c.AntennaPhaseOffsetsRad = append([]float64(nil), cfg.AntennaPhaseOffsetsRad...)
-	return &Generator{cfg: c, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Config returns a copy of the generator's channel configuration.
-func (g *Generator) Config() ChannelConfig {
-	c := g.cfg
-	c.Paths = append([]Path(nil), g.cfg.Paths...)
-	c.AntennaPhaseOffsetsRad = append([]float64(nil), g.cfg.AntennaPhaseOffsetsRad...)
-	return c
-}
-
-// Generator metric names, shared with RecordGenerated so both paths land in
-// the same series.
+// Generated-packet metric names: RecordGenerated's series.
 const (
 	metricPacketsTotal = "wireless.packets_total"
 	metricSNRdB        = "wireless.snr_db"
@@ -58,25 +12,12 @@ const (
 // high >= 15 dB) in 5 dB steps from -10 to 40.
 func snrBuckets() []float64 { return obs.LinearBuckets(-10, 5, 11) }
 
-// Instrument attaches a metrics registry: every generated packet increments
-// "wireless.packets_total" and records the link's configured SNR into the
+// RecordGenerated notes n packets synthesized by Generate/GenerateBurst
+// (whose callers manage the RNG stream themselves) at the link's configured
+// SNR: it increments "wireless.packets_total" and records into the
 // "wireless.snr_db" histogram, giving the workload's SNR-band mix (the
 // paper's high/medium/low split) directly from /metrics. A nil registry is a
-// no-op; the handles are resolved once here so the generate path pays only
-// nil checks. Returns the generator for chaining.
-func (g *Generator) Instrument(reg *obs.Registry) *Generator {
-	if reg == nil {
-		return g
-	}
-	g.packets = reg.Counter(metricPacketsTotal)
-	g.snr = reg.Histogram(metricSNRdB, snrBuckets()...)
-	return g
-}
-
-// RecordGenerated notes n packets synthesized outside a Generator (e.g. via
-// the package-level Generate/GenerateBurst, where callers manage the RNG
-// stream themselves) in the same series an instrumented Generator uses. A
-// nil registry is a no-op.
+// no-op.
 func RecordGenerated(reg *obs.Registry, snrDB float64, n int) {
 	if reg == nil || n <= 0 {
 		return
@@ -86,54 +27,4 @@ func RecordGenerated(reg *obs.Registry, snrDB float64, n int) {
 	for i := 0; i < n; i++ {
 		h.Observe(snrDB)
 	}
-}
-
-// record notes n generated packets. The RNG stream is untouched, so an
-// instrumented generator emits byte-identical packets to a plain one.
-func (g *Generator) record(n int) {
-	if g.packets == nil {
-		return
-	}
-	g.packets.Add(int64(n))
-	for i := 0; i < n; i++ {
-		g.snr.Observe(g.cfg.SNRdB)
-	}
-}
-
-// WithTransform installs an optional post-generation stage applied to every
-// emitted packet — the hook a fault injector (internal/fault) uses to corrupt
-// the stream. The transform runs after the channel synthesis has consumed its
-// randomness, so installing one (or an identity transform) never perturbs the
-// generator's RNG stream: the packets fed into the transform are byte-
-// identical to what an untransformed generator would emit. A nil fn removes
-// the stage. Returns the generator for chaining.
-func (g *Generator) WithTransform(fn func(*CSI) *CSI) *Generator {
-	g.transform = fn
-	return g
-}
-
-// Packet synthesizes the next CSI measurement in the stream.
-func (g *Generator) Packet() (*CSI, error) {
-	csi, err := Generate(&g.cfg, g.rng)
-	if err == nil {
-		g.record(1)
-		if g.transform != nil {
-			csi = g.transform(csi)
-		}
-	}
-	return csi, err
-}
-
-// Burst synthesizes the next n packets in the stream.
-func (g *Generator) Burst(n int) ([]*CSI, error) {
-	burst, err := GenerateBurst(&g.cfg, n, g.rng)
-	if err == nil {
-		g.record(len(burst))
-		if g.transform != nil {
-			for i, c := range burst {
-				burst[i] = g.transform(c)
-			}
-		}
-	}
-	return burst, err
 }

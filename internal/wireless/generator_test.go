@@ -2,6 +2,7 @@ package wireless
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"roarray/internal/obs"
@@ -40,38 +41,26 @@ func sameCSI(a, b *CSI) bool {
 }
 
 // TestGeneratorSameSeedByteIdentical is the determinism regression: two
-// same-seed generators over the same channel emit byte-identical CSI
+// same-seed RNG streams over the same channel emit byte-identical CSI
 // streams, packet by packet, no matter what else the process is doing.
 func TestGeneratorSameSeedByteIdentical(t *testing.T) {
 	cfg := generatorTestConfig()
-	ga, err := NewGenerator(cfg, 42)
+	ba, err := GenerateBurst(cfg, 10, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := NewGenerator(cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := ga.Burst(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := gb.Burst(10)
+	bb, err := GenerateBurst(cfg, 10, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ba {
 		if !sameCSI(ba[i], bb[i]) {
-			t.Fatalf("packet %d differs between same-seed generators", i)
+			t.Fatalf("packet %d differs between same-seed streams", i)
 		}
 	}
 
 	// Different seeds must decorrelate (the noise draws differ).
-	gc, err := NewGenerator(cfg, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := gc.Packet()
+	pc, err := Generate(cfg, rand.New(rand.NewSource(43)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,104 +69,33 @@ func TestGeneratorSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGeneratorConfigIsolation checks that mutating the caller's config (or
-// the copy returned by Config) after construction does not leak into the
-// generator's stream.
-func TestGeneratorConfigIsolation(t *testing.T) {
-	cfg := generatorTestConfig()
-	ga, err := NewGenerator(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := NewGenerator(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Paths[0].AoADeg = 10 // caller mutates after construction
-	got := ga.Config()
-	if got.Paths[0].AoADeg == 10 {
-		t.Fatal("generator shares the caller's path slice")
-	}
-	got.Paths[0].AoADeg = 99 // mutating the returned copy must not leak either
-	pa, err := ga.Packet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := gb.Packet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameCSI(pa, pb) {
-		t.Fatal("config mutation leaked into the generator")
-	}
-}
-
-// TestGeneratorInstrument checks that an instrumented generator counts its
-// packets and records the SNR distribution — and that instrumentation leaves
-// the packet stream byte-identical to an uninstrumented same-seed generator.
+// TestGeneratorInstrument checks that RecordGenerated counts generated
+// packets and records their SNR distribution, and that a nil registry is a
+// no-op.
 func TestGeneratorInstrument(t *testing.T) {
-	cfg := generatorTestConfig()
-	plain, err := NewGenerator(cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	metered, err := NewGenerator(cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metered.Instrument(nil) != metered {
-		t.Fatal("Instrument(nil) should return the generator unchanged")
-	}
-	metered.Instrument(reg)
-
-	bp, err := plain.Burst(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := metered.Burst(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := metered.Packet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = pm
-	for i := range bp {
-		if !sameCSI(bp[i], bm[i]) {
-			t.Fatalf("packet %d differs between plain and instrumented generators", i)
-		}
-	}
-
-	if got := reg.Counter("wireless.packets_total").Value(); got != 5 {
-		t.Fatalf("wireless.packets_total = %d, want 5", got)
+	RecordGenerated(reg, 6, 5)
+	RecordGenerated(reg, 20, 3)
+	RecordGenerated(reg, 20, 0)
+	if got := reg.Counter("wireless.packets_total").Value(); got != 8 {
+		t.Fatalf("wireless.packets_total = %d, want 8", got)
 	}
 	snr := reg.Histogram("wireless.snr_db").Snapshot()
-	if snr.Count != 5 {
-		t.Fatalf("wireless.snr_db count = %d, want 5", snr.Count)
+	if snr.Count != 8 {
+		t.Fatalf("wireless.snr_db count = %d, want 8", snr.Count)
 	}
-	if snr.Sum != 5*cfg.SNRdB {
-		t.Fatalf("wireless.snr_db sum = %v, want %v", snr.Sum, 5*cfg.SNRdB)
-	}
-
-	// RecordGenerated lands in the same series.
-	RecordGenerated(reg, 20, 3)
-	if got := reg.Counter("wireless.packets_total").Value(); got != 8 {
-		t.Fatalf("after RecordGenerated: packets_total = %d, want 8", got)
+	if snr.Sum != 5*6+3*20 {
+		t.Fatalf("wireless.snr_db sum = %v, want %v", snr.Sum, 5*6+3*20)
 	}
 	RecordGenerated(nil, 20, 3) // nil registry must be a no-op, not a panic
 }
 
-// TestGeneratorValidation covers construction errors and the explicit-RNG
-// requirement on the package-level Generate.
+// TestGeneratorValidation covers the generators' errors: an invalid channel
+// and the explicit-RNG requirement.
 func TestGeneratorValidation(t *testing.T) {
-	if _, err := NewGenerator(nil, 1); err == nil {
-		t.Fatal("nil config should error")
-	}
 	bad := generatorTestConfig()
 	bad.Paths = nil
-	if _, err := NewGenerator(bad, 1); err == nil {
+	if _, err := GenerateBurst(bad, 2, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("invalid config should error")
 	}
 	if _, err := Generate(generatorTestConfig(), nil); err == nil {

@@ -48,7 +48,8 @@ func (m RSSIModel) Validate() error {
 	return nil
 }
 
-// Sample returns an RSSI observation in dBm at distance d meters.
+// Sample returns an RSSI observation in dBm at distance d meters. With a nil
+// rng it is the shadowing-free mean.
 func (m RSSIModel) Sample(d float64, rng *rand.Rand) float64 {
 	if d < m.RefDistance {
 		d = m.RefDistance
@@ -58,14 +59,6 @@ func (m RSSIModel) Sample(d float64, rng *rand.Rand) float64 {
 		r += rng.NormFloat64() * m.ShadowingSigmaDB
 	}
 	return r
-}
-
-// Mean returns the shadowing-free expected RSSI in dBm at distance d.
-func (m RSSIModel) Mean(d float64) float64 {
-	if d < m.RefDistance {
-		d = m.RefDistance
-	}
-	return m.RefPowerDBm - 10*m.Exponent*math.Log10(d/m.RefDistance)
 }
 
 // DBmToMilliwatt converts dBm to linear milliwatts, the scale used for the

@@ -357,12 +357,12 @@ func TestRSSIModel(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Monotone decreasing with distance (mean).
-	if !(m.Mean(1) > m.Mean(5) && m.Mean(5) > m.Mean(15)) {
+	// Monotone decreasing with distance (the mean: no rng, no shadowing).
+	if !(m.Sample(1, nil) > m.Sample(5, nil) && m.Sample(5, nil) > m.Sample(15, nil)) {
 		t.Fatal("mean RSSI not decreasing with distance")
 	}
 	// Distances below the reference clamp.
-	if m.Mean(0.1) != m.Mean(1) {
+	if m.Sample(0.1, nil) != m.Sample(1, nil) {
 		t.Fatal("sub-reference distances should clamp")
 	}
 	// dBm conversion.
@@ -386,8 +386,8 @@ func TestRSSIModel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sum += m.Sample(8, rng)
 	}
-	if math.Abs(sum/n-m.Mean(8)) > 0.2 {
-		t.Fatalf("sample mean %v vs model mean %v", sum/n, m.Mean(8))
+	if math.Abs(sum/n-m.Sample(8, nil)) > 0.2 {
+		t.Fatalf("sample mean %v vs model mean %v", sum/n, m.Sample(8, nil))
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	"time"
 
 	"roarray/internal/core"
 	"roarray/internal/obs"
@@ -177,85 +176,22 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // ReadSpanEvents decodes a JSONL trace stream written by a Tracer.
 func ReadSpanEvents(r io.Reader) ([]SpanEvent, error) { return obs.ReadEvents(r) }
 
-// Request-centric observability, re-exported from internal/obs: a request id
-// attached to a context (WithRequestID) tags every span the pipeline opens
-// and every histogram exemplar it records, and the same id keys the wide
-// per-request events an EventLog collects — one join key across traces,
-// metrics, and logs.
-type (
-	// RequestEvent is one wide request-log record (JSON per line).
-	RequestEvent = obs.RequestEvent
-	// EventLog is a bounded, droppable JSONL sink for RequestEvents.
-	EventLog = obs.EventLog
-	// SLO tracks rolling-window availability and latency attainment.
-	SLO = obs.SLO
-	// SLOConfig sets the latency objective and attainment target.
-	SLOConfig = obs.SLOConfig
-	// SLOWindow is one rolling window's attainment and burn state.
-	SLOWindow = obs.SLOWindow
-)
-
 // NewRequestID mints a fresh 16-hex-character request id.
 func NewRequestID() string { return obs.NewRequestID() }
 
 // SanitizeRequestID makes an externally supplied id safe to log and echo.
 func SanitizeRequestID(s string) string { return obs.SanitizeRequestID(s) }
 
-// WithRequestID tags ctx with a request id; spans and exemplars recorded
-// under it carry the id.
+// WithRequestID tags ctx with a request id; every span the pipeline opens
+// and every histogram exemplar it records under ctx carries the id, one join
+// key across traces and metrics.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return obs.WithRequestID(ctx, id)
 }
 
-// NewEventLog returns an event log writing JSONL to w through a bounded
-// queue of the given depth; under pressure events are dropped, not blocked on.
-func NewEventLog(w io.Writer, depth int) *EventLog { return obs.NewEventLog(w, depth) }
-
-// NewSLO returns a rolling-window SLO tracker; Bind it to a Metrics registry
-// to export availability, attainment, and burn-rate gauges.
-func NewSLO(cfg SLOConfig) *SLO { return obs.NewSLO(cfg) }
-
 // ServeDebug starts an HTTP server on addr exposing reg at /metrics, expvar
 // at /debug/vars, and pprof at /debug/pprof.
 func ServeDebug(addr string, reg *Metrics) (*DebugServer, error) { return obs.Serve(addr, reg) }
-
-// Self-diagnosis layer, re-exported from internal/obs: a RuntimeCollector
-// samples Go runtime health into runtime.* gauges, a FlightRecorder keeps a
-// bounded in-memory ring of recent requests and spans at zero allocations
-// per event, and a TriggerEngine watches anomaly signals (SLO burn,
-// saturation, goroutine pileups, GC pauses).
-type (
-	// RuntimeCollector samples runtime/metrics into runtime.* gauges.
-	RuntimeCollector = obs.RuntimeCollector
-	// FlightRecorder is the bounded in-memory ring of recent telemetry.
-	FlightRecorder = obs.FlightRecorder
-	// TriggerReason records why a diagnostic capture fired.
-	TriggerReason = obs.TriggerReason
-	// TriggerSignal is one watched anomaly condition.
-	TriggerSignal = obs.TriggerSignal
-	// TriggerConfig parameterizes a TriggerEngine.
-	TriggerConfig = obs.TriggerConfig
-	// TriggerEngine polls signals and debounces capture callbacks.
-	TriggerEngine = obs.TriggerEngine
-)
-
-// NewRuntimeCollector returns a runtime-health sampler bound to reg (which
-// may be nil); samples closer together than minInterval are coalesced.
-func NewRuntimeCollector(reg *Metrics, minInterval time.Duration) *RuntimeCollector {
-	return obs.NewRuntimeCollector(reg, minInterval)
-}
-
-// NewFlightRecorder returns a bounded ring holding the most recent reqCap
-// request events and spanCap spans.
-func NewFlightRecorder(reqCap, spanCap int) *FlightRecorder {
-	return obs.NewFlightRecorder(reqCap, spanCap)
-}
-
-// NewTriggerEngine returns an anomaly watcher over the given signals; Start
-// launches its background evaluation loop.
-func NewTriggerEngine(cfg TriggerConfig, signals ...TriggerSignal) *TriggerEngine {
-	return obs.NewTriggerEngine(cfg, signals...)
-}
 
 // ErrNoPeaks is returned when a spectrum has no usable peaks.
 var ErrNoPeaks = core.ErrNoPeaks
@@ -359,8 +295,7 @@ type Tracker = core.Tracker
 // TrackFix is the outcome of absorbing one fix into a Tracker.
 type TrackFix = core.TrackFix
 
-// TrackState is a Tracker's serializable filter state (Tracker.State /
-// Tracker.Restore).
+// TrackState is a Tracker's filter state (Tracker.State).
 type TrackState = core.TrackState
 
 // NewTracker returns a predict/update position tracker (zeros select
