@@ -36,9 +36,10 @@ race:
 bench:
 	$(GO) test -run XXX -bench 'LocalizeBatch' -benchtime 3x .
 
-# Search-strategy and solver benchmark pairs (see DESIGN.md §13): the
-# flat-vs-branch-and-bound grid search ratio and the windowed search, which
-# report the cost evaluations per search as cells/op beside ns/op, and the
+# Search and solver benchmark pairs (see DESIGN.md §13): the grid search's
+# flat-scan test oracle against the branch-and-bound search (their ratio is
+# the search speedup) and the windowed search, which report the cost
+# evaluations per search as cells/op beside ns/op, and the
 # dense-vs-Kronecker solver ratio: BenchmarkADMMCold on the dense 90 x 920
 # dictionary against BenchmarkADMMKron on a solver built from its factors
 # (sparse.NewKronSolver; 30 x 20 delay and 3 x 46 AoA factors). The
@@ -53,7 +54,7 @@ bench:
 # lives in cmd/roabench (TestCommittedBatchBaseline, part of `make test`);
 # this target is for eyeballing the ratios.
 bench-search:
-	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x .
+	$(GO) test -run XXX -bench 'BenchmarkLocalizeFlat$$|BenchmarkLocalizeCoarseFine$$|BenchmarkLocalizeWindow$$' -benchtime 5x ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkADMMCold$$|BenchmarkADMMKron|BenchmarkKronWoodbury$$' -benchtime 3x ./internal/sparse/
 
 # Warm joint-solve benchmarks with allocations reported (see DESIGN.md §13):

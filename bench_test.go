@@ -527,55 +527,8 @@ func BenchmarkLocalizeGridSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, 1, roarray.SearchConfig{}); err != nil {
+		if _, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, roarray.SearchConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// gridSearchObs builds the 6-AP Eq. 19 inputs used by the search-strategy
-// benchmark pair.
-func gridSearchObs() ([]roarray.APObservation, roarray.Rect) {
-	dep := roarray.DefaultDeployment()
-	obs := make([]roarray.APObservation, len(dep.APs))
-	target := roarray.Point{X: 7, Y: 5}
-	for i, ap := range dep.APs {
-		obs[i] = roarray.APObservation{
-			Pos:     ap.Pos,
-			AxisDeg: ap.AxisDeg,
-			AoADeg:  roarray.ExpectedAoA(ap.Pos, ap.AxisDeg, target),
-			RSSIdBm: -50,
-		}
-	}
-	return obs, dep.Room
-}
-
-// benchLocalizeSearch times one search and reports its cost evaluations
-// (SearchStats.Evaluated) as cells/op beside ns/op.
-func benchLocalizeSearch(b *testing.B, cfg roarray.SearchConfig) {
-	obs, room := gridSearchObs()
-	var stats roarray.SearchStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if _, stats, err = roarray.Localize(context.Background(), obs, room, 0.1, 1, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(stats.Evaluated()), "cells/op")
-}
-
-// BenchmarkLocalizeFlat measures the exhaustive legacy scan of the full
-// 181x121 grid; BenchmarkLocalizeCoarseFine is the same problem under the
-// branch-and-bound search, which returns the bit-identical position while
-// evaluating a small fraction of the cells. The ratio of the two is the
-// search speedup. BenchmarkLocalizeWindow is the tracking fast path: the
-// same search restricted to a 4 m x 4 m window (1,681 grid points) around
-// the source.
-func BenchmarkLocalizeFlat(b *testing.B) {
-	benchLocalizeSearch(b, roarray.SearchConfig{Mode: roarray.SearchFlat})
-}
-func BenchmarkLocalizeCoarseFine(b *testing.B) { benchLocalizeSearch(b, roarray.SearchConfig{}) }
-func BenchmarkLocalizeWindow(b *testing.B) {
-	benchLocalizeSearch(b, roarray.SearchConfig{Window: &roarray.Rect{MinX: 5, MinY: 3, MaxX: 9, MaxY: 7}})
 }

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"roarray"
-	"roarray/internal/core"
 	"roarray/internal/experiments"
 	"roarray/internal/quality"
 )
@@ -70,7 +69,6 @@ func run(stdout, stderr io.Writer, args []string) error {
 	iters := fs.Int("iters", 0, "solver iteration cap (0 = default 150)")
 	parallel := fs.Int("parallel", 1, "estimation worker count (0 or negative = GOMAXPROCS)")
 	warm := fs.Bool("warm", false, "serving solve profile: joint solves stop once a duality-gap certificate shows them within 2% of optimal (they run on the Kronecker factors with or without it); with -batch this adds a serving-profile leg whose metrics feed the JSON snapshot")
-	search := fs.String("search", "coarse", "localization grid-search strategy: coarse, flat, or exact (cross-checked)")
 	batch := fs.Int("batch", 0, "run the batch localization benchmark over this many requests instead of figures")
 	faultSweep := fs.Bool("fault", false, "run the fault-injection degradation sweep instead of figures (artifact gates against BENCH_fault.json)")
 	jsonOut := fs.Bool("json", false, "emit the batch benchmark result as one JSON line on stdout")
@@ -94,10 +92,6 @@ func run(stdout, stderr io.Writer, args []string) error {
 	if workers <= 0 {
 		workers = -1 // experiments.Options: negative selects GOMAXPROCS
 	}
-	searchMode, err := core.ParseSearchMode(*search)
-	if err != nil {
-		return err
-	}
 	opt := experiments.Options{
 		Seed:        *seed,
 		Locations:   *locations,
@@ -107,7 +101,6 @@ func run(stdout, stderr io.Writer, args []string) error {
 		TauPoints:   *tau,
 		SolverIters: *iters,
 		Warm:        *warm,
-		Search:      core.SearchConfig{Mode: searchMode},
 		Workers:     workers,
 		Metrics:     roarray.NewMetrics(),
 	}

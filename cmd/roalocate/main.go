@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	roalocate -input observations.json [-step 0.1] [-parallel 8] [-search coarse|flat|exact]
+//	roalocate -input observations.json [-step 0.1]
 //	roalocate -sample > observations.json    # print a sample input
 //	roalocate -input obs.json -trace run.jsonl -metrics-addr :8080
 //
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"roarray"
@@ -82,8 +81,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	input := fs.String("input", "-", "path to the observations JSON ('-' for stdin)")
 	step := fs.Float64("step", 0, "grid step in meters (overrides gridStepMeters; 0 keeps the file's value)")
 	sample := fs.Bool("sample", false, "print a sample input document and exit")
-	parallel := fs.Int("parallel", 1, "grid-search worker count (0 or negative = GOMAXPROCS); the answer is identical for any value")
-	search := fs.String("search", "coarse", "grid-search strategy: coarse (multi-resolution), flat (exhaustive), exact (run both, cross-check); the answer is identical for all")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address during the run")
 	traceFile := fs.String("trace", "", "write a JSONL span trace of the grid search to this file")
 	requestID := fs.String("request-id", "", "tag the run with this request id (empty = mint one); echoed in the output and on every trace span")
@@ -148,20 +145,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *step > 0 {
 		gridStep = *step
 	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mode, err := roarray.ParseSearchMode(*search)
-	if err != nil {
-		return err
-	}
 	spanCtx, sp := roarray.StartSpan(ctx, "localize.grid")
 	start := time.Now()
 	pos, stats, err := roarray.Localize(spanCtx, observations, roarray.Rect{
 		MinX: req.Room.MinX, MinY: req.Room.MinY,
 		MaxX: req.Room.MaxX, MaxY: req.Room.MaxY,
-	}, gridStep, workers, roarray.SearchConfig{Mode: mode})
+	}, gridStep, roarray.SearchConfig{})
 	sp.End()
 	if err != nil {
 		return err

@@ -76,33 +76,6 @@ func TestStepOverride(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial runs the sample through -parallel worker counts
-// (including 0 = GOMAXPROCS) and requires the exact same answer as serial.
-func TestParallelMatchesSerial(t *testing.T) {
-	var sample bytes.Buffer
-	if err := run([]string{"-sample"}, strings.NewReader(""), &sample, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var ref response
-	for i, workers := range []string{"1", "4", "0"} {
-		var out bytes.Buffer
-		if err := run([]string{"-input", "-", "-parallel", workers}, bytes.NewReader(sample.Bytes()), &out, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := json.Unmarshal(out.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = resp
-			continue
-		}
-		if resp.X != ref.X || resp.Y != ref.Y {
-			t.Fatalf("-parallel %s: (%v, %v) != serial (%v, %v)", workers, resp.X, resp.Y, ref.X, ref.Y)
-		}
-	}
-}
-
 // TestTraceFlag checks -trace writes a decodable span stream containing the
 // grid-search span.
 func TestTraceFlag(t *testing.T) {

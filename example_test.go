@@ -73,7 +73,7 @@ func ExampleLocalize() {
 			RSSIdBm: -50,
 		}
 	}
-	pos, _, err := roarray.Localize(context.Background(), obs, room, 0.1, 1, roarray.SearchConfig{})
+	pos, _, err := roarray.Localize(context.Background(), obs, room, 0.1, roarray.SearchConfig{})
 	if err != nil {
 		fmt.Println(err)
 		return

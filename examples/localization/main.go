@@ -72,7 +72,7 @@ func run(seed int64, clients int) error {
 			obs = append(obs, link.Observation(direct.ThetaDeg))
 		}
 
-		pos, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
+		pos, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, roarray.SearchConfig{})
 		if err != nil {
 			return err
 		}

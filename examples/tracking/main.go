@@ -76,7 +76,7 @@ func run() error {
 			}
 			obs = append(obs, link.Observation(direct.ThetaDeg))
 		}
-		fix, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
+		fix, _, err := roarray.Localize(ctx, obs, dep.Room, 0.1, roarray.SearchConfig{})
 		if err != nil {
 			return err
 		}

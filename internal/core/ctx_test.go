@@ -24,12 +24,8 @@ func ctxTestObservations(room Rect) []APObservation {
 	return obs
 }
 
-// flatScan selects the reference flat-scan search.
-var flatScan = SearchConfig{Mode: SearchFlat}
-
 // TestLocalizeParallelCtxDeadCtxFailsFast: an already-dead context aborts the
-// flat search before any sweep, for serial and parallel strips alike, and the
-// error unwraps to the context's cause.
+// flat scan before any sweep, and the error unwraps to the context's cause.
 func TestLocalizeParallelCtxDeadCtxFailsFast(t *testing.T) {
 	room := Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}
 	obs := ctxTestObservations(room)
@@ -47,66 +43,64 @@ func TestLocalizeParallelCtxDeadCtxFailsFast(t *testing.T) {
 		{"canceled", canceled, context.Canceled},
 		{"expired", expired, context.DeadlineExceeded},
 	} {
-		for _, workers := range []int{1, 4} {
-			_, _, err := LocalizeSearchCtx(tc.ctx, obs, room, 0.1, workers, flatScan)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("%s workers=%d: err = %v, want wrapped %v", tc.name, workers, err, tc.want)
-			}
+		if _, err := localizeFlatCtx(tc.ctx, obs, room, 0.1); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want wrapped %v", tc.name, err, tc.want)
 		}
 	}
 }
 
 // TestLocalizeParallelCtxAbortsMidSearch cancels a deliberately huge flat
-// sweep shortly after it starts and requires a prompt, wrapped return — the search
-// must stop within its strip, not finish it.
+// sweep shortly after it starts and requires a prompt, wrapped return — the
+// scan must stop within a column, not finish the grid.
 func TestLocalizeParallelCtxAbortsMidSearch(t *testing.T) {
 	// ~8M grid points: several seconds of sweeping if cancellation fails.
 	room := Rect{MinX: 0, MinY: 0, MaxX: 140, MaxY: 140}
 	obs := ctxTestObservations(room)
 
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, _, err := LocalizeSearchCtx(ctx, obs, room, 0.05, workers, flatScan)
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want wrapped context.Canceled", workers, err)
-			}
-			if el := time.Since(start); el > 3*time.Second {
-				t.Fatalf("workers=%d: returned after %v, not promptly", workers, el)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: grid search ignored cancellation", workers)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := localizeFlatCtx(ctx, obs, room, 0.05)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want wrapped context.Canceled", err)
 		}
+		if el := time.Since(start); el > 3*time.Second {
+			t.Fatalf("returned after %v, not promptly", el)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("grid search ignored cancellation")
 	}
 }
 
 // TestLocalizeParallelCtxLiveCtxMatchesPlain: polling a live, cancellable
-// context must not perturb a single bit of the flat search result.
+// context must not perturb a single bit of the search result, for the flat
+// scan and the branch-and-bound alike.
 func TestLocalizeParallelCtxLiveCtxMatchesPlain(t *testing.T) {
 	room := Rect{MinX: 0, MinY: 0, MaxX: 9.7, MaxY: 6.4}
 	obs := ctxTestObservations(room)
-	want, _, err := LocalizeSearchCtx(context.Background(), obs, room, 0.1, 3, flatScan)
+	want, err := localizeFlat(obs, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, _, err := LocalizeSearchCtx(live, obs, room, 0.1, 3, flatScan)
+	got, err := localizeFlatCtx(live, obs, room, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(got.X) != math.Float64bits(want.X) ||
-		math.Float64bits(got.Y) != math.Float64bits(want.Y) {
-		t.Fatalf("ctx result %+v != plain %+v (bitwise)", got, want)
+	requireSameBits(t, "flat scan under a live ctx", got, want)
+	got, _, err = LocalizeSearchCtx(live, obs, room, 0.1, 1, SearchConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameBits(t, "search under a live ctx", got, want)
 }
 
 // TestEngineLocalizeCtxDeadline: a request whose deadline has already passed

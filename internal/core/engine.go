@@ -24,15 +24,14 @@ import (
 // Two axes of parallelism are exposed:
 //
 //   - Localize fans the per-AP fused joint spectrum + DirectPath work of one
-//     request over the pool, then runs the Eq. 19 grid search (a flat scan
-//     fans out over the pool in column strips).
+//     request over the pool, then runs the Eq. 19 grid search.
 //   - LocalizeBatchItems fans whole independent requests over the pool,
 //     keeping each request's internal pipeline serial (the batch already
 //     saturates the workers; nesting would only oversubscribe).
 //
 // All results are bit-identical to a serial run for any worker count:
 // estimation is deterministic given its inputs, per-request outputs land in
-// index-addressed slots, and the grid search reduces strips in scan order.
+// index-addressed slots, and the grid search runs on one goroutine.
 type Engine struct {
 	est     *Estimator
 	workers int
@@ -268,16 +267,14 @@ func (m *engineMetrics) recordSanitize(rep BurstReport) {
 // and a "localize.grid" span around the Eq. 19 search. See localize for the
 // cancellation contract.
 func (e *Engine) Localize(ctx context.Context, req *LocalizeRequest) (*LocalizeResult, error) {
-	return e.localize(ctx, req, e.workers, nil)
+	return e.localize(ctx, req, nil, 0, e.workers, nil, nil)
 }
 
 // estimateLinks runs the per-AP estimation half of a request into out —
 // validation, then the sanitize/solve/peak pipeline, fanned over the worker
 // pool when workers > 1 and in a plain loop otherwise — and assembles the
 // Eq. 19 observations in ob. It overwrites every field of out and reuses
-// the capacity of out.Links. It is shared by the stateless and tracked
-// localization paths, which differ only in how they run the grid search on
-// the observations.
+// the capacity of out.Links.
 func (e *Engine) estimateLinks(ctx context.Context, req *LocalizeRequest, workers int, out *LocalizeResult, ob *observations) error {
 	if err := req.validate(); err != nil {
 		return err
@@ -321,46 +318,6 @@ func (e *Engine) estimateLinkSpan(ctx context.Context, req *LocalizeRequest, out
 	lsp.End()
 }
 
-// localize runs one request with the given degree of internal parallelism,
-// writing its result into out (a fresh result when out is nil).
-// Cancellation contract: when ctx dies the call returns promptly with an
-// error wrapping ctx.Err() — before scheduling work if already dead, at the
-// next stage boundary during estimation, and within one branch-and-bound
-// node (one grid column in a flat scan) during the Eq. 19 search. A
-// timed-out request never yields a position.
-func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, workers int, out *LocalizeResult) (*LocalizeResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "localize")
-	defer sp.End()
-	var t0 time.Time
-	if e.met != nil {
-		t0 = time.Now()
-	}
-	if out == nil {
-		out = new(LocalizeResult)
-	}
-	ob := takeObservations()
-	defer ob.release()
-	if err := e.estimateLinks(ctx, req, workers, out, ob); err != nil {
-		return nil, err
-	}
-	_, gsp := obs.StartSpan(ctx, "localize.grid")
-	pos, stats, err := LocalizeSearchCtx(ctx, ob.aps, req.Bounds, req.Step, workers, e.est.cfg.Search)
-	gsp.End()
-	if err != nil {
-		return nil, err
-	}
-	e.met.recordSearch(stats)
-	out.Position = pos
-	out.Search = stats
-	if e.met != nil {
-		// The exemplar joins this request's latency bucket back to its
-		// request ID (empty when the caller didn't tag the context).
-		e.met.localizeSecs.ObserveExemplar(time.Since(t0).Seconds(), obs.RequestIDFrom(ctx))
-		e.met.requests.Inc()
-	}
-	return out, nil
-}
-
 // TrackResult is the outcome of one tracked localization epoch.
 type TrackResult struct {
 	// Fix is the per-epoch localization the filter absorbed. Its Position is
@@ -369,9 +326,6 @@ type TrackResult struct {
 	Fix *LocalizeResult
 	// Track is the filter outcome after absorbing the fix.
 	Track TrackFix
-	// State is the filter state snapshot after the update, ready for a
-	// serving layer to persist for the next epoch.
-	State TrackState
 	// Windowed reports that the accepted fix came from the prediction-shrunk
 	// window search.
 	Windowed bool
@@ -393,102 +347,115 @@ type TrackResult struct {
 // exactly as Localize, then the Eq. 19 search constrained to the
 // tracker's predicted window when one is available. The windowed result is
 // accepted only when it lands strictly inside the window and passes the
-// tracker's NIS gate; otherwise the full configured search re-runs
-// (bit-identical to the stateless path by construction) before the filter
-// absorbs the fix. The tracker is mutated by the absorbed fix; on any error
-// it is left untouched.
+// tracker's NIS gate; otherwise the full-grid search re-runs — the very
+// step a stateless Localize runs, so the fix is bit-identical to it —
+// before the filter absorbs the fix. The tracker is mutated by the absorbed
+// fix; on any error it is left untouched.
 func (e *Engine) LocalizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64) (*TrackResult, error) {
-	return e.localizeTracked(ctx, req, tr, t, e.workers, nil, nil)
-}
-
-// localizeTracked runs one tracked epoch, writing its result into res and
-// the fix into fix (fresh values for whichever is nil).
-func (e *Engine) localizeTracked(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64, workers int, res *TrackResult, fix *LocalizeResult) (*TrackResult, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: tracked localize needs a tracker")
 	}
-	ctx, sp := obs.StartSpan(ctx, "localize.tracked")
+	res := new(TrackResult)
+	if _, err := e.localize(ctx, req, tr, t, e.workers, nil, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// localize runs one request with the given degree of internal parallelism,
+// writing its fix into out (a fresh result when out is nil). With a nil
+// tracker it is a stateless fix: one full-grid Eq. 19 search. With a
+// tracker it is an epoch at time t: a windowed search first when the
+// tracker predicts one, the full-grid search when the window is rejected,
+// then the filter update, with the epoch's outcome written into res (which
+// must then be non-nil).
+//
+// Cancellation contract: when ctx dies the call returns promptly with an
+// error wrapping ctx.Err() — before scheduling work if already dead, at the
+// next stage boundary during estimation, and within one branch-and-bound
+// node (one grid column in a cell-by-cell scan) during the Eq. 19 search.
+// A timed-out request never yields a position.
+func (e *Engine) localize(ctx context.Context, req *LocalizeRequest, tr *Tracker, t float64, workers int, out *LocalizeResult, res *TrackResult) (*LocalizeResult, error) {
+	name := "localize"
+	if tr != nil {
+		name = "localize.tracked"
+	}
+	ctx, sp := obs.StartSpan(ctx, name)
 	defer sp.End()
 	var t0 time.Time
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	if fix == nil {
-		fix = new(LocalizeResult)
+	if out == nil {
+		out = new(LocalizeResult)
 	}
 	ob := takeObservations()
 	defer ob.release()
-	if err := e.estimateLinks(ctx, req, workers, fix, ob); err != nil {
+	if err := e.estimateLinks(ctx, req, workers, out, ob); err != nil {
 		return nil, err
 	}
-	aps := ob.aps
-	scfg := e.est.cfg.Search
-	if res == nil {
-		res = new(TrackResult)
-	}
-	*res = TrackResult{}
-	var pos Point
-	var stats SearchStats
 	accepted := false
-	if win, ok := tr.PredictWindow(t, req.Step); ok {
-		wcfg := scfg
-		wcfg.Window = &win
-		_, gsp := obs.StartSpan(ctx, "localize.grid.window")
-		p, st, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, workers, wcfg)
-		gsp.End()
-		if err != nil {
-			return nil, err
-		}
-		e.met.recordSearch(st)
-		if st.Mode == "window" {
-			// Verify: an interior argmin passing the NIS gate is provably
-			// the fix the full scan would pick inside the gate region; an
-			// edge hit or gate failure means the true optimum may lie
-			// outside the window, so the full search must decide.
+	if tr != nil {
+		*res = TrackResult{}
+		if win, ok := tr.PredictWindow(t, req.Step); ok {
+			p, st, err := e.search(ctx, "localize.grid.window", ob.aps, req, &win)
+			if err != nil {
+				return nil, err
+			}
+			// Verify: an interior argmin passing the NIS gate is provably the
+			// fix the full scan would pick inside the gate region; an edge hit
+			// or gate failure means the true optimum may lie outside the
+			// window, so the full search must decide. A window that missed
+			// the grid ran the full-grid search — already a full answer.
 			nis, ok := tr.NISAt(t, p)
 			gated := ok && nis <= tr.GateNIS
 			switch {
-			case gated && !st.WindowEdge:
-				pos, stats, accepted = p, st, true
-				res.Windowed = true
+			case st.Mode != "window" || gated && !st.WindowEdge:
+				out.Position, out.Search = p, st
+				accepted, res.Windowed = true, st.Mode == "window"
 			case !gated:
-				res.Fallback, res.FallbackCause = true, "gate"
-				res.WindowStats = st
+				res.Fallback, res.FallbackCause, res.WindowStats = true, "gate", st
 			default:
-				res.Fallback, res.FallbackCause = true, "edge"
-				res.WindowStats = st
+				res.Fallback, res.FallbackCause, res.WindowStats = true, "edge", st
 			}
-		} else {
-			// The window missed the grid and the call degraded to the
-			// configured full-grid strategy — already a full answer.
-			pos, stats, accepted = p, st, true
 		}
 	}
 	if !accepted {
-		_, gsp := obs.StartSpan(ctx, "localize.grid")
-		p, st, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, workers, scfg)
-		gsp.End()
+		p, st, err := e.search(ctx, "localize.grid", ob.aps, req, nil)
 		if err != nil {
 			return nil, err
 		}
-		e.met.recordSearch(st)
-		pos, stats = p, st
+		out.Position, out.Search = p, st
 	}
-	fix.Position = pos
-	fix.Search = stats
-	tf, err := tr.Update(t, pos)
-	if err != nil {
-		return nil, err
+	if tr != nil {
+		tf, err := tr.Update(t, out.Position)
+		if err != nil {
+			return nil, err
+		}
+		res.Fix, res.Track = out, tf
+		e.met.recordTrack(res)
 	}
-	res.Fix = fix
-	res.Track = tf
-	res.State = tr.State()
-	e.met.recordTrack(res)
 	if e.met != nil {
+		// The exemplar joins this request's latency bucket back to its
+		// request ID (empty when the caller didn't tag the context).
 		e.met.localizeSecs.ObserveExemplar(time.Since(t0).Seconds(), obs.RequestIDFrom(ctx))
 		e.met.requests.Inc()
 	}
-	return res, nil
+	return out, nil
+}
+
+// search runs the Eq. 19 search on aps over req's grid — restricted to win
+// when it is non-nil — under a span named name, and records its work.
+func (e *Engine) search(ctx context.Context, name string, aps []APObservation, req *LocalizeRequest, win *Rect) (Point, SearchStats, error) {
+	cfg := e.est.cfg.Search
+	cfg.Window = win
+	_, sp := obs.StartSpan(ctx, name)
+	p, st, err := LocalizeSearchCtx(ctx, aps, req.Bounds, req.Step, 1, cfg)
+	sp.End()
+	if err == nil {
+		e.met.recordSearch(st)
+	}
+	return p, st, err
 }
 
 // recordTrack notes one tracked epoch's window/fallback/re-acquisition
@@ -526,7 +493,7 @@ func (m *engineMetrics) recordSearch(stats SearchStats) {
 		return
 	}
 	switch stats.Mode {
-	case "coarse", "exact":
+	case "coarse":
 		m.reg.Counter("core.search.coarse_cells").Add(int64(stats.CoarseCells))
 		m.reg.Counter("core.search.refine_cells").Add(int64(stats.RefineCells))
 	case "window":
@@ -646,12 +613,14 @@ func (e *Engine) localizeSlot(ctx context.Context, i int, item *BatchItem) (out 
 		}
 	}()
 	if item.Tracker != nil {
-		tr, err := e.localizeTracked(ctx, item.Req, item.Tracker, item.T, 1, item.Track, item.Res)
-		if err != nil {
-			return BatchOutcome{Err: err}
+		out.Track = item.Track
+		if out.Track == nil {
+			out.Track = new(TrackResult)
 		}
-		return BatchOutcome{Res: tr.Fix, Track: tr}
 	}
-	out.Res, out.Err = e.localize(ctx, item.Req, 1, item.Res)
+	out.Res, out.Err = e.localize(ctx, item.Req, item.Tracker, item.T, 1, item.Res, out.Track)
+	if out.Err != nil {
+		return BatchOutcome{Err: out.Err}
+	}
 	return out
 }

@@ -263,33 +263,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestLocalizeParallelMatchesSerial checks the strip-parallel grid search is
-// bit-identical to the serial sweep across worker counts, including counts
-// that exceed the number of grid columns.
-func TestLocalizeParallelMatchesSerial(t *testing.T) {
-	room := Rect{MinX: 0, MinY: 0, MaxX: 7.3, MaxY: 5.1}
-	target := Point{X: 2.9, Y: 3.3}
-	corners := []Point{{X: 0, Y: 0}, {X: 7.3, Y: 0}, {X: 0, Y: 5.1}, {X: 7.3, Y: 5.1}}
-	obs := make([]APObservation, len(corners))
-	for i, c := range corners {
-		obs[i] = APObservation{Pos: c, AxisDeg: 45, AoADeg: ExpectedAoA(c, 45, target), RSSIdBm: -48}
-	}
-	want, err := localizeFlat(obs, room, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 1000} {
-		got, _, err := LocalizeSearchCtx(context.Background(), obs, room, 0.1, workers, SearchConfig{Mode: SearchFlat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.X) != math.Float64bits(want.X) ||
-			math.Float64bits(got.Y) != math.Float64bits(want.Y) {
-			t.Fatalf("workers=%d: %+v != serial %+v (bitwise)", workers, got, want)
-		}
-	}
-}
-
 // TestEngineMapOrdering verifies Map visits every index exactly once and
 // that index-addressed writes survive any scheduling.
 func TestEngineMapOrdering(t *testing.T) {

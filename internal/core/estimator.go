@@ -57,9 +57,9 @@ type Config struct {
 	// iterates, so the bit-reproducible evaluation pipeline leaves this
 	// off; the serving path turns it on.
 	Warm bool
-	// Search tunes the Eq. 19 localization grid search (see SearchConfig).
-	// The zero value selects the branch-and-bound strategy, which is
-	// bit-identical to the flat scan by construction.
+	// Search is the base configuration of the Eq. 19 grid searches the
+	// engine runs (see SearchConfig). Its Window is ignored: the engine sets
+	// each search's window itself, none for a full-grid search.
 	Search SearchConfig
 	// Fallback enables the solver fallback chain, ADMM → OMP: when the
 	// primary solve errors or exhausts its iteration budget without

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -154,15 +155,17 @@ func FuzzSanitizeBurst(f *testing.F) {
 }
 
 // FuzzSearchExact drives the Eq. 19 search over fuzzed AP geometry, AoAs,
-// RSSI, bounds, step, decimation and an optional window, and checks the
-// branch-and-bound search against the flat scan: SearchExact never reports
-// ErrSearchMismatch, and a windowed search returns the point a flat scan of
-// the same index range returns. aps holds five bytes per AP (at most
-// eight): x and y on a w/128 (h/128) lattice from -w/2 to 1.5w, so APs land
-// on grid points and block corners whenever w/128 is a multiple of the
-// step; the axis in 360/256-degree steps (0, 90, 180 and 270 included); the
-// AoA in 180/255-degree steps (0 and 180 included); and the RSSI, an odd
-// RSSI byte also setting a confidence. Inputs are kept to a physical domain
+// RSSI, bounds, step, decimation and an optional window, and checks every
+// search against the flat-scan oracle: the full-grid search, and the
+// branch-and-bound at the fuzzed block edge (decimation 0 or 1 selects the
+// production 8), return the point a flat scan of the grid returns, and a
+// windowed search the point a flat scan of the same index range returns.
+// aps holds five bytes per AP (at most eight): x and y on a w/128 (h/128)
+// lattice from -w/2 to 1.5w, so APs land on grid points and block corners
+// whenever w/128 is a multiple of the step; the axis in 360/256-degree
+// steps (0, 90, 180 and 270 included); the AoA in 180/255-degree steps (0
+// and 180 included); and the RSSI, an odd RSSI byte also setting a
+// confidence. Inputs are kept to a physical domain
 // — finite coordinates within 1e6 m and at most ~130x130 grid points — so
 // every execution takes milliseconds.
 func FuzzSearchExact(f *testing.F) {
@@ -193,23 +196,35 @@ func FuzzSearchExact(f *testing.F) {
 			}
 		}
 		bounds := Rect{MinX: minX, MinY: minY, MaxX: minX + w, MaxY: minY + h}
-		cfg := SearchConfig{Mode: SearchExact, Decimation: int(dec % 20)}
-
 		g, gerr := newGridSearch(context.Background(), obs, bounds, step)
-		_, _, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 2, cfg)
-		if errors.Is(err, ErrSearchMismatch) {
-			t.Fatal(err)
-		}
+		p, _, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, SearchConfig{})
 		if (err == nil) != (gerr == nil) {
 			t.Fatalf("search error %v, input validation error %v", err, gerr)
 		}
-		if gerr != nil || !windowed {
+		if gerr != nil {
+			return
+		}
+		full := idxRange{xHi: g.nx, yHi: g.ny}
+		flat, err := g.flatRange(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, "full grid", p, g.pointAt(flat.ix, flat.iy))
+		d := int(dec % 20)
+		if d <= 1 {
+			d = decimation
+		}
+		best, err := g.branchAndBound(full, d, &SearchStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, fmt.Sprintf("decimation %d", d), g.pointAt(best.ix, best.iy), g.pointAt(flat.ix, flat.iy))
+		if !windowed {
 			return
 		}
 
 		win := Rect{MinX: wx, MinY: wy, MaxX: wx + ww, MaxY: wy + wh}
-		cfg.Mode, cfg.Window = SearchCoarse, &win
-		p, stats, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, cfg)
+		p, stats, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, SearchConfig{Window: &win})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +235,7 @@ func FuzzSearchExact(f *testing.F) {
 			}
 			return
 		}
-		want, err := g.flatRange(r.xLo, r.xHi, r.yLo, r.yHi)
+		want, err := g.flatRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}

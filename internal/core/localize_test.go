@@ -8,10 +8,39 @@ import (
 	"testing/quick"
 )
 
-// localizeFlat runs the Eq. 19 reference flat scan serially.
+// localizeFlat is the tests' Eq. 19 oracle: the exhaustive scan of every
+// grid cell in x-then-y order, returning the first strict minimum. Every
+// search — full-grid, windowed, at any block size — is held to its bits.
 func localizeFlat(obs []APObservation, bounds Rect, step float64) (Point, error) {
-	p, _, err := LocalizeSearchCtx(context.Background(), obs, bounds, step, 1, SearchConfig{Mode: SearchFlat})
-	return p, err
+	return localizeFlatCtx(context.Background(), obs, bounds, step)
+}
+
+// localizeFlatCtx is localizeFlat polling ctx once per grid column.
+func localizeFlatCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64) (Point, error) {
+	g, err := newGridSearch(ctx, obs, bounds, step)
+	if err != nil {
+		return Point{}, err
+	}
+	defer g.release()
+	best, err := g.flatRange(idxRange{xHi: g.nx, yHi: g.ny})
+	if err != nil {
+		return Point{}, err
+	}
+	return g.pointAt(best.ix, best.iy), nil
+}
+
+// searchDecimated runs the full-grid branch-and-bound with block edge dec,
+// on a grid of any size, so tests can hold the search to the oracle at
+// block sizes other than the production 8.
+func searchDecimated(obs []APObservation, bounds Rect, step float64, dec int) (Point, SearchStats, error) {
+	g, err := newGridSearch(context.Background(), obs, bounds, step)
+	if err != nil {
+		return Point{}, SearchStats{}, err
+	}
+	defer g.release()
+	stats := SearchStats{Mode: "coarse", FlatCells: g.nx * g.ny}
+	best, err := g.branchAndBound(idxRange{xHi: g.nx, yHi: g.ny}, dec, &stats)
+	return g.pointAt(best.ix, best.iy), stats, err
 }
 
 func TestExpectedAoAGeometry(t *testing.T) {

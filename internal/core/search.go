@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -10,96 +9,31 @@ import (
 	"roarray/internal/wireless"
 )
 
-// SearchMode selects the Eq. 19 grid-search strategy.
-type SearchMode int
+// decimation is the branch-and-bound block edge in full-resolution steps:
+// the search refines 8x8 blocks of 10 cm cells.
+const decimation = 8
 
-const (
-	// SearchCoarse (the zero value, and the default) runs a best-first
-	// branch-and-bound search: block-aligned rectangles of the grid get a
-	// lower bound on the objective from per-AP angle intervals, the
-	// rectangle with the smallest bound is split (or, at one Decimation x
-	// Decimation block, refined at full resolution) until the smallest bound
-	// exceeds the best cost found. The result is bit-identical to the flat
-	// scan by construction (see DESIGN.md §13); grids under two blocks a
-	// side degrade to the flat scan.
-	SearchCoarse SearchMode = iota
-	// SearchFlat forces the legacy exhaustive scan of every grid cell.
-	SearchFlat
-	// SearchExact runs both strategies and cross-checks them bit-for-bit,
-	// returning ErrSearchMismatch on any divergence. It is the equivalence
-	// proof mode: slower than either strategy alone, meant for tests,
-	// quality gates, and debugging.
-	SearchExact
-)
-
-// String implements fmt.Stringer.
-func (m SearchMode) String() string {
-	switch m {
-	case SearchCoarse:
-		return "coarse"
-	case SearchFlat:
-		return "flat"
-	case SearchExact:
-		return "exact"
-	default:
-		return fmt.Sprintf("searchmode(%d)", int(m))
-	}
-}
-
-// ParseSearchMode parses a mode name as accepted by the CLI -search flags:
-// "coarse" (or "coarse-fine"), "flat", "exact".
-func ParseSearchMode(s string) (SearchMode, error) {
-	switch s {
-	case "coarse", "coarse-fine":
-		return SearchCoarse, nil
-	case "flat":
-		return SearchFlat, nil
-	case "exact":
-		return SearchExact, nil
-	default:
-		return 0, fmt.Errorf("core: unknown search mode %q (want coarse, flat, or exact)", s)
-	}
-}
-
-// ErrSearchMismatch is returned by SearchExact when the branch-and-bound
-// result differs from the flat scan in any bit — which would falsify the
-// equivalence argument the coarse strategy rests on.
-var ErrSearchMismatch = errors.New("core: branch-and-bound search mismatched flat scan")
-
-// SearchConfig tunes the Eq. 19 grid search. The zero value selects the
-// branch-and-bound strategy with default decimation; use Mode SearchFlat to
-// recover the legacy scan exactly.
+// SearchConfig tunes the Eq. 19 grid search. The zero value searches the
+// full grid.
 type SearchConfig struct {
-	// Mode selects the strategy (default SearchCoarse).
-	Mode SearchMode
-	// Decimation is the block edge in full-resolution steps (default 8:
-	// the search refines 8x8 blocks of 10 cm cells).
-	Decimation int
-	// Window, when non-nil, restricts the scan to the grid points inside the
-	// window rectangle intersected with the request bounds — on the same
-	// index lattice as the full scan, so equal indices give equal bits, and
-	// with the same branch-and-bound search as the full grid. This
-	// is the tracking fast path: the caller (Engine tracked localization)
-	// shrinks the Eq. 19 search to the predicted gate region and falls back
-	// to the full-grid strategy whenever the windowed argmin lands on a
-	// window edge interior to the grid (SearchStats.WindowEdge) or fails the
-	// innovation gate, so accuracy is never silently traded. An empty
-	// intersection ignores the window and runs the configured full-grid
-	// Mode.
+	// Window, when non-nil, restricts the search to the grid points inside
+	// the window rectangle intersected with the request bounds — on the same
+	// index lattice as the full search, so equal indices give equal bits, and
+	// with the same branch-and-bound search as the full grid. This is the
+	// tracking fast path: the caller (Engine tracked localization) shrinks
+	// the Eq. 19 search to the predicted gate region and falls back to the
+	// full-grid search whenever the windowed argmin lands on a window edge
+	// interior to the grid (SearchStats.WindowEdge) or fails the innovation
+	// gate, so accuracy is never silently traded. An empty intersection
+	// ignores the window and searches the full grid.
 	Window *Rect
-}
-
-func (c SearchConfig) withDefaults() SearchConfig {
-	if c.Decimation <= 1 {
-		c.Decimation = 8
-	}
-	return c
 }
 
 // SearchStats reports what a localization search actually did.
 type SearchStats struct {
-	// Mode is the strategy that actually ran: "flat" (forced, degraded, or
-	// too-small grid), "coarse", "exact", or "window".
+	// Mode is the strategy that actually ran: "coarse" (the branch-and-bound
+	// over the full grid), "flat" (a grid under two blocks a side, scanned
+	// cell by cell), or "window".
 	Mode string
 	// FlatCells is the full-resolution grid size nx*ny — what a flat scan
 	// would evaluate.
@@ -132,10 +66,10 @@ func (s SearchStats) Evaluated() int {
 	return s.CoarseCells + s.RefineCells
 }
 
-// gridSearch carries the validated inputs of one Eq. 19 search. All
-// strategies address grid points by index and reconstruct coordinates with
-// the same float expressions, which is what makes their results comparable
-// bit for bit.
+// gridSearch carries the validated inputs of one Eq. 19 search. The
+// branch-and-bound, the window search and the flat scan all address grid
+// points by index and reconstruct coordinates with the same float
+// expressions, which is what makes their results comparable bit for bit.
 type gridSearch struct {
 	ctx    context.Context
 	obs    []APObservation
@@ -229,13 +163,13 @@ func finite(vs ...float64) bool {
 }
 
 // pointAt reconstructs the grid point at (ix, iy) with the exact float
-// expressions of the legacy scan, so equal indices give equal bits.
+// expressions of the flat scan, so equal indices give equal bits.
 func (g *gridSearch) pointAt(ix, iy int) Point {
 	return Point{X: g.bounds.MinX + float64(ix)*g.step, Y: g.bounds.MinY + float64(iy)*g.step}
 }
 
 // costAt evaluates the Eq. 19 objective at grid point (ix, iy), with the
-// same per-term arithmetic and accumulation order as the legacy scan.
+// same per-term arithmetic and accumulation order as the flat scan.
 func (g *gridSearch) costAt(ix, iy int) float64 {
 	p := g.pointAt(ix, iy)
 	var cost float64
@@ -268,16 +202,17 @@ func (b idxBest) less(o idxBest) bool {
 	return b.iy < o.iy
 }
 
-// flatRange scans the index rectangle [xLo, xHi) x [yLo, yHi) in nested
-// x-then-y order, polling ctx once per column, and returns the
-// lexicographic best.
-func (g *gridSearch) flatRange(xLo, xHi, yLo, yHi int) (idxBest, error) {
+// flatRange scans the index rectangle r cell by cell in nested x-then-y
+// order, polling ctx once per column, and returns the lexicographic best.
+// It searches grids too small for the branch-and-bound, and it is the
+// reference the tests hold every search to.
+func (g *gridSearch) flatRange(r idxRange) (idxBest, error) {
 	best := noBest()
-	for ix := xLo; ix < xHi; ix++ {
+	for ix := r.xLo; ix < r.xHi; ix++ {
 		if err := g.ctx.Err(); err != nil {
 			return best, fmt.Errorf("core: grid search aborted: %w", err)
 		}
-		for iy := yLo; iy < yHi; iy++ {
+		for iy := r.yLo; iy < r.yHi; iy++ {
 			// Within the ascending scan, less keeps the earliest index pair
 			// among equal costs — the lexicographic minimum — even when every
 			// cost overflows to +Inf.
@@ -287,12 +222,6 @@ func (g *gridSearch) flatRange(xLo, xHi, yLo, yHi int) (idxBest, error) {
 		}
 	}
 	return best, nil
-}
-
-// flatStrip scans the contiguous column strip [xLo, xHi) over the full y
-// range.
-func (g *gridSearch) flatStrip(xLo, xHi int) (idxBest, error) {
-	return g.flatRange(xLo, xHi, 0, g.ny)
 }
 
 // idxRange is the index-lattice footprint of a search window.
@@ -334,47 +263,6 @@ func (g *gridSearch) onWindowEdge(best idxBest, r idxRange) bool {
 		(best.ix == r.xHi-1 && r.xHi < g.nx) ||
 		(best.iy == r.yLo && r.yLo > 0) ||
 		(best.iy == r.yHi-1 && r.yHi < g.ny)
-}
-
-// flat runs the exhaustive legacy scan, fanned out over up to workers
-// goroutines, and returns the lexicographic-best grid index.
-func (g *gridSearch) flat(workers int) (idxBest, error) {
-	if workers > g.nx {
-		workers = g.nx
-	}
-	if workers <= 1 {
-		return g.flatStrip(0, g.nx)
-	}
-	type stripBest struct {
-		best idxBest
-		err  error
-	}
-	bests := make([]stripBest, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * g.nx / workers
-		hi := (w + 1) * g.nx / workers
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			b, err := g.flatStrip(lo, hi)
-			bests[slot] = stripBest{best: b, err: err}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Strips partition the x range in order, so the lexicographic merge of
-	// strip winners equals the serial scan's first minimum. An aborted strip
-	// (all abort together — same context) invalidates the whole sweep.
-	out := noBest()
-	for _, b := range bests {
-		if b.err != nil {
-			return out, b.err
-		}
-		if b.best.less(out) {
-			out = b.best
-		}
-	}
-	return out, nil
 }
 
 // phiMargin (degrees) widens every per-AP angle interval. costAt's phi is
@@ -588,27 +476,23 @@ func (g *gridSearch) branchAndBound(r idxRange, dec int, stats *SearchStats) (id
 // uses a 10 cm grid; step <= 0 selects 0.1 m. RSSI weights are converted to
 // linear milliwatts.
 //
-// cfg selects the search strategy. All strategies return bit-identical
-// positions (see DESIGN.md §13 for the equivalence argument); they differ
-// only in how many grid cells they evaluate, reported in SearchStats.
-// SearchFlat is the reference scan: it fans out over up to workers
-// goroutines in column strips (workers <= 1 runs serially), reduced in scan
-// order with strict-less-than comparison, so its result is bit-identical for
-// any worker count. SearchExact additionally verifies the equivalence at
-// runtime and fails with ErrSearchMismatch if it does not hold.
+// The search is the branch-and-bound over 8x8-cell blocks (branchAndBound):
+// it returns the bits of an exhaustive scan of every cell by construction
+// (DESIGN.md §13), and SearchStats reports the cells it evaluated. A grid
+// under two blocks a side is scanned cell by cell; cfg.Window restricts the
+// search to a window of the grid. workers is unused: the search runs on the
+// calling goroutine.
 //
 // The search polls ctx once per branch-and-bound node (once per grid column
-// in a flat scan) and aborts with an error wrapping ctx.Err(), so a server
-// can abandon a search the moment a request deadline dies. A never-cancelled
-// context changes nothing.
+// in a cell-by-cell scan) and aborts with an error wrapping ctx.Err(), so a
+// server can abandon a search the moment a request deadline dies. A
+// never-cancelled context changes nothing.
 func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
 	g, err := newGridSearch(ctx, obs, bounds, step)
 	if err != nil {
 		return Point{}, SearchStats{}, err
 	}
 	defer g.release()
-	cfg = cfg.withDefaults()
-	dec := cfg.Decimation
 	stats := SearchStats{FlatCells: g.nx * g.ny}
 
 	if cfg.Window != nil {
@@ -618,44 +502,29 @@ func LocalizeSearchCtx(ctx context.Context, obs []APObservation, bounds Rect, st
 			// equal to the full scan's.
 			stats.Mode = "window"
 			stats.WindowCells = (r.xHi - r.xLo) * (r.yHi - r.yLo)
-			best, err := g.branchAndBound(r, dec, &stats)
+			best, err := g.branchAndBound(r, decimation, &stats)
 			if err != nil {
 				return Point{}, stats, err
 			}
 			stats.WindowEdge = g.onWindowEdge(best, r)
 			return g.pointAt(best.ix, best.iy), stats, nil
 		}
-		// Window misses the grid entirely — run the configured full-grid
-		// strategy instead of failing the request.
+		// Window misses the grid entirely — search the full grid instead of
+		// failing the request.
 	}
 
-	if cfg.Mode == SearchFlat || g.nx < 2*dec || g.ny < 2*dec {
-		// Forced, or a grid too small for blocks to pay for themselves.
+	full := idxRange{xHi: g.nx, yHi: g.ny}
+	var best idxBest
+	if g.nx < 2*decimation || g.ny < 2*decimation {
+		// A grid too small for blocks to pay for themselves.
 		stats.Mode = "flat"
-		best, err := g.flat(workers)
-		if err != nil {
-			return Point{}, stats, err
-		}
-		return g.pointAt(best.ix, best.iy), stats, nil
+		best, err = g.flatRange(full)
+	} else {
+		stats.Mode = "coarse"
+		best, err = g.branchAndBound(full, decimation, &stats)
 	}
-	stats.Mode = "coarse"
-	if cfg.Mode == SearchExact {
-		stats.Mode = "exact"
-	}
-	best, err := g.branchAndBound(idxRange{xHi: g.nx, yHi: g.ny}, dec, &stats)
 	if err != nil {
 		return Point{}, stats, err
-	}
-	if cfg.Mode == SearchExact {
-		fl, err := g.flat(workers)
-		if err != nil {
-			return Point{}, stats, err
-		}
-		if best != fl {
-			pc, pf := g.pointAt(best.ix, best.iy), g.pointAt(fl.ix, fl.iy)
-			return Point{}, stats, fmt.Errorf("%w: branch-and-bound (%.17g, %.17g) cost %.17g vs flat (%.17g, %.17g) cost %.17g",
-				ErrSearchMismatch, pc.X, pc.Y, best.cost, pf.X, pf.Y, fl.cost)
-		}
 	}
 	return g.pointAt(best.ix, best.iy), stats, nil
 }

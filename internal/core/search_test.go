@@ -50,9 +50,8 @@ func requireSameBits(t *testing.T, name string, coarse, flat Point) {
 }
 
 // TestSearchCoarseFineMatchesFlatTestbed: on the committed testbed geometry,
-// the coarse-to-fine argmin equals the flat-scan argmin bitwise for a sweep
-// of source placements, both noiseless and with AoA noise, and SearchExact's
-// built-in cross-check agrees.
+// the branch-and-bound argmin equals the flat-scan oracle's bitwise for a
+// sweep of source placements, both noiseless and with AoA noise.
 func TestSearchCoarseFineMatchesFlatTestbed(t *testing.T) {
 	placements := []Point{
 		{X: 4.2, Y: 3.1}, {X: 9.0, Y: 6.0}, {X: 16.8, Y: 1.3},
@@ -67,23 +66,20 @@ func TestSearchCoarseFineMatchesFlatTestbed(t *testing.T) {
 				r = rng
 			}
 			obs := testbedObservations(target, r)
-			flat, fstats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchFlat})
+			flat, err := localizeFlat(obs, testbedRoom, 0.1)
 			if err != nil {
 				t.Fatalf("flat search: %v", err)
 			}
-			coarse, cstats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchCoarse})
+			coarse, cstats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{})
 			if err != nil {
 				t.Fatalf("coarse search: %v", err)
 			}
 			requireSameBits(t, "testbed", coarse, flat)
 			if cstats.Mode != "coarse" {
-				t.Fatalf("expected coarse mode on the %dx-cell testbed grid, got %q", fstats.FlatCells, cstats.Mode)
+				t.Fatalf("expected coarse mode on the %d-cell testbed grid, got %q", cstats.FlatCells, cstats.Mode)
 			}
-			if cstats.Evaluated() >= fstats.FlatCells {
-				t.Fatalf("coarse-fine evaluated %d cells, not below the flat %d", cstats.Evaluated(), fstats.FlatCells)
-			}
-			if _, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 4, SearchConfig{Mode: SearchExact}); err != nil {
-				t.Fatalf("exact cross-check: %v", err)
+			if cstats.Evaluated() >= cstats.FlatCells {
+				t.Fatalf("coarse-fine evaluated %d cells, not below the flat %d", cstats.Evaluated(), cstats.FlatCells)
 			}
 		}
 	}
@@ -91,7 +87,8 @@ func TestSearchCoarseFineMatchesFlatTestbed(t *testing.T) {
 
 // TestSearchCoarseFineMatchesFlatRandom: 25 random seeds generate random AP
 // geometries, bounds, steps, decimations, and noisy observations; the
-// coarse-to-fine argmin must equal the flat argmin bitwise on every one.
+// search's argmin, and the branch-and-bound's at the drawn decimation, must
+// equal the flat oracle's bitwise on every one.
 func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -121,12 +118,12 @@ func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 				RSSIdBm: -40 - rng.Float64()*25,
 			}
 		}
-		cfg := SearchConfig{Decimation: 4 + rng.Intn(10)}
-		flat, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1+rng.Intn(4), SearchConfig{Mode: SearchFlat})
+		dec := 4 + rng.Intn(10)
+		flat, err := localizeFlat(obs, room, step)
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
 		}
-		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1+rng.Intn(4), cfg)
+		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: coarse: %v", seed, err)
 		}
@@ -134,6 +131,11 @@ func TestSearchCoarseFineMatchesFlatRandom(t *testing.T) {
 		if stats.Mode == "coarse" && stats.Evaluated() >= stats.FlatCells {
 			t.Fatalf("seed %d: coarse mode evaluated %d of %d flat cells", seed, stats.Evaluated(), stats.FlatCells)
 		}
+		decimated, _, err := searchDecimated(obs, room, step, dec)
+		if err != nil {
+			t.Fatalf("seed %d: decimation %d: %v", seed, dec, err)
+		}
+		requireSameBits(t, fmt.Sprintf("random geometry, decimation %d", dec), decimated, flat)
 	}
 }
 
@@ -219,7 +221,7 @@ func TestSearchEdgeCases(t *testing.T) {
 	})
 
 	t.Run("grid below 2x decimation degrades to flat", func(t *testing.T) {
-		flat, fs, err := LocalizeSearchCtx(context.Background(), obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1, 1, SearchConfig{Mode: SearchFlat})
+		flat, err := localizeFlat(obs, Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,25 +233,21 @@ func TestSearchEdgeCases(t *testing.T) {
 			t.Fatalf("11x11 grid with decimation 8 should degrade, got mode %q", cs.Mode)
 		}
 		requireSameBits(t, "degraded", coarse, flat)
-		if cs.Evaluated() != fs.FlatCells {
-			t.Fatalf("degraded run evaluated %d, want flat %d", cs.Evaluated(), fs.FlatCells)
+		if cs.Evaluated() != cs.FlatCells || cs.FlatCells != 121 {
+			t.Fatalf("degraded run evaluated %d of %d cells, want all 121", cs.Evaluated(), cs.FlatCells)
 		}
 	})
 
 	t.Run("windows clipped at grid borders", func(t *testing.T) {
 		// 181 x 121 grid with decimation 7: 181 = 25*7 + 6, so the last cell
 		// column and row are clipped short. Equivalence must survive clipping.
-		cfg := SearchConfig{Decimation: 7}
-		flat, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, SearchConfig{Mode: SearchFlat})
+		flat, err := localizeFlat(obs, testbedRoom, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 2, cfg)
+		coarse, stats, err := searchDecimated(obs, testbedRoom, 0.1, 7)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if stats.Mode != "coarse" {
-			t.Fatalf("want coarse mode, got %q", stats.Mode)
 		}
 		requireSameBits(t, "clipped windows", coarse, flat)
 		if stats.Evaluated() >= stats.FlatCells {
@@ -309,7 +307,6 @@ func TestSearchBoundsFewerThanBlocks(t *testing.T) {
 		axis float64
 	}{{Point{X: 0.1, Y: 6}, 90}, {Point{X: 17.9, Y: 6}, 90}, {Point{X: 4.5, Y: 0.1}, 0}}
 	rng := rand.New(rand.NewSource(18))
-	coarse := 0
 	for draw := 0; draw < 40; draw++ {
 		target := Point{X: 0.5 + 17*rng.Float64(), Y: 0.5 + 11*rng.Float64()}
 		obs := make([]APObservation, len(aps))
@@ -319,27 +316,20 @@ func TestSearchBoundsFewerThanBlocks(t *testing.T) {
 		}
 		step := 0.05 + 0.15*rng.Float64()
 		dec := 4 + rng.Intn(9)
-		p, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, step, 1, SearchConfig{Decimation: dec})
+		p, stats, err := searchDecimated(obs, testbedRoom, step, dec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, step, 1, SearchConfig{Mode: SearchFlat})
+		flat, err := localizeFlat(obs, testbedRoom, step)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameBits(t, "3-AP draw", p, flat)
-		if stats.Mode != "coarse" {
-			continue
-		}
-		coarse++
 		nx, ny := gridCount(testbedRoom.MinX, testbedRoom.MaxX, step), gridCount(testbedRoom.MinY, testbedRoom.MaxY, step)
 		if blocks := ((nx + dec - 1) / dec) * ((ny + dec - 1) / dec); stats.CoarseCells >= blocks {
 			t.Fatalf("draw %d (step %v, decimation %d): bounded %d rectangles, not below the %d blocks",
 				draw, step, dec, stats.CoarseCells, blocks)
 		}
-	}
-	if coarse < 30 {
-		t.Fatalf("only %d of 40 draws ran in coarse mode", coarse)
 	}
 }
 
@@ -426,29 +416,10 @@ func TestSearchCtxTimedAbortLargeGrid(t *testing.T) {
 	}
 }
 
-// TestParseSearchMode covers the CLI flag surface.
-func TestParseSearchMode(t *testing.T) {
-	for in, want := range map[string]SearchMode{
-		"coarse": SearchCoarse, "coarse-fine": SearchCoarse,
-		"flat": SearchFlat, "exact": SearchExact,
-	} {
-		got, err := ParseSearchMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSearchMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if got.String() == "" {
-			t.Errorf("SearchMode(%v).String() empty", got)
-		}
-	}
-	if _, err := ParseSearchMode("bogus"); err == nil {
-		t.Error("ParseSearchMode(bogus) should fail")
-	}
-}
-
 // TestSearchRejectsNonFinite: a NaN or infinite value in any search input —
 // an AP field, the bounds, or the step — or a weight that overflows must
-// fail every search mode with an error instead of returning a
-// garbage position.
+// fail the full-grid and the windowed search, and the flat oracle, with an
+// error instead of returning a garbage position.
 func TestSearchRejectsNonFinite(t *testing.T) {
 	base := testbedObservations(Point{X: 5, Y: 5}, nil)
 	fields := map[string]func(o *APObservation, v float64){
@@ -484,11 +455,15 @@ func TestSearchRejectsNonFinite(t *testing.T) {
 	inputs = append(inputs, input{"RSSIdBm overflows the weight", overflow, testbedRoom, 0.1})
 
 	for _, in := range inputs {
-		for _, mode := range []SearchMode{SearchCoarse, SearchFlat, SearchExact} {
-			p, _, err := LocalizeSearchCtx(context.Background(), in.obs, in.bounds, in.step, 1, SearchConfig{Mode: mode})
+		win := testbedRoom
+		for mode, cfg := range map[string]SearchConfig{"full-grid": {}, "windowed": {Window: &win}} {
+			p, _, err := LocalizeSearchCtx(context.Background(), in.obs, in.bounds, in.step, 1, cfg)
 			if err == nil {
-				t.Errorf("%s, %v search: got (%v, %v), want an error", in.name, mode, p.X, p.Y)
+				t.Errorf("%s, %s search: got (%v, %v), want an error", in.name, mode, p.X, p.Y)
 			}
+		}
+		if p, err := localizeFlat(in.obs, in.bounds, in.step); err == nil {
+			t.Errorf("%s, flat oracle: got (%v, %v), want an error", in.name, p.X, p.Y)
 		}
 	}
 }
@@ -623,7 +598,7 @@ func TestSearchTiesAcrossBlocks(t *testing.T) {
 		},
 	}
 	for name, obs := range cases {
-		flat, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{Mode: SearchFlat})
+		flat, err := localizeFlat(obs, room, step)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -642,8 +617,61 @@ func TestSearchTiesAcrossBlocks(t *testing.T) {
 			t.Fatalf("%s: want coarse mode, got %q", name, stats.Mode)
 		}
 		requireSameBits(t, name, coarse, flat)
-		if _, _, err := LocalizeSearchCtx(context.Background(), obs, room, step, 1, SearchConfig{Mode: SearchExact}); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// benchSearchObs is the Eq. 19 input of the search benchmarks: the six APs
+// of the committed testbed deployment (testbed.Default) seeing a source at
+// (7, 5) m at -50 dBm.
+func benchSearchObs() []APObservation {
+	aps := []struct {
+		pos  Point
+		axis float64
+	}{
+		{Point{X: 0.1, Y: 6}, 90}, {Point{X: 17.9, Y: 6}, 90},
+		{Point{X: 4.5, Y: 0.1}, 0}, {Point{X: 13.5, Y: 0.1}, 0},
+		{Point{X: 4.5, Y: 11.9}, 0}, {Point{X: 13.5, Y: 11.9}, 0},
+	}
+	obs := make([]APObservation, len(aps))
+	for i, ap := range aps {
+		obs[i] = APObservation{Pos: ap.pos, AxisDeg: ap.axis, AoADeg: ExpectedAoA(ap.pos, ap.axis, Point{X: 7, Y: 5}), RSSIdBm: -50}
+	}
+	return obs
+}
+
+// benchLocalizeSearch times one search and reports its cost evaluations
+// (SearchStats.Evaluated) as cells/op beside ns/op.
+func benchLocalizeSearch(b *testing.B, cfg SearchConfig) {
+	obs := benchSearchObs()
+	var stats SearchStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, stats, err = LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(stats.Evaluated()), "cells/op")
+}
+
+// BenchmarkLocalizeFlat measures the flat-scan oracle over the full 181x121
+// testbed grid; BenchmarkLocalizeCoarseFine is the same problem under the
+// branch-and-bound search, which returns the bit-identical position while
+// evaluating a small fraction of the cells. The ratio of the two is the
+// search speedup. BenchmarkLocalizeWindow is the tracking fast path: the
+// same search restricted to a 4 m x 4 m window (1,681 grid points) around
+// the source.
+func BenchmarkLocalizeFlat(b *testing.B) {
+	obs := benchSearchObs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := localizeFlat(obs, testbedRoom, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(GridCells(testbedRoom, 0.1)), "cells/op")
+}
+func BenchmarkLocalizeCoarseFine(b *testing.B) { benchLocalizeSearch(b, SearchConfig{}) }
+func BenchmarkLocalizeWindow(b *testing.B) {
+	benchLocalizeSearch(b, SearchConfig{Window: &Rect{MinX: 5, MinY: 3, MaxX: 9, MaxY: 7}})
 }

@@ -18,12 +18,9 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 		target := Point{X: 1 + 16*rng.Float64(), Y: 1 + 10*rng.Float64()}
 		obs := testbedObservations(target, rng)
 
-		flatPos, flatStats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
+		flatPos, err := localizeFlat(obs, testbedRoom, 0.1)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if flatStats.Mode != "flat" {
-			t.Fatalf("trial %d: expected flat mode, got %q", trial, flatStats.Mode)
 		}
 
 		// Whole-room window: identical scan, window bookkeeping.
@@ -32,9 +29,9 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Mode != "window" || stats.WindowCells != flatStats.FlatCells {
+		if stats.Mode != "window" || stats.WindowCells != stats.FlatCells || stats.FlatCells != 181*121 {
 			t.Fatalf("trial %d: whole-room window ran %q over %d cells (flat grid %d)",
-				trial, stats.Mode, stats.WindowCells, flatStats.FlatCells)
+				trial, stats.Mode, stats.WindowCells, stats.FlatCells)
 		}
 		if stats.WindowEdge {
 			t.Fatalf("trial %d: whole-room window flagged an interior edge", trial)
@@ -50,8 +47,8 @@ func TestWindowSearchBitIdentity(t *testing.T) {
 		if stats.Mode != "window" {
 			t.Fatalf("trial %d: tight window degraded to %q", trial, stats.Mode)
 		}
-		if stats.WindowCells >= flatStats.FlatCells/10 {
-			t.Fatalf("trial %d: tight window evaluated %d of %d cells", trial, stats.WindowCells, flatStats.FlatCells)
+		if stats.WindowCells >= stats.FlatCells/10 {
+			t.Fatalf("trial %d: tight window evaluated %d of %d cells", trial, stats.WindowCells, stats.FlatCells)
 		}
 		requireSameBits(t, "tight window", pos, flatPos)
 		if stats.WindowEdge {
@@ -89,18 +86,18 @@ func TestWindowSearchEdgeDetection(t *testing.T) {
 }
 
 // A window that misses the search bounds entirely must degrade to the
-// configured full-grid strategy instead of failing.
+// full-grid search instead of failing.
 func TestWindowSearchDegeneratesToFull(t *testing.T) {
 	obs := testbedObservations(Point{X: 9, Y: 6}, nil)
 	win := Rect{MinX: -30, MinY: -30, MaxX: -20, MaxY: -20}
-	pos, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat, Window: &win})
+	pos, stats, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Window: &win})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Mode != "flat" {
-		t.Fatalf("missing window ran %q, want flat fallback", stats.Mode)
+	if stats.Mode != "coarse" {
+		t.Fatalf("missing window ran %q, want the full-grid coarse search", stats.Mode)
 	}
-	flatPos, _, err := LocalizeSearchCtx(context.Background(), obs, testbedRoom, 0.1, 1, SearchConfig{Mode: SearchFlat})
+	flatPos, err := localizeFlat(obs, testbedRoom, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestWindowSearchOversized(t *testing.T) {
 		if stats.Mode != "window" || stats.WindowCells != (r.xHi-r.xLo)*(r.yHi-r.yLo) {
 			t.Fatalf("window %+v ran %q over %d cells, want window mode over %+v", c.win, stats.Mode, stats.WindowCells, r)
 		}
-		want, err := g.flatRange(r.xLo, r.xHi, r.yLo, r.yHi)
+		want, err := g.flatRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +195,7 @@ func TestLocalizeTrackedFreshMatchesStateless(t *testing.T) {
 
 // The verified-fallback gate: drive the tracker into a confident prediction,
 // then teleport the target. The windowed attempt must be rejected and the
-// accepted fix must be byte-identical to the stateless full search — the
-// ErrSearchMismatch-style runtime re-proof for window mode.
+// accepted fix must be byte-identical to the stateless full search.
 func TestLocalizeTrackedOutOfGateFallsBackBitIdentical(t *testing.T) {
 	est := engineTestEstimator(t)
 	eng, err := NewEngine(est, 1)

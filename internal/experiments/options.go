@@ -48,10 +48,6 @@ type Options struct {
 	// cold bench legs leave it off; RunBatchBench's warm leg and the serving
 	// path turn it on.
 	Warm bool
-	// Search tunes the Eq. 19 localization grid search (core.SearchConfig);
-	// the zero value selects the branch-and-bound strategy, bit-identical
-	// to the flat scan.
-	Search core.SearchConfig
 	// Workers bounds the goroutines used for per-link estimation fan-out
 	// (default 1 = serial; negative selects runtime.GOMAXPROCS). Results are
 	// identical for any value: scenario and burst generation stay serial on
@@ -114,7 +110,6 @@ func (o Options) estimatorConfig() core.Config {
 			sparse.WithMaxIters(o.SolverIters),
 		},
 		Warm:    o.Warm,
-		Search:  o.Search,
 		Metrics: o.Metrics,
 	}
 }

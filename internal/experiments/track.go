@@ -127,7 +127,7 @@ func RunTrack(w io.Writer, opt Options) error {
 					},
 				})
 				// Verified-fallback re-proof: every epoch the tracker did not
-				// accept from the window ran the configured full search and
+				// accept from the window ran the full-grid search and
 				// must match the stateless arm bit for bit.
 				if !tres.Windowed {
 					sres := results["stateless"][e]

@@ -36,9 +36,10 @@ func scribble(a *arena) {
 	})
 	a.res.Position, a.res.Search = core.Point{X: nan, Y: nan}, core.SearchStats{Mode: "scribbled"}
 	a.track = core.TrackResult{
-		Fix:   &core.LocalizeResult{Position: core.Point{X: nan}},
-		Track: core.TrackFix{Smoothed: core.Point{X: nan, Y: nan}, NIS: nan},
-		State: core.TrackState{Pos: core.Point{X: nan}, Updates: -1}, FallbackCause: "scribbled",
+		Fix:      &core.LocalizeResult{Position: core.Point{X: nan}},
+		Track:    core.TrackFix{Smoothed: core.Point{X: nan, Y: nan}, NIS: nan},
+		Windowed: true, Fallback: true, FallbackCause: "scribbled",
+		WindowStats: core.SearchStats{Mode: "scribbled", WindowCells: -1},
 	}
 }
 

@@ -64,12 +64,13 @@ func PresetNames() []string {
 //
 //   - "paper": the paper's working point — Intel 5300 radios (3 x 30 CSI),
 //     default dictionary grids, 6-AP 18 m x 12 m testbed, 15-packet bursts.
-//     Faithful, but slow: a fused joint solve runs its full 400 iterations
-//     over the 91 x 50 grid in 0.2–0.4 s of CPU, and a 6-AP request takes
-//     1.4–1.8 s on one worker (Intel Xeon, Go 1.24).
+//     Faithful, but slow: a fix costs about 1.95 s of CPU under the default
+//     solve profile, whose joint solves run their full 400 iterations over
+//     the 91 x 50 grid, and 0.28–0.38 s under Warm (2-CPU Intel Xeon,
+//     Go 1.24).
 //   - "smoke": a cut-down configuration for latency/throughput exercises and
-//     CI — 8 subcarriers, 19 x 8 dictionary, 3 APs, 2-packet bursts. Solves
-//     complete in tens of milliseconds while running the full pipeline.
+//     CI — 8 subcarriers, 19 x 8 dictionary, 3 APs, 2-packet bursts. A fix
+//     costs about 0.5–0.6 ms of CPU while running the full pipeline.
 //
 // An unknown name's error enumerates every registered preset, so the
 // message stays correct as presets land.

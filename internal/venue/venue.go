@@ -82,8 +82,6 @@ type Spec struct {
 	TauPoints   int `json:"tauPoints,omitempty"`
 	// MaxIters caps solver iterations; zero keeps the solver default.
 	MaxIters int `json:"maxIters,omitempty"`
-	// GridStepMeters is the Eq. 19 search resolution; zero selects 0.1 m.
-	GridStepMeters float64 `json:"gridStepMeters,omitempty"`
 }
 
 // Validate checks the spec is complete and physically meaningful.
@@ -94,7 +92,7 @@ func (s *Spec) Validate() error {
 	if len(s.APs) < 2 {
 		return fmt.Errorf("venue %s: needs at least 2 APs, got %d", s.ID, len(s.APs))
 	}
-	for _, f := range []float64{s.Room.MinX, s.Room.MinY, s.Room.MaxX, s.Room.MaxY, s.SubcarrierSpacingHz, s.GridStepMeters} {
+	for _, f := range []float64{s.Room.MinX, s.Room.MinY, s.Room.MaxX, s.Room.MaxY, s.SubcarrierSpacingHz} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("venue %s: non-finite geometry", s.ID)
 		}
@@ -115,8 +113,8 @@ func (s *Spec) Validate() error {
 	if s.ThetaPoints == 1 || s.TauPoints == 1 {
 		return fmt.Errorf("venue %s: grids need at least 2 points (or 0 for defaults)", s.ID)
 	}
-	if s.SubcarrierSpacingHz < 0 || s.GridStepMeters < 0 {
-		return fmt.Errorf("venue %s: negative radio or step parameter", s.ID)
+	if s.SubcarrierSpacingHz < 0 {
+		return fmt.Errorf("venue %s: negative subcarrier spacing", s.ID)
 	}
 	return nil
 }

@@ -43,6 +43,15 @@ func TestDecodeManifestRoundTrip(t *testing.T) {
 	if len(got.Venues) != 2 || got.Venues[0].ID != "hq" || got.Venues[1].ID != "lab-2" {
 		t.Fatalf("round trip mangled venues: %+v", got.Venues)
 	}
+	// A manifest written when venues carried a grid step still loads: the
+	// served step comes from each request, and unknown fields are ignored.
+	old := strings.Replace(string(manifestJSON(t, m)), `"maxIters":60`, `"maxIters":60,"gridStepMeters":0.2`, 1)
+	if !strings.Contains(old, "gridStepMeters") {
+		t.Fatal("test manifest lost its gridStepMeters field")
+	}
+	if got, err := DecodeManifest([]byte(old)); err != nil || len(got.Venues) != 2 {
+		t.Fatalf("manifest with gridStepMeters: %v", err)
+	}
 }
 
 func TestDecodeManifestRejections(t *testing.T) {

@@ -28,7 +28,7 @@
 // Multi-AP localization combines per-AP direct-path AoAs with
 // RSSI-weighted grid search (paper Eq. 19) via Localize:
 //
-//	pos, _, err := roarray.Localize(ctx, observations, room, 0.1, 1, roarray.SearchConfig{})
+//	pos, _, err := roarray.Localize(ctx, observations, room, 0.1, roarray.SearchConfig{})
 //
 // Every operation takes its context first; a Tracer or request id attached
 // to it reaches every pipeline stage.
@@ -218,42 +218,22 @@ func GenerateBurst(cfg *ChannelConfig, n int, rng *rand.Rand) ([]*CSI, error) {
 	return wireless.GenerateBurst(cfg, n, rng)
 }
 
-// Grid-search strategy types. All strategies return bit-identical positions;
-// they differ only in how many grid cells they evaluate (see SearchStats).
+// Grid-search types.
 type (
-	// SearchConfig tunes the Eq. 19 grid search (zero value = branch and bound).
+	// SearchConfig tunes the Eq. 19 grid search (zero value = the full grid).
 	SearchConfig = core.SearchConfig
-	// SearchMode selects the search strategy.
-	SearchMode = core.SearchMode
 	// SearchStats reports what a localization search actually did.
 	SearchStats = core.SearchStats
 )
 
-// Search modes: the default branch-and-bound ("coarse") search, the legacy
-// flat scan, and the cross-checking equivalence-proof mode.
-const (
-	SearchCoarse = core.SearchCoarse
-	SearchFlat   = core.SearchFlat
-	SearchExact  = core.SearchExact
-)
-
-// ErrSearchMismatch is returned by SearchExact if the branch-and-bound
-// result ever diverges from the flat scan.
-var ErrSearchMismatch = core.ErrSearchMismatch
-
-// ParseSearchMode parses a -search flag value: "coarse" (or "coarse-fine"),
-// "flat", "exact".
-func ParseSearchMode(s string) (SearchMode, error) { return core.ParseSearchMode(s) }
-
 // Localize minimizes the RSSI-weighted AoA deviation of paper Eq. 19 over a
-// uniform position grid (step <= 0 selects 0.1 m) inside bounds. cfg picks
-// the search strategy — the zero value is branch and bound; SearchFlat is
-// the reference scan, fanned over up to workers goroutines — and every
-// strategy returns the same position bits; SearchStats reports the cells it
-// evaluated. The search aborts with an error wrapping ctx.Err() soon after
-// ctx dies.
-func Localize(ctx context.Context, obs []APObservation, bounds Rect, step float64, workers int, cfg SearchConfig) (Point, SearchStats, error) {
-	return core.LocalizeSearchCtx(ctx, obs, bounds, step, workers, cfg)
+// uniform position grid (step <= 0 selects 0.1 m) inside bounds, by a
+// branch-and-bound search that returns the position bits of an exhaustive
+// scan of every grid cell; SearchStats reports the cells it evaluated.
+// cfg.Window restricts the search to a window of the grid. The search
+// aborts with an error wrapping ctx.Err() soon after ctx dies.
+func Localize(ctx context.Context, obs []APObservation, bounds Rect, step float64, cfg SearchConfig) (Point, SearchStats, error) {
+	return core.LocalizeSearchCtx(ctx, obs, bounds, step, 1, cfg)
 }
 
 // NewEngine returns a batch localization engine sharing est across a pool of

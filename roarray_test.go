@@ -68,7 +68,7 @@ func TestFacadeDeploymentPipeline(t *testing.T) {
 	for i, l := range sc.Links {
 		obs[i] = l.Observation(l.TrueAoADeg)
 	}
-	pos, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, 1, roarray.SearchConfig{})
+	pos, _, err := roarray.Localize(context.Background(), obs, dep.Room, 0.1, roarray.SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
