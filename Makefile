@@ -91,11 +91,15 @@ bench-wire:
 # so ns/op is one request's whole serving time; allocs/op and B/op are the
 # request arena's figures (TestServeLocalizeAllocs and TestServeTrackAllocs
 # gate the counts).
+# BenchmarkEngineLocalize runs one warm smoke-shape Engine.Localize at
+# workers 1 and 2, so the cost of Engine.Map's fan-out over a request's links
+# shows beside the serial loop (TestEngineLocalizeAllocs pins both counts).
 # BenchmarkStartSpan opens and ends a root span and one child on a tracer
 # mirrored into a flight recorder, the serving stack's tracing (DESIGN.md
 # §9, Spans); pooled spans allocate nothing (TestSpanAllocatesNothing).
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkServeLocalize$$|BenchmarkServeTrack$$' -benchmem -benchtime 500x ./internal/serve/
+	$(GO) test -run XXX -bench 'BenchmarkEngineLocalize$$' -benchmem -benchtime 500x ./internal/core/
 	$(GO) test -run XXX -bench 'BenchmarkStartSpan$$' -benchmem ./internal/obs/
 
 # CPU and memory profiles of the parallel batch engine, written to

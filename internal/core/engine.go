@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roarray/internal/obs"
@@ -85,33 +86,45 @@ func (e *Engine) Estimator() *Estimator { return e.est }
 // returns when all calls have finished. fn must write its result into an
 // index-addressed slot (never append to a shared slice) so that output order
 // is independent of scheduling. With one worker (or n <= 1) it runs inline.
+// Otherwise the calling goroutine is one of the workers: it starts the
+// other w-1, and every worker claims its next index from a shared counter,
+// so handing out an index is one atomic add rather than a channel handoff.
 func (e *Engine) Map(n int, fn func(i int)) {
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for range w {
-		wg.Add(1)
+	m := &mapShare{n: n, fn: fn}
+	m.wg.Add(w - 1)
+	for range w - 1 {
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			defer m.wg.Done()
+			m.work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	// Waiting is deferred so that a panic in the caller's share still
+	// leaves no worker running fn once Map unwinds.
+	defer m.wg.Wait()
+	m.work()
+}
+
+// mapShare is one Map call's state, shared by its workers: the next index
+// to claim and the workers still running.
+type mapShare struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+}
+
+// work calls fn on indices claimed one at a time until none is left.
+func (m *mapShare) work() {
+	for i := int(m.next.Add(1)) - 1; i < m.n; i = int(m.next.Add(1)) - 1 {
+		m.fn(i)
 	}
-	close(idx)
-	wg.Wait()
 }
 
 // LinkInput is one AP's contribution to a localization request: the AP

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -50,8 +51,14 @@ func localizeBatch(ctx context.Context, eng *Engine, reqs []*LocalizeRequest) ([
 // room with 4 corner APs, each request from its own seeded RNG.
 func engineTestRequests(t testing.TB, n, packets int, baseSeed int64) []*LocalizeRequest {
 	t.Helper()
-	arr := wireless.Intel5300Array()
-	ofdm := wireless.Intel5300OFDM()
+	return synthRequests(t, wireless.Intel5300Array(), wireless.Intel5300OFDM(), 4, n, packets, baseSeed)
+}
+
+// synthRequests synthesizes n localization requests of the given CSI shape
+// over a square room with the first numAPs of 4 wall-mounted APs, each
+// request from its own seeded RNG.
+func synthRequests(t testing.TB, arr wireless.Array, ofdm wireless.OFDM, numAPs, n, packets int, baseSeed int64) []*LocalizeRequest {
+	t.Helper()
 	room := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 8}
 	aps := []struct {
 		pos  Point
@@ -61,7 +68,7 @@ func engineTestRequests(t testing.TB, n, packets int, baseSeed int64) []*Localiz
 		{Point{X: 9.9, Y: 4}, 90},
 		{Point{X: 5, Y: 0.1}, 0},
 		{Point{X: 5, Y: 7.9}, 0},
-	}
+	}[:numAPs]
 	reqs := make([]*LocalizeRequest, n)
 	for r := 0; r < n; r++ {
 		rng := rand.New(rand.NewSource(baseSeed + int64(r)))
@@ -280,6 +287,78 @@ func TestEngineMapOrdering(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, i+1)
 			}
 		}
+	}
+}
+
+// smokeEngine returns an engine of the given worker count on a warm
+// estimator at the smoke serving shape, with requests of the smoke preset's
+// size: 3 APs and 2-packet bursts.
+func smokeEngine(t testing.TB, workers int) (*Engine, []*LocalizeRequest) {
+	t.Helper()
+	cfg := smokeServingConfig()
+	est, err := NewEstimator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(est, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, synthRequests(t, cfg.Array, cfg.OFDM, 3, 8, 2, 9100)
+}
+
+// engineLocalizeAllocs pins the allocations of one warm smoke-shape
+// Localize by worker count, measured on 2 CPUs. One worker allocates the
+// LocalizeResult and its Links. Two add Map's fan-out over the links: the
+// closure over the request, the call's shared index counter and WaitGroup,
+// and the closure of the one goroutine it starts.
+var engineLocalizeAllocs = map[int]float64{1: 2, 2: 5}
+
+func TestEngineLocalizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled workspaces at random under -race")
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		eng, reqs := smokeEngine(t, workers)
+		for _, req := range reqs { // warm the pools
+			if _, err := eng.Localize(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := eng.Localize(ctx, reqs[i%len(reqs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("workers=%d: %.1f allocations per warm Localize", workers, allocs)
+		if want := engineLocalizeAllocs[workers]; allocs > want {
+			t.Errorf("workers=%d: %.1f allocations per warm Localize, want at most %.0f", workers, allocs, want)
+		}
+	}
+}
+
+// BenchmarkEngineLocalize measures one warm smoke-shape Localize (3 links
+// fanned over the engine's workers, then the Eq. 19 search) at workers 1
+// and 2, with allocations reported (`make bench-serve`).
+func BenchmarkEngineLocalize(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			eng, reqs := smokeEngine(b, workers)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Localize(ctx, reqs[i%len(reqs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // FlightRecorder is a bounded in-memory ring of the most recent request
 // events and spans — the always-on "black box" a diagnostic bundle dumps
@@ -8,15 +11,20 @@ import "sync"
 // ring dump is byte-compatible with the JSONL streams the event log and
 // tracer write, and the same request ids join across all of them.
 //
-// Appends copy the event value into a preallocated slot under a mutex: no
-// per-event allocation beyond the event the caller already built (pinned by
-// an AllocsPerRun test), so the enabled-but-idle recorder costs a lock and a
-// struct copy per request. A nil *FlightRecorder is the disabled fast path:
-// every method no-ops, mirroring the rest of this package.
+// Appends copy the event value into a preallocated slot under a mutex, and
+// its estimate into the ring's own storage, so the caller may reuse the
+// estimate's memory once the append returns: no per-event allocation
+// (pinned by an AllocsPerRun test), and the enabled-but-idle recorder
+// costs a lock and a struct copy per request. A nil *FlightRecorder is the
+// disabled fast path: every method no-ops, mirroring the rest of this
+// package.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	reqs  []RequestEvent
 	spans []SpanEvent
+	// est backs the retained events' estimates: slot k's [x, y] is
+	// est[2k:2k+2].
+	est []float64
 	// reqTotal/spanTotal are lifetime append counts; total modulo capacity
 	// locates the ring head.
 	reqTotal  uint64
@@ -36,17 +44,23 @@ func NewFlightRecorder(reqCap, spanCap int) *FlightRecorder {
 	return &FlightRecorder{
 		reqs:  make([]RequestEvent, reqCap),
 		spans: make([]SpanEvent, spanCap),
+		est:   make([]float64, 2*reqCap),
 	}
 }
 
 // RecordRequest appends one request event to the ring, overwriting the
-// oldest when full. Nil-safe, allocation-free, concurrent-safe.
+// oldest when full; the ring keeps a copy of ev.Est, not ev.Est itself.
+// Nil-safe, allocation-free for an [x, y] estimate, concurrent-safe.
 func (r *FlightRecorder) RecordRequest(ev RequestEvent) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.reqs[r.reqTotal%uint64(len(r.reqs))] = ev
+	k := r.reqTotal % uint64(len(r.reqs))
+	if ev.Est != nil {
+		ev.Est = append(r.est[2*k:2*k:2*k+2], ev.Est...)
+	}
+	r.reqs[k] = ev
 	r.reqTotal++
 	r.mu.Unlock()
 }
@@ -64,9 +78,10 @@ func (r *FlightRecorder) RecordSpan(ev SpanEvent) {
 	r.mu.Unlock()
 }
 
-// Requests returns the retained request events, oldest first. Records with a
-// zero schema are stamped with the current RequestEventSchema so the dump
-// round-trips through ReadRequestEvents. Nil returns nil.
+// Requests returns the retained request events, oldest first, each with an
+// estimate of its own. Records with a zero schema are stamped with the
+// current RequestEventSchema so the dump round-trips through
+// ReadRequestEvents. Nil returns nil.
 func (r *FlightRecorder) Requests() []RequestEvent {
 	if r == nil {
 		return nil
@@ -75,6 +90,7 @@ func (r *FlightRecorder) Requests() []RequestEvent {
 	defer r.mu.Unlock()
 	out := ringCopy(r.reqs, r.reqTotal)
 	for i := range out {
+		out[i].Est = slices.Clone(out[i].Est)
 		if out[i].Schema == 0 {
 			out[i].Schema = RequestEventSchema
 		}

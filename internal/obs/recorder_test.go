@@ -105,6 +105,29 @@ func TestFlightRecorderAppendAllocs(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderOwnsEstimates: the ring keeps a copy of each event's
+// estimate, so the caller may reuse its memory once RecordRequest returns,
+// and every Requests result has estimates of its own.
+func TestFlightRecorderOwnsEstimates(t *testing.T) {
+	r := NewFlightRecorder(2, 2)
+	est := []float64{1, 2}
+	r.RecordRequest(RequestEvent{ID: "a", Est: est})
+	r.RecordRequest(RequestEvent{ID: "b"})
+	est[0], est[1] = -1, -1
+	got := r.Requests()
+	if len(got) != 2 || len(got[0].Est) != 2 || got[0].Est[0] != 1 || got[0].Est[1] != 2 || got[1].Est != nil {
+		t.Fatalf("ring after the caller reused its estimate: %+v", got)
+	}
+	got[0].Est[0] = -2
+	if again := r.Requests(); again[0].Est[0] != 1 {
+		t.Fatalf("a Requests result shares the ring's estimate: %v", again[0].Est)
+	}
+	r.RecordRequest(RequestEvent{ID: "c", Est: []float64{3, 4}}) // overwrites "a"'s slot
+	if got := r.Requests(); got[0].ID != "b" || got[1].Est[0] != 3 || got[1].Est[1] != 4 {
+		t.Fatalf("ring after wrapping: %+v", got)
+	}
+}
+
 // TestTracerMirrorFeedsRecorder: a tracer with a nil writer and a recorder
 // mirror delivers spans to the ring without encoding any JSON.
 func TestTracerMirrorFeedsRecorder(t *testing.T) {

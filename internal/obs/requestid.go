@@ -74,9 +74,18 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 }
 
 // RequestIDFrom returns the context's request ID, or "" when none was set.
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey{}).(string)
-	return id
+func RequestIDFrom(ctx context.Context) string { return stringValue(ctx, ridKey{}) }
+
+// stringValue reads a string the context carries under key: a string a
+// With function stored, or a pointer to a RequestValues field.
+func stringValue(ctx context.Context, key any) string {
+	switch v := ctx.Value(key).(type) {
+	case string:
+		return v
+	case *string:
+		return *v
+	}
+	return ""
 }
 
 type venueKey struct{}
@@ -94,7 +103,41 @@ func WithVenue(ctx context.Context, id string) context.Context {
 }
 
 // VenueFrom returns the context's venue ID, or "" when none was set.
-func VenueFrom(ctx context.Context) string {
-	id, _ := ctx.Value(venueKey{}).(string)
-	return id
+func VenueFrom(ctx context.Context) string { return stringValue(ctx, venueKey{}) }
+
+// RequestValues is a context carrying a request's id, tracer and venue in
+// fields instead of one context.WithValue layer each. RequestIDFrom,
+// TracerFrom and VenueFrom read them as they would read
+// WithVenue(WithTracer(WithRequestID(parent, ID), Tracer), Venue), an empty
+// field answering from parent just as the With function would have left it
+// out; every other key, and Deadline, Done and Err, come from the embedded
+// parent. A server that keeps one per request in pooled memory and resets
+// it per call carries these values without allocating, and looking them up
+// allocates nothing either: the id and venue keys are answered with
+// pointers to the fields, which RequestIDFrom and VenueFrom read.
+type RequestValues struct {
+	context.Context
+	ID     string
+	Tracer *Tracer
+	Venue  string
+}
+
+// Value answers the request id, tracer and venue keys from v's fields and
+// every other key from the parent.
+func (v *RequestValues) Value(key any) any {
+	switch k := key.(type) {
+	case ridKey:
+		if v.ID != "" {
+			return &v.ID
+		}
+	case venueKey:
+		if v.Venue != "" {
+			return &v.Venue
+		}
+	case ctxKey:
+		if k == tracerKey && v.Tracer != nil {
+			return v.Tracer
+		}
+	}
+	return v.Context.Value(key)
 }

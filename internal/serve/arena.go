@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 
@@ -10,12 +11,13 @@ import (
 )
 
 // arena owns every buffer one /v1/localize or /v1/track call fills, from the
-// body bytes to the encoded response: the call itself, the body, the decoded
-// wire request and the slabs its links, packets, rows and values are carved
-// from, the engine request ToCore builds with its CSI slabs, the pending
-// slot and its done channel, the engine's result (the core.LocalizeResult
-// and, for a tracked epoch, the core.TrackResult the batch slot writes in
-// place), and the response with its encode buffer.
+// body bytes to the encoded response: the call itself and its context, the
+// body and the reader that bounds it, the decoded wire request and the
+// slabs its links, packets, rows and values are carved from, the engine
+// request ToCore builds with its CSI slabs, the pending slot and its done
+// channel, the engine's result (the core.LocalizeResult and, for a tracked
+// epoch, the core.TrackResult the batch slot writes in place), the
+// estimate its event logs, and the response with its encode buffer.
 //
 // A call takes its arena from arenaPool in newCall and gives it back in
 // end. That is safe because submit always waits for the dispatcher's
@@ -26,7 +28,10 @@ import (
 // pooledBodyBytes is left to the garbage collector.
 type arena struct {
 	call call
+	ctx  reqCtx
 	body bytes.Buffer
+	// lim bounds the pooled read of the body (see decodeBody).
+	lim io.LimitedReader
 	// req is the decoded body: a /v1/localize call decodes into its
 	// embedded Request, a /v1/track call into the whole value.
 	req  TrackRequest
@@ -37,6 +42,8 @@ type arena struct {
 	// res.Links keeps its capacity across calls.
 	res   core.LocalizeResult
 	track core.TrackResult
+	// est backs the [x, y] estimate of the request's ok event.
+	est [2]float64
 	// resp is the answer: a /v1/localize call encodes its embedded
 	// Response, a /v1/track call the whole value. links backs its Links.
 	resp  TrackResponse
@@ -51,6 +58,7 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 // production), and pools it unless it has grown past pooledBodyBytes.
 func (a *arena) release(hook func(*arena)) {
 	a.call = call{}
+	a.ctx.release()
 	a.req = TrackRequest{}
 	a.p = pending{done: a.p.done}
 	clear(a.res.Links)
@@ -82,6 +90,11 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// jsonContentType is every JSON answer's Content-Type value, shared: its
+// capacity equals its length, so a handler that appends to the header's
+// values copies it instead of writing into it.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 // jsonOut encodes response bodies into a reusable buffer.
 type jsonOut struct {
 	buf bytes.Buffer
@@ -96,7 +109,7 @@ func (o *jsonOut) write(w http.ResponseWriter, status int, v any) {
 		o.enc = json.NewEncoder(&o.buf)
 	}
 	o.buf.Reset()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if o.enc.Encode(v) == nil {
 		w.Write(o.buf.Bytes()) //nolint:errcheck // nothing to do about a client gone mid-write

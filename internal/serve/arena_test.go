@@ -35,6 +35,7 @@ func scribble(a *arena) {
 		AoADeg: nan, Confidence: nan, Err: errors.New("scribbled"), Sanitize: &core.BurstReport{Repaired: -1},
 	})
 	a.res.Position, a.res.Search = core.Point{X: nan, Y: nan}, core.SearchStats{Mode: "scribbled"}
+	a.est = [2]float64{nan, nan}
 	a.track = core.TrackResult{
 		Fix:      &core.LocalizeResult{Position: core.Point{X: nan}},
 		Track:    core.TrackFix{Smoothed: core.Point{X: nan, Y: nan}, NIS: nan},

@@ -17,8 +17,8 @@ type pending struct {
 	eng *core.Engine
 	// venue is the venue id the request resolved to ("" for single-venue).
 	venue string
-	// ctx is the fully merged per-request context: HTTP request context,
-	// effective deadline, and the server hard-stop.
+	// ctx is the request's context, its arena's reqCtx: the HTTP request
+	// context, the effective deadline and the server hard-stop.
 	ctx context.Context
 	// tracker, when non-nil, selects the tracked pipeline for this slot
 	// (/v1/track): prediction-shrunk search with verified fallback, then a

@@ -22,18 +22,31 @@ const pooledBodyBytes = 1 << 20
 // the same value, the same rejection and message, and the same indifference
 // to bytes after the first JSON value.
 func (a *arena) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := &a.body
 	buf.Reset()
-	_, err := buf.ReadFrom(io.LimitReader(body, pooledBodyBytes+1))
+	a.lim = io.LimitedReader{R: r.Body, N: pooledBodyBytes + 1}
+	_, err := buf.ReadFrom(&a.lim)
+	a.lim.R = nil
 	if err == nil && buf.Len() <= pooledBodyBytes {
 		return a.wire.decode(buf.Bytes(), v)
 	}
-	// A failed read (MaxBytesReader's error is sticky) or a body too large
-	// for the pool: encoding/json reads the bytes taken so far, then the
-	// rest of the stream, just as it would have read the body directly.
-	return json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body)).Decode(v)
+	// A failed read or a body too large for the pool: encoding/json reads
+	// the bytes taken so far, then the rest of the stream, just as it would
+	// have read the body directly. The rest is the read's error again (a
+	// MaxBytesReader's error is sticky), or the body bounded to what is
+	// left of maxBodyBytes, which past the bound answers like a
+	// MaxBytesReader over the whole body.
+	rest := io.Reader(errReader{err})
+	if err == nil {
+		rest = http.MaxBytesReader(w, r.Body, maxBodyBytes-int64(buf.Len()))
+	}
+	return json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), rest)).Decode(v)
 }
+
+// errReader is a reader that fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // wireSlabs is the storage a decoded request's slices are carved from: its
 // links, their packets, the packets' antenna rows and the rows' [re, im]

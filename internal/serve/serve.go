@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roarray/internal/core"
@@ -270,8 +271,11 @@ type Server struct {
 	draining bool
 
 	dispatcherDone chan struct{}
-	hardCtx        context.Context
-	hardCancel     context.CancelFunc
+	// hardCtx is the flushes' context, cancelled by a forced drain.
+	// hardStopped is set just before it is, for request contexts to poll.
+	hardCtx     context.Context
+	hardCancel  context.CancelFunc
+	hardStopped atomic.Bool
 
 	// arenaReleased, when set before the first request, sees every arena a
 	// finished call releases (a test's probe; see arena.release).
@@ -401,7 +405,7 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	case <-s.dispatcherDone:
 	case <-ctx.Done():
 		rep.Forced = true
-		s.hardCancel()
+		s.hardStop()
 		<-s.dispatcherDone
 	}
 	// Once the dispatcher has exited, every accepted request's outcome sits
@@ -420,6 +424,13 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	rep.RejectedDraining = post.RejectedDraining
 	rep.Elapsed = time.Since(t0)
 	return rep
+}
+
+// hardStop cancels the flushes and every request context armed with the
+// hard stop.
+func (s *Server) hardStop() {
+	s.hardStopped.Store(true)
+	s.hardCancel()
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -464,11 +475,6 @@ type call struct {
 	t0         time.Time
 	deadlineMs float64
 	eng        *core.Engine
-	// ctx is the merged per-request context: the HTTP context, the
-	// effective deadline, and the server's hard stop.
-	ctx                   context.Context
-	cancelTimeout, cancel context.CancelFunc
-	stop                  func() bool
 	// inflight is set while the dispatcher holds the request: from its
 	// admission to its outcome.
 	inflight bool
@@ -597,25 +603,24 @@ func (c *call) validate(wreq *Request) (*core.LocalizeRequest, bool) {
 // wires the hard stop and the Disturb hook.
 func (c *call) prepare(r *http.Request, wreq *Request) bool {
 	s := c.s
-	// The context and budget are derived BEFORE venue resolution: the HTTP
+	// The context and budget are set BEFORE venue resolution: the HTTP
 	// context (client disconnect) tightened by the effective deadline, so a
 	// cold venue load (waiting on a dictionary build) spends the request's
 	// own budget and fails with 504 instead of letting handler goroutines
 	// pile up behind a stuck build. The request ID rides the context so
 	// every span and every latency exemplar downstream carries it.
 	c.t0 = time.Now()
-	ctx := obs.WithRequestID(r.Context(), c.rid)
-	if s.cfg.Tracer != nil {
-		ctx = obs.WithTracer(ctx, s.cfg.Tracer)
-	}
 	timeout := s.cfg.RequestTimeout
 	if d := wreq.Deadline(); d > 0 && (timeout == 0 || d < timeout) {
 		timeout = d
 	}
+	var deadline time.Time
 	if timeout > 0 {
-		ctx, c.cancelTimeout = context.WithTimeout(ctx, timeout)
+		deadline = c.t0.Add(timeout)
 	}
 	c.deadlineMs = float64(timeout) / float64(time.Millisecond)
+	ctx := &c.a.ctx
+	ctx.start(r.Context(), c.rid, s.cfg.Tracer, deadline)
 
 	rv := s.resolveEngine(ctx, wreq.VenueID)
 	if rv.attribute {
@@ -639,32 +644,27 @@ func (c *call) prepare(r *http.Request, wreq *Request) bool {
 	}
 	c.eng = rv.eng
 
-	c.ctx, c.cancel = context.WithCancel(obs.WithVenue(ctx, c.venue))
-	c.stop = context.AfterFunc(s.hardCtx, c.cancel)
+	ctx.arm(s, c.venue)
 	// Fault-injection hook: disturb the request on its own goroutine before
 	// it competes for a queue slot. A stuck disturbance releases when the
 	// request's context dies, after which the request proceeds to admission
 	// and fails fast at the engine's first stage-boundary check (504/503).
 	if s.cfg.Disturb != nil {
-		s.cfg.Disturb(c.ctx)
+		s.cfg.Disturb(ctx)
 	}
 	return true
 }
 
-// end releases the request's contexts and its arena. A call that unwinds
-// while the dispatcher still holds its request (only a panic can) leaves
-// the arena to the garbage collector instead.
+// end releases the request's arena, its context included. A call that
+// unwinds while the dispatcher still holds its request (only a panic can)
+// cancels the context instead, so the engine drops the request, and leaves
+// the arena to the garbage collector.
 func (c *call) end() {
-	if c.stop != nil {
-		c.stop()
-		c.cancel()
+	if c.inflight {
+		c.a.ctx.abandon()
+		return
 	}
-	if c.cancelTimeout != nil {
-		c.cancelTimeout()
-	}
-	if !c.inflight {
-		c.a.release(c.s.arenaReleased)
-	}
+	c.a.release(c.s.arenaReleased)
 }
 
 // submit admits the request to its lane and waits for its batch; a tracker
@@ -682,7 +682,7 @@ func (c *call) submit(creq *core.LocalizeRequest, tracker *core.Tracker, t float
 		p.done = make(chan outcome, 1)
 	}
 	*p = pending{
-		req: creq, eng: c.eng, venue: c.venue, ctx: c.ctx,
+		req: creq, eng: c.eng, venue: c.venue, ctx: &c.a.ctx,
 		tracker: tracker, t: t, res: &c.a.res, track: &c.a.track,
 		done: p.done, enqueued: enq,
 	}
@@ -764,7 +764,8 @@ func (c *call) respond(resp any, res *core.LocalizeResult, est core.Point) {
 	ev.Outcome, ev.Status = "ok", http.StatusOK
 	ev.SearchMode = res.Search.Mode
 	ev.CellsEvaluated = res.Search.Evaluated()
-	ev.Est = []float64{est.X, est.Y}
+	c.a.est = [2]float64{est.X, est.Y}
+	ev.Est = c.a.est[:]
 	var solve core.SolveInfo
 	for _, lr := range res.Links {
 		// SanitizeConfidence is the lowest reduced fusion weight any flagged
